@@ -4,6 +4,10 @@
 For each odd n coprime to q the table lists ord_n(q), lambda(n), the ratio
 log_q(n)/lambda(n) that drives the census exponent, and which family
 profiles (SelfOrthogonal / LCD / SelfDual) the order qualifies for.
+SelfOrthogonal tags every n: the plain family is self-orthogonal for every q.
+LCD tags n at which the `lcd` block family exists on the block of the
+primitive n-th roots of unity; its computed hull equals its dimension, so
+those codes are self-orthogonal, not LCD (see analysis.good_n_sequence).
 
 Example:
     python scripts/good_n_scan.py --q 3 --limit 60

@@ -11,17 +11,14 @@ from .codes import (
     build_lcd_code,
     build_plain_code,
     build_self_dual_code,
-    build_self_orthogonal_code,
     dual_code,
     enumerate_beta,
     hull_dimension,
     k_star_size,
     kt_fields,
-    twist,
 )
-from .cyclic import CyclicElem, IdempotentSet, conj_pairing, cyc_bar, cyc_mul, lambda_n, primitive_idempotents
+from .cyclic import CyclicElem, IdempotentSet, conj_pairing, lambda_n, primitive_idempotents
 from .dihedral import (
-    consta_dihedral_algebra,
     count_Cab_codes,
     counterexample_check,
     dihedral_algebra,

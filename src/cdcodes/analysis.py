@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -438,7 +439,11 @@ def census_K_le_delta(
 
 
 def _parallel_census(alg, parts, kts, include_C0, delta, size, word_budget, jobs):
-    """Deterministic partition of the beta index range across processes."""
+    """Deterministic partition of the beta index range across processes.
+
+    When no process pool can be started the census reruns serially, with a
+    RuntimeWarning that names the exception.
+    """
     from concurrent.futures import ProcessPoolExecutor
 
     chunks = []
@@ -449,7 +454,12 @@ def _parallel_census(alg, parts, kts, include_C0, delta, size, word_budget, jobs
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts_rows = list(pool.map(_census_worker, [(payload, list(c)) for c in chunks]))
-    except (OSError, RuntimeError):
+    except (OSError, RuntimeError) as ex:
+        warnings.warn(
+            f"parallel census failed ({type(ex).__name__}: {ex}); rerunning serially",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         return _census_chunk(alg, parts, kts, include_C0, delta, range(size), word_budget)
     rows = []
     for r in parts_rows:
@@ -554,15 +564,23 @@ PROFILE_SELF_DUAL = "SelfDual"
 
 
 def good_n_sequence(q: int, limit: int, profile: str) -> list[int]:
-    """Odd n <= limit, coprime to q, whose flags fit the requested family."""
+    """Odd n <= limit, coprime to q, whose flags fit the requested family.
+
+    SelfOrthogonal: every such n; the plain consta family is self-orthogonal
+    for every q.  LCD: q = 3 mod 4 and the block of the primitive n-th roots
+    of unity is self-conjugate with odd k_t = ord_n(q)/2, so the `lcd` block
+    family exists at n (it also exists at some other n through the block of
+    a divisor, e.g. q = 3, n = 35).  Its computed hull equals its dimension:
+    despite the name these codes are self-orthogonal, not LCD.  SelfDual:
+    every such n when q is even or 4 | q - 1.
+    """
     out = []
     for n in range(3, limit + 1, 2):
         if math.gcd(n, q) != 1:
             continue
         flags = good_n_predicates(q, n)
         if profile == PROFILE_SELF_ORTHOGONAL:
-            if flags.ord_odd:
-                out.append(n)
+            out.append(n)
         elif profile == PROFILE_LCD:
             if q % 2 == 1 and (q - 1) % 4 != 0 and flags.minus1_in_q and flags.two_exactly_divides_ord:
                 out.append(n)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import analysis, codes, dihedral
@@ -19,15 +18,13 @@ from .codes import BetaVector, LinearCode
 from .errors import (
     BudgetExceeded,
     CdcodesError,
+    DimensionMismatch,
     DomainError,
     GcdViolation,
     HypothesisUnmet,
-    InvalidBeta,
-    NotPrime,
     Overflow,
-    ReducibleModulus,
 )
-from .field import Field, field_from_order, field_make, mult_order
+from .field import Field, field_from_order, field_make
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -36,62 +33,45 @@ EXIT_HYPOTHESIS = 3
 EXIT_BUDGET = 4
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    q: Optional[int] = None
-    p: Optional[int] = None
-    m: int = 1
-    n: Optional[int] = None
-    delta: Optional[float] = None
-    family: str = "plain"
-    beta: str = "identity"
-    seed: Optional[int] = None
-    fmt: str = "text"
-    out: Optional[str] = None
-    budget: int = analysis.DEFAULT_WORD_BUDGET
-    jobs: int = 1
-    v_squared: int = -1
-    checks: str = "min-weight,hull,balance"
-    infile: Optional[str] = None
-    include_a0: bool = False
+FAMILIES = {
+    "self-dual": codes.build_self_dual_code,
+    "lcd": codes.build_lcd_code,
+    "plain": codes.build_plain_code,
+}
 
-    def field(self) -> Field:
-        if self.q is not None:
-            return field_from_order(self.q)
-        if self.p is not None:
-            return field_make(self.p, self.m)
-        raise DomainError("either --q or --p/--m is required")
+
+def _field(ns: argparse.Namespace) -> Field:
+    if ns.q is not None:
+        return field_from_order(ns.q)
+    if ns.p is not None:
+        return field_make(ns.p, ns.m)
+    raise DomainError("either --q or --p/--m is required")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cdcodes", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, need_n=True):
+    def common(sp):
         sp.add_argument("--q", type=int, help="field size as a prime power")
         sp.add_argument("--p", type=int, help="characteristic (with --m)")
         sp.add_argument("--m", type=int, default=1, help="extension degree")
-        if need_n:
-            sp.add_argument("--n", type=int, required=True, help="odd cyclic order n")
+        sp.add_argument("--n", type=int, required=True, help="odd cyclic order n")
         sp.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--jobs", type=int, default=1)
 
     d = sub.add_parser("decompose", help="block decomposition of the algebra")
     common(d)
     d.add_argument("--dihedral", action="store_true", help="use v^2 = +1")
+    d.set_defaults(func=cmd_decompose)
 
     c = sub.add_parser("construct", help="construct a code family member")
     common(c)
-    c.add_argument(
-        "--family",
-        choices=("self-dual", "lcd", "self-orthogonal", "plain"),
-        default="plain",
-    )
+    c.add_argument("--family", choices=tuple(FAMILIES), default="plain")
     c.add_argument("--beta", default="identity", help="identity | random | comma-separated codes")
     c.add_argument("--seed", type=int)
     c.add_argument("--include-a0", action="store_true", help="adjoin the whole trivial block (lcd family)")
+    c.set_defaults(func=cmd_construct)
 
     a = sub.add_parser("analyze", help="analyze a generator matrix file")
     a.add_argument("infile", help="generator matrix in the text format")
@@ -101,19 +81,19 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--v-squared", dest="v_squared", type=int, choices=(-1, 1), default=-1)
     a.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     a.add_argument("--out", help="output path (default stdout)")
-    a.add_argument("--jobs", type=int, default=1)
+    a.set_defaults(func=cmd_analyze)
 
     v = sub.add_parser("verify-paper", help="run the fixed verification suite")
     v.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     v.add_argument("--out", help="output path (default stdout)")
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--qs", default="2,3,4,5,7,9,13", help="q grid override for the small-grid checks")
+    v.set_defaults(func=cmd_verify_paper)
     return ap
 
 
-def _emit(cfg_out: Optional[str], text: str):
-    if cfg_out:
-        with open(cfg_out, "w") as fh:
+def _emit(out: Optional[str], text: str):
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -136,18 +116,17 @@ def _parse_beta(alg: TwistedDihedralAlgebra, spec: str, seed: Optional[int]) -> 
     return BetaVector(kts, vals)
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    field = cfg.field()
-    alg = TwistedDihedralAlgebra(field, cfg.n, cfg.v_squared)
+def cmd_decompose(ns: argparse.Namespace) -> int:
+    alg = TwistedDihedralAlgebra(_field(ns), ns.n, 1 if ns.dihedral else -1)
     report = alg.decomposition_report()
     ksum = sum(b.get("k", 0) for b in report["blocks"])
     report["k_sum"] = ksum
-    report["k_sum_matches_(n-1)/2"] = 2 * ksum == cfg.n - 1
+    report["k_sum_matches_(n-1)/2"] = 2 * ksum == ns.n - 1
     report["all_2k_at_least_lambda"] = all(
         2 * b["k"] >= report["lambda"] for b in report["blocks"] if "k" in b
     )
-    if cfg.fmt == "json":
-        _emit(cfg.out, json.dumps(report, indent=2) + "\n")
+    if ns.fmt == "json":
+        _emit(ns.out, json.dumps(report, indent=2) + "\n")
     else:
         lines = [f"q={report['q']} n={report['n']} v^2={report['v_squared']} lambda={report['lambda']}"]
         for b in report["blocks"]:
@@ -159,62 +138,57 @@ def cmd_decompose(cfg: RunConfig) -> int:
             f"  sum k_t = {ksum} ({'OK' if report['k_sum_matches_(n-1)/2'] else 'MISMATCH'}),"
             f" 2k_t >= lambda: {'OK' if report['all_2k_at_least_lambda'] else 'VIOLATED'}"
         )
-        _emit(cfg.out, "\n".join(lines) + "\n")
+        _emit(ns.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_construct(cfg: RunConfig) -> int:
-    field = cfg.field()
-    alg = TwistedDihedralAlgebra(field, cfg.n, cfg.v_squared)
-    beta = _parse_beta(alg, cfg.beta, cfg.seed)
-    if cfg.family == "self-dual":
-        code = codes.build_self_dual_code(alg, beta=beta)
-    elif cfg.family == "lcd":
-        code = codes.build_lcd_code(alg, beta=beta, include_a0=cfg.include_a0)
-    elif cfg.family == "self-orthogonal":
-        code = codes.build_self_orthogonal_code(alg, beta=beta)
-    else:
-        code = codes.build_plain_code(alg, beta=beta)
+def cmd_construct(ns: argparse.Namespace) -> int:
+    options = {}
+    if ns.include_a0:
+        if ns.family != "lcd":
+            raise DomainError("--include-a0 applies only to --family lcd")
+        options["include_a0"] = True
+    alg = TwistedDihedralAlgebra(_field(ns), ns.n, -1)
+    beta = _parse_beta(alg, ns.beta, ns.seed)
+    code = FAMILIES[ns.family](alg, beta=beta, **options)
     hull = codes.hull_dimension(code)
-    verdict = (
-        "self-dual"
-        if codes.is_self_dual(code)
-        else "self-orthogonal"
-        if hull == code.k_dim
-        else "lcd"
-        if hull == 0
-        else "mixed"
-    )
+    if hull == code.k_dim:
+        verdict = "self-dual" if 2 * code.k_dim == code.n_len else "self-orthogonal"
+    else:
+        verdict = "lcd" if hull == 0 else "mixed"
     stamp = {
-        "family": cfg.family,
+        "family": ns.family,
         "n_len": code.n_len,
         "k_dim": code.k_dim,
         "hull": hull,
         "verdict": verdict,
-        "beta": cfg.beta,
-        "seed": cfg.seed,
+        "beta": ns.beta,
+        "seed": ns.seed,
     }
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         payload = code.to_json_dict()
         payload["stamp"] = stamp
-        _emit(cfg.out, json.dumps(payload, indent=2) + "\n")
+        _emit(ns.out, json.dumps(payload, indent=2) + "\n")
     else:
-        _emit(cfg.out, code.to_text())
+        _emit(ns.out, code.to_text())
         sys.stderr.write("stamp: " + json.dumps(stamp) + "\n")
     return EXIT_OK
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    with open(cfg.infile) as fh:
+def cmd_analyze(ns: argparse.Namespace) -> int:
+    with open(ns.infile) as fh:
         text = fh.read()
-    q = int(text.split()[0])
+    try:
+        q = int(text.split()[0])
+    except (IndexError, ValueError):
+        raise DimensionMismatch("malformed generator matrix file") from None
     field = field_from_order(q)
     code = LinearCode.from_text(field, text)
     n = code.n_len // 2
-    checks = [c.strip() for c in cfg.checks.split(",") if c.strip()]
+    checks = [c.strip() for c in ns.checks.split(",") if c.strip()]
     report: dict = {"q": q, "n_len": code.n_len, "k_dim": code.k_dim}
     if "min-weight" in checks:
-        rep = analysis.min_weight(code, budget=cfg.budget)
+        rep = analysis.min_weight(code, budget=ns.budget)
         report["min_weight"] = {
             "value": rep.min_weight,
             "lower": rep.lower,
@@ -230,18 +204,18 @@ def cmd_analyze(cfg: RunConfig) -> int:
         report["self_orthogonal"] = hull == code.k_dim
         report["self_dual"] = hull == code.k_dim and 2 * code.k_dim == code.n_len
     if "balance" in checks:
-        alg = TwistedDihedralAlgebra(field, n, cfg.v_squared)
-        deltas = (cfg.delta,) if cfg.delta is not None else ()
-        bal = analysis.balanced_check(alg, code, deltas=deltas, budget=cfg.budget)
+        alg = TwistedDihedralAlgebra(field, n, ns.v_squared)
+        deltas = (ns.delta,) if ns.delta is not None else ()
+        bal = analysis.balanced_check(alg, code, deltas=deltas, budget=ns.budget)
         report["balance"] = {
             "balanced": bal.balanced,
             "multiplicity": bal.multiplicity,
             "census": bal.census_checks,
         }
-    if cfg.fmt == "json":
-        _emit(cfg.out, json.dumps(report, indent=2) + "\n")
+    if ns.fmt == "json":
+        _emit(ns.out, json.dumps(report, indent=2) + "\n")
     else:
-        _emit(cfg.out, "\n".join(f"{k}: {v}" for k, v in report.items()) + "\n")
+        _emit(ns.out, "\n".join(f"{k}: {v}" for k, v in report.items()) + "\n")
     return EXIT_OK
 
 
@@ -344,16 +318,16 @@ def _paper_checks(q_grid: Sequence[int]) -> list[tuple[str, bool, str]]:
     return results
 
 
-def cmd_verify_paper(cfg: RunConfig, q_grid: Sequence[int]) -> int:
-    results = _paper_checks(q_grid)
+def cmd_verify_paper(ns: argparse.Namespace) -> int:
+    results = _paper_checks([int(x) for x in ns.qs.split(",")])
     lines = []
     for name, ok, detail in results:
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     ok_all = all(ok for _, ok, _ in results)
     lines.append(f"{'ALL CHECKS PASSED' if ok_all else 'SOME CHECKS FAILED'}")
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         _emit(
-            cfg.out,
+            ns.out,
             json.dumps(
                 {
                     "checks": [
@@ -366,7 +340,7 @@ def cmd_verify_paper(cfg: RunConfig, q_grid: Sequence[int]) -> int:
             + "\n",
         )
     else:
-        _emit(cfg.out, "\n".join(lines) + "\n")
+        _emit(ns.out, "\n".join(lines) + "\n")
     return EXIT_OK if ok_all else EXIT_VERIFY_FAIL
 
 
@@ -376,45 +350,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as ex:
         return EXIT_INVALID if ex.code not in (0, None) else EXIT_OK
-    cfg = RunConfig(
-        subcommand=ns.subcommand,
-        q=getattr(ns, "q", None),
-        p=getattr(ns, "p", None),
-        m=getattr(ns, "m", 1),
-        n=getattr(ns, "n", None),
-        delta=getattr(ns, "delta", None),
-        family=getattr(ns, "family", "plain"),
-        beta=getattr(ns, "beta", "identity"),
-        seed=getattr(ns, "seed", None),
-        fmt=getattr(ns, "fmt", "text"),
-        out=getattr(ns, "out", None),
-        budget=getattr(ns, "budget", analysis.DEFAULT_WORD_BUDGET),
-        jobs=getattr(ns, "jobs", 1),
-        v_squared=1 if getattr(ns, "dihedral", False) else getattr(ns, "v_squared", -1),
-        checks=getattr(ns, "checks", "min-weight,hull,balance"),
-        infile=getattr(ns, "infile", None),
-        include_a0=getattr(ns, "include_a0", False),
-    )
     try:
-        if cfg.subcommand == "decompose":
-            return cmd_decompose(cfg)
-        if cfg.subcommand == "construct":
-            return cmd_construct(cfg)
-        if cfg.subcommand == "analyze":
-            return cmd_analyze(cfg)
-        if cfg.subcommand == "verify-paper":
-            q_grid = [int(x) for x in ns.qs.split(",")]
-            return cmd_verify_paper(cfg, q_grid)
-        raise DomainError(f"unknown subcommand {cfg.subcommand}")
-    except (GcdViolation, NotPrime, ReducibleModulus, Overflow, DomainError, InvalidBeta, FileNotFoundError) as ex:
-        sys.stderr.write(f"error: {ex}\n")
-        return EXIT_INVALID
+        return ns.func(ns)
     except HypothesisUnmet as ex:
         sys.stderr.write(f"hypothesis unmet: {ex}\n")
         return EXIT_HYPOTHESIS
     except BudgetExceeded as ex:
         sys.stderr.write(f"budget exceeded: {ex}\n")
         return EXIT_BUDGET
+    except (CdcodesError, FileNotFoundError) as ex:
+        sys.stderr.write(f"error: {ex}\n")
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -70,15 +70,6 @@ class LinearCode:
         if self.gen.shape != (self.k_dim, self.n_len):
             raise DimensionMismatch("generator shape does not match (k, n)")
 
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        _, piv = linalg.rref(self.field, self.gen)
-        return piv
-
-    def contains(self, word) -> bool:
-        R, piv = linalg.rref(self.field, self.gen) if self.k_dim else (self.gen, ())
-        return linalg.in_row_space(self.field, R, piv, np.asarray(word, dtype=np.int64))
-
     def key(self) -> bytes:
         """Canonical identity of the row space."""
         return self.gen.tobytes()
@@ -105,12 +96,17 @@ class LinearCode:
     @classmethod
     def from_text(cls, field: Field, text: str) -> "LinearCode":
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        q, n_len, k_dim = (int(x) for x in lines[0].split())
+        try:
+            q, n_len, k_dim = (int(x) for x in lines[0].split())
+            rows = [[int(x) for x in ln.split()] for ln in lines[1 : 1 + k_dim]]
+        except (IndexError, ValueError):
+            raise DimensionMismatch("malformed generator matrix file") from None
         if q != field.q:
             raise DimensionMismatch(f"file is over GF({q}), expected GF({field.q})")
-        rows = [[int(x) for x in ln.split()] for ln in lines[1 : 1 + k_dim]]
         if any(len(r) != n_len for r in rows) or len(rows) != k_dim:
             raise DimensionMismatch("malformed generator matrix file")
+        if any(not 0 <= c < q for r in rows for c in r):
+            raise DimensionMismatch(f"generator matrix entry outside GF({q})")
         return cls.from_rows(field, rows, n_len=n_len)
 
     def to_json_dict(self) -> dict:
@@ -166,9 +162,6 @@ class KtField:
         if comp.kind == SELF_CONJ:
             return comp.fhe.code_of(comp.e, check=False)
         return comp.ft.code_of(comp.e, check=False)
-
-    def identity(self) -> AlgElem:
-        return self.comp.identity
 
     def basis(self) -> list[AlgElem]:
         """2 k_t elements whose coordinate digits realize element(code)."""
@@ -361,33 +354,18 @@ def hull_dimension(code: LinearCode) -> int:
     return by_intersection
 
 
-def is_self_dual(code: LinearCode) -> bool:
-    return 2 * code.k_dim == code.n_len and hull_dimension(code) == code.k_dim
-
-
-def is_self_orthogonal(code: LinearCode) -> bool:
-    return hull_dimension(code) == code.k_dim
-
-
-def is_lcd(code: LinearCode) -> bool:
-    return hull_dimension(code) == 0
-
-
 def standard_parts(alg: TwistedDihedralAlgebra) -> list[tuple[Component, AlgElem]]:
     return [(c, build_Ct(c)) for c in alg.decompose()[1:]]
 
 
-def twist(
-    alg: TwistedDihedralAlgebra,
-    parts: Sequence[tuple[Component, AlgElem]],
-    beta: BetaVector,
-    include_C0: bool = False,
-) -> LinearCode:
-    return assemble_code(alg, parts, include_C0=include_C0, beta=beta)
-
-
 def build_plain_code(alg: TwistedDihedralAlgebra, beta: Optional[BetaVector] = None) -> LinearCode:
-    """C = C_1 + ... + C_m (rate 1/2 - 1/2n)."""
+    """C = C_1 b_1 + ... + C_m b_m (rate 1/2 - 1/2n).
+
+    On the consta algebra this is the self-orthogonal family, for every q and
+    every beta: bar acts as the matrix adjugate on every block, so each
+    simple-ideal summand is self-orthogonal (q^k_t = 3 mod 4 included) and
+    distinct blocks are orthogonal.
+    """
     code = assemble_code(alg, standard_parts(alg), beta=beta, origin={"family": "plain"})
     assert code.k_dim == alg.n - 1
     return code
@@ -402,22 +380,6 @@ def build_self_dual_code(alg: TwistedDihedralAlgebra, beta: Optional[BetaVector]
         alg, standard_parts(alg), include_C0=True, beta=beta, origin={"family": "self-dual"}
     )
     assert code.k_dim == alg.n
-    return code
-
-
-def build_self_orthogonal_code(
-    alg: TwistedDihedralAlgebra, beta: Optional[BetaVector] = None
-) -> LinearCode:
-    """C = C_1 b_1 + ... + C_m b_m on the consta algebra; self-orthogonal for
-    every q and every beta.
-
-    Bar acts as the matrix adjugate on every block, so each simple-ideal
-    summand is self-orthogonal (q^k_t = 3 mod 4 included) and distinct blocks
-    are orthogonal.
-    """
-    if alg.tw != -1:
-        raise HypothesisUnmet("self-orthogonal family is defined on the consta algebra")
-    code = assemble_code(alg, standard_parts(alg), beta=beta, origin={"family": "self-orthogonal"})
     return code
 
 

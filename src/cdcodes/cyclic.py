@@ -127,14 +127,6 @@ class CyclicElem:
         return f"Cyc{list(self.coeffs)}"
 
 
-def cyc_mul(a: CyclicElem, b: CyclicElem) -> CyclicElem:
-    return a * b
-
-
-def cyc_bar(a: CyclicElem) -> CyclicElem:
-    return a.bar()
-
-
 @dataclass(frozen=True)
 class IdempotentSet:
     """All primitive idempotents of FH in canonical factor order."""

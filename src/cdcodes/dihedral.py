@@ -30,10 +30,6 @@ def dihedral_algebra(field: Field, n: int) -> TwistedDihedralAlgebra:
     return TwistedDihedralAlgebra(field, n, 1)
 
 
-def consta_dihedral_algebra(field: Field, n: int) -> TwistedDihedralAlgebra:
-    return TwistedDihedralAlgebra(field, n, -1)
-
-
 # -- matrix-level simple left ideals -----------------------------------------
 
 
@@ -372,20 +368,3 @@ def count_Cab_codes(
         sample_agreements=agreements,
         seed=seed,
     )
-
-
-def count_report_json(report: CountReport) -> dict:
-    return {
-        "q": report.q,
-        "n": report.n,
-        "k_list": report.k_list,
-        "total_formula": report.total_formula,
-        "lcd_formula": report.lcd_formula,
-        "exhaustive": report.exhaustive,
-        "total_observed": report.total_observed,
-        "lcd_observed": report.lcd_observed,
-        "sampled": report.sampled,
-        "sample_agreements": report.sample_agreements,
-        "verified": report.verified,
-        "seed": report.seed,
-    }

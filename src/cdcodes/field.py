@@ -150,14 +150,6 @@ class Field:
             self._tables = Tables(self)
         return self._tables
 
-    def coeffs_of(self, a: int) -> tuple[int, ...]:
-        """Base-p digits of the code, i.e. polynomial coordinates."""
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
     def __repr__(self):
         return f"GF({self.q})"
 
@@ -234,10 +226,6 @@ class ExtField(Field):
         for c in reversed(digits):
             a = a * q0 + c
         return a
-
-    def lift(self, c: int) -> int:
-        """Embed a base-field code as a constant of the extension."""
-        return c
 
     def add(self, a, b):
         F = self.base
@@ -406,13 +394,6 @@ class Poly:
             return r0, s0, t0
         c = F.inv(r0.coeffs[-1])
         return r0.scale(c), s0.scale(c), t0.scale(c)
-
-    def eval(self, a: int) -> int:
-        F = self.field
-        out = F.zero
-        for c in reversed(self.coeffs):
-            out = F.add(F.mul(out, a), c)
-        return out
 
     def pow_mod(self, e: int, modulus: "Poly") -> "Poly":
         result = Poly.one(self.field)

@@ -32,7 +32,6 @@ from cdcodes.codes import (
     build_lcd_code,
     build_plain_code,
     build_self_dual_code,
-    build_self_orthogonal_code,
     enumerate_beta,
     hull_dimension,
     k_star_size,
@@ -271,7 +270,7 @@ def _constructed_family():
     A73 = get_algebra(3, 7)
     out.append(("blockfamily(7,3)", A73, build_lcd_code(A73)))
     out.append(("blockfamily+A0(7,3)", A73, build_lcd_code(A73, include_a0=True)))
-    out.append(("self-orth(7,2)", get_algebra(2, 7), build_self_orthogonal_code(get_algebra(2, 7))))
+    out.append(("self-orth(7,2)", get_algebra(2, 7), build_plain_code(get_algebra(2, 7))))
     A117 = get_algebra(7, 11)
     out.append(("blockfamily(11,7)", A117, build_lcd_code(A117)))
     D = get_algebra(7, 3, 1)

@@ -200,6 +200,21 @@ def test_census_parallel_matches_serial():
     assert serial.count == parallel.count
 
 
+def test_census_parallel_fallback_warns(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise OSError("no process pool")
+
+    A = get_algebra(5, 3)
+    serial = census_K_le_delta(A, delta=0.4, jobs=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.warns(RuntimeWarning, match="OSError: no process pool"):
+        fallback = census_K_le_delta(A, delta=0.4, jobs=2)
+    assert fallback.rows == serial.rows
+    assert fallback.count == serial.count
+
+
 # -- good beta search ---------------------------------------------------------------------------
 
 
@@ -264,8 +279,19 @@ def test_good_n_sequences():
     lcd3 = good_n_sequence(3, 30, "LCD")
     assert 7 in lcd3 and 5 not in lcd3
     so2 = good_n_sequence(2, 30, "SelfOrthogonal")
-    assert so2 == [7, 23]
+    assert so2 == list(range(3, 31, 2))
     sd5 = good_n_sequence(5, 12, "SelfDual")
     assert sd5 == [3, 7, 9, 11]
     with pytest.raises(DomainError):
         good_n_sequence(3, 10, "Nope")
+
+
+def test_self_orthogonal_profile_matches_plain_hull():
+    # the profile holds exactly the n at which the plain code has hull == k
+    for q in (2, 3):
+        members = good_n_sequence(q, 15, "SelfOrthogonal")
+        for n in range(3, 16, 2):
+            if math.gcd(n, q) != 1:
+                continue
+            code = build_plain_code(get_algebra(q, n))
+            assert (n in members) == (codes.hull_dimension(code) == code.k_dim), (q, n)

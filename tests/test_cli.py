@@ -109,6 +109,19 @@ def test_construct_json_format(capsys):
     assert payload["stamp"]["verdict"] == "self-dual"
 
 
+def test_construct_include_a0_only_for_lcd(capsys):
+    for family in ("plain", "self-dual"):
+        rc, out, err = run(capsys, "construct", "--q", "5", "--n", "3", "--family", family, "--include-a0")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "--include-a0" in err
+
+
+def test_removed_options_rejected(capsys):
+    assert run(capsys, "decompose", "--q", "5", "--n", "3", "--jobs", "2")[0] == 2
+    assert run(capsys, "construct", "--q", "2", "--n", "7", "--family", "self-orthogonal")[0] == 2
+
+
 # -- analyze ------------------------------------------------------------------------------------
 
 
@@ -130,6 +143,19 @@ def test_analyze_roundtrip(capsys, tmp_path):
 def test_analyze_missing_file(capsys):
     rc, _, err = run(capsys, "analyze", "/nonexistent/code.txt")
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["5 6 2\n1 0 4\n", "5 5 1\n1 0 4 2 0\n", "x y z\n", "5 6 1\n1 0 7 2 0 -1\n"],
+    ids=["short-row", "odd-length", "non-integer-header", "entry-outside-field"],
+)
+def test_analyze_malformed_file_exit2(capsys, tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    rc, _, err = run(capsys, "analyze", str(path))
+    assert rc == 2
+    assert err.startswith("error:")
 
 
 # -- verify-paper ----------------------------------------------------------------------------------
