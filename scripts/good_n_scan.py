@@ -5,8 +5,9 @@ For each odd n coprime to q the table lists ord_n(q), lambda(n), the ratio
 log_q(n)/lambda(n) that drives the census exponent, and which family
 profiles (SelfOrthogonal / LCD / SelfDual) the order qualifies for.
 SelfOrthogonal tags every n: the plain family is self-orthogonal for every q.
-LCD tags n at which the `lcd` block family exists on the block of the
-primitive n-th roots of unity; its computed hull equals its dimension, so
+LCD tags n at which the `lcd` block family exists, i.e. q = 3 mod 4 and the
+block of the primitive d-th roots of unity is self-conjugate with odd k_t
+for some divisor d > 1 of n; its computed hull equals its dimension, so
 those codes are self-orthogonal, not LCD (see analysis.good_n_sequence).
 
 Example:
@@ -20,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cdcodes.analysis import good_n_predicates, good_n_sequence
+from cdcodes.analysis import good_n_sequence
 from cdcodes.cyclic import lambda_n
 from cdcodes.field import mult_order
 
@@ -42,7 +43,6 @@ def main():
     for n in range(3, args.limit + 1, 2):
         if math.gcd(n, q) != 1:
             continue
-        flags = good_n_predicates(q, n)
         lam = lambda_n(n, q)
         ratio = math.log(n, q) / lam
         tags = ",".join(name for name, members in profiles.items() if n in members) or "-"

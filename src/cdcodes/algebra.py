@@ -21,7 +21,6 @@ significant.  Every "first element such that ..." scan below uses this order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -93,14 +92,6 @@ class AlgElem:
 
     def scale(self, c: int) -> "AlgElem":
         return AlgElem(self.alg, self.a.scale(c), self.b.scale(c))
-
-    def left_u(self) -> "AlgElem":
-        """u * self (cheap shift form)."""
-        return AlgElem(self.alg, self.a.shift(1), self.b.shift(1))
-
-    def left_v(self) -> "AlgElem":
-        """v * self = tw*bar(b) + bar(a) v."""
-        return AlgElem(self.alg, self.b.bar().scale(self.alg.tw_code), self.a.bar())
 
     def to_word(self) -> tuple[int, ...]:
         return self.a.coeffs + self.b.coeffs
@@ -511,6 +502,7 @@ class TwistedDihedralAlgebra:
         self.tw_code = field.one if tw == 1 else field.neg(field.one)
         self._idems: Optional[IdempotentSet] = None
         self._components: Optional[list[Component]] = None
+        self._action: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     # -- element constructors -------------------------------------------------
 
@@ -607,19 +599,32 @@ class TwistedDihedralAlgebra:
         self._components = comps
         return comps
 
+    def group_action(self) -> tuple[np.ndarray, np.ndarray]:
+        """Signed coordinate permutations (perm, sign) of all 2n group elements.
+
+        Row a is u^a and row n + a is u^a v; for every word x,
+        (h * x).to_word()[j] == sign[h, j] * x[perm[h, j]].  Coordinate
+        (d, j) is index d + n*j, the coefficient of u^d v^j.
+        """
+        if self._action is None:
+            n = self.n
+            a = np.arange(n)[:, None]
+            d = np.arange(n)[None, :]
+            shift = (d - a) % n  # u^a: (d, j) <- (d - a, j)
+            refl = (a - d) % n  # u^a v: (d, 1) <- (a - d, 0), (d, 0) <- tw (a - d, 1)
+            perm = np.block([[shift, shift + n], [refl + n, refl]]).astype(np.int64)
+            sign = np.full((2 * n, 2 * n), self.field.one, dtype=np.int64)
+            sign[n:, :n] = self.tw_code
+            perm.setflags(write=False)
+            sign.setflags(write=False)
+            self._action = (perm, sign)
+        return self._action
+
     def left_ideal_rows(self, gens: Sequence[AlgElem]) -> np.ndarray:
-        """Spanning rows of the left ideal generated by gens (not reduced)."""
-        rows = []
-        for g in gens:
-            x = g
-            for _ in range(self.n):
-                rows.append(x.to_word())
-                x = x.left_u()
-            x = g.left_v()
-            for _ in range(self.n):
-                rows.append(x.to_word())
-                x = x.left_u()
-        return np.array(rows, dtype=np.int64)
+        """Spanning rows h * g for each g in gens and h in group_action order."""
+        perm, sign = self.group_action()
+        words = np.array([g.to_word() for g in gens], dtype=np.int64).reshape(-1, 2 * self.n)
+        return self.field.tables().mul[sign[None], words[:, perm]].reshape(-1, 2 * self.n)
 
     def decomposition_report(self) -> dict:
         comps = self.decompose()

@@ -9,10 +9,11 @@ exponent hypothesis holds (a slack of 1e-9 absorbs float rounding).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import codes as codes_mod
 from . import linalg
-from .algebra import AlgElem, Component, TwistedDihedralAlgebra
+from .algebra import AlgElem, TwistedDihedralAlgebra
 from .codes import BetaVector, KtField, LinearCode, assemble_code
 from .errors import (
     BudgetExceeded,
@@ -118,16 +119,14 @@ def _pruned_min_weight(code: LinearCode, budget: int) -> WeightReport:
     best = n
     spent = 0
     w = 0
-    import itertools as it
-
     while w < k:
         w += 1
         layer = math.comb(k, w) * (q - 1) ** w
         if spent + layer > budget:
             w -= 1
             break
-        for support in it.combinations(range(k), w):
-            for vals in it.product(range(1, q), repeat=w):
+        for support in itertools.combinations(range(k), w):
+            for vals in itertools.product(range(1, q), repeat=w):
                 word = np.zeros(n, dtype=np.int64)
                 for i, c in zip(support, vals):
                     word = t.add[word, t.mul[c, R[i]]]
@@ -144,58 +143,6 @@ def _pruned_min_weight(code: LinearCode, budget: int) -> WeightReport:
         lower=lower,
         upper=best,
     )
-
-
-# -- coordinate permutations of the group action ---------------------------------
-
-
-def theta_permutations(alg: TwistedDihedralAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Signed permutations Theta_u, Theta_v with x*Theta == left mult.
-
-    Returns (perm_u, sign_u, perm_v, sign_v): position j of the image word
-    receives sign[j] * word[perm[j]].
-    """
-    n = alg.n
-    F = alg.field
-    perm_u = np.empty(2 * n, dtype=np.int64)
-    sign_u = np.full(2 * n, F.one, dtype=np.int64)
-    perm_v = np.empty(2 * n, dtype=np.int64)
-    sign_v = np.full(2 * n, F.one, dtype=np.int64)
-    for i in range(n):
-        # u * u^i = u^(i+1);  u * u^i v = u^(i+1) v
-        perm_u[(i + 1) % n] = i
-        perm_u[n + (i + 1) % n] = n + i
-        # v * u^i = u^(-i) v ; v * u^i v = tw * u^(-i)
-        perm_v[n + (n - i) % n] = i
-        perm_v[(n - i) % n] = n + i
-        sign_v[(n - i) % n] = alg.tw_code
-    return perm_u, sign_u, perm_v, sign_v
-
-
-def apply_signed_perm(alg, word: np.ndarray, perm: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    t = alg.field.tables()
-    return t.mul[sign, np.asarray(word, dtype=np.int64)[perm]]
-
-
-def group_index_permutations(alg: TwistedDihedralAlgebra) -> list[np.ndarray]:
-    """theta_g for all 2n group elements g = u^a v^b, as index permutations.
-
-    theta_g maps the coordinate of u^i v^j to that of g * u^i v^j (signs are
-    irrelevant for index sets).
-    """
-    n = alg.n
-    perms = []
-    for b in (0, 1):
-        for a in range(n):
-            perm = np.empty(2 * n, dtype=np.int64)
-            for j in (0, 1):
-                for i in range(n):
-                    src = i + n * j
-                    ii = (a + (i if b == 0 else -i)) % n
-                    jj = (b + j) % 2
-                    perm[src] = ii + n * jj
-            perms.append(perm)
-    return perms
 
 
 # -- balance -----------------------------------------------------------------------
@@ -217,11 +164,13 @@ class BalanceReport:
 
 
 def is_left_ideal(alg: TwistedDihedralAlgebra, code: LinearCode) -> bool:
+    """Whether u * C and v * C lie in C (rows 1 and n of the group action)."""
     R, piv = linalg.rref(alg.field, code.gen)
-    for row in code.gen:
-        x = alg.from_word(row.tolist())
-        for img in (x.left_u(), x.left_v()):
-            if not linalg.in_row_space(alg.field, R, piv, np.array(img.to_word(), dtype=np.int64)):
+    perm, sign = alg.group_action()
+    mul = alg.field.tables().mul
+    for h in (1, alg.n):
+        for img in mul[sign[h], code.gen[:, perm[h]]]:
+            if not linalg.in_row_space(alg.field, R, piv, img):
                 return False
     return True
 
@@ -246,15 +195,12 @@ def balanced_check(
     k = code.k_dim
     _, piv = linalg.rref(field, code.gen)
     info = tuple(piv)
-    perms = group_index_permutations(alg)
-    coverage = np.zeros(2 * alg.n, dtype=np.int64)
-    all_info = True
-    for perm in perms:
-        image = sorted(int(perm[c]) for c in info)
-        coverage[image] += 1
-        cols = code.gen[:, image]
-        if linalg.rank(field, cols) != k:
-            all_info = False
+    # the rows of perm carry info to h^-1 info; over the whole group these
+    # are the same translates as h info
+    perm, _ = alg.group_action()
+    images = np.sort(perm[:, list(info)], axis=1)
+    coverage = np.bincount(images.ravel(), minlength=2 * alg.n)
+    all_info = all(linalg.rank(field, code.gen[:, image]) == k for image in images)
     uniform = bool(np.all(coverage == coverage[0]))
     census = []
     if deltas and q**k <= budget:
@@ -267,7 +213,7 @@ def balanced_check(
             census.append({"delta": float(d), "count": count, "bound_log_q": bound_log, "ok": ok})
     return BalanceReport(
         info_set=info,
-        images_checked=len(perms),
+        images_checked=len(images),
         all_images_information_sets=all_info,
         coverage=tuple(int(c) for c in coverage),
         uniform_coverage=uniform,
@@ -567,22 +513,22 @@ def good_n_sequence(q: int, limit: int, profile: str) -> list[int]:
     """Odd n <= limit, coprime to q, whose flags fit the requested family.
 
     SelfOrthogonal: every such n; the plain consta family is self-orthogonal
-    for every q.  LCD: q = 3 mod 4 and the block of the primitive n-th roots
-    of unity is self-conjugate with odd k_t = ord_n(q)/2, so the `lcd` block
-    family exists at n (it also exists at some other n through the block of
-    a divisor, e.g. q = 3, n = 35).  Its computed hull equals its dimension:
-    despite the name these codes are self-orthogonal, not LCD.  SelfDual:
-    every such n when q is even or 4 | q - 1.
+    for every q.  LCD: q = 3 mod 4 and some divisor d > 1 of n has -1 in <q>
+    mod d and ord_d(q) = 2 mod 4; then the block of the primitive d-th roots
+    of unity is self-conjugate with odd k_t = ord_d(q)/2, which is exactly
+    when the `lcd` block family exists at n.  Its computed hull equals its
+    dimension: despite the name these codes are self-orthogonal, not LCD.
+    SelfDual: every such n when q is even or 4 | q - 1.
     """
     out = []
     for n in range(3, limit + 1, 2):
         if math.gcd(n, q) != 1:
             continue
-        flags = good_n_predicates(q, n)
         if profile == PROFILE_SELF_ORTHOGONAL:
             out.append(n)
         elif profile == PROFILE_LCD:
-            if q % 2 == 1 and (q - 1) % 4 != 0 and flags.minus1_in_q and flags.two_exactly_divides_ord:
+            divisor_flags = (good_n_predicates(q, d) for d in range(3, n + 1, 2) if n % d == 0)
+            if q % 4 == 3 and any(f.minus1_in_q and f.two_exactly_divides_ord for f in divisor_flags):
                 out.append(n)
         elif profile == PROFILE_SELF_DUAL:
             if q % 2 == 0 or (q - 1) % 4 == 0:

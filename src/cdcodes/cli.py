@@ -319,7 +319,11 @@ def _paper_checks(q_grid: Sequence[int]) -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify_paper(ns: argparse.Namespace) -> int:
-    results = _paper_checks([int(x) for x in ns.qs.split(",")])
+    try:
+        q_grid = [int(x) for x in ns.qs.split(",")]
+    except ValueError:
+        raise DomainError(f"unparseable q grid {ns.qs!r}")
+    results = _paper_checks(q_grid)
     lines = []
     for name, ok, detail in results:
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

@@ -14,7 +14,6 @@ methods that must agree.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Optional, Sequence
 
@@ -37,7 +36,6 @@ from .errors import (
     DimensionMismatch,
     HypothesisUnmet,
     InvalidBeta,
-    NoNonzeroWords,
     NotInComponent,
 )
 from .field import Field

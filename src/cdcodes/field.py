@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -174,6 +174,29 @@ def test_component_split_of_random_ideals(rng):
             assert split == total
 
 
+# -- the group action on words ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tw", [-1, 1])
+def test_group_action_matches_multiplication(tw, rng):
+    # reference: AlgElem products by all 2n group elements u^a and u^a v
+    for q, n in ((5, 7), (4, 5)):
+        A = get_algebra(q, n, tw)
+        perm, sign = A.group_action()
+        assert perm.shape == sign.shape == (2 * n, 2 * n)
+        group = [A.u(a) for a in range(n)] + [A.u(a) * A.v() for a in range(n)]
+        mul = A.field.tables().mul
+        for _ in range(20):
+            x, y = A.random_elem(rng), A.random_elem(rng)
+            w = np.array(x.to_word(), dtype=np.int64)
+            products = [list((h * x).to_word()) for h in group]
+            for h, prod in enumerate(products):
+                assert mul[sign[h], w[perm[h]]].tolist() == prod
+            assert A.left_ideal_rows([x]).tolist() == products
+            stacked = products + [list((h * y).to_word()) for h in group]
+            assert A.left_ideal_rows([x, y]).tolist() == stacked
+
+
 # -- norm equation ----------------------------------------------------------------------------
 
 

@@ -17,17 +17,17 @@ from cdcodes.analysis import (
     good_n_sequence,
     min_weight,
     support_descriptor,
-    theta_permutations,
 )
 from cdcodes.codes import LinearCode, build_plain_code, build_self_dual_code
 from cdcodes.errors import (
     BudgetExceeded,
     DomainError,
     GcdViolation,
+    HypothesisUnmet,
     NoNonzeroWords,
     NotLeftIdeal,
 )
-from cdcodes.field import field_from_order
+from cdcodes.field import field_from_order, mult_order
 
 
 # -- entropy ---------------------------------------------------------------------
@@ -99,21 +99,6 @@ def test_min_weight_budget_and_pruned():
     assert pruned.lower <= exact <= pruned.upper
     full_pruned = min_weight(code, budget=10**6, mode="pruned")
     assert full_pruned.exact and full_pruned.min_weight == exact
-
-
-# -- theta permutations -----------------------------------------------------------------
-
-
-@pytest.mark.parametrize("tw", [-1, 1])
-def test_theta_identities(tw, rng):
-    for q, n in ((5, 7), (4, 5)):
-        A = get_algebra(q, n, tw)
-        pu, su, pv, sv = theta_permutations(A)
-        for _ in range(100):
-            a = A.random_elem(rng)
-            w = np.array(a.to_word(), dtype=np.int64)
-            assert analysis.apply_signed_perm(A, w, pu, su).tolist() == list(a.left_u().to_word())
-            assert analysis.apply_signed_perm(A, w, pv, sv).tolist() == list(a.left_v().to_word())
 
 
 # -- balance -------------------------------------------------------------------------------
@@ -295,3 +280,19 @@ def test_self_orthogonal_profile_matches_plain_hull():
                 continue
             code = build_plain_code(get_algebra(q, n))
             assert (n in members) == (codes.hull_dimension(code) == code.k_dim), (q, n)
+
+
+def test_lcd_profile_matches_lcd_builder():
+    # the profile holds exactly the n at which build_lcd_code finds a
+    # qualifying block, including blocks of a proper divisor (q = 3, n = 35)
+    for q in (3, 7, 11):
+        members = good_n_sequence(q, 45, "LCD")
+        for n in range(3, 46, 2):
+            if math.gcd(n, q) != 1 or mult_order(q, n) > 12:
+                continue
+            try:
+                codes.build_lcd_code(get_algebra(q, n))
+                built = True
+            except HypothesisUnmet:
+                built = False
+            assert (n in members) == built, (q, n)

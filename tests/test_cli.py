@@ -182,3 +182,11 @@ def test_verify_paper_json(capsys):
     names = {c["name"]: c["passed"] for c in rep["checks"]}
     assert names["counterexample(q=7,n=3)"] is True
     assert rep["all_passed"] is False
+
+
+@pytest.mark.parametrize("qs", ["3,x", "", "3,,5"], ids=["letter", "empty", "empty-entry"])
+def test_verify_paper_bad_q_grid_exit2(capsys, qs):
+    rc, out, err = run(capsys, "verify-paper", "--qs", qs)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "q grid" in err
