@@ -39,6 +39,8 @@ FAMILIES = {
     "plain": codes.build_plain_code,
 }
 
+ANALYZE_CHECKS = ("min-weight", "hull", "balance")
+
 
 def _field(ns: argparse.Namespace) -> Field:
     if ns.q is not None:
@@ -75,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="analyze a generator matrix file")
     a.add_argument("infile", help="generator matrix in the text format")
-    a.add_argument("--checks", default="min-weight,hull,balance")
+    a.add_argument("--checks", default=",".join(ANALYZE_CHECKS))
     a.add_argument("--delta", type=float, default=None)
     a.add_argument("--budget", type=int, default=analysis.DEFAULT_WORD_BUDGET)
     a.add_argument("--v-squared", dest="v_squared", type=int, choices=(-1, 1), default=-1)
@@ -176,6 +178,10 @@ def cmd_construct(ns: argparse.Namespace) -> int:
 
 
 def cmd_analyze(ns: argparse.Namespace) -> int:
+    checks = [c.strip() for c in ns.checks.split(",") if c.strip()]
+    unknown = [c for c in checks if c not in ANALYZE_CHECKS]
+    if unknown:
+        raise DomainError(f"unknown check(s) {', '.join(unknown)}; valid names: {', '.join(ANALYZE_CHECKS)}")
     with open(ns.infile) as fh:
         text = fh.read()
     try:
@@ -185,7 +191,11 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     field = field_from_order(q)
     code = LinearCode.from_text(field, text)
     n = code.n_len // 2
-    checks = [c.strip() for c in ns.checks.split(",") if c.strip()]
+    if "balance" in checks and ns.delta is not None and q**code.k_dim > ns.budget:
+        raise BudgetExceeded(
+            f"the balance census enumerates q^k = {q}^{code.k_dim} = {q**code.k_dim} words, "
+            f"over the budget {ns.budget}"
+        )
     report: dict = {"q": q, "n_len": code.n_len, "k_dim": code.k_dim}
     if "min-weight" in checks:
         rep = analysis.min_weight(code, budget=ns.budget)

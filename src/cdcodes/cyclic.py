@@ -1,9 +1,11 @@
 """The commutative group algebra of a cyclic group of odd order n.
 
 Elements are length-n coefficient vectors over GF(q) with multiplication by
-convolution mod x^n - 1.  When gcd(n, q) = 1 the algebra is semisimple; its
-primitive idempotents are computed here by CRT against the irreducible
-factors of x^n - 1, one idempotent per factor, in the canonical factor order.
+convolution mod x^n - 1.  When gcd(n, q) = 1 the algebra is semisimple.
+`field.factor_xn_minus_1_with_cosets` finds the irreducible factors of
+x^n - 1 from the primitive idempotents; this module rebuilds one idempotent
+per factor by CRT, in the canonical factor order, and asserts that they sum
+to 1, which cross-checks the factoring.
 """
 
 from __future__ import annotations
@@ -15,18 +17,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, GcdViolation
-from .field import Field, Poly, cyclotomic_cosets, factor_xn_minus_1_with_cosets, mult_order, prime_factors
-
-_rot_cache: dict[int, np.ndarray] = {}
-
-
-def _rot_index(n: int) -> np.ndarray:
-    idx = _rot_cache.get(n)
-    if idx is None:
-        k = np.arange(n)
-        idx = (k[None, :] - k[:, None]) % n
-        _rot_cache[n] = idx
-    return idx
+from .field import (
+    Field,
+    Poly,
+    _convolve,
+    cyclotomic_cosets,
+    factor_xn_minus_1_with_cosets,
+    mult_order,
+    prime_factors,
+)
 
 
 class CyclicElem:
@@ -79,15 +78,9 @@ class CyclicElem:
 
     def __mul__(self, other):
         self._check(other)
-        t = self.field.tables()
         a = np.asarray(self.coeffs, dtype=np.int64)
         b = np.asarray(other.coeffs, dtype=np.int64)
-        rot = b[_rot_index(self.n)]  # rot[i, k] = b[(k - i) mod n]
-        prods = t.mul[a[:, None], rot]
-        acc = prods[0]
-        for i in range(1, self.n):
-            acc = t.add[acc, prods[i]]
-        return CyclicElem(self.field, acc.tolist())
+        return CyclicElem(self.field, _convolve(self.field, a, b).tolist())
 
     def scale(self, c: int) -> "CyclicElem":
         F = self.field
@@ -135,7 +128,7 @@ class IdempotentSet:
     n: int
     idems: tuple[CyclicElem, ...]
     dims: tuple[int, ...]
-    cosets: tuple[tuple[int, ...], ...]
+    cosets: tuple[tuple[int, ...], ...]  # labels under factor_xn_minus_1_with_cosets' zeta
     factors: tuple[Poly, ...]
 
     def __len__(self):

@@ -14,7 +14,7 @@ class ReducibleModulus(CdcodesError):
 
 
 class Overflow(CdcodesError):
-    """A field (or internal splitting field) exceeds the supported size."""
+    """A field, or the length n of x^n - 1, exceeds the supported size."""
 
 
 class GcdViolation(CdcodesError):
@@ -54,7 +54,7 @@ class BudgetExceeded(CdcodesError):
 
 
 class DomainError(CdcodesError):
-    """A real-valued argument lies outside its admissible interval."""
+    """An argument lies outside its admissible values (an interval, or a set of names)."""
 
 
 class NotLeftIdeal(CdcodesError):

@@ -2,10 +2,14 @@
 
 Field elements are encoded as integers in [0, q).  For GF(p^m) with modulus
 basis 1, X, ..., X^(m-1), the element with coordinates (c_0, ..., c_{m-1})
-has code c_0 + c_1*p + ... + c_{m-1}*p^(m-1).  The same digit encoding is
-reused for extension towers GF(q^d) built over an inner base field, with p
-replaced by q.  All "first element satisfying P" choices scan codes in
-ascending order, so every construction here is deterministic.
+has code c_0 + c_1*p + ... + c_{m-1}*p^(m-1).  All "first element
+satisfying P" choices scan codes in ascending order, so every construction
+here is deterministic.
+
+x^n - 1 is factored over GF(q) itself, without a splitting field: its
+primitive idempotents are split out of the fixed subalgebra of
+GF(q)[x]/(x^n - 1) with length-n convolutions through the lookup tables
+(Berlekamp's method), and each factor is a gcd with x^n - 1.
 
 Polynomials are coefficient tuples in ascending degree with trailing zeros
 trimmed.  The canonical order on monic polynomials of equal degree compares
@@ -29,13 +33,20 @@ from .errors import (
     ReducibleModulus,
 )
 
-# Splitting fields GF(q^d) are rejected beyond this size.  Python integers are
-# unbounded, so the cap is a sanity policy, chosen large enough for every
-# grid this package enumerates (e.g. GF(13^30) for n = 31 over GF(13)).
+# Fields GF(p^m) are rejected beyond this size.  Python integers are
+# unbounded, so the cap is a sanity policy; arithmetic on vectors and
+# matrices needs lookup tables, which MAX_TABLE_SIZE bounds far lower.
 MAX_FIELD_SIZE = 1 << 128
 
 # Lookup tables are only built for fields small enough to enumerate.
 MAX_TABLE_SIZE = 4096
+
+# x^n - 1 is factored for n up to this bound, so that the (n, n) int64 index
+# table of `_rot_index` (and each product table gathered through it) stays
+# within 128 MiB.
+MAX_N = 4096
+
+_rot_cache: dict[int, np.ndarray] = {}
 
 
 def is_prime(p: int) -> bool:
@@ -536,70 +547,171 @@ def _poly_sort_key(f: Poly):
     return (f.degree, tuple(reversed(f.coeffs)))
 
 
-def _element_of_order(E: Field, n: int) -> int:
-    """First element (by code) of multiplicative order exactly n."""
-    cof = (E.q - 1) // n
-    checks = [n // r for r in prime_factors(n)]
-    for x in range(2, E.q):
-        y = E.pow(x, cof)
-        if y == E.one:
-            continue
-        if all(E.pow(y, c) != E.one for c in checks):
-            return y
-    raise AssertionError("no element of the requested order (impossible)")
+def _rot_index(n: int) -> np.ndarray:
+    """(n, n) table with row i, column k holding (k - i) mod n."""
+    idx = _rot_cache.get(n)
+    if idx is None:
+        k = np.arange(n)
+        idx = (k[None, :] - k[:, None]) % n
+        _rot_cache[n] = idx
+    return idx
+
+
+def _field_sum(field: Field, a: np.ndarray) -> np.ndarray:
+    """Sum of the rows of a in GF(q); may overwrite a.
+
+    Prime fields add integers mod p; other fields pair rows up through the
+    addition table, so a length-n sum takes about log2(n) lookups.
+    """
+    if field.m == 1:
+        return a.sum(axis=0) % field.p
+    add = field.tables().add
+    rows = len(a)
+    while rows > 1:
+        h = rows // 2
+        a[:h] = add[a[:h], a[rows - h : rows]]
+        rows -= h
+    return a[0]
+
+
+def _convolve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of coefficient vectors a, b in GF(q)[x]/(x^n - 1)."""
+    return _field_sum(field, field.tables().mul[a[:, None], b[_rot_index(len(a))]])
+
+
+def _power(field: Field, a: np.ndarray, e: int, one: np.ndarray) -> np.ndarray:
+    """one * a^e for e >= 1, by square-and-multiply convolutions."""
+    result = one
+    while True:
+        if e & 1:
+            result = _convolve(field, result, a)
+        e >>= 1
+        if not e:
+            return result
+        a = _convolve(field, a, a)
+
+
+def _split_by(field: Field, e: np.ndarray, b: np.ndarray, bound: int) -> list[np.ndarray]:
+    """Split the idempotent e by the values of b in the fixed subalgebra B.
+
+    b e lies in eB, a product of copies of GF(q) with identity e, so its
+    minimal polynomial there has distinct roots in GF(q) (at most `bound` of
+    them): the values b takes on the components of e.  The idempotent of the
+    components where b takes the value lam is e - e (b e - lam e)^(q-1).
+    """
+    from . import linalg  # linalg imports this module
+
+    t = field.tables()
+    be = _convolve(field, b, e)
+    powers = [e, be]
+    for _ in range(bound - 1):
+        powers.append(_convolve(field, powers[-1], be))
+    # columns e, be, (be)^2, ...: the first dependent column k gives the
+    # minimal polynomial X^k - sum_i R[i, k] X^i
+    R, piv = linalg.rref(field, np.array(powers).T)
+    k = len(piv)
+    assert k <= bound, "b e has more values than components"
+    mu = np.append(t.neg[R[:, k]], field.one)
+    values = np.zeros(field.q, dtype=np.int64)
+    xs = np.arange(field.q)
+    for c in mu[::-1]:
+        values = t.add[t.mul[values, xs], c]
+    roots = np.flatnonzero(values == 0)
+    assert len(roots) == k, "minimal polynomial does not split into distinct roots"
+    if k == 1:
+        return [e]
+    parts = []
+    for lam in roots:
+        shifted = t.add[be, t.mul[t.neg[lam], e]]  # b e - lam e
+        parts.append(t.add[e, t.neg[_power(field, shifted, field.q - 1, e)]])
+    return parts
+
+
+def _coset_labels(
+    field: Field, pairs: list[tuple[Poly, np.ndarray]], cosets: list[list[int]]
+) -> list[list[int]]:
+    """The coset label of each (factor, primitive idempotent) pair under the
+    zeta of `factor_xn_minus_1_with_cosets`; pairs come in canonical order."""
+    t = field.tables()
+    n = len(pairs[0][1])
+    # roots of f have order dividing n/p iff x^(n/p) e_f = e_f
+    m1 = next(
+        f for f, e in pairs if all(not np.array_equal(np.roll(e, n // p), e) for p in prime_factors(n))
+    )
+    # rho[j] is the constant term of x^j mod m1; an idempotent a takes the
+    # value a(zeta) in {0, 1}, so a(zeta^s) = sum_i a_i rho[i s mod n], and
+    # f(zeta^s) = 0 exactly when e_f(zeta^s) = 1
+    tail = t.neg[np.array(m1.coeffs[:-1], dtype=np.int64)]
+    v = np.zeros(m1.degree, dtype=np.int64)
+    v[0] = field.one
+    rho = np.empty(n, dtype=np.int64)
+    for j in range(n):
+        rho[j] = v[0]
+        v = t.add[np.concatenate(([0], v[:-1])), t.mul[v[-1], tail]]
+    reps = [c[0] for c in cosets]
+    at_reps = rho[np.outer(np.arange(n), reps) % n]
+    labels = []
+    for _, e in pairs:
+        values = _field_sum(field, t.mul[e[:, None], at_reps])
+        hits = np.flatnonzero(values)
+        assert len(hits) == 1 and values[hits[0]] == field.one, "idempotent is not 0/1 at the powers of zeta"
+        labels.append(cosets[hits[0]])
+    assert sorted(c[0] for c in labels) == sorted(reps), "coset labels are not a bijection"
+    return labels
 
 
 def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, list[int]]]:
     """Irreducible factors of x^n - 1 paired with their cyclotomic cosets.
 
-    The factor with root 1 comes first; the rest follow the canonical
-    polynomial order.  Factors are minimal polynomials of zeta^s computed in
-    the splitting field GF(q^d), d = ord_n(q).
+    The factor x - 1 comes first; the rest follow the canonical polynomial
+    order.  No extension field is built.  The coset sums span the fixed
+    subalgebra B = {a : a(x^q) = a(x)} of FH = GF(q)[x]/(x^n - 1), which is a
+    product of r = #cosets copies of GF(q); refining 1 by the values of each
+    coset sum (Berlekamp 1967) yields the r primitive idempotents e, and each
+    factor is gcd(x^n - 1, e - 1).  r distinct factors whose product is
+    x^n - 1 are irreducible, and that is asserted.
+
+    Coset labels fix zeta := x mod m1, where m1 is the first factor in the
+    canonical order whose roots have order exactly n; the label of f is
+    {s : f(x^s) = 0 mod m1}, i.e. the exponents s with f(zeta^s) = 0, listed
+    as in `cyclotomic_cosets`.
+
+    Arithmetic goes through the field's lookup tables (q <= MAX_TABLE_SIZE),
+    and n > MAX_N raises Overflow.
     """
     q = field.q
     if n < 1 or n % 2 == 0:
         raise GcdViolation(f"n must be a positive odd integer, got {n}")
     if math.gcd(n, q) != 1:
         raise GcdViolation(f"gcd({n}, {q}) != 1")
+    if n > MAX_N:
+        raise Overflow(f"n = {n} exceeds the supported length {MAX_N}")
     x_minus_1 = Poly(field, (field.neg(field.one), field.one))
     if n == 1:
         return [(x_minus_1, [0])]
+    t = field.tables()
     cosets = cyclotomic_cosets(n, q)
-    d = mult_order(q, n)
-    if field.q**d > MAX_FIELD_SIZE:
-        raise Overflow(f"splitting field GF({q}^{d}) exceeds the supported size")
-    if d == 1:
-        E: Field = field
-        zeta = _element_of_order(field, n)
-    else:
-        E = ExtField(field, smallest_irreducible(field, d), check=False)
-        zeta = _element_of_order(E, n)
-    zpow = [E.one]
-    for _ in range(n - 1):
-        zpow.append(E.mul(zpow[-1], zeta))
+    r = len(cosets)
+    one = np.zeros(n, dtype=np.int64)
+    one[0] = field.one
+    idems = [one]
+    for coset in cosets[1:]:
+        if len(idems) == r:
+            break
+        b = np.zeros(n, dtype=np.int64)
+        b[coset] = field.one
+        bound = min(q, r - len(idems) + 1)
+        idems = [part for e in idems for part in _split_by(field, e, b, bound)]
+    assert len(idems) == r, "coset sums did not split B into r components"
 
-    pairs = []
-    for coset in cosets:
-        f = Poly.one(E)
-        for s in coset:
-            f = f * Poly(E, (E.neg(zpow[s]), E.one))
-        if E is field:
-            g = Poly(field, f.coeffs)
-        else:
-            digits = [E.decode(c) for c in f.coeffs]
-            assert all(all(dd == 0 for dd in ds[1:]) for ds in digits), "factor not over GF(q)"
-            g = Poly(field, [ds[0] for ds in digits])
-        pairs.append((g, coset))
-
+    xn1 = Poly.x_pow_n_minus_1(field, n)
+    pairs = [(xn1.gcd(Poly(field, t.add[e, t.neg[one]].tolist())), e) for e in idems]
     prod = Poly.one(field)
-    for g, _ in pairs:
-        prod = prod * g
-    assert prod == Poly.x_pow_n_minus_1(field, n), "factor product mismatch"
-
-    head = [pc for pc in pairs if pc[1] == [0]]
-    tail = sorted((pc for pc in pairs if pc[1] != [0]), key=lambda pc: _poly_sort_key(pc[0]))
-    assert head[0][0] == x_minus_1
-    return head + tail
+    for f, _ in pairs:
+        prod = prod * f
+    assert prod == xn1 and len({f for f, _ in pairs}) == r, "factors are not the r irreducible factors"
+    pairs.sort(key=lambda fe: (fe[0] != x_minus_1, _poly_sort_key(fe[0])))
+    return [(f, label) for (f, _), label in zip(pairs, _coset_labels(field, pairs, cosets))]
 
 
 def factor_xn_minus_1(n: int, field: Field) -> list[Poly]:

@@ -158,6 +158,31 @@ def test_analyze_malformed_file_exit2(capsys, tmp_path, text):
     assert err.startswith("error:")
 
 
+def test_analyze_unknown_checks_exit2(capsys, tmp_path):
+    path = tmp_path / "code.txt"
+    assert run(capsys, "construct", "--q", "3", "--n", "7", "--out", str(path))[0] == 0
+    rc, out, err = run(capsys, "analyze", str(path), "--checks", "min-weigth,hul")
+    assert rc == 2
+    assert out == ""
+    assert "min-weigth" in err and "hul" in err
+    assert all(name in err for name in ("min-weight", "hull", "balance"))
+
+
+def test_analyze_balance_census_over_budget_exit4(capsys, tmp_path):
+    # the plain q = 3, n = 7 code has k = 6, so its census needs 3^6 = 729 words
+    path = tmp_path / "code.txt"
+    assert run(capsys, "construct", "--q", "3", "--n", "7", "--out", str(path))[0] == 0
+    rc, out, err = run(capsys, "analyze", str(path), "--checks", "balance", "--delta", "0.2", "--budget", "10")
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("budget exceeded:")
+    assert "729" in err and "10" in err
+    # without --delta there is no census to skip
+    rc, out, _ = run(capsys, "analyze", str(path), "--checks", "balance", "--budget", "10")
+    assert rc == 0
+    assert "balance:" in out
+
+
 # -- verify-paper ----------------------------------------------------------------------------------
 
 

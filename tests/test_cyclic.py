@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cdcodes.cyclic import CyclicElem, conj_pairing, lambda_n, primitive_idempotents
 from cdcodes.errors import GcdViolation
-from cdcodes.field import field_from_order, mult_order
+from cdcodes.field import Poly, cyclotomic_cosets, field_from_order, mult_order
 
 GRID_QS = (2, 3, 4, 5, 7, 9, 13)
 
@@ -124,6 +124,27 @@ def test_idempotent_invariants_full_grid(q):
             for j, ej in enumerate(s.idems):
                 assert ei * ej == (ei if i == j else zero)
         assert sum(s.dims) == n
+
+
+@pytest.mark.parametrize("q", GRID_QS)
+def test_coset_labels_zeta_free_properties(q):
+    """Coset-label properties that hold for every choice of zeta."""
+    F = field_from_order(q)
+    for n in range(3, 36, 2):
+        if math.gcd(n, q) != 1:
+            continue
+        s = idem_set(q, n)
+        assert sorted(s.cosets) == sorted(tuple(c) for c in cyclotomic_cosets(n, q))
+        assert s.cosets[0] == (0,)
+        assert s.factors[0] == Poly(F, (F.neg(F.one), F.one))
+        for f, c, dim in zip(s.factors, s.cosets, s.dims):
+            assert f.degree == dim == len(c)
+            (g,) = {math.gcd(x, n) for x in c}
+            assert (Poly.x_pow_n_minus_1(F, n // g) % f).is_zero()
+        pairing = conj_pairing(s)
+        for i, c in enumerate(s.cosets):
+            minus = {(-x) % n for x in c}
+            assert [j for j, d in enumerate(s.cosets) if set(d) == minus] == [pairing[i]]
 
 
 # -- conjugation pairing ------------------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdcodes.cyclic import primitive_idempotents
 from cdcodes.errors import GcdViolation, NotPrime, Overflow, ReducibleModulus
 from cdcodes.field import (
+    MAX_N,
     ExtField,
     Poly,
     PrimeField,
@@ -16,6 +18,7 @@ from cdcodes.field import (
     field_from_order,
     field_make,
     mult_order,
+    prime_factors,
     smallest_irreducible,
     sqrt_minus_one,
 )
@@ -181,6 +184,85 @@ def test_factor_product_and_degrees(q):
         assert prod == Poly.x_pow_n_minus_1(F, n)
         sizes = sorted(len(c) for c in cyclotomic_cosets(n, q))
         assert sorted(f.degree for f, _ in pairs) == sizes
+
+
+def sympy_factors(p, n):
+    """Monic irreducible factors of x^n - 1 over GF(p), as coefficient tuples."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    _, facs = sympy.Poly(x**n - 1, x, modulus=p).factor_list()
+    return sorted(tuple(int(c) % p for c in reversed(f.all_coeffs())) for f, _ in facs)
+
+
+@pytest.mark.parametrize(
+    "q, n_max", [(2, 101), (3, 101), (5, 101), (7, 101), (11, 101), (13, 101), (257, 15), (1021, 15)]
+)
+def test_factor_matches_sympy(q, n_max):
+    F = field_from_order(q)
+    for n in range(1, n_max + 1, 2):
+        if math.gcd(n, q) == 1:
+            assert sorted(f.coeffs for f in factor_xn_minus_1(n, F)) == sympy_factors(q, n), n
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16])
+def test_factor_extension_fields_crt(q):
+    F = field_from_order(q)
+    one, zero = Poly.one(F), Poly.zero(F)
+    for n in range(1, 36, 2):
+        if math.gcd(n, q) != 1:
+            continue
+        s = primitive_idempotents(n, F)
+        assert len(s.factors) == len(cyclotomic_cosets(n, q))
+        prod = one
+        for f in s.factors:
+            prod = prod * f
+        assert prod == Poly.x_pow_n_minus_1(F, n)
+        for i, f in enumerate(s.factors):
+            assert all(f.gcd(g) == one for g in s.factors[i + 1 :])
+        # the CRT definition: e_i = 1 mod f_i and e_i = 0 mod f_j, j != i
+        for i, e in enumerate(s.idems):
+            assert [Poly(F, e.coeffs) % f for f in s.factors] == [one if j == i else zero for j in range(len(s))]
+
+
+def test_factor_n101_over_gf3():
+    F = field_from_order(3)
+    d = mult_order(3, 101)
+    assert [f.degree for f in factor_xn_minus_1(101, F)] == [1] + [d] * (100 // d)
+
+
+def test_factor_length_bound():
+    with pytest.raises(Overflow):
+        factor_xn_minus_1(MAX_N + 1 + MAX_N % 2, field_from_order(2))
+
+
+def _compose_power(f, s):
+    """f(x^s) as a polynomial."""
+    F = f.field
+    out = [F.zero] * ((len(f.coeffs) - 1) * s + 1)
+    for i, c in enumerate(f.coeffs):
+        out[i * s] = F.add(out[i * s], c)
+    return Poly(F, out)
+
+
+@pytest.mark.parametrize("q, n", [(2, 7), (2, 15), (3, 13), (4, 9), (5, 21), (7, 9), (9, 13), (13, 21)])
+def test_coset_labels_follow_zeta_convention(q, n):
+    # zeta = x mod m1, m1 the first factor whose roots have order exactly n;
+    # f is labelled {s : f(x^s) = 0 mod m1}
+    F = field_from_order(q)
+    pairs = factor_xn_minus_1_with_cosets(n, F)
+    m1 = next(
+        f
+        for f, _ in pairs
+        if all(not (Poly.x_pow_n_minus_1(F, n // p) % f).is_zero() for p in prime_factors(n))
+    )
+    for f, coset in pairs:
+        assert {s for s in range(n) if (_compose_power(f, s) % m1).is_zero()} == set(coset)
+
+
+def test_coset_labels_example_gf2():
+    pairs = factor_xn_minus_1_with_cosets(7, field_from_order(2))
+    # zeta is a root of m1 = x^3 + x + 1, the first of the two cubics
+    assert [(f.coeffs, c) for f, c in pairs] == [((1, 1), [0]), ((1, 1, 0, 1), [1, 2, 4]), ((1, 0, 1, 1), [3, 6, 5])]
 
 
 # -- cyclotomic cosets ----------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is read somewhere in it."""
+"""Source hygiene: every name a library module imports is read somewhere in it,
+and every module-level private name is read by some module of the package."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cdcodes"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = {p.stem: p.read_text() for p in SRC.glob("*.py")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +34,41 @@ def test_hygiene_checker_flags_unused():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level `_private` functions, classes and constants that no module reads."""
+    defined: dict[str, tuple[str, int]] = {}
+    reads: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[f"{module}.{name}"] = (name, node.lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    return [f"{key} (line {line})" for key, (name, line) in sorted(defined.items()) if name not in reads]
+
+
+def test_hygiene_checker_flags_unread_private():
+    sources = {
+        "a": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    pass\n_D = 3\n",
+        "b": "from . import a\nfrom .a import _f\nx = _f() + a._D\n",
+    }
+    assert unread_private_names(sources) == ["a._B (line 2)", "a._C (line 6)"]
+
+
+def test_no_unread_private_names():
+    assert unread_private_names(PACKAGE) == []
