@@ -503,6 +503,7 @@ class TwistedDihedralAlgebra:
         self._idems: Optional[IdempotentSet] = None
         self._components: Optional[list[Component]] = None
         self._action: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._right_perm: Optional[np.ndarray] = None
 
     # -- element constructors -------------------------------------------------
 
@@ -620,10 +621,40 @@ class TwistedDihedralAlgebra:
             self._action = (perm, sign)
         return self._action
 
-    def left_ideal_rows(self, gens: Sequence[AlgElem]) -> np.ndarray:
-        """Spanning rows h * g for each g in gens and h in group_action order."""
+    def right_action(self) -> tuple[np.ndarray, np.ndarray]:
+        """Signed coordinate permutations (perm, sign) of x -> x * h.
+
+        Rows follow group_action; for every word x,
+        (x * h).to_word()[j] == sign[h, j] * x[perm[h, j]], from
+        (a + b v) u^d = a u^d + b u^-d v and (a + b v) u^d v = tw b u^-d + a u^d v.
+        The signs are group_action's: tw on the first half of the v rows.
+        """
+        if self._right_perm is None:
+            n = self.n
+            a = np.arange(n)[:, None]
+            d = np.arange(n)[None, :]
+            shift = (d - a) % n  # coefficient d of a u^a (or of a u^a v)
+            back = (d + a) % n + n  # coefficient d of b u^-a (times v, or tw)
+            perm = np.block([[shift, back], [back, shift]]).astype(np.int64)
+            perm.setflags(write=False)
+            self._right_perm = perm
+        return self._right_perm, self.group_action()[1]
+
+    def right_translates(self, g: AlgElem) -> np.ndarray:
+        """(2n, 2n) matrix whose row h is the word of g * h, so that
+        word(g * x) = word(x) . right_translates(g) over the field."""
+        perm, sign = self.right_action()
+        word = np.array(g.to_word(), dtype=np.int64)
+        return self.field.tables().mul[sign, word[perm]]
+
+    def left_ideal_rows(self, gens: Sequence[AlgElem | np.ndarray]) -> np.ndarray:
+        """Spanning rows h * g for each g in gens and h in group_action order.
+
+        A generator is an AlgElem or its 2n-long word.
+        """
         perm, sign = self.group_action()
-        words = np.array([g.to_word() for g in gens], dtype=np.int64).reshape(-1, 2 * self.n)
+        words = [g.to_word() if isinstance(g, AlgElem) else g for g in gens]
+        words = np.array(words, dtype=np.int64).reshape(-1, 2 * self.n)
         return self.field.tables().mul[sign[None], words[:, perm]].reshape(-1, 2 * self.n)
 
     def decomposition_report(self) -> dict:

@@ -36,6 +36,7 @@ FLOAT_SLACK = 1e-9
 
 EXHAUSTIVE = "exhaustive"
 PRUNED = "pruned"
+MODES = ("auto", EXHAUSTIVE, PRUNED)
 
 DEFAULT_WORD_BUDGET = 1 << 20
 
@@ -88,6 +89,8 @@ def min_weight(code: LinearCode, budget: int = DEFAULT_WORD_BUDGET, mode: str = 
     pruned method enumerates messages of bounded weight on an information
     set, giving bracket [w+1, best] once message weight w is exhausted.
     """
+    if mode not in MODES:
+        raise DomainError(f"unknown min_weight mode {mode!r}; expected one of {', '.join(MODES)}")
     if code.k_dim == 0:
         raise NoNonzeroWords("the zero code has no nonzero codeword")
     q = code.field.q
@@ -259,6 +262,7 @@ class CensusResult:
     bound: Optional[float]
     rows: list[tuple[int, tuple[int, ...], int, float]]  # (index, beta codes, min weight, Delta)
     support_ok: bool
+    distinct_codes: int  # distinct twisted codes among the rows; not exported
 
     def summary_json(self) -> dict:
         return {
@@ -298,11 +302,16 @@ def _census_chunk(
     parts,
     kts: Sequence[KtField],
     include_C0: bool,
-    delta: float,
     indices: Sequence[int],
     word_budget: int,
-) -> list[tuple[int, tuple[int, ...], int, float]]:
+) -> tuple[list[tuple[int, tuple[int, ...], int, float]], set[bytes]]:
+    """Census rows for the given beta indices, and the keys of their codes.
+
+    Many betas give the same code (C beta depends only on beta modulo the
+    F_t*), so each distinct code's exact weight is computed once.
+    """
     rows = []
+    weights: dict[bytes, tuple[int, float]] = {}
     radices = [kt.order - 1 for kt in kts]
     for idx in indices:
         rem = idx
@@ -312,9 +321,12 @@ def _census_chunk(
             rem //= r
         beta = BetaVector(kts, codes_vec)
         code = assemble_code(alg, parts, include_C0=include_C0, beta=beta)
-        rep = min_weight(code, budget=word_budget)
-        rows.append((idx, beta.codes, rep.min_weight, float(rep.relative_distance)))
-    return rows
+        key = code.key()
+        if key not in weights:
+            rep = min_weight(code, budget=word_budget, mode=EXHAUSTIVE)
+            weights[key] = (rep.min_weight, float(rep.relative_distance))
+        rows.append((idx, beta.codes, *weights[key]))
+    return rows, set(weights)
 
 
 def census_K_le_delta(
@@ -327,25 +339,28 @@ def census_K_le_delta(
 ) -> CensusResult:
     """Exact census of {beta in K* : Delta(C beta) <= delta}.
 
-    Asserts count <= |K*| always, and count <= the volume bound whenever the
-    exponent hypothesis 1/4 - h_q(delta) - log_q(n)/lambda(n) > 0 holds.
+    Every minimum weight is exact: BudgetExceeded is raised when some code's
+    q^k words exceed word_budget.  Asserts count <= |K*| always, and count
+    <= the volume bound whenever the exponent hypothesis
+    1/4 - h_q(delta) - log_q(n)/lambda(n) > 0 holds.
     Support sizes of minimum-weight witnesses are checked against
     min k_t <= ell_d <= (n-1)/2.
     """
     q = alg.field.q
     if not 0 < delta <= 1:
         raise DomainError("delta must lie in (0, 1]")
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     comps = alg.decompose()
     kts = codes_mod.kt_fields(alg)
     parts = codes_mod.standard_parts(alg)
     size = codes_mod.k_star_size(kts)
     if size > k_star_budget:
         raise BudgetExceeded(f"|K*| = {size} exceeds the census budget {k_star_budget}")
-    indices = range(size)
     if jobs > 1:
-        rows = _parallel_census(alg, parts, kts, include_C0, delta, size, word_budget, jobs)
+        rows, keys = _parallel_census(alg, parts, kts, include_C0, size, word_budget, jobs)
     else:
-        rows = _census_chunk(alg, parts, kts, include_C0, delta, indices, word_budget)
+        rows, keys = _census_chunk(alg, parts, kts, include_C0, range(size), word_budget)
     rows.sort(key=lambda r: r[0])
     count = sum(1 for _, _, _, d in rows if d <= delta + FLOAT_SLACK)
     lam = alg.lambda_()
@@ -361,9 +376,9 @@ def census_K_le_delta(
     # support bounds on a witness word per code (the first generator row)
     kmin = min(c.k for c in comps[1:])
     support_ok = True
+    comp, f = parts[0]
     for idx, codes_vec, w, d in rows[: min(len(rows), 64)]:
-        beta = BetaVector(kts, codes_vec)
-        x = parts[0][1] * beta.component(parts[0][0].index)
+        x = alg.from_word(BetaVector(kts, codes_vec).twist(comp.index, f))
         sd = support_descriptor(alg, x)
         if sd.ell and not (kmin <= sd.ell <= (alg.n - 1) // 2):
             support_ok = False
@@ -381,10 +396,11 @@ def census_K_le_delta(
         bound=bound,
         rows=rows,
         support_ok=support_ok,
+        distinct_codes=len(keys),
     )
 
 
-def _parallel_census(alg, parts, kts, include_C0, delta, size, word_budget, jobs):
+def _parallel_census(alg, parts, kts, include_C0, size, word_budget, jobs):
     """Deterministic partition of the beta index range across processes.
 
     When no process pool can be started the census reruns serially, with a
@@ -396,32 +412,34 @@ def _parallel_census(alg, parts, kts, include_C0, delta, size, word_budget, jobs
     step = (size + jobs - 1) // jobs
     for start in range(0, size, step):
         chunks.append(range(start, min(start + step, size)))
-    payload = (alg.field.p, alg.field.m, alg.n, alg.tw, include_C0, delta, word_budget)
+    payload = (alg.field.p, alg.field.m, alg.n, alg.tw, include_C0, word_budget)
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts_rows = list(pool.map(_census_worker, [(payload, list(c)) for c in chunks]))
+            results = list(pool.map(_census_worker, [(payload, list(c)) for c in chunks]))
     except (OSError, RuntimeError) as ex:
         warnings.warn(
             f"parallel census failed ({type(ex).__name__}: {ex}); rerunning serially",
             RuntimeWarning,
             stacklevel=3,
         )
-        return _census_chunk(alg, parts, kts, include_C0, delta, range(size), word_budget)
+        return _census_chunk(alg, parts, kts, include_C0, range(size), word_budget)
     rows = []
-    for r in parts_rows:
-        rows.extend(r)
-    return rows
+    keys: set[bytes] = set()
+    for chunk_rows, chunk_keys in results:
+        rows.extend(chunk_rows)
+        keys |= chunk_keys
+    return rows, keys
 
 
 def _census_worker(arg):
-    (p, m, n, tw, include_C0, delta, word_budget), indices = arg
+    (p, m, n, tw, include_C0, word_budget), indices = arg
     from .field import _field_cached
 
     field = _field_cached(p, m)
     alg = TwistedDihedralAlgebra(field, n, tw)
     kts = codes_mod.kt_fields(alg)
     parts = codes_mod.standard_parts(alg)
-    return _census_chunk(alg, parts, kts, include_C0, delta, indices, word_budget)
+    return _census_chunk(alg, parts, kts, include_C0, indices, word_budget)
 
 
 # -- good twist search ------------------------------------------------------------------
@@ -438,7 +456,10 @@ def find_good_beta(
 ) -> tuple[Optional[BetaVector], Optional[WeightReport]]:
     """First beta with Delta(C beta) > delta, or (None, None) when exhausted.
 
-    delta must satisfy 0 < delta < 1 - 1/q and h_q(delta) < 1/4.
+    A beta qualifies only when the lower end of its weight bracket exceeds
+    delta * n_len, so a pruned upper bound is never read as the distance;
+    each distinct code is weighed once.  delta must satisfy
+    0 < delta < 1 - 1/q and h_q(delta) < 1/4.
     """
     q = alg.field.q
     if not 0 < delta < 1 - 1 / q:
@@ -456,11 +477,16 @@ def find_good_beta(
         betas = (BetaVector.random(kts, rng) for _ in range(samples))
     else:
         raise DomainError(f"unknown strategy {strategy!r}")
+    rejected: set[bytes] = set()
     for beta in betas:
         code = assemble_code(alg, parts, include_C0=include_C0, beta=beta)
+        key = code.key()
+        if key in rejected:
+            continue
         rep = min_weight(code, budget=word_budget)
-        if rep.relative_distance > delta:
+        if Fraction(rep.lower, code.n_len) > delta:
             return beta, rep
+        rejected.add(key)
     return None, None
 
 

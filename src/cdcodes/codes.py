@@ -138,10 +138,9 @@ class KtField:
         self.order = ft.order**2 if comp.kind == PAIRED else comp.fhe.order
         if comp.kind == PAIRED:
             self.g_prime = _first_irreducible_quadratic_g(ft)
-            z = ft.zero
-            self._w_mat_cols = (z, ft.identity)  # W = ((0, -1), (1, -g'))
         else:
             self.g_prime = None
+        self._basis_words: Optional[np.ndarray] = None
 
     def element(self, code: int) -> AlgElem:
         comp = self.comp
@@ -173,6 +172,21 @@ class KtField:
             for i in range(ft.dim):
                 out.append(self.element(q**i * ft.order**half))
         return out
+
+    def word(self, code: int) -> np.ndarray:
+        """Word of element(code), as its base-q digits times the basis words.
+
+        element is linear in those digits; the basis words are built on the
+        first call.
+        """
+        if self._basis_words is None:
+            self._basis_words = np.array([b.to_word() for b in self.basis()], dtype=np.int64)
+        q = self.alg.field.q
+        digits = []
+        for _ in range(len(self._basis_words)):
+            code, d = divmod(code, q)
+            digits.append(d)
+        return linalg.matmul(self.alg.field, digits, self._basis_words)[0]
 
     def unit_codes(self) -> range:
         return range(1, self.order)
@@ -220,7 +234,6 @@ class BetaVector:
                 raise InvalidBeta(f"code {c} is not a unit of K_{kt.comp.index}")
         self.kts = tuple(kts)
         self.codes = tuple(int(c) for c in codes)
-        self._elems = {kt.comp.index: kt.element(c) for kt, c in zip(kts, codes)}
 
     @classmethod
     def identity(cls, kts: Sequence[KtField]) -> "BetaVector":
@@ -230,8 +243,21 @@ class BetaVector:
     def random(cls, kts: Sequence[KtField], rng) -> "BetaVector":
         return cls(kts, [kt.random_unit_code(rng) for kt in kts])
 
+    def _unit(self, t: int) -> tuple[KtField, int]:
+        for kt, c in zip(self.kts, self.codes):
+            if kt.comp.index == t:
+                return kt, c
+        raise KeyError(t)
+
     def component(self, t: int) -> AlgElem:
-        return self._elems[t]
+        """beta_t as an algebra element (the twist itself never builds it)."""
+        kt, c = self._unit(t)
+        return kt.element(c)
+
+    def twist(self, t: int, g: AlgElem) -> np.ndarray:
+        """Word of g * beta_t: word(beta_t) times the right translates of g."""
+        kt, c = self._unit(t)
+        return linalg.matmul(kt.alg.field, kt.word(c), kt.alg.right_translates(g))[0]
 
     def __repr__(self):
         return f"BetaVector{self.codes}"
@@ -286,22 +312,20 @@ def assemble_code(
 ) -> LinearCode:
     """Row-reduce the left ideal generated by the given block parts.
 
-    Each part generator is right-multiplied by its beta component first;
-    extra_generators (e.g. the whole block A_0) are taken verbatim.
+    Each part generator g is replaced by the word of g * beta_t first, a
+    linear map of beta_t's digits (BetaVector.twist); extra_generators
+    (e.g. the whole block A_0) are taken verbatim.
     """
     if not parts and not include_C0 and not extra_generators:
         raise BlockCollision("no parts to assemble")
     seen = set()
-    gens: list[AlgElem] = []
+    gens: list[AlgElem | np.ndarray] = []
     expected = 0
     for comp, f in parts:
         if comp.index in seen:
             raise BlockCollision(f"two parts for block {comp.index}")
         seen.add(comp.index)
-        g = f
-        if beta is not None:
-            g = g * beta.component(comp.index)
-        gens.append(g)
+        gens.append(f if beta is None else beta.twist(comp.index, f))
         expected += 2 * comp.k
     if include_C0:
         comp0 = alg.decompose()[0]

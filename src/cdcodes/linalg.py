@@ -74,6 +74,9 @@ def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError("inner dimensions differ")
+    if field.m == 1:
+        # prime field: codes are residues mod p <= 4096, so int64 sums are exact
+        return a @ b % field.p
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for k in range(a.shape[1]):
         out = t.add[out, t.mul[a[:, k][:, None], b[k][None, :]]]

@@ -197,6 +197,35 @@ def test_group_action_matches_multiplication(tw, rng):
             assert A.left_ideal_rows([x, y]).tolist() == stacked
 
 
+def test_left_ideal_rows_accepts_words(rng):
+    A = get_algebra(5, 7)
+    x, y = A.random_elem(rng), A.random_elem(rng)
+    w = np.array(x.to_word(), dtype=np.int64)
+    assert A.left_ideal_rows([w, y]).tolist() == A.left_ideal_rows([x, y]).tolist()
+
+
+@pytest.mark.parametrize("tw", [-1, 1])
+def test_right_action_matches_multiplication(tw, rng):
+    # reference: AlgElem products x * h by all 2n group elements, in group_action order
+    for q, n in ((5, 7), (4, 5), (2, 3)):
+        A = get_algebra(q, n, tw)
+        perm, sign = A.right_action()
+        assert perm.shape == sign.shape == (2 * n, 2 * n)
+        group = [A.u(a) for a in range(n)] + [A.u(a) * A.v() for a in range(n)]
+        mul = A.field.tables().mul
+        for _ in range(20):
+            x, y = A.random_elem(rng), A.random_elem(rng)
+            w = np.array(x.to_word(), dtype=np.int64)
+            products = [list((x * h).to_word()) for h in group]
+            for h, prod in enumerate(products):
+                assert mul[sign[h], w[perm[h]]].tolist() == prod
+            T = A.right_translates(x)
+            assert T.tolist() == products
+            # word(x * y) = word(y) . T over the field
+            yw = np.array([y.to_word()], dtype=np.int64)
+            assert linalg.matmul(A.field, yw, T)[0].tolist() == list((x * y).to_word())
+
+
 # -- norm equation ----------------------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +103,12 @@ def test_min_weight_budget_and_pruned():
     assert full_pruned.exact and full_pruned.min_weight == exact
 
 
+def test_min_weight_rejects_unknown_mode():
+    code = build_plain_code(get_algebra(7, 3))
+    with pytest.raises(DomainError, match="'exhaustve'.*auto, exhaustive, pruned"):
+        min_weight(code, mode="exhaustve")
+
+
 # -- balance -------------------------------------------------------------------------------
 
 
@@ -200,6 +208,61 @@ def test_census_parallel_fallback_warns(monkeypatch):
     assert fallback.count == serial.count
 
 
+def test_census_weights_are_exact_or_raise():
+    # q^k = 49 words exceed a budget of 10: the census must not read the
+    # pruned bracket's upper end as the weight
+    A = get_algebra(7, 3)
+    with pytest.raises(BudgetExceeded):
+        census_K_le_delta(A, delta=0.5, word_budget=10)
+    res = census_K_le_delta(A, delta=0.5)
+    assert res.count == 12
+    assert min(w for _, _, w, _ in res.rows) == 3
+
+
+def test_census_rejects_jobs_below_one():
+    A = get_algebra(5, 3)
+    for jobs in (0, -1):
+        with pytest.raises(DomainError, match="jobs"):
+            census_K_le_delta(A, delta=0.4, jobs=jobs)
+
+
+@pytest.mark.parametrize("q, n, include_C0", [(3, 7, False), (2, 9, True)])
+def test_census_jobs_2_byte_identical(q, n, include_C0):
+    A = get_algebra(q, n)
+    serial = census_K_le_delta(A, delta=0.2, include_C0=include_C0, jobs=1)
+    parallel = census_K_le_delta(A, delta=0.2, include_C0=include_C0, jobs=2)
+    assert parallel.csv_lines() == serial.csv_lines()
+    assert json.dumps(parallel.summary_json()) == json.dumps(serial.summary_json())
+    assert parallel.distinct_codes == serial.distinct_codes
+
+
+TWIST_CLASS_GRID = [
+    # acceptance criterion 8's (q, n, include_C0), plus q = 4, n = 5
+    (5, 3, True), (7, 3, False), (13, 3, True), (3, 5, False), (2, 7, True),
+    (2, 9, True), (3, 7, False), (2, 11, True), (7, 5, False), (4, 5, False),
+]
+
+
+@pytest.mark.parametrize("q, n, include_C0", TWIST_CLASS_GRID)
+def test_census_distinct_codes_are_twist_classes(q, n, include_C0):
+    # K_t^* permutes the |F_t| + 1 simple left ideals of M_2(F_t) with
+    # stabiliser F_t^*: prod(|F_t| + 1) codes, each from prod(|F_t| - 1) betas
+    A = get_algebra(q, n)
+    kts = codes.kt_fields(A)
+    f_orders = [q**kt.comp.k for kt in kts]
+    res = census_K_le_delta(A, delta=0.5, include_C0=include_C0)
+    assert res.distinct_codes == math.prod(f + 1 for f in f_orders)
+    parts = codes.standard_parts(A)
+    seen = Counter(
+        codes.assemble_code(A, parts, include_C0=include_C0, beta=beta).key()
+        for beta in codes.enumerate_beta(kts)
+    )
+    assert len(seen) == res.distinct_codes
+    assert set(seen.values()) == {math.prod(f - 1 for f in f_orders)}
+    assert "distinct_codes" not in res.summary_json()
+    assert res.csv_lines()[0] == "beta_index,beta_codes,min_weight,delta"
+
+
 # -- good beta search ---------------------------------------------------------------------------
 
 
@@ -222,6 +285,17 @@ def test_find_good_beta_sampled_needs_seed():
         find_good_beta(A, 0.05, strategy="sampled")
     beta, rep = find_good_beta(A, 0.05, strategy="sampled", seed=9)
     assert beta is not None
+
+
+def test_find_good_beta_needs_lower_end_above_delta():
+    # q = 2, n = 13: 1/26 < delta = 0.04 < 2/26.  Past the word budget the
+    # pruned bracket is [1, 26] and proves nothing, so no beta qualifies.
+    A = get_algebra(2, 13)
+    beta, rep = find_good_beta(A, 0.04, strategy="sampled", seed=1, samples=20, word_budget=1)
+    assert beta is None and rep is None
+    beta, rep = find_good_beta(A, 0.04, strategy="sampled", seed=1, samples=20)
+    assert beta is not None and rep.exact
+    assert Fraction(rep.lower, 26) > 0.04
 
 
 def test_find_good_beta_domain():

@@ -7,7 +7,7 @@ import pytest
 from conftest import get_algebra
 
 from cdcodes import codes, linalg
-from cdcodes.algebra import SELF_CONJ
+from cdcodes.algebra import SELF_CONJ, Mat2
 from cdcodes.codes import (
     BetaVector,
     LinearCode,
@@ -212,6 +212,106 @@ def test_twist_orbit_covers_each_ideal_q_minus_1_times():
         counter[assemble_code(A, parts, beta=beta).key()] += 1
     assert len(counter) == 8  # q + 1 simple left ideals
     assert set(counter.values()) == {6}  # each appears q - 1 times
+
+
+def test_kt_word_is_linear_in_digits():
+    # the word of element(code) is the digit combination of the basis words
+    for q, n in ((7, 3), (3, 5), (4, 3), (4, 5), (2, 7)):
+        A = get_algebra(q, n)
+        for kt in kt_fields(A):
+            for c in range(kt.order):
+                assert kt.word(c).tolist() == list(kt.element(c).to_word())
+
+
+def test_beta_vector_component_is_lazy_oracle():
+    A = get_algebra(7, 3)
+    kts = kt_fields(A)
+    beta = BetaVector(kts, [5])
+    assert vars(beta).keys() == {"kts", "codes"}
+    assert beta.component(1) == kts[0].element(5)
+    with pytest.raises(KeyError):
+        beta.component(2)
+
+
+def _product_oracle(A, family, beta, include_a0=False):
+    """The family's code with every part generator twisted by an AlgElem
+    product g * beta_t, then row-reduced; None when the family does not exist."""
+    comps = A.decompose()
+    q = A.field.q
+    if family == "lcd":
+        if q % 4 != 3:
+            return None
+        blocks = [c for c in comps[1:] if c.kind == SELF_CONJ and c.k % 2 == 1]
+        if not blocks:
+            return None
+    else:
+        blocks = comps[1:]
+    gens = [build_Ct(c) * beta.component(c.index) for c in blocks]
+    if family == "self-dual":
+        if A.tw == -1 and q % 4 == 3:
+            return None
+        gens.append(build_C0(comps[0]))
+    if include_a0:
+        gens.append(comps[0].identity)
+    return LinearCode.from_rows(A.field, A.left_ideal_rows(gens))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_linear_twist_matches_product_oracle(q):
+    ns = {2: (7, 9, 15), 3: (5, 7, 11), 4: (3, 5, 7), 5: (3, 7, 9), 7: (3, 5, 11), 9: (5, 7)}[q]
+    rng = random.Random(q)
+    built = Counter()
+    for n in ns:
+        for tw in (-1, 1):
+            A = get_algebra(q, n, tw)
+            kts = kt_fields(A)
+            cases = [
+                ("plain", build_plain_code, {}),
+                ("self-dual", build_self_dual_code, {}),
+                ("lcd", build_lcd_code, {}),
+                ("lcd", build_lcd_code, {"include_a0": True}),
+            ]
+            for family, builder, kw in cases:
+                for _ in range(3):
+                    beta = BetaVector.random(kts, rng)
+                    want = _product_oracle(A, family, beta, **kw)
+                    if want is None:
+                        with pytest.raises(HypothesisUnmet):
+                            builder(A, beta, **kw)
+                        continue
+                    got = builder(A, beta, **kw)
+                    assert got.gen.shape == want.gen.shape
+                    assert np.array_equal(got.gen, want.gen), (q, n, tw, family, kw, beta)
+                    built[family, bool(kw)] += 1
+    assert built["plain", False] and built["self-dual", False]
+    if q in (3, 7):
+        assert built["lcd", False] and built["lcd", True]
+
+
+@pytest.mark.parametrize("q, n, kind", [(2, 7, "paired"), (4, 3, "paired"), (3, 5, SELF_CONJ), (7, 3, "paired"), (4, 5, SELF_CONJ)])
+def test_twist_class_is_beta_modulo_Ft_star(q, n, kind):
+    # C beta = C beta' iff beta' beta^-1 lies in F_t^*, the scalar matrices of
+    # the block; the twist of one block is varied, the others stay at 1
+    A = get_algebra(q, n)
+    kts = kt_fields(A)
+    parts = codes.standard_parts(A)
+    kt = kts[0]
+    comp = kt.comp
+    assert comp.kind == kind
+    ft = comp.ft
+    scalars = [comp.iso_from_mat2(Mat2.identity(ft).scaled(a)) for a in ft.elements() if not a.is_zero()]
+    assert len(scalars) == ft.order - 1
+    code_of = {kt.element(c).to_word(): c for c in kt.unit_codes()}
+    rest = [k.identity_code for k in kts[1:]]
+    key = {
+        c: assemble_code(A, parts, beta=BetaVector(kts, [c] + rest)).key() for c in kt.unit_codes()
+    }
+    for c in kt.unit_codes():
+        beta_t = kt.element(c)
+        orbit = {code_of[(s * beta_t).to_word()] for s in scalars}
+        same_code = {d for d in kt.unit_codes() if key[d] == key[c]}
+        assert same_code == orbit
+    assert len(set(key.values())) == ft.order + 1
 
 
 def test_twist_preserves_dimension(rng):

@@ -58,6 +58,21 @@ def test_matmul_matches_integer_arithmetic():
     assert np.array_equal(linalg.matmul(F, A, B), (A @ B) % 7)
 
 
+@pytest.mark.parametrize("q", [2, 4, 7, 9, 13])
+def test_matmul_matches_scalar_field_arithmetic(q):
+    # oracle: the field's own scalar add/mul, one entry at a time
+    F = field_from_order(q)
+    rng = np.random.default_rng(q)
+    A = rng.integers(0, q, (3, 5))
+    B = rng.integers(0, q, (5, 4))
+    want = [[0] * 4 for _ in range(3)]
+    for i in range(3):
+        for j in range(4):
+            for k in range(5):
+                want[i][j] = F.add(want[i][j], F.mul(int(A[i, k]), int(B[k, j])))
+    assert linalg.matmul(F, A, B).tolist() == want
+
+
 @given(data=st.data(), q=st.sampled_from([2, 3]))
 @settings(max_examples=30, deadline=None)
 def test_intersection_dim_vs_bruteforce(data, q):
