@@ -84,11 +84,7 @@ class AlgElem:
 
     def inner(self, other: "AlgElem") -> int:
         self._check(other)
-        F = self.alg.field
-        out = F.zero
-        for x, y in zip(self.a.coeffs + self.b.coeffs, other.a.coeffs + other.b.coeffs):
-            out = F.add(out, F.mul(x, y))
-        return out
+        return int(linalg.matmul(self.alg.field, self.to_word(), np.array(other.to_word())[:, None])[0, 0])
 
     def scale(self, c: int) -> "AlgElem":
         return AlgElem(self.alg, self.a.scale(c), self.b.scale(c))
@@ -151,14 +147,10 @@ class SubfieldView:
         return code
 
     def element(self, code: int) -> CyclicElem:
+        """The element whose coordinates are the base-q digits of code."""
         q = self.field.q
-        out = self.zero
-        for b in self.basis:
-            d = code % q
-            code //= q
-            if d:
-                out = out + b.scale(d)
-        return out
+        digits = [code // q**i % q for i in range(self.dim)]
+        return CyclicElem(self.field, linalg.matmul(self.field, digits, self._R)[0].tolist())
 
     def elements(self) -> Iterator[CyclicElem]:
         for code in range(self.order):

@@ -66,12 +66,10 @@ class CyclicElem:
 
     def __add__(self, other):
         self._check(other)
-        F = self.field
-        return CyclicElem(F, [F.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return CyclicElem(self.field, self.field.tables().add[self.coeffs, other.coeffs].tolist())
 
     def __neg__(self):
-        F = self.field
-        return CyclicElem(F, [F.neg(a) for a in self.coeffs])
+        return CyclicElem(self.field, self.field.tables().neg[list(self.coeffs)].tolist())
 
     def __sub__(self, other):
         return self + (-other)
@@ -83,8 +81,7 @@ class CyclicElem:
         return CyclicElem(self.field, _convolve(self.field, a, b).tolist())
 
     def scale(self, c: int) -> "CyclicElem":
-        F = self.field
-        return CyclicElem(F, [F.mul(c, a) for a in self.coeffs])
+        return CyclicElem(self.field, self.field.tables().mul[c, list(self.coeffs)].tolist())
 
     def shift(self, k: int) -> "CyclicElem":
         """Multiplication by u^k."""

@@ -6,10 +6,18 @@ has code c_0 + c_1*p + ... + c_{m-1}*p^(m-1).  All "first element
 satisfying P" choices scan codes in ascending order, so every construction
 here is deterministic.
 
+The lookup tables (`Tables`) are the one definition of the arithmetic: they
+are built vectorised, addition from the base-p digits and multiplication,
+inversion and negation from one log/antilog pair, so fields are limited to
+q <= MAX_TABLE_SIZE, which `field_make` enforces.  Vectors and polynomials
+are added and scaled by table gathers; products of matrices go through
+`Field.matmul`: integers mod p for prime fields, and for GF(p^m) the m x m
+multiplication matrices over GF(p), again one integer product mod p.
+
 x^n - 1 is factored over GF(q) itself, without a splitting field: its
 primitive idempotents are split out of the fixed subalgebra of
-GF(q)[x]/(x^n - 1) with length-n convolutions through the lookup tables
-(Berlekamp's method), and each factor is a gcd with x^n - 1.
+GF(q)[x]/(x^n - 1) with length-n convolutions (Berlekamp's method), and each
+factor is a gcd with x^n - 1.
 
 Polynomials are coefficient tuples in ascending degree with trailing zeros
 trimmed.  The canonical order on monic polynomials of equal degree compares
@@ -33,12 +41,7 @@ from .errors import (
     ReducibleModulus,
 )
 
-# Fields GF(p^m) are rejected beyond this size.  Python integers are
-# unbounded, so the cap is a sanity policy; arithmetic on vectors and
-# matrices needs lookup tables, which MAX_TABLE_SIZE bounds far lower.
-MAX_FIELD_SIZE = 1 << 128
-
-# Lookup tables are only built for fields small enough to enumerate.
+# Fields are limited to this size: every product reads lookup tables.
 MAX_TABLE_SIZE = 4096
 
 # x^n - 1 is factored for n up to this bound, so that the (n, n) int64 index
@@ -80,29 +83,49 @@ def prime_factors(n: int) -> list[int]:
 
 
 class Tables:
-    """Dense numpy lookup tables for a small field."""
+    """Dense int64 lookup tables: the arithmetic of GF(p^m) on element codes.
+
+    add[a, b] adds base-p digits mod p.  mul, inv and neg read one
+    log/antilog pair: the generator g is the first code whose powers run
+    through all q - 1 units, and they are found as powers of the matrix of
+    multiplication by g, a polynomial in the companion matrix of the modulus
+    (the modulus need not be primitive).  neg is the row of -1 = p - 1 in
+    mul.  digits[a] are the m base-p digits of a, and mat[a] is the m x m
+    matrix over GF(p) of multiplication by a, for `ExtField.matmul`.  Every
+    build is O(q^2) numpy work; field_make bounds q by MAX_TABLE_SIZE.
+    """
 
     def __init__(self, field: "Field"):
-        q = field.q
-        if q > MAX_TABLE_SIZE:
-            raise Overflow(f"field of size {q} too large for lookup tables")
-        dtype = np.int64
-        add = np.empty((q, q), dtype=dtype)
-        mul = np.empty((q, q), dtype=dtype)
-        for a in range(q):
-            for b in range(a, q):
-                s = field.add(a, b)
-                m = field.mul(a, b)
-                add[a, b] = add[b, a] = s
-                mul[a, b] = mul[b, a] = m
-        neg = np.array([field.neg(a) for a in range(q)], dtype=dtype)
-        inv = np.zeros(q, dtype=dtype)
-        for a in range(1, q):
-            inv[a] = field.inv(a)
-        self.add = add
-        self.mul = mul
-        self.neg = neg
-        self.inv = inv
+        p, m, q = field.p, field.m, field.q
+        self.pw = p ** np.arange(m)
+        self.digits = np.arange(q)[:, None] // self.pw % p
+        add = np.zeros((q, q), dtype=np.int16)  # every partial sum stays below q
+        for d, w in zip(self.digits.T.astype(np.int16), self.pw.tolist()):
+            add += (d[:, None] + d) % p * w
+        self.add = add.astype(np.int64)
+        companion = np.eye(m, k=-1, dtype=np.int64)  # column j: X^(j+1) mod modulus
+        companion[:, -1] = -np.array(field.modulus.coeffs[:-1]) % p
+        x_powers = [np.eye(m, dtype=np.int64)]
+        for _ in range(m - 1):
+            x_powers.append(companion @ x_powers[-1] % p)
+        for g in range(1, q):
+            step = np.tensordot(self.digits[g], x_powers, 1) % p  # multiplication by g
+            powers = np.eye(1, m, dtype=np.int64)  # digits of g^0, g^1, ... by doubling
+            while len(powers) < q - 1:
+                powers = np.vstack([powers, powers @ step.T % p])
+                step = step @ step % p
+            exp = powers[: q - 1] @ self.pw
+            if np.all(exp[1:] != 1):
+                break
+        log = np.zeros(q, dtype=np.int32)
+        log[exp] = np.arange(q - 1)
+        antilog = np.concatenate([exp, exp])
+        self.mul = antilog[log[:, None] + log]
+        self.mul[0] = self.mul[:, 0] = 0
+        self.inv = antilog[q - 1 - log]
+        self.inv[0] = 0
+        self.neg = self.mul[p - 1].copy()
+        self.mat = self.digits[self.mul[:, self.pw]].transpose(0, 2, 1)
 
 
 class Field:
@@ -127,8 +150,9 @@ class Field:
     def inv(self, a: int) -> int:
         raise NotImplementedError
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product of two int64 code matrices with matching inner dimension."""
+        raise NotImplementedError
 
     @property
     def zero(self) -> int:
@@ -190,85 +214,52 @@ class PrimeField(Field):
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
 
+    def matmul(self, a, b):
+        # codes are residues mod p <= 4096, so int64 sums are exact
+        return a @ b % self.p
+
 
 class ExtField(Field):
-    """GF(q0^d) built as base[X]/(modulus), elements coded in base-q0 digits."""
+    """GF(p^m) built as GF(p)[X]/(modulus); elements coded in base-p digits.
+
+    The scalar operations read the lookup tables.
+    """
 
     def __init__(self, base: Field, modulus: "Poly", check: bool = True):
-        if modulus.field is not base:
-            raise DimensionMismatch("modulus must be a polynomial over the base field")
+        if modulus.field is not base or base.m != 1:
+            raise DimensionMismatch("modulus must be a polynomial over a prime field")
         d = modulus.degree
         if d < 1 or modulus.coeffs[-1] != base.one:
             raise ReducibleModulus("modulus must be monic of degree >= 1")
-        size = base.q**d
-        if size > MAX_FIELD_SIZE:
-            raise Overflow(f"field of size {base.q}^{d} exceeds the supported limit")
         if check and not modulus.is_irreducible():
             raise ReducibleModulus(f"{modulus} is reducible over GF({base.q})")
-        self.base = base
-        self.degree = d
         self.p = base.p
-        self.m = base.m * d
-        self.q = size
+        self.m = d
+        self.q = base.q**d
         self.modulus = modulus
-        # x^(d+k) mod modulus for k = 0..d-2, used to fold products.
-        red = []
-        xd = [base.neg(c) for c in modulus.coeffs[:-1]]
-        row = list(xd)
-        red.append(tuple(row))
-        for _ in range(d - 2):
-            row = [base.zero] + row
-            top = row.pop()
-            row = [base.add(c, base.mul(top, r)) for c, r in zip(row, xd)]
-            red.append(tuple(row))
-        self._reduction = red
-
-    def decode(self, a: int) -> list[int]:
-        q0 = self.base.q
-        out = []
-        for _ in range(self.degree):
-            out.append(a % q0)
-            a //= q0
-        return out
-
-    def encode(self, digits: Sequence[int]) -> int:
-        q0 = self.base.q
-        a = 0
-        for c in reversed(digits):
-            a = a * q0 + c
-        return a
 
     def add(self, a, b):
-        F = self.base
-        return self.encode([F.add(x, y) for x, y in zip(self.decode(a), self.decode(b))])
+        return int(self.tables().add[a, b])
 
     def neg(self, a):
-        F = self.base
-        return self.encode([F.neg(x) for x in self.decode(a)])
+        return int(self.tables().neg[a])
 
     def mul(self, a, b):
-        F = self.base
-        d = self.degree
-        da, db = self.decode(a), self.decode(b)
-        prod = [F.zero] * (2 * d - 1)
-        for i, x in enumerate(da):
-            if x == 0:
-                continue
-            for j, y in enumerate(db):
-                if y:
-                    prod[i + j] = F.add(prod[i + j], F.mul(x, y))
-        low = prod[:d]
-        for k in range(d - 1):
-            top = prod[d + k]
-            if top:
-                row = self._reduction[k]
-                low = [F.add(c, F.mul(top, r)) for c, r in zip(low, row)]
-        return self.encode(low)
+        return int(self.tables().mul[a, b])
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return self.pow(a, self.q - 2)
+        return int(self.tables().inv[a])
+
+    def matmul(self, a, b):
+        """Each entry of a becomes its m x m multiplication matrix over GF(p)
+        and each entry of b its digits, so a @ b is one integer product mod p."""
+        t = self.tables()
+        m, (r, k), c = self.m, a.shape, b.shape[1]
+        left = t.mat[a].transpose(0, 2, 1, 3).reshape(r * m, k * m)
+        right = t.digits[b].transpose(0, 2, 1).reshape(k * m, c)
+        return (left @ right % self.p).reshape(r, m, c).transpose(0, 2, 1) @ t.pw
 
 
 class Poly:
@@ -321,18 +312,15 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        F = self.field
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly(F, out)
+        out = np.array(a, dtype=np.int64)
+        out[: len(b)] = self.field.tables().add[out[: len(b)], list(b)]
+        return Poly(self.field, out.tolist())
 
     def __neg__(self):
-        F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        return Poly(self.field, self.field.tables().neg[list(self.coeffs)].tolist())
 
     def __sub__(self, other):
         return self + (-other)
@@ -342,36 +330,45 @@ class Poly:
         F = self.field
         if self.is_zero() or other.is_zero():
             return Poly.zero(F)
-        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs):
-                if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return Poly(F, out)
+        a, b = self.coeffs, other.coeffs
+        # row i holds b shifted by i, so a times these rows is a * b
+        shifted = np.zeros((len(a), len(a) + len(b) - 1), dtype=np.int64)
+        i = np.arange(len(a))[:, None]
+        shifted[i, i + np.arange(len(b))] = b
+        return Poly(F, F.matmul(np.array([a], dtype=np.int64), shifted)[0].tolist())
 
     def scale(self, c: int) -> "Poly":
-        F = self.field
-        return Poly(F, [F.mul(c, a) for a in self.coeffs])
+        return Poly(self.field, self.field.tables().mul[c, list(self.coeffs)].tolist())
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Long division.  Prime fields run it on Python integers mod p, which
+        beats a numpy call per step on short polynomials; GF(p^m) updates the
+        remainder by one table gather per step."""
         self._check(other)
         F = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
         d = other.degree
         lead_inv = F.inv(other.coeffs[-1])
-        quo = [F.zero] * max(0, len(rem) - d)
+        quo = [0] * max(0, len(self.coeffs) - d)
+        if F.m == 1:
+            p = F.p
+            rem = list(self.coeffs)
+            for i in range(len(rem) - d - 1, -1, -1):
+                c = rem[i + d] * lead_inv % p
+                if c:
+                    quo[i] = c
+                    rem[i : i + d + 1] = [(r - c * b) % p for r, b in zip(rem[i : i + d + 1], other.coeffs)]
+            return Poly(F, quo), Poly(F, rem[:d])
+        t = F.tables()
+        rem = np.array(self.coeffs, dtype=np.int64)
+        minus_b = t.neg[list(other.coeffs)]
         for i in range(len(rem) - d - 1, -1, -1):
-            c = F.mul(rem[i + d], lead_inv)
-            if c == 0:
-                continue
-            quo[i] = c
-            for j, oc in enumerate(other.coeffs):
-                rem[i + j] = F.sub(rem[i + j], F.mul(c, oc))
-        return Poly(F, quo), Poly(F, rem[:d])
+            c = int(t.mul[rem[i + d], lead_inv])
+            if c:
+                quo[i] = c
+                rem[i : i + d + 1] = t.add[rem[i : i + d + 1], t.mul[c, minus_b]]
+        return Poly(F, quo), Poly(F, rem[:d].tolist())
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -472,8 +469,8 @@ def field_make(p: int, m: int = 1, modulus: Optional[Poly] = None) -> Field:
         raise NotPrime(f"{p} is not prime")
     if m < 1:
         raise ReducibleModulus("extension degree must be >= 1")
-    if p**m > MAX_FIELD_SIZE:
-        raise Overflow(f"{p}^{m} exceeds the supported field size")
+    if p**m > MAX_TABLE_SIZE:
+        raise Overflow(f"field of size {p**m} too large for lookup tables")
     if m == 1:
         F = PrimeField(p)
         if modulus is not None and modulus.degree != 1:
@@ -557,26 +554,25 @@ def _rot_index(n: int) -> np.ndarray:
     return idx
 
 
-def _field_sum(field: Field, a: np.ndarray) -> np.ndarray:
-    """Sum of the rows of a in GF(q); may overwrite a.
-
-    Prime fields add integers mod p; other fields pair rows up through the
-    addition table, so a length-n sum takes about log2(n) lookups.
-    """
-    if field.m == 1:
-        return a.sum(axis=0) % field.p
-    add = field.tables().add
-    rows = len(a)
-    while rows > 1:
-        h = rows // 2
-        a[:h] = add[a[:h], a[rows - h : rows]]
-        rows -= h
-    return a[0]
-
-
 def _convolve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of coefficient vectors a, b in GF(q)[x]/(x^n - 1)."""
-    return _field_sum(field, field.tables().mul[a[:, None], b[_rot_index(len(a))]])
+    """Product of coefficient vectors a, b in GF(q)[x]/(x^n - 1): a times the
+    circulant of b.
+
+    GF(p^m) skips the m x m expansion of `ExtField.matmul`, which is slower on
+    a single row: it gathers the products from the mul table and adds the rows
+    pairwise through the add table, about log2(n) lookups.
+    """
+    circulant = b[_rot_index(len(a))]
+    if field.m == 1:
+        return field.matmul(a[None], circulant)[0]
+    t = field.tables()
+    rows = t.mul[a[:, None], circulant]
+    k = len(rows)
+    while k > 1:
+        h = k // 2
+        rows[:h] = t.add[rows[:h], rows[k - h : k]]
+        k -= h
+    return rows[0]
 
 
 def _power(field: Field, a: np.ndarray, e: int, one: np.ndarray) -> np.ndarray:
@@ -652,7 +648,7 @@ def _coset_labels(
     at_reps = rho[np.outer(np.arange(n), reps) % n]
     labels = []
     for _, e in pairs:
-        values = _field_sum(field, t.mul[e[:, None], at_reps])
+        values = field.matmul(e[None], at_reps)[0]
         hits = np.flatnonzero(values)
         assert len(hits) == 1 and values[hits[0]] == field.one, "idempotent is not 0/1 at the powers of zeta"
         labels.append(cosets[hits[0]])
@@ -676,8 +672,7 @@ def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, list
     {s : f(x^s) = 0 mod m1}, i.e. the exponents s with f(zeta^s) = 0, listed
     as in `cyclotomic_cosets`.
 
-    Arithmetic goes through the field's lookup tables (q <= MAX_TABLE_SIZE),
-    and n > MAX_N raises Overflow.
+    n > MAX_N raises Overflow.
     """
     q = field.q
     if n < 1 or n % 2 == 0:
@@ -720,8 +715,6 @@ def factor_xn_minus_1(n: int, field: Field) -> list[Poly]:
 
 def sqrt_minus_one(field: Field) -> Optional[int]:
     """First r (by code) with r^2 = -1, or None when q = 3 mod 4."""
-    target = field.neg(field.one)
-    for r in field.elements():
-        if field.mul(r, r) == target:
-            return r
-    return None
+    t = field.tables()
+    roots = np.flatnonzero(t.mul.diagonal() == t.neg[field.one])
+    return int(roots[0]) if roots.size else None

@@ -1,9 +1,10 @@
 """Exact row reduction and rank computations over a finite field.
 
-Matrices are numpy int64 arrays of element codes.  All routines go through
-the field's lookup tables, so they work uniformly for prime fields and small
-extensions; canonical output (reduced row echelon form with ascending pivot
-columns) makes row spaces directly comparable.
+Matrices are numpy int64 arrays of element codes.  Row operations go through
+the field's lookup tables and products through `Field.matmul`, so they work
+uniformly for prime fields and small extensions; canonical output (reduced
+row echelon form with ascending pivot columns) makes row spaces directly
+comparable.
 """
 
 from __future__ import annotations
@@ -69,18 +70,11 @@ def nullspace(field: Field, mat: np.ndarray) -> np.ndarray:
 
 
 def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    t = field.tables()
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError("inner dimensions differ")
-    if field.m == 1:
-        # prime field: codes are residues mod p <= 4096, so int64 sums are exact
-        return a @ b % field.p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(a.shape[1]):
-        out = t.add[out, t.mul[a[:, k][:, None], b[k][None, :]]]
-    return out
+    return field.matmul(a, b)
 
 
 def reduce_against(field: Field, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray) -> np.ndarray:

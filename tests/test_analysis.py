@@ -310,14 +310,20 @@ def test_find_good_beta_domain():
 
 
 def test_support_descriptor_bounds(rng):
-    A = get_algebra(3, 7)
-    comps = A.decompose()
-    kmin = min(c.k for c in comps[1:])
-    for _ in range(50):
-        x = A.random_elem(rng)
-        sd = support_descriptor(A, x)
-        if sd.ell:
-            assert kmin <= sd.ell <= (A.n - 1) // 2
+    # the bounds the census reports as support_bounds_ok, on the criterion-8
+    # algebras: random elements and the twisted generator words of the census
+    for q, n in ((5, 3), (7, 3), (13, 3), (3, 5), (2, 7), (2, 9), (3, 7), (2, 11), (7, 5)):
+        A = get_algebra(q, n)
+        kmin = min(c.k for c in A.decompose()[1:])
+        kts = codes.kt_fields(A)
+        words = [A.random_elem(rng) for _ in range(20)]
+        for _ in range(10):
+            beta = codes.BetaVector.random(kts, rng)
+            words += [A.from_word(beta.twist(c.index, f)) for c, f in codes.standard_parts(A)]
+        for x in words:
+            sd = support_descriptor(A, x)
+            if sd.ell:
+                assert kmin <= sd.ell <= (n - 1) // 2, (q, n, sd)
 
 
 # -- good-n predicates -------------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from cdcodes import cli
 from cdcodes.cli import main
 
 
@@ -40,6 +45,33 @@ def test_decompose_p_m_flags(capsys):
     rc, out, _ = run(capsys, "decompose", "--p", "3", "--m", "2", "--n", "5")
     assert rc == 0
     assert "q=9" in out
+
+
+@pytest.mark.parametrize(
+    "field_args, q",
+    [(("--q", "8192"), 8192), (("--p", "2", "--m", "13"), 8192), (("--p", "3", "--m", "8"), 6561)],
+    ids=["q8192", "p2m13", "p3m8"],
+)
+def test_decompose_field_above_table_bound_exit2(capsys, field_args, q):
+    rc, out, err = run(capsys, "decompose", *field_args, "--n", "3")
+    assert (rc, out) == (2, "")
+    assert err == f"error: field of size {q} too large for lookup tables\n"
+
+
+def test_decompose_at_table_bound():
+    # a fresh interpreter: GF(4096)'s tables take 256 MiB, and the field cache
+    # would hold them for the rest of the session
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdcodes.cli", "decompose", "--q", "4096", "--n", "3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("q=4096 n=3 ")
 
 
 # -- construct --------------------------------------------------------------------------
@@ -215,3 +247,17 @@ def test_verify_paper_bad_q_grid_exit2(capsys, qs):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "q grid" in err
+
+
+@pytest.mark.parametrize(
+    "qs, message",
+    [("3,8192", "field of size 8192 too large for lookup tables"), ("3,6", "6 is not a prime power")],
+    ids=["above-table-bound", "not-prime-power"],
+)
+def test_verify_paper_rejects_q_before_any_check(capsys, monkeypatch, qs, message):
+    def no_checks(q_grid):
+        raise AssertionError("a check ran before the q grid was validated")
+
+    monkeypatch.setattr(cli, "_paper_checks", no_checks)
+    rc, out, err = run(capsys, "verify-paper", "--qs", qs)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")

@@ -40,6 +40,24 @@ def test_gf2_binomial_square():
     assert a * a == CyclicElem(F, (1, 0, 1))  # 1 + u^2
 
 
+@pytest.mark.parametrize("q, n", [(2, 9), (4, 7), (5, 11), (9, 5), (16, 15), (1021, 3)])
+def test_arithmetic_matches_scalar_loops(q, n, rng):
+    F = field_from_order(q)
+    for _ in range(20):
+        a = [rng.randrange(q) for _ in range(n)]
+        b = [rng.randrange(q) for _ in range(n)]
+        c = rng.randrange(q)
+        A, B = CyclicElem(F, a), CyclicElem(F, b)
+        assert (A + B).coeffs == tuple(F.add(x, y) for x, y in zip(a, b))
+        assert (-A).coeffs == tuple(F.neg(x) for x in a)
+        assert A.scale(c).coeffs == tuple(F.mul(c, x) for x in a)
+        prod = [0] * n
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[(i + j) % n] = F.add(prod[(i + j) % n], F.mul(x, y))
+        assert (A * B).coeffs == tuple(prod)
+
+
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_mul_commutative_associative(data):

@@ -1,10 +1,16 @@
+import functools
 import math
+import random
+from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdcodes.algebra import TwistedDihedralAlgebra
+from cdcodes.codes import BetaVector, build_plain_code, hull_dimension, kt_fields
 from cdcodes.cyclic import primitive_idempotents
 from cdcodes.errors import GcdViolation, NotPrime, Overflow, ReducibleModulus
 from cdcodes.field import (
@@ -116,6 +122,118 @@ def test_field_axioms_exhaustive(q):
     for a, b, c in product(elems, repeat=3):
         assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
         assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+# -- the lookup tables against independent arithmetic ------------------------------
+
+
+def sympy_field_ops(F):
+    """add, mul and neg of F on codes, by sympy's galoistools on digit polynomials."""
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    p, m = F.p, F.m
+    modulus = [int(c) for c in reversed(F.modulus.coeffs)]
+    polys = [gt.gf_strip([ZZ(a // p**i % p) for i in reversed(range(m))]) for a in range(F.q)]
+
+    def code(f):
+        return sum(int(c) * p**i for i, c in enumerate(reversed(f)))
+
+    def add(a, b):
+        return code(gt.gf_add(polys[a], polys[b], p, ZZ))
+
+    def mul(a, b):
+        return code(gt.gf_rem(gt.gf_mul(polys[a], polys[b], p, ZZ), modulus, p, ZZ))
+
+    def neg(a):
+        return code(gt.gf_neg(polys[a], p, ZZ))
+
+    return add, mul, neg
+
+
+EXTENSION_QS = (4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169, 243, 256)
+
+
+def user_modulus_gf27():
+    return field_make(3, 3, modulus=Poly(PrimeField(3), (1, 2, 0, 1)))  # X^3 + 2X + 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [functools.partial(field_from_order, q) for q in EXTENSION_QS] + [user_modulus_gf27],
+    ids=[f"q{q}" for q in EXTENSION_QS] + ["gf27-user"],
+)
+def test_tables_match_sympy_exhaustive(make):
+    # GF(9)'s X^2 + 1 and GF(256)'s X^8 + X^4 + X^3 + X + 1 are not primitive
+    F = make()
+    t = F.tables()
+    add, mul, neg = sympy_field_ops(F)
+    q = F.q
+    oracle_add = np.zeros((q, q), dtype=np.int64)
+    oracle_mul = np.zeros((q, q), dtype=np.int64)
+    for a in range(q):
+        for b in range(a, q):
+            oracle_add[a, b] = oracle_add[b, a] = add(a, b)
+            oracle_mul[a, b] = oracle_mul[b, a] = mul(a, b)
+    assert np.array_equal(t.add, oracle_add)
+    assert np.array_equal(t.mul, oracle_mul)
+    assert t.neg.tolist() == [neg(a) for a in range(q)]
+    assert t.inv[0] == 0 and all(mul(a, int(t.inv[a])) == 1 for a in range(1, q))
+    assert all(x.dtype == np.int64 for x in (t.add, t.mul, t.neg, t.inv))
+    assert (F.add(q - 1, 1), F.mul(q - 1, q - 2), F.neg(1), F.inv(q - 1)) == (
+        add(q - 1, 1),
+        mul(q - 1, q - 2),
+        neg(1),
+        int(t.inv[q - 1]),
+    )
+
+
+@pytest.mark.parametrize("p, m", [(2, 10), (3, 7)])
+def test_tables_match_sympy_sampled(p, m):
+    F = field_make(p, m)  # uncached, so the tables go with the test
+    t = F.tables()
+    add, mul, neg = sympy_field_ops(F)
+    rng = random.Random(p * 1000 + m)
+    for _ in range(2000):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert (t.add[a, b], t.mul[a, b], t.neg[a]) == (add(a, b), mul(a, b), neg(a))
+        if a:
+            assert mul(a, int(t.inv[a])) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 1021, 4093])
+def test_prime_tables_match_integer_arithmetic(p):
+    t = PrimeField(p).tables()  # uncached, so the tables go with the test
+    a = np.arange(p)
+    for lo in range(0, p, 512):
+        rows = a[lo : lo + 512, None]
+        assert np.array_equal(t.add[lo : lo + 512], (rows + a) % p)
+        assert np.array_equal(t.mul[lo : lo + 512], rows * a % p)
+    assert np.array_equal(t.neg, -a % p)
+    assert t.inv.tolist() == [0] + [pow(x, p - 2, p) for x in range(1, p)]
+
+
+@pytest.mark.parametrize("q, n", [(9, 7), (4, 11), (9, 11)])
+def test_extension_scalar_ops_off_the_hot_path(monkeypatch, q, n):
+    # vectors, polynomials and matrices read the tables; the scalar ExtField
+    # methods remain for callers outside the pipeline
+    calls = Counter()
+
+    def counting(name, method):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in ("add", "mul", "neg"):
+        monkeypatch.setattr(ExtField, name, counting(name, getattr(ExtField, name)))
+    A = TwistedDihedralAlgebra(field_from_order(q), n, -1)
+    A.decompose()
+    A.decomposition_report()
+    for beta in (None, BetaVector.random(kt_fields(A), random.Random(7))):
+        hull_dimension(build_plain_code(A, beta))
+    assert sum(calls.values()) <= 10, dict(calls)
 
 
 def test_smallest_irreducible_matches_oracle():
@@ -362,6 +480,48 @@ def test_poly_ext_gcd(data, q):
         assert (a % g).is_zero()
     if not b.is_zero():
         assert (b % g).is_zero()
+
+
+def _trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _loop_divmod(F, a, b):
+    """Schoolbook division, one scalar field operation at a time."""
+    rem, d = list(a), len(b) - 1
+    quo = [0] * max(0, len(rem) - d)
+    for i in range(len(rem) - d - 1, -1, -1):
+        c = F.mul(rem[i + d], F.inv(b[-1]))
+        quo[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] = F.add(rem[i + j], F.neg(F.mul(c, y)))
+    return _trim(quo), _trim(rem[:d])
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 9, 16, 1021])
+def test_poly_arithmetic_matches_scalar_loops(q):
+    F = field_from_order(q)
+    rng = random.Random(q)
+    for _ in range(60):
+        a = [rng.randrange(q) for _ in range(rng.randrange(0, 9))]
+        b = [rng.randrange(q) for _ in range(rng.randrange(0, 6))] + [rng.randrange(1, q)]
+        c = rng.randrange(q)
+        A, B = Poly(F, a), Poly(F, b)
+        pad = max(len(a), len(b))
+        a0, b0 = a + [0] * (pad - len(a)), b + [0] * (pad - len(b))
+        assert (A + B).coeffs == _trim(F.add(x, y) for x, y in zip(a0, b0))
+        assert (-A).coeffs == _trim(F.neg(x) for x in a)
+        assert A.scale(c).coeffs == _trim(F.mul(c, x) for x in a)
+        prod = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = F.add(prod[i + j], F.mul(x, y))
+        assert (A * B).coeffs == _trim(prod)
+        quo, rem = A.divmod(B)
+        assert (quo.coeffs, rem.coeffs) == _loop_divmod(F, a, b)
 
 
 def test_extfield_tower_arithmetic():
