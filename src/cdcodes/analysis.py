@@ -38,6 +38,8 @@ EXHAUSTIVE = "exhaustive"
 PRUNED = "pruned"
 MODES = ("auto", EXHAUSTIVE, PRUNED)
 
+# Words min_weight may weigh (at least 1): it bounds time, not memory, which
+# stays O(linalg.SPAN_CHUNK n) on both paths.
 DEFAULT_WORD_BUDGET = 1 << 20
 
 
@@ -76,28 +78,27 @@ class WeightReport:
         return self.lower == self.upper
 
 
-def codeword_weights(code: LinearCode) -> np.ndarray:
-    """Hamming weights of all q^k codewords (index 0 is the zero word)."""
-    words = linalg.enumerate_span(code.field, code.gen)
-    return np.count_nonzero(words, axis=1)
-
-
 def min_weight(code: LinearCode, budget: int = DEFAULT_WORD_BUDGET, mode: str = "auto") -> WeightReport:
     """Minimum nonzero weight; exhaustive within budget, bracketed beyond.
 
-    mode "exhaustive" raises BudgetExceeded instead of falling back; the
-    pruned method enumerates messages of bounded weight on an information
-    set, giving bracket [w+1, best] once message weight w is exhausted.
+    budget (at least 1) caps the words weighed, so it bounds time; memory is
+    O(SPAN_CHUNK n) on both paths.  The exhaustive path weighs all q^k words
+    (linalg.weight_distribution); mode "exhaustive" raises BudgetExceeded
+    instead of falling back.  The pruned path expands every message of
+    weight <= w on an information set while whole weight layers fit the
+    budget, giving the bracket [w+1, best]; best starts at the lightest
+    generator row.
     """
     if mode not in MODES:
         raise DomainError(f"unknown min_weight mode {mode!r}; expected one of {', '.join(MODES)}")
+    _check_budget(budget)
     if code.k_dim == 0:
         raise NoNonzeroWords("the zero code has no nonzero codeword")
     q = code.field.q
     count = q**code.k_dim
     if count <= budget and mode != PRUNED:
-        w = codeword_weights(code)
-        m = int(w[1:].min()) if len(w) > 1 else 0
+        counts = linalg.weight_distribution(code.field, code.gen)
+        m = int(np.flatnonzero(counts[1:])[0]) + 1
         return WeightReport(
             min_weight=m,
             relative_distance=Fraction(m, code.n_len),
@@ -111,15 +112,39 @@ def min_weight(code: LinearCode, budget: int = DEFAULT_WORD_BUDGET, mode: str = 
     return _pruned_min_weight(code, budget)
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise DomainError(f"the word budget must be at least 1, got {budget}")
+
+
+def _layer_messages(k: int, q: int, w: int) -> Iterator[np.ndarray]:
+    """All messages of Hamming weight w, in blocks of at most SPAN_CHUNK rows.
+
+    A block pairs a run of supports (in combinations order) with a run of
+    nonzero value tuples, each tuple read as w digits in base q - 1.
+    """
+    per_support = (q - 1) ** w
+    runs = max(1, linalg.SPAN_CHUNK // per_support)
+    powers = (q - 1) ** np.arange(w, dtype=np.int64)
+    supports = itertools.combinations(range(k), w)
+    while block := list(itertools.islice(supports, runs)):
+        sup = np.array(block, dtype=np.int64)
+        for start in range(0, per_support, linalg.SPAN_CHUNK):
+            idx = np.arange(start, min(per_support, start + linalg.SPAN_CHUNK), dtype=np.int64)
+            vals = 1 + idx[:, None] // powers % (q - 1)
+            msgs = np.zeros((len(sup), len(vals), k), dtype=np.int64)
+            msgs[np.arange(len(sup))[:, None, None], np.arange(len(vals))[:, None], sup[:, None, :]] = vals
+            yield msgs.reshape(-1, k)
+
+
 def _pruned_min_weight(code: LinearCode, budget: int) -> WeightReport:
     """Information-set bracketing: all messages of weight <= w are expanded;
     any unseen codeword then has weight >= w + 1 on the information set."""
     field = code.field
     q = field.q
-    t = field.tables()
     R, piv = linalg.rref(field, code.gen)
     k, n = R.shape
-    best = n
+    best = int(np.count_nonzero(R, axis=1).min())  # every row is a codeword
     spent = 0
     w = 0
     while w < k:
@@ -128,14 +153,8 @@ def _pruned_min_weight(code: LinearCode, budget: int) -> WeightReport:
         if spent + layer > budget:
             w -= 1
             break
-        for support in itertools.combinations(range(k), w):
-            for vals in itertools.product(range(1, q), repeat=w):
-                word = np.zeros(n, dtype=np.int64)
-                for i, c in zip(support, vals):
-                    word = t.add[word, t.mul[c, R[i]]]
-                wt = int(np.count_nonzero(word))
-                if 0 < wt < best:
-                    best = wt
+        for msgs in _layer_messages(k, q, w):
+            best = min(best, int(np.count_nonzero(field.matmul(msgs, R), axis=1).min()))
         spent += layer
     lower = min(best, w + 1)
     return WeightReport(
@@ -189,8 +208,10 @@ def balanced_check(
     The leftmost pivot columns give one information set; every group
     translate of it must again be an information set, and the translates
     must cover each coordinate equally often.  For each delta the census
-    |B^<=delta| <= q^(k h_q(delta)) is checked when q^k fits the budget.
+    |B^<=delta| <= q^(k h_q(delta)) is checked when q^k fits the budget
+    (at least 1).
     """
+    _check_budget(budget)
     if not is_left_ideal(alg, code):
         raise NotLeftIdeal("code is not invariant under the algebra action")
     field = alg.field
@@ -207,10 +228,10 @@ def balanced_check(
     uniform = bool(np.all(coverage == coverage[0]))
     census = []
     if deltas and q**k <= budget:
-        weights = codeword_weights(code)
+        counts = linalg.weight_distribution(field, code.gen)
         for d in deltas:
             h = entropy_q(q, d)
-            count = int(np.sum(weights <= d * code.n_len + FLOAT_SLACK))
+            count = int(counts[: math.floor(d * code.n_len + FLOAT_SLACK) + 1].sum())
             bound_log = k * h
             ok = math.log(count, q) <= bound_log + FLOAT_SLACK if count else True
             census.append({"delta": float(d), "count": count, "bound_log_q": bound_log, "ok": ok})

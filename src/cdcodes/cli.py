@@ -190,6 +190,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     field = field_from_order(q)
     code = LinearCode.from_text(field, text)
     n = code.n_len // 2
+    if ns.budget < 1:
+        raise DomainError(f"--budget must be at least 1, got {ns.budget}")
     if "balance" in checks and ns.delta is not None and q**code.k_dim > ns.budget:
         raise BudgetExceeded(
             f"the balance census enumerates q^k = {q}^{code.k_dim} = {q**code.k_dim} words, "

@@ -13,6 +13,8 @@ import numpy as np
 
 from .field import Field
 
+SPAN_CHUNK = 4096  # most words (or offsets) a span computation holds at once
+
 
 def as_matrix(rows) -> np.ndarray:
     a = np.asarray(rows, dtype=np.int64)
@@ -110,3 +112,46 @@ def enumerate_span(field: Field, basis: np.ndarray) -> np.ndarray:
         scaled = t.mul[np.arange(field.q)[:, None], basis[i][None, :]]
         words = t.add[words[:, None, :], scaled[None, :, :]].reshape(-1, n)
     return words
+
+
+def _low_rows(q: int, k: int) -> int:
+    """The largest j <= k with q^j <= SPAN_CHUNK, but at least one row when k > 0."""
+    j = min(k, 1)
+    while j < k and q ** (j + 1) <= SPAN_CHUNK:
+        j += 1
+    return j
+
+
+def _span_chunks(field: Field, basis: np.ndarray):
+    """The row space of basis as blocks of at most SPAN_CHUNK words each."""
+    k = len(basis)
+    j = _low_rows(field.q, k)
+    low = enumerate_span(field, basis[k - j :])
+    if j == k:
+        yield low
+        return
+    add = field.tables().add
+    for tops in _span_chunks(field, basis[: k - j]):
+        for top in tops:
+            yield add[top, low]
+
+
+def weight_distribution(field: Field, basis: np.ndarray) -> np.ndarray:
+    """Counts A_0..A_n of the row space's words by Hamming weight.
+
+    The span of the last j rows (q^j <= SPAN_CHUNK) is held once; each word o
+    of the span of the other rows shifts it, and x + o has weight the number
+    of coordinates where x differs from -o, so no sum is formed.  The offsets
+    come in blocks of SPAN_CHUNK too: memory is O(SPAN_CHUNK n), not O(q^k n).
+    """
+    basis = as_matrix(basis)
+    k, n = basis.shape
+    j = _low_rows(field.q, k)
+    dtype = np.uint8 if field.q <= 256 else np.uint16
+    low = enumerate_span(field, basis[k - j :]).astype(dtype)
+    neg = field.tables().neg.astype(dtype)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for offsets in _span_chunks(field, basis[: k - j]):
+        for o in neg[offsets]:
+            counts += np.bincount(np.count_nonzero(low != o, axis=1), minlength=n + 1)
+    return counts

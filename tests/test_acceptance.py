@@ -13,18 +13,16 @@ stated claims predict the opposite, so a regression to the stated
 behaviour fails all three.
 """
 
-import itertools
 import math
 import random
 import time
 
-import numpy as np
 import pytest
 
 from conftest import get_algebra
 
-from cdcodes import analysis, codes, dihedral, linalg
-from cdcodes.algebra import PAIRED, SELF_CONJ, Mat2
+from cdcodes import analysis, dihedral, linalg
+from cdcodes.algebra import SELF_CONJ
 from cdcodes.codes import (
     BetaVector,
     assemble_code,

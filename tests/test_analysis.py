@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -8,11 +11,10 @@ import pytest
 
 from conftest import get_algebra
 
-from cdcodes import analysis, codes
+from cdcodes import analysis, codes, linalg
 from cdcodes.analysis import (
     balanced_check,
     census_K_le_delta,
-    codeword_weights,
     entropy_q,
     find_good_beta,
     good_n_predicates,
@@ -109,6 +111,112 @@ def test_min_weight_rejects_unknown_mode():
         min_weight(code, mode="exhaustve")
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_min_weight_rejects_budget_below_one(budget):
+    A = get_algebra(2, 7)
+    code = build_plain_code(A)
+    for mode in analysis.MODES:
+        with pytest.raises(DomainError, match="at least 1"):
+            min_weight(code, budget=budget, mode=mode)
+    with pytest.raises(DomainError, match="at least 1"):
+        balanced_check(A, code, deltas=(0.2,), budget=budget)
+
+
+def test_exhaustive_min_weight_memory_is_bounded():
+    # q^k = 2^20 words of length 42: all of them as int64 would take 336 MiB
+    code = build_plain_code(get_algebra(2, 21))
+    code.field.tables()
+    tracemalloc.start()
+    try:
+        rep = min_weight(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.method == analysis.EXHAUSTIVE and rep.exact
+    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def reference_pruned_bracket(code, budget):
+    """(lower, upper) from the per-word information-set loop that the chunked
+    pruned path replaced: every message of weight <= w, one word at a time."""
+    field = code.field
+    q = field.q
+    t = field.tables()
+    R, piv = linalg.rref(field, code.gen)
+    k, n = R.shape
+    best = n
+    spent = 0
+    w = 0
+    while w < k:
+        w += 1
+        layer = math.comb(k, w) * (q - 1) ** w
+        if spent + layer > budget:
+            w -= 1
+            break
+        for support in itertools.combinations(range(k), w):
+            for vals in itertools.product(range(1, q), repeat=w):
+                word = np.zeros(n, dtype=np.int64)
+                for i, c in zip(support, vals):
+                    word = t.add[word, t.mul[c, R[i]]]
+                wt = int(np.count_nonzero(word))
+                if 0 < wt < best:
+                    best = wt
+        spent += layer
+    return min(best, w + 1), best
+
+
+@pytest.mark.parametrize(
+    "q, n, family",
+    [(2, 9, "plain"), (3, 7, "lcd"), (4, 5, "self_dual"), (5, 7, "plain"), (9, 5, "plain")],
+)
+def test_pruned_brackets_match_per_word_loop(q, n, family):
+    code = getattr(codes, f"build_{family}_code")(get_algebra(q, n))
+    k = code.k_dim
+    layers = [math.comb(k, w) * (q - 1) ** w for w in range(1, k + 1)]
+    # after layer 1, mid-way (half the layers and a word over), every word
+    for budget in (layers[0], sum(layers[: k // 2]) + 1, q**k - 1):
+        rep = min_weight(code, budget=budget, mode="pruned")
+        assert (rep.lower, rep.upper) == reference_pruned_bracket(code, budget), budget
+    assert rep.exact and rep.min_weight == min_weight(code, mode="exhaustive").min_weight
+
+
+@pytest.mark.parametrize("chunk", [8, linalg.SPAN_CHUNK])
+@pytest.mark.parametrize("k, q, w", [(5, 2, 2), (4, 3, 3), (4, 13, 4), (6, 4, 1)])
+def test_layer_messages_are_the_weight_layer(monkeypatch, chunk, k, q, w):
+    # (4, 13, 4) has 12^4 > SPAN_CHUNK value tuples per support
+    monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
+    blocks = list(analysis._layer_messages(k, q, w))
+    assert all(len(b) <= chunk for b in blocks)
+    got = [tuple(m) for b in blocks for m in b.tolist()]
+    want = {m for m in itertools.product(range(q), repeat=k) if sum(1 for c in m if c) == w}
+    assert len(got) == len(want) == math.comb(k, w) * (q - 1) ** w
+    assert set(got) == want
+
+
+def test_pruned_upper_starts_at_lightest_row():
+    # budget 3 is below layer 1 (k(q-1) = 6 messages): no message is expanded,
+    # yet every generator row is a codeword
+    code = build_plain_code(get_algebra(2, 7))
+    rep = min_weight(code, budget=3)
+    lightest = int(np.count_nonzero(code.gen, axis=1).min())
+    assert (rep.method, rep.lower, rep.upper) == (analysis.PRUNED, 1, lightest)
+    assert lightest < code.n_len
+
+
+@pytest.mark.parametrize(
+    "q, n, builder, bracket, seconds",
+    [(5, 13, build_self_dual_code, (5, 8), 1.0), (2, 31, build_plain_code, (7, 8), 6.0)],
+    ids=["q5-n13-self-dual", "q2-n31-plain"],
+)
+def test_pruned_default_budget_brackets(q, n, builder, bracket, seconds):
+    code = builder(get_algebra(q, n))
+    start = time.perf_counter()
+    rep = min_weight(code)
+    elapsed = time.perf_counter() - start
+    assert (rep.method, rep.lower, rep.upper) == (analysis.PRUNED, *bracket)
+    assert elapsed < seconds
+
+
 # -- balance -------------------------------------------------------------------------------
 
 
@@ -125,6 +233,16 @@ def test_balanced_self_dual_3_5():
     A = get_algebra(5, 3)
     rep = balanced_check(A, build_self_dual_code(A), deltas=(0.2,))
     assert rep.balanced
+
+
+def test_balance_census_counts_match_enumerated_span():
+    A = get_algebra(3, 7)
+    code = build_plain_code(A)  # [14, 6]
+    weights = np.count_nonzero(linalg.enumerate_span(code.field, code.gen), axis=1)
+    deltas = (0.1, 3 / 14, 0.5, 2 / 3)
+    rep = balanced_check(A, code, deltas=deltas)
+    want = [int(np.sum(weights <= d * code.n_len + analysis.FLOAT_SLACK)) for d in deltas]
+    assert [c["count"] for c in rep.census_checks] == want
 
 
 def test_balanced_rejects_non_ideal():

@@ -215,6 +215,34 @@ def test_analyze_balance_census_over_budget_exit4(capsys, tmp_path):
     assert "balance:" in out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--checks", "min-weight", "--budget", "0"),
+        ("--checks", "min-weight", "--budget", "-5"),
+        ("--checks", "balance", "--delta", "0.2", "--budget", "-1"),
+    ],
+    ids=["min-weight-0", "min-weight-minus-5", "balance-census-minus-1"],
+)
+def test_analyze_budget_below_one_exit2(capsys, tmp_path, args):
+    path = tmp_path / "code.txt"
+    assert run(capsys, "construct", "--q", "2", "--n", "7", "--out", str(path))[0] == 0
+    rc, out, err = run(capsys, "analyze", str(path), *args)
+    assert (rc, out) == (2, "")
+    assert err == f"error: --budget must be at least 1, got {args[-1]}\n"
+
+
+def test_analyze_pruned_upper_below_layer_one(capsys, tmp_path):
+    # the plain q = 2, n = 7 code is [14, 6] with rows of weight 4; budget 3
+    # expands no message, so the bracket is [1, lightest row]
+    path = tmp_path / "code.txt"
+    assert run(capsys, "construct", "--q", "2", "--n", "7", "--out", str(path))[0] == 0
+    rc, out, _ = run(capsys, "analyze", str(path), "--checks", "min-weight", "--budget", "3", "--format", "json")
+    assert rc == 0
+    rep = json.loads(out)["min_weight"]
+    assert (rep["method"], rep["lower"], rep["upper"], rep["value"]) == ("pruned", 1, 4, 4)
+
+
 # -- verify-paper ----------------------------------------------------------------------------------
 
 

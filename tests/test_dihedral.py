@@ -4,7 +4,6 @@ from conftest import get_algebra
 
 from cdcodes import dihedral as dih
 from cdcodes.algebra import Mat2
-from cdcodes.codes import hull_dimension
 from cdcodes.errors import HypothesisUnmet, NotPaired, ZeroGenerator
 from cdcodes.field import field_from_order
 

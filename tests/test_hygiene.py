@@ -1,13 +1,16 @@
-"""Source hygiene: every name a library module imports is read somewhere in it,
-and every module-level private name is read by some module of the package."""
+"""Source hygiene: every name a library module, test or script imports is read
+somewhere in it, and every module-level private name is read by some module of
+the package."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cdcodes"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cdcodes"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS_AND_SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 PACKAGE = {p.stem: p.read_text() for p in SRC.glob("*.py")}
 
 
@@ -31,7 +34,11 @@ def test_hygiene_checker_flags_unused():
     assert unused_imports(src) == ["Iterator (line 3)", "os (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TESTS_AND_SCRIPTS,
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}",
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

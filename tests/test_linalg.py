@@ -94,6 +94,47 @@ def test_enumerate_span_counts():
     assert len({tuple(w) for w in words.tolist()}) == 9
 
 
+def span_weights(field, basis):
+    """The weight distribution read off the fully materialised span."""
+    words = linalg.enumerate_span(field, basis)
+    return np.bincount(np.count_nonzero(words, axis=1), minlength=basis.shape[1] + 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 13, 1024])
+def test_weight_distribution_matches_span(q):
+    # k = 1, the largest k with q^k <= SPAN_CHUNK (one chunk) and the least
+    # k past it (a chunk of offsets); q = 1024 holds its words as uint16
+    F = field_from_order(q)
+    rng = np.random.default_rng(q)
+    n = 4 if q > 256 else 9
+    one_chunk = linalg._low_rows(q, 64)
+    for k in (1, one_chunk, one_chunk + 1):
+        basis = rng.integers(0, q, (k, n))
+        counts = linalg.weight_distribution(F, basis)
+        assert counts.dtype == np.int64 and counts.sum() == q**k
+        assert np.array_equal(counts, span_weights(F, basis)), k
+
+
+@pytest.mark.parametrize("q, k", [(2, 11), (3, 7), (4, 5)])
+def test_weight_distribution_many_offset_chunks(monkeypatch, q, k):
+    # a small chunk puts several blocks of offsets, and a nested split, in reach
+    monkeypatch.setattr(linalg, "SPAN_CHUNK", 16)
+    F = field_from_order(q)
+    basis = np.random.default_rng(k).integers(0, q, (k, 10))
+    j = linalg._low_rows(q, k)
+    blocks = list(linalg._span_chunks(F, basis[: k - j]))
+    assert len(blocks) > 1 and all(len(b) <= 16 for b in blocks)
+    assert sum(map(len, blocks)) == q ** (k - j)
+    assert np.array_equal(linalg.weight_distribution(F, basis), span_weights(F, basis))
+
+
+def test_weight_distribution_dependent_rows_and_empty_basis():
+    F = field_from_order(3)
+    basis = np.array([[1, 2, 0, 1], [2, 1, 0, 2]], dtype=np.int64)  # row 1 = 2 * row 0
+    assert linalg.weight_distribution(F, basis).tolist() == [3, 0, 0, 6, 0]
+    assert linalg.weight_distribution(F, np.zeros((0, 4), dtype=np.int64)).tolist() == [1, 0, 0, 0, 0]
+
+
 def test_in_row_space():
     F = field_from_order(5)
     M = np.array([[1, 2, 3], [0, 1, 4]], dtype=np.int64)
