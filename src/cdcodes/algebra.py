@@ -80,7 +80,7 @@ class AlgElem:
 
     def sigma(self) -> int:
         """Coefficient of u^0 v^0."""
-        return self.a.coeffs[0]
+        return int(self.a.coeffs[0])
 
     def inner(self, other: "AlgElem") -> int:
         self._check(other)
@@ -90,7 +90,7 @@ class AlgElem:
         return AlgElem(self.alg, self.a.scale(c), self.b.scale(c))
 
     def to_word(self) -> tuple[int, ...]:
-        return self.a.coeffs + self.b.coeffs
+        return tuple(self.a.coeffs.tolist() + self.b.coeffs.tolist())
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
@@ -104,10 +104,10 @@ class AlgElem:
         )
 
     def __hash__(self):
-        return hash((id(self.alg), self.a.coeffs, self.b.coeffs))
+        return hash((id(self.alg), self.a.coeffs.tobytes(), self.b.coeffs.tobytes()))
 
     def __repr__(self):
-        return f"AlgElem(a={list(self.a.coeffs)}, b={list(self.b.coeffs)})"
+        return f"AlgElem(a={self.a.coeffs.tolist()}, b={self.b.coeffs.tolist()})"
 
 
 class SubfieldView:
@@ -121,8 +121,8 @@ class SubfieldView:
         self.field = field
         self.n = n
         self.identity = identity
-        R, pivots = linalg.rref(field, np.array([list(v.coeffs) for v in span], dtype=np.int64))
-        self.basis = tuple(CyclicElem(field, row.tolist()) for row in R)
+        R, pivots = linalg.rref(field, np.array([v.coeffs for v in span]))
+        self.basis = tuple(CyclicElem(field, row) for row in R)
         self._R = R
         self._pivots = pivots
         self.dim = len(self.basis)
@@ -134,11 +134,11 @@ class SubfieldView:
         return CyclicElem.zero(self.field, self.n)
 
     def contains(self, y: CyclicElem) -> bool:
-        return linalg.in_row_space(self.field, self._R, self._pivots, list(y.coeffs))
+        return linalg.in_row_space(self.field, self._R, self._pivots, y.coeffs)
 
     def code_of(self, y: CyclicElem, check: bool = True) -> int:
         """Coordinate encoding; with check=True raises if y is outside."""
-        coords = [y.coeffs[p] for p in self._pivots]
+        coords = y.coeffs[list(self._pivots)].tolist()
         code = 0
         for c in reversed(coords):
             code = code * self.field.q + c
@@ -150,7 +150,7 @@ class SubfieldView:
         """The element whose coordinates are the base-q digits of code."""
         q = self.field.q
         digits = [code // q**i % q for i in range(self.dim)]
-        return CyclicElem(self.field, linalg.matmul(self.field, digits, self._R)[0].tolist())
+        return CyclicElem(self.field, linalg.matmul(self.field, digits, self._R)[0])
 
     def elements(self) -> Iterator[CyclicElem]:
         for code in range(self.order):
@@ -665,9 +665,9 @@ class TwistedDihedralAlgebra:
                 entry["k"] = c.k
                 entry["idempotent_indices"] = list(c.idem_indices)
             if c.kind == SELF_CONJ:
-                entry["g"] = list(c.g.coeffs)
-                entry["s"] = list(c.s.coeffs)
-                entry["s_prime"] = list(c.s_prime.coeffs)
+                entry["g"] = c.g.coeffs.tolist()
+                entry["s"] = c.s.coeffs.tolist()
+                entry["s_prime"] = c.s_prime.coeffs.tolist()
             blocks.append(entry)
         return {
             "q": self.field.q,

@@ -25,6 +25,7 @@ from .algebra import AlgElem, TwistedDihedralAlgebra
 from .codes import BetaVector, KtField, LinearCode, assemble_code
 from .errors import (
     BudgetExceeded,
+    DimensionMismatch,
     DomainError,
     GcdViolation,
     NoNonzeroWords,
@@ -51,7 +52,7 @@ def entropy_q(q: int, delta: float) -> float:
     if q < 2:
         raise DomainError("q must be at least 2")
     delta = float(delta)
-    if delta < 0 or delta > 1 - 1 / q + FLOAT_SLACK:
+    if not 0 <= delta <= 1 - 1 / q + FLOAT_SLACK:  # also rejects NaN
         raise DomainError(f"delta = {delta} outside [0, 1 - 1/q]")
     lq = math.log(q)
 
@@ -186,7 +187,12 @@ class BalanceReport:
 
 
 def is_left_ideal(alg: TwistedDihedralAlgebra, code: LinearCode) -> bool:
-    """Whether u * C and v * C lie in C (rows 1 and n of the group action)."""
+    """Whether u * C and v * C lie in C (rows 1 and n of the group action).
+
+    A code whose length is not 2n raises DimensionMismatch.
+    """
+    if code.n_len != 2 * alg.n:
+        raise DimensionMismatch(f"code length {code.n_len} is not 2n = {2 * alg.n}")
     R, piv = linalg.rref(alg.field, code.gen)
     perm, sign = alg.group_action()
     mul = alg.field.tables().mul

@@ -1,11 +1,14 @@
 """The commutative group algebra of a cyclic group of odd order n.
 
 Elements are length-n coefficient vectors over GF(q) with multiplication by
-convolution mod x^n - 1.  When gcd(n, q) = 1 the algebra is semisimple.
-`field.factor_xn_minus_1_with_cosets` finds the irreducible factors of
-x^n - 1 from the primitive idempotents; this module rebuilds one idempotent
-per factor by CRT, in the canonical factor order, and asserts that they sum
-to 1, which cross-checks the factoring.
+convolution mod x^n - 1; an element holds one read-only int64 vector of
+element codes, which goes straight to the field's lookup tables.  When
+gcd(n, q) = 1 the algebra is semisimple.
+`field.factor_xn_minus_1_with_cosets` splits the primitive idempotents out
+of the algebra and derives the irreducible factors of x^n - 1 from them;
+this module takes both as they come, in the canonical factor order, and
+asserts that the idempotents sum to 1.  The CRT definition (e_i = 1 mod f_i
+and e_i = 0 mod f_j for j != i) is checked by the tests, not rebuilt here.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .field import (
     Field,
     Poly,
     _convolve,
+    _power,
     cyclotomic_cosets,
     factor_xn_minus_1_with_cosets,
     mult_order,
@@ -29,92 +33,80 @@ from .field import (
 
 
 class CyclicElem:
-    """Element of F[u]/(u^n - 1); immutable coefficient tuple."""
+    """Element of F[u]/(u^n - 1); immutable, with a read-only int64 vector of
+    coefficient codes (a copy of what it was built from)."""
 
     __slots__ = ("field", "n", "coeffs")
 
-    def __init__(self, field: Field, coeffs: Sequence[int]):
+    def __init__(self, field: Field, coeffs: Sequence[int] | np.ndarray):
         self.field = field
-        self.n = len(coeffs)
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = np.array(coeffs, dtype=np.int64)
+        self.coeffs.setflags(write=False)
+        self.n = len(self.coeffs)
 
     @classmethod
     def zero(cls, field: Field, n: int) -> "CyclicElem":
-        return cls(field, (0,) * n)
+        return cls(field, np.zeros(n, dtype=np.int64))
 
     @classmethod
     def one(cls, field: Field, n: int) -> "CyclicElem":
-        return cls(field, (field.one,) + (0,) * (n - 1))
+        return cls.u_power(field, n, 0)
 
     @classmethod
     def u_power(cls, field: Field, n: int, k: int) -> "CyclicElem":
-        c = [0] * n
+        c = np.zeros(n, dtype=np.int64)
         c[k % n] = field.one
         return cls(field, c)
-
-    @classmethod
-    def from_poly(cls, poly: Poly, n: int) -> "CyclicElem":
-        c = list(poly.coeffs) + [0] * (n - len(poly.coeffs))
-        return cls(poly.field, c[:n])
 
     def _check(self, other: "CyclicElem"):
         if self.field is not other.field or self.n != other.n:
             raise DimensionMismatch("cyclic elements from different algebras")
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.coeffs.any()
 
     def __add__(self, other):
         self._check(other)
-        return CyclicElem(self.field, self.field.tables().add[self.coeffs, other.coeffs].tolist())
+        return CyclicElem(self.field, self.field.tables().add[self.coeffs, other.coeffs])
 
     def __neg__(self):
-        return CyclicElem(self.field, self.field.tables().neg[list(self.coeffs)].tolist())
+        return CyclicElem(self.field, self.field.tables().neg[self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        a = np.asarray(self.coeffs, dtype=np.int64)
-        b = np.asarray(other.coeffs, dtype=np.int64)
-        return CyclicElem(self.field, _convolve(self.field, a, b).tolist())
+        return CyclicElem(self.field, _convolve(self.field, self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "CyclicElem":
-        return CyclicElem(self.field, self.field.tables().mul[c, list(self.coeffs)].tolist())
+        return CyclicElem(self.field, self.field.tables().mul[c, self.coeffs])
 
     def shift(self, k: int) -> "CyclicElem":
         """Multiplication by u^k."""
-        k %= self.n
-        return CyclicElem(self.field, self.coeffs[-k:] + self.coeffs[:-k] if k else self.coeffs)
+        return CyclicElem(self.field, np.roll(self.coeffs, k))
 
     def bar(self) -> "CyclicElem":
         """The map u^i -> u^(n-i); an involutive algebra automorphism."""
-        c = self.coeffs
-        return CyclicElem(self.field, (c[0],) + tuple(reversed(c[1:])))
+        return CyclicElem(self.field, np.roll(self.coeffs[::-1], 1))
 
     def pow(self, e: int) -> "CyclicElem":
-        result = CyclicElem.one(self.field, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        """self^e for e >= 0; self^0 is the algebra's one."""
+        one = CyclicElem.one(self.field, self.n)
+        return CyclicElem(self.field, _power(self.field, self.coeffs, e, one.coeffs)) if e else one
 
     def __eq__(self, other):
         return (
             isinstance(other, CyclicElem)
             and self.field is other.field
-            and self.coeffs == other.coeffs
+            and self.coeffs.tobytes() == other.coeffs.tobytes()
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self.coeffs.tobytes()))
 
     def __repr__(self):
-        return f"Cyc{list(self.coeffs)}"
+        return f"Cyc{self.coeffs.tolist()}"
 
 
 @dataclass(frozen=True)
@@ -136,7 +128,7 @@ class IdempotentSet:
         return {
             "q": self.field.q,
             "n": self.n,
-            "idempotents": [list(e.coeffs) for e in self.idems],
+            "idempotents": [e.coeffs.tolist() for e in self.idems],
             "dims": list(self.dims),
             "cosets": [list(c) for c in self.cosets],
             "pairing": [
@@ -149,19 +141,10 @@ class IdempotentSet:
 
 
 def primitive_idempotents(n: int, field: Field) -> IdempotentSet:
-    """One idempotent per irreducible factor of x^n - 1, e_0 first.
-
-    e_i is the CRT solution of e = 1 mod f_i, e = 0 mod (x^n-1)/f_i.
-    """
-    pairs = factor_xn_minus_1_with_cosets(n, field)
-    xn1 = Poly.x_pow_n_minus_1(field, n)
-    idems = []
-    for f, _coset in pairs:
-        m_i = xn1 // f
-        g, s, t = f.ext_gcd(m_i)
-        assert g.degree == 0 and g.coeffs == (field.one,), "factors not coprime"
-        e = (t * m_i) % xn1
-        idems.append(CyclicElem.from_poly(e, n))
+    """One idempotent per irreducible factor of x^n - 1, e_0 first, as the
+    factoring splits them out."""
+    triples = factor_xn_minus_1_with_cosets(n, field)
+    idems = tuple(CyclicElem(field, e) for _, _, e in triples)
     total = idems[0]
     for e in idems[1:]:
         total = total + e
@@ -169,10 +152,10 @@ def primitive_idempotents(n: int, field: Field) -> IdempotentSet:
     return IdempotentSet(
         field=field,
         n=n,
-        idems=tuple(idems),
-        dims=tuple(f.degree for f, _ in pairs),
-        cosets=tuple(tuple(c) for _, c in pairs),
-        factors=tuple(f for f, _ in pairs),
+        idems=idems,
+        dims=tuple(f.degree for f, _, _ in triples),
+        cosets=tuple(tuple(c) for _, c, _ in triples),
+        factors=tuple(f for f, _, _ in triples),
     )
 
 

@@ -17,7 +17,8 @@ multiplication matrices over GF(p), again one integer product mod p.
 x^n - 1 is factored over GF(q) itself, without a splitting field: its
 primitive idempotents are split out of the fixed subalgebra of
 GF(q)[x]/(x^n - 1) with length-n convolutions (Berlekamp's method), and each
-factor is a gcd with x^n - 1.
+factor is a gcd with x^n - 1.  The idempotents are returned with their
+factors, so nothing downstream rebuilds them.
 
 Polynomials are coefficient tuples in ascending degree with trailing zeros
 trimmed.  The canonical order on monic polynomials of equal degree compares
@@ -373,9 +374,6 @@ class Poly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -386,22 +384,6 @@ class Poly:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
-
-    def ext_gcd(self, other: "Poly") -> tuple["Poly", "Poly", "Poly"]:
-        """Return (g, s, t) with s*self + t*other = g, g monic."""
-        F = self.field
-        r0, r1 = self, other
-        s0, s1 = Poly.one(F), Poly.zero(F)
-        t0, t1 = Poly.zero(F), Poly.one(F)
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.is_zero():
-            return r0, s0, t0
-        c = F.inv(r0.coeffs[-1])
-        return r0.scale(c), s0.scale(c), t0.scale(c)
 
     def pow_mod(self, e: int, modulus: "Poly") -> "Poly":
         result = Poly.one(self.field)
@@ -656,8 +638,9 @@ def _coset_labels(
     return labels
 
 
-def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, list[int]]]:
-    """Irreducible factors of x^n - 1 paired with their cyclotomic cosets.
+def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, list[int], np.ndarray]]:
+    """Irreducible factors of x^n - 1 with their cyclotomic cosets and their
+    primitive idempotents, as (factor, coset, idempotent) triples.
 
     The factor x - 1 comes first; the rest follow the canonical polynomial
     order.  No extension field is built.  The coset sums span the fixed
@@ -665,7 +648,9 @@ def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, list
     product of r = #cosets copies of GF(q); refining 1 by the values of each
     coset sum (Berlekamp 1967) yields the r primitive idempotents e, and each
     factor is gcd(x^n - 1, e - 1).  r distinct factors whose product is
-    x^n - 1 are irreducible, and that is asserted.
+    x^n - 1 are irreducible, and that is asserted.  The idempotent of f is
+    the int64 coefficient vector of e, the e with e = 1 mod f and e = 0
+    modulo every other factor.
 
     Coset labels fix zeta := x mod m1, where m1 is the first factor in the
     canonical order whose roots have order exactly n; the label of f is
@@ -683,7 +668,7 @@ def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, list
         raise Overflow(f"n = {n} exceeds the supported length {MAX_N}")
     x_minus_1 = Poly(field, (field.neg(field.one), field.one))
     if n == 1:
-        return [(x_minus_1, [0])]
+        return [(x_minus_1, [0], np.array([field.one], dtype=np.int64))]
     t = field.tables()
     cosets = cyclotomic_cosets(n, q)
     r = len(cosets)
@@ -706,11 +691,11 @@ def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, list
         prod = prod * f
     assert prod == xn1 and len({f for f, _ in pairs}) == r, "factors are not the r irreducible factors"
     pairs.sort(key=lambda fe: (fe[0] != x_minus_1, _poly_sort_key(fe[0])))
-    return [(f, label) for (f, _), label in zip(pairs, _coset_labels(field, pairs, cosets))]
+    return [(f, label, e) for (f, e), label in zip(pairs, _coset_labels(field, pairs, cosets))]
 
 
 def factor_xn_minus_1(n: int, field: Field) -> list[Poly]:
-    return [f for f, _ in factor_xn_minus_1_with_cosets(n, field)]
+    return [f for f, _, _ in factor_xn_minus_1_with_cosets(n, field)]
 
 
 def sqrt_minus_one(field: Field) -> Optional[int]:

@@ -49,6 +49,8 @@ def test_entropy_domain():
         entropy_q(3, 0.8)  # beyond 1 - 1/3
     with pytest.raises(DomainError):
         entropy_q(3, -0.1)
+    with pytest.raises(DomainError):
+        entropy_q(3, math.nan)  # every comparison with NaN is false
 
 
 def test_entropy_monotone():

@@ -2,11 +2,14 @@
 
 The benchmark patches library functions by name; a refactor that renames or
 removes one of them should fail here rather than in a traced benchmark run.
+The decompose workload's reports are also checked against the digests the
+benchmark recorded, so a change to their bytes fails here first.
 """
 
 import ast
 import functools
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -86,3 +89,18 @@ def test_tracer_install_records_and_uninstall_restores(bench):
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
     assert cdcodes.assemble_code is codes.assemble_code
+
+
+def test_decompose_reports_match_recorded_digests(bench):
+    # the g, s, s' and identity bytes of every decomposition report on the
+    # benchmark's grid, against the digests the benchmark recorded
+    import workloads
+
+    refs = json.loads((PERFBENCH / "refs.json").read_text())["decompose"]
+    w = workloads.Decompose(seed=0)
+    w.setup()
+    assert sorted(w.items) == sorted(workloads.DECOMPOSE_GRID)
+    for item in workloads.DECOMPOSE_GRID:
+        out = w.run(item)
+        assert w.digest(item, out) == refs[w.key(item)], item
+        assert w.oracle(item, out, {}) == [], item

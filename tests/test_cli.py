@@ -232,6 +232,23 @@ def test_analyze_budget_below_one_exit2(capsys, tmp_path, args):
     assert err == f"error: --budget must be at least 1, got {args[-1]}\n"
 
 
+def test_analyze_delta_nan_exit2(capsys, tmp_path):
+    path = tmp_path / "code.txt"
+    assert run(capsys, "construct", "--q", "3", "--n", "7", "--out", str(path))[0] == 0
+    rc, out, err = run(capsys, "analyze", str(path), "--delta", "nan")
+    assert (rc, out) == (2, "")
+    assert err == "error: delta = nan outside [0, 1 - 1/q]\n"
+
+
+def test_analyze_balance_odd_length_exit2(capsys, tmp_path):
+    # 7 columns: n = 3 gives a 6-column group action
+    path = tmp_path / "code.txt"
+    path.write_text("3 7 1\n1 1 1 1 1 1 1\n")
+    rc, out, err = run(capsys, "analyze", str(path), "--checks", "balance")
+    assert (rc, out) == (2, "")
+    assert err == "error: code length 7 is not 2n = 6\n"
+
+
 def test_analyze_pruned_upper_below_layer_one(capsys, tmp_path):
     # the plain q = 2, n = 7 code is [14, 6] with rows of weight 4; budget 3
     # expands no message, so the bracket is [1, lightest row]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,14 +49,51 @@ def test_arithmetic_matches_scalar_loops(q, n, rng):
         b = [rng.randrange(q) for _ in range(n)]
         c = rng.randrange(q)
         A, B = CyclicElem(F, a), CyclicElem(F, b)
-        assert (A + B).coeffs == tuple(F.add(x, y) for x, y in zip(a, b))
-        assert (-A).coeffs == tuple(F.neg(x) for x in a)
-        assert A.scale(c).coeffs == tuple(F.mul(c, x) for x in a)
+        assert (A + B).coeffs.tolist() == [F.add(x, y) for x, y in zip(a, b)]
+        assert (-A).coeffs.tolist() == [F.neg(x) for x in a]
+        assert A.scale(c).coeffs.tolist() == [F.mul(c, x) for x in a]
         prod = [0] * n
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 prod[(i + j) % n] = F.add(prod[(i + j) % n], F.mul(x, y))
-        assert (A * B).coeffs == tuple(prod)
+        assert (A * B).coeffs.tolist() == prod
+
+
+@pytest.mark.parametrize("q, n", [(2, 9), (4, 7), (9, 5), (13, 3)])
+def test_shift_bar_pow_match_index_loops(q, n, rng):
+    F = field_from_order(q)
+    for _ in range(10):
+        a = [rng.randrange(q) for _ in range(n)]
+        A = CyclicElem(F, a)
+        for k in (-n - 1, -1, 0, 1, 2, n + 2):
+            assert A.shift(k).coeffs.tolist() == [a[(i - k) % n] for i in range(n)]
+        assert A.bar().coeffs.tolist() == [a[-i % n] for i in range(n)]
+        power = CyclicElem.one(F, n)
+        for e in range(6):
+            assert A.pow(e) == power
+            power = power * A
+
+
+def test_coeffs_are_a_read_only_copy():
+    F = field_from_order(5)
+    src = np.array([1, 2, 3], dtype=np.int64)
+    e = CyclicElem(F, src)
+    with pytest.raises(ValueError):
+        e.coeffs[0] = 4
+    src[0] = 4
+    assert e.coeffs.tolist() == [1, 2, 3]
+    for other in ((-e) * e, e.shift(1), e.bar(), e.pow(3), e + e):
+        with pytest.raises(ValueError):
+            other.coeffs[0] = 0
+
+
+def test_equal_vectors_from_list_and_array():
+    F = field_from_order(7)
+    a, b = CyclicElem(F, [5, 3, 6]), CyclicElem(F, np.array([5, 3, 6]))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != CyclicElem(F, [5, 6, 3])
+    assert a != CyclicElem(field_from_order(13), [5, 3, 6])
 
 
 @given(data=st.data())
@@ -106,7 +144,7 @@ def test_idempotents_paper_example():
 
 def test_idempotents_n1():
     s = primitive_idempotents(1, field_from_order(5))
-    assert len(s) == 1 and s.idems[0].coeffs == (1,)
+    assert len(s) == 1 and s.idems[0].coeffs.tolist() == [1]
 
 
 def test_idempotents_gf2_n7_dims():

@@ -296,12 +296,12 @@ def test_factor_product_and_degrees(q):
             continue
         pairs = factor_xn_minus_1_with_cosets(n, F)
         prod = Poly.one(F)
-        for f, coset in pairs:
+        for f, coset, _ in pairs:
             assert f.degree == len(coset)
             prod = prod * f
         assert prod == Poly.x_pow_n_minus_1(F, n)
         sizes = sorted(len(c) for c in cyclotomic_cosets(n, q))
-        assert sorted(f.degree for f, _ in pairs) == sizes
+        assert sorted(f.degree for f, _, _ in pairs) == sizes
 
 
 def sympy_factors(p, n):
@@ -322,7 +322,7 @@ def test_factor_matches_sympy(q, n_max):
             assert sorted(f.coeffs for f in factor_xn_minus_1(n, F)) == sympy_factors(q, n), n
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16])
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 2, 3, 5, 7, 13])
 def test_factor_extension_fields_crt(q):
     F = field_from_order(q)
     one, zero = Poly.one(F), Poly.zero(F)
@@ -339,7 +339,7 @@ def test_factor_extension_fields_crt(q):
             assert all(f.gcd(g) == one for g in s.factors[i + 1 :])
         # the CRT definition: e_i = 1 mod f_i and e_i = 0 mod f_j, j != i
         for i, e in enumerate(s.idems):
-            assert [Poly(F, e.coeffs) % f for f in s.factors] == [one if j == i else zero for j in range(len(s))]
+            assert [Poly(F, e.coeffs.tolist()) % f for f in s.factors] == [one if j == i else zero for j in range(len(s))]
 
 
 def test_factor_n101_over_gf3():
@@ -370,17 +370,17 @@ def test_coset_labels_follow_zeta_convention(q, n):
     pairs = factor_xn_minus_1_with_cosets(n, F)
     m1 = next(
         f
-        for f, _ in pairs
+        for f, _, _ in pairs
         if all(not (Poly.x_pow_n_minus_1(F, n // p) % f).is_zero() for p in prime_factors(n))
     )
-    for f, coset in pairs:
+    for f, coset, _ in pairs:
         assert {s for s in range(n) if (_compose_power(f, s) % m1).is_zero()} == set(coset)
 
 
 def test_coset_labels_example_gf2():
     pairs = factor_xn_minus_1_with_cosets(7, field_from_order(2))
     # zeta is a root of m1 = x^3 + x + 1, the first of the two cubics
-    assert [(f.coeffs, c) for f, c in pairs] == [((1, 1), [0]), ((1, 1, 0, 1), [1, 2, 4]), ((1, 0, 1, 1), [3, 6, 5])]
+    assert [(f.coeffs, c) for f, c, _ in pairs] == [((1, 1), [0]), ((1, 1, 0, 1), [1, 2, 4]), ((1, 0, 1, 1), [3, 6, 5])]
 
 
 # -- cyclotomic cosets ----------------------------------------------------------------
@@ -464,22 +464,6 @@ def test_poly_divmod_roundtrip(data, q):
     quo, rem = a.divmod(b)
     assert quo * b + rem == a
     assert rem.degree < b.degree
-
-
-@given(data=st.data(), q=st.sampled_from([2, 3, 5]))
-@settings(max_examples=50, deadline=None)
-def test_poly_ext_gcd(data, q):
-    F = field_from_order(q)
-    a = Poly(F, data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=6)))
-    b = Poly(F, data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=6)))
-    if a.is_zero() and b.is_zero():
-        return
-    g, s, t = a.ext_gcd(b)
-    assert s * a + t * b == g
-    if not a.is_zero():
-        assert (a % g).is_zero()
-    if not b.is_zero():
-        assert (b % g).is_zero()
 
 
 def _trim(c):
