@@ -6,12 +6,15 @@ u^n = 1, v^2 = -1, v u = u^-1 v), tw = +1 the ordinary dihedral group
 algebra.  The bar anti-automorphism sends v to tw * v, and in characteristic
 2 the two algebras coincide.
 
-Elements are pairs (a, b) of cyclic-algebra elements meaning a + b*v.  The
-decomposition splits the algebra into the 2-dimensional block on the trivial
-idempotent e_0 plus one 4k-dimensional block per conjugate idempotent pair
-(matrix algebra over F_t = FHe) or per self-conjugate idempotent (matrix
-algebra over the bar-fixed index-2 subfield of FHe), together with explicit
-isomorphisms to 2x2 matrices.
+An element a + b*v is its word, one read-only int64 vector of 2n codes (a's
+coefficients, then b's).  group_action gives the word of h*x, for each of
+the 2n group elements h, as a signed permutation of x's word, so a product
+is one gather and one matrix product: word(x*y) = word(x) . L(y), row h of
+L(y) being word(h*y).  The decomposition splits the algebra into the
+2-dimensional block on the trivial idempotent e_0 plus one 4k-dimensional
+block per conjugate idempotent pair (matrix algebra over F_t = FHe) or per
+self-conjugate idempotent (matrix algebra over the bar-fixed index-2
+subfield of FHe), together with explicit isomorphisms to 2x2 matrices.
 
 Canonical element order inside a subfield of FH: coordinates over the RREF
 basis of the subfield, encoded as sum(code_i * q^i) with basis vector 0 least
@@ -43,14 +46,22 @@ SELF_CONJ = "self_conj"
 
 
 class AlgElem:
-    """a + b*v in a twisted dihedral algebra; immutable."""
+    """a + b*v as its word, entry d + n*j the coefficient of u^d v^j; immutable."""
 
-    __slots__ = ("alg", "a", "b")
+    __slots__ = ("alg", "word")
 
-    def __init__(self, alg: "TwistedDihedralAlgebra", a: CyclicElem, b: CyclicElem):
+    def __init__(self, alg: "TwistedDihedralAlgebra", word: Sequence[int] | np.ndarray):
         self.alg = alg
-        self.a = a
-        self.b = b
+        self.word = np.array(word, dtype=np.int64)
+        self.word.setflags(write=False)
+
+    @property
+    def a(self) -> CyclicElem:
+        return CyclicElem(self.alg.field, self.word[: self.alg.n])
+
+    @property
+    def b(self) -> CyclicElem:
+        return CyclicElem(self.alg.field, self.word[self.alg.n :])
 
     def _check(self, other: "AlgElem"):
         if self.alg is not other.alg:
@@ -58,56 +69,57 @@ class AlgElem:
 
     def __add__(self, other):
         self._check(other)
-        return AlgElem(self.alg, self.a + other.a, self.b + other.b)
+        return AlgElem(self.alg, self.alg.field.tables().add[self.word, other.word])
 
     def __neg__(self):
-        return AlgElem(self.alg, -self.a, -self.b)
+        return AlgElem(self.alg, self.alg.field.tables().neg[self.word])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        # (a + b v)(c + d v) = (ac + tw * b bar(d)) + (ad + b bar(c)) v
+        # word(x y) = word(x) . L(y), where row h of L(y) is word(h y)
         self._check(other)
         alg = self.alg
-        a, b, c, d = self.a, self.b, other.a, other.b
-        part_a = a * c + (b * d.bar()).scale(alg.tw_code)
-        part_b = a * d + b * c.bar()
-        return AlgElem(alg, part_a, part_b)
+        return AlgElem(alg, alg.field.matmul(self.word[None], alg.translates(other.word[None]))[0])
 
     def bar(self) -> "AlgElem":
-        return AlgElem(self.alg, self.a.bar(), self.b.scale(self.alg.tw_code))
+        """u^d -> u^-d on the first half, tw times the second half."""
+        n = self.alg.n
+        a = self.word[:n]
+        b = self.alg.field.tables().mul[self.alg.tw_code, self.word[n:]]
+        return AlgElem(self.alg, np.concatenate((a[:1], a[:0:-1], b)))
 
     def sigma(self) -> int:
         """Coefficient of u^0 v^0."""
-        return int(self.a.coeffs[0])
+        return int(self.word[0])
 
     def inner(self, other: "AlgElem") -> int:
         self._check(other)
-        return int(linalg.matmul(self.alg.field, self.to_word(), np.array(other.to_word())[:, None])[0, 0])
+        return int(linalg.matmul(self.alg.field, self.word, other.word[:, None])[0, 0])
 
     def scale(self, c: int) -> "AlgElem":
-        return AlgElem(self.alg, self.a.scale(c), self.b.scale(c))
+        return AlgElem(self.alg, self.alg.field.tables().mul[c, self.word])
 
     def to_word(self) -> tuple[int, ...]:
-        return tuple(self.a.coeffs.tolist() + self.b.coeffs.tolist())
+        return tuple(self.word.tolist())
 
     def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
+        return not self.word.any()
 
     def __eq__(self, other):
         return (
             isinstance(other, AlgElem)
             and self.alg is other.alg
-            and self.a == other.a
-            and self.b == other.b
+            and self.word.tobytes() == other.word.tobytes()
         )
 
     def __hash__(self):
-        return hash((id(self.alg), self.a.coeffs.tobytes(), self.b.coeffs.tobytes()))
+        return hash((id(self.alg), self.word.tobytes()))
 
     def __repr__(self):
-        return f"AlgElem(a={self.a.coeffs.tolist()}, b={self.b.coeffs.tolist()})"
+        n = self.alg.n
+        return f"AlgElem(a={self.word[:n].tolist()}, b={self.word[n:].tolist()})"
 
 
 class SubfieldView:
@@ -448,7 +460,7 @@ class Component:
             (a11, a12), (a21, a22) = M.entries
             part_a = a11 + a22.bar()
             part_b = a12.scale(sign) + a21.bar()
-            return AlgElem(self.alg, part_a, part_b)
+            return self.alg.elem(part_a, part_b)
         v = M.vec()
         coeffs = []
         for row in self._b_inv:
@@ -457,7 +469,7 @@ class Component:
                 acc = acc + r * x
             coeffs.append(acc)
         a, b, c, d = coeffs
-        return AlgElem(self.alg, a + b * self.ue, c + d * self.ue)
+        return self.alg.elem(a + b * self.ue, c + d * self.ue)
 
     def _split_ft(self, y: CyclicElem) -> tuple[CyclicElem, CyclicElem]:
         """Write y in FHe as alpha + beta * ue with alpha, beta in F_t."""
@@ -495,34 +507,31 @@ class TwistedDihedralAlgebra:
         self._idems: Optional[IdempotentSet] = None
         self._components: Optional[list[Component]] = None
         self._action: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._right_perm: Optional[np.ndarray] = None
 
     # -- element constructors -------------------------------------------------
 
     def elem(self, a: CyclicElem, b: CyclicElem) -> AlgElem:
-        return AlgElem(self, a, b)
+        return AlgElem(self, np.concatenate((a.coeffs, b.coeffs)))
 
     def embed_fh(self, a: CyclicElem) -> AlgElem:
-        return AlgElem(self, a, CyclicElem.zero(self.field, self.n))
+        return self.elem(a, CyclicElem.zero(self.field, self.n))
 
     def zero(self) -> AlgElem:
-        z = CyclicElem.zero(self.field, self.n)
-        return AlgElem(self, z, z)
+        return AlgElem(self, np.zeros(2 * self.n, dtype=np.int64))
 
     def one(self) -> AlgElem:
-        return self.embed_fh(CyclicElem.one(self.field, self.n))
+        return self.u(0)
 
     def u(self, k: int = 1) -> AlgElem:
         return self.embed_fh(CyclicElem.u_power(self.field, self.n, k))
 
     def v(self) -> AlgElem:
-        return AlgElem(self, CyclicElem.zero(self.field, self.n), CyclicElem.one(self.field, self.n))
+        return self.elem(CyclicElem.zero(self.field, self.n), CyclicElem.one(self.field, self.n))
 
-    def from_word(self, word: Sequence[int]) -> AlgElem:
-        n = self.n
-        if len(word) != 2 * n:
-            raise DimensionMismatch(f"word length must be {2 * n}")
-        return AlgElem(self, CyclicElem(self.field, word[:n]), CyclicElem(self.field, word[n:]))
+    def from_word(self, word: Sequence[int] | np.ndarray) -> AlgElem:
+        if len(word) != 2 * self.n:
+            raise DimensionMismatch(f"word length must be {2 * self.n}")
+        return AlgElem(self, word)
 
     def random_elem(self, rng) -> AlgElem:
         q = self.field.q
@@ -613,41 +622,20 @@ class TwistedDihedralAlgebra:
             self._action = (perm, sign)
         return self._action
 
-    def right_action(self) -> tuple[np.ndarray, np.ndarray]:
-        """Signed coordinate permutations (perm, sign) of x -> x * h.
-
-        Rows follow group_action; for every word x,
-        (x * h).to_word()[j] == sign[h, j] * x[perm[h, j]], from
-        (a + b v) u^d = a u^d + b u^-d v and (a + b v) u^d v = tw b u^-d + a u^d v.
-        The signs are group_action's: tw on the first half of the v rows.
-        """
-        if self._right_perm is None:
-            n = self.n
-            a = np.arange(n)[:, None]
-            d = np.arange(n)[None, :]
-            shift = (d - a) % n  # coefficient d of a u^a (or of a u^a v)
-            back = (d + a) % n + n  # coefficient d of b u^-a (times v, or tw)
-            perm = np.block([[shift, back], [back, shift]]).astype(np.int64)
-            perm.setflags(write=False)
-            self._right_perm = perm
-        return self._right_perm, self.group_action()[1]
-
-    def right_translates(self, g: AlgElem) -> np.ndarray:
-        """(2n, 2n) matrix whose row h is the word of g * h, so that
-        word(g * x) = word(x) . right_translates(g) over the field."""
-        perm, sign = self.right_action()
-        word = np.array(g.to_word(), dtype=np.int64)
-        return self.field.tables().mul[sign, word[perm]]
+    def translates(self, words: np.ndarray) -> np.ndarray:
+        """Rows h * g for each row g of the (r, 2n) array words and each h in
+        group_action order: r stacked (2n, 2n) blocks, block i being L(g_i)
+        with word(x * g_i) = word(x) . L(g_i) over the field."""
+        perm, sign = self.group_action()
+        return self.field.tables().mul[sign[None], words[:, perm]].reshape(-1, 2 * self.n)
 
     def left_ideal_rows(self, gens: Sequence[AlgElem | np.ndarray]) -> np.ndarray:
         """Spanning rows h * g for each g in gens and h in group_action order.
 
         A generator is an AlgElem or its 2n-long word.
         """
-        perm, sign = self.group_action()
-        words = [g.to_word() if isinstance(g, AlgElem) else g for g in gens]
-        words = np.array(words, dtype=np.int64).reshape(-1, 2 * self.n)
-        return self.field.tables().mul[sign[None], words[:, perm]].reshape(-1, 2 * self.n)
+        words = [g.word if isinstance(g, AlgElem) else g for g in gens]
+        return self.translates(np.array(words, dtype=np.int64).reshape(-1, 2 * self.n))
 
     def decomposition_report(self) -> dict:
         comps = self.decompose()
@@ -657,7 +645,7 @@ class TwistedDihedralAlgebra:
                 "t": c.index,
                 "kind": c.kind,
                 "dim": c.dim,
-                "identity": list(c.identity.to_word()),
+                "identity": c.identity.word.tolist(),
             }
             if c.kind == TRIVIAL_SPLIT:
                 entry["r"] = c.r

@@ -181,11 +181,11 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     unknown = [c for c in checks if c not in ANALYZE_CHECKS]
     if unknown:
         raise DomainError(f"unknown check(s) {', '.join(unknown)}; valid names: {', '.join(ANALYZE_CHECKS)}")
-    with open(ns.infile) as fh:
-        text = fh.read()
     try:
+        with open(ns.infile) as fh:
+            text = fh.read()
         q = int(text.split()[0])
-    except (IndexError, ValueError):
+    except (IndexError, ValueError):  # UnicodeDecodeError is a ValueError
         raise DimensionMismatch("malformed generator matrix file") from None
     field = field_from_order(q)
     code = LinearCode.from_text(field, text)
@@ -375,7 +375,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceeded as ex:
         sys.stderr.write(f"budget exceeded: {ex}\n")
         return EXIT_BUDGET
-    except (CdcodesError, FileNotFoundError) as ex:
+    except (CdcodesError, OSError) as ex:
         sys.stderr.write(f"error: {ex}\n")
         return EXIT_INVALID
 

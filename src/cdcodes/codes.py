@@ -4,7 +4,9 @@ The code families built here follow the block decomposition: one simple left
 ideal C_t per matrix block (C_t = A_t e on paired blocks, C_t = A_t f with
 f = s e - s' u e + v e on self-conjugate blocks), the 1-dimensional ideal C_0
 on the trivial block when r^2 = v^2 is solvable, and twisted variants C_t
-beta_t for beta in the product K* of per-block subfield unit groups.
+beta_t for beta in the product K* of per-block subfield unit groups.  A
+twist is an ordinary product: beta is one unit of the algebra (e_0 plus the
+beta_t), and each block generator g becomes g * beta = g * beta_t.
 
 Generator matrices are kept in reduced row echelon form, so code equality is
 matrix equality.  The hull dimension is always computed by two independent
@@ -180,7 +182,7 @@ class KtField:
         first call.
         """
         if self._basis_words is None:
-            self._basis_words = np.array([b.to_word() for b in self.basis()], dtype=np.int64)
+            self._basis_words = np.array([b.word for b in self.basis()])
         q = self.alg.field.q
         digits = []
         for _ in range(len(self._basis_words)):
@@ -250,14 +252,20 @@ class BetaVector:
         raise KeyError(t)
 
     def component(self, t: int) -> AlgElem:
-        """beta_t as an algebra element (the twist itself never builds it)."""
+        """beta_t as an algebra element, built through the matrix isomorphism."""
         kt, c = self._unit(t)
         return kt.element(c)
 
-    def twist(self, t: int, g: AlgElem) -> np.ndarray:
-        """Word of g * beta_t: word(beta_t) times the right translates of g."""
-        kt, c = self._unit(t)
-        return linalg.matmul(kt.alg.field, kt.word(c), kt.alg.right_translates(g))[0]
+    def unit(self) -> AlgElem:
+        """beta as one unit of the algebra: e_0 plus every beta_t, each from
+        KtField.word.  The blocks are orthogonal two-sided ideals, so
+        g * beta = g * beta_t for g in block t."""
+        alg = self.kts[0].alg
+        add = alg.field.tables().add
+        word = alg.decompose()[0].identity.word
+        for kt, c in zip(self.kts, self.codes):
+            word = add[word, kt.word(c)]
+        return AlgElem(alg, word)
 
     def __repr__(self):
         return f"BetaVector{self.codes}"
@@ -312,20 +320,21 @@ def assemble_code(
 ) -> LinearCode:
     """Row-reduce the left ideal generated by the given block parts.
 
-    Each part generator g is replaced by the word of g * beta_t first, a
-    linear map of beta_t's digits (BetaVector.twist); extra_generators
-    (e.g. the whole block A_0) are taken verbatim.
+    With a beta, each part generator g is replaced by the product
+    g * beta (BetaVector.unit) first; extra_generators (e.g. the whole
+    block A_0) and C_0 are taken verbatim.
     """
     if not parts and not include_C0 and not extra_generators:
         raise BlockCollision("no parts to assemble")
+    unit = None if beta is None else beta.unit()
     seen = set()
-    gens: list[AlgElem | np.ndarray] = []
+    gens: list[AlgElem] = []
     expected = 0
     for comp, f in parts:
         if comp.index in seen:
             raise BlockCollision(f"two parts for block {comp.index}")
         seen.add(comp.index)
-        gens.append(f if beta is None else beta.twist(comp.index, f))
+        gens.append(f if unit is None else f * unit)
         expected += 2 * comp.k
     if include_C0:
         comp0 = alg.decompose()[0]
@@ -447,9 +456,6 @@ def build_lcd_code(
 
 
 def component_of_code(alg: TwistedDihedralAlgebra, code: LinearCode, comp: Component) -> LinearCode:
-    """1_At * C as a row space (the A_t-component of the code)."""
-    rows = []
-    for row in code.gen:
-        x = comp.project(alg.from_word(row.tolist()))
-        rows.append(x.to_word())
-    return LinearCode.from_rows(alg.field, np.array(rows, dtype=np.int64), n_len=code.n_len)
+    """1_At * C (the A_t-component of C): 1_At is central, so each row times L(1_At)."""
+    rows = linalg.matmul(alg.field, code.gen, alg.translates(comp.identity.word[None]))
+    return LinearCode.from_rows(alg.field, rows, n_len=code.n_len)

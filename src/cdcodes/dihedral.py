@@ -147,7 +147,7 @@ def counterexample_check() -> CounterexampleReport:
     assert C.shape[0] == 2 * comp.k
 
     def elems(R):
-        return [alg.from_word(r.tolist()) for r in R]
+        return [alg.from_word(r) for r in R]
 
     c_elems = elems(C)
     d_bar = [x.bar() for x in c_elems]
@@ -192,14 +192,9 @@ def enumerate_simple_left_ideals(comp: Component) -> list[LinearCode]:
     """The |F_t| + 1 simple left ideals of a paired block, as row spaces."""
     if comp.kind != PAIRED:
         raise NotPaired("enumeration is defined on paired blocks")
-    ft = comp.ft
-    e = ft.identity
-    ideals = []
-    for code in range(ft.order):
-        ideals.append(block_ideal(comp, f_ab(comp, ft.element(code), e)))
-    ideals.append(block_ideal(comp, f_ab(comp, e, ft.zero)))
+    ideals = [block_ideal(comp, g) for g in _block_generators(comp)]
     keys = {c.key() for c in ideals}
-    assert len(keys) == ft.order + 1, "generator ideals are not pairwise distinct"
+    assert len(keys) == comp.ft.order + 1, "generator ideals are not pairwise distinct"
     assert all(c.k_dim == 2 * comp.k for c in ideals)
     return ideals
 

@@ -29,7 +29,7 @@ order of the integer encoding sum(c_i * q^i) + q^deg.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import weakref
 from typing import Optional, Sequence
 
 import numpy as np
@@ -468,9 +468,16 @@ def field_make(p: int, m: int = 1, modulus: Optional[Poly] = None) -> Field:
     return ExtField(base, modulus, check=True)
 
 
-@lru_cache(maxsize=None)
+# Canonical fields by (p, m), held weakly: while anything holds a field every
+# lookup returns that object, and once nothing does its tables are freed.
+_fields: "weakref.WeakValueDictionary[tuple[int, int], Field]" = weakref.WeakValueDictionary()
+
+
 def _field_cached(p: int, m: int) -> Field:
-    return field_make(p, m)
+    field = _fields.get((p, m))
+    if field is None:
+        field = _fields[p, m] = field_make(p, m)
+    return field
 
 
 def field_from_order(q: int) -> Field:

@@ -175,23 +175,33 @@ def test_component_split_of_random_ideals(rng):
 # -- the group action on words ---------------------------------------------------------------
 
 
+def pair_product(x, y):
+    """The pair formula (a + b v)(c + d v) = (ac + tw b bar(d)) + (ad + b bar(c)) v
+    on CyclicElem halves: a reference for AlgElem products that shares
+    nothing with group_action."""
+    A = x.alg
+    a, b, c, d = x.a, x.b, y.a, y.b
+    return A.elem(a * c + (b * d.bar()).scale(A.tw_code), a * d + b * c.bar())
+
+
 @pytest.mark.parametrize("tw", [-1, 1])
 def test_group_action_matches_multiplication(tw, rng):
-    # reference: AlgElem products by all 2n group elements u^a and u^a v
-    for q, n in ((5, 7), (4, 5)):
+    # reference: pair-formula products by all 2n group elements u^a and u^a v
+    for q, n in ((5, 7), (4, 5), (2, 3), (9, 5)):
         A = get_algebra(q, n, tw)
         perm, sign = A.group_action()
         assert perm.shape == sign.shape == (2 * n, 2 * n)
-        group = [A.u(a) for a in range(n)] + [A.u(a) * A.v() for a in range(n)]
+        group = [A.u(a) for a in range(n)] + [pair_product(A.u(a), A.v()) for a in range(n)]
         mul = A.field.tables().mul
         for _ in range(20):
             x, y = A.random_elem(rng), A.random_elem(rng)
+            assert x * y == pair_product(x, y)
             w = np.array(x.to_word(), dtype=np.int64)
-            products = [list((h * x).to_word()) for h in group]
+            products = [list(pair_product(h, x).to_word()) for h in group]
             for h, prod in enumerate(products):
                 assert mul[sign[h], w[perm[h]]].tolist() == prod
             assert A.left_ideal_rows([x]).tolist() == products
-            stacked = products + [list((h * y).to_word()) for h in group]
+            stacked = products + [list(pair_product(h, y).to_word()) for h in group]
             assert A.left_ideal_rows([x, y]).tolist() == stacked
 
 
@@ -200,28 +210,6 @@ def test_left_ideal_rows_accepts_words(rng):
     x, y = A.random_elem(rng), A.random_elem(rng)
     w = np.array(x.to_word(), dtype=np.int64)
     assert A.left_ideal_rows([w, y]).tolist() == A.left_ideal_rows([x, y]).tolist()
-
-
-@pytest.mark.parametrize("tw", [-1, 1])
-def test_right_action_matches_multiplication(tw, rng):
-    # reference: AlgElem products x * h by all 2n group elements, in group_action order
-    for q, n in ((5, 7), (4, 5), (2, 3)):
-        A = get_algebra(q, n, tw)
-        perm, sign = A.right_action()
-        assert perm.shape == sign.shape == (2 * n, 2 * n)
-        group = [A.u(a) for a in range(n)] + [A.u(a) * A.v() for a in range(n)]
-        mul = A.field.tables().mul
-        for _ in range(20):
-            x, y = A.random_elem(rng), A.random_elem(rng)
-            w = np.array(x.to_word(), dtype=np.int64)
-            products = [list((x * h).to_word()) for h in group]
-            for h, prod in enumerate(products):
-                assert mul[sign[h], w[perm[h]]].tolist() == prod
-            T = A.right_translates(x)
-            assert T.tolist() == products
-            # word(x * y) = word(y) . T over the field
-            yw = np.array([y.to_word()], dtype=np.int64)
-            assert linalg.matmul(A.field, yw, T)[0].tolist() == list((x * y).to_word())
 
 
 # -- norm equation ----------------------------------------------------------------------------

@@ -439,7 +439,8 @@ def test_support_descriptor_bounds(rng):
         words = [A.random_elem(rng) for _ in range(20)]
         for _ in range(10):
             beta = codes.BetaVector.random(kts, rng)
-            words += [A.from_word(beta.twist(c.index, f)) for c, f in codes.standard_parts(A)]
+            unit = beta.unit()
+            words += [f * unit for _, f in codes.standard_parts(A)]
         for x in words:
             sd = support_descriptor(A, x)
             if sd.ell:

@@ -1,12 +1,12 @@
 """Structure-constant brute force, independent of the library code paths.
 
-Builds the v^2 = -1 algebra at q = 7, n = 3 and at q = 3, n = 7 directly
-from the basis {u^i v^j} and the defining relations, with its own
-multiplication, bar map, inner product and row reduction.  Used to certify
-the corrected orthogonality facts against an implementation that shares
-nothing with cdcodes: every simple left ideal of every matrix block is
-self-orthogonal, and the library's block generators multiply to zero with
-their bar images.
+Builds the algebra over a prime field directly from the basis {u^i v^j}
+and the defining relations, with its own multiplication, bar map, inner
+product and row reduction.  Used to check the library's product, bar and
+inner product on both algebras (v^2 = +-1), and to certify the corrected
+orthogonality facts against an implementation that shares nothing with
+cdcodes: every simple left ideal of every matrix block is self-orthogonal,
+and the library's block generators multiply to zero with their bar images.
 """
 
 import random
@@ -82,15 +82,20 @@ def make_raw_algebra(q, n, v_sq):
 
 
 def test_raw_relations_match_library():
-    mul, bar, inner, _ = make_raw_algebra(7, 3, -1)
-    A = get_algebra(7, 3)
+    # product, bar and inner product on both algebras, prime q, odd n <= 7
     rng = random.Random(5)
-    for _ in range(50):
-        w1 = [rng.randrange(7) for _ in range(6)]
-        w2 = [rng.randrange(7) for _ in range(6)]
-        assert tuple(mul(w1, w2)) == (A.from_word(w1) * A.from_word(w2)).to_word()
-        assert tuple(bar(w1)) == A.from_word(w1).bar().to_word()
-        assert inner(w1, w2) == A.from_word(w1).inner(A.from_word(w2))
+    for q in (2, 3, 5, 7):
+        for n in (1, 3, 5, 7):
+            for v_sq in (-1, 1):
+                mul, bar, inner, _ = make_raw_algebra(q, n, v_sq)
+                A = get_algebra(q, n, v_sq)
+                for _ in range(15):
+                    w1 = [rng.randrange(q) for _ in range(2 * n)]
+                    w2 = [rng.randrange(q) for _ in range(2 * n)]
+                    x, y = A.from_word(w1), A.from_word(w2)
+                    assert tuple(mul(w1, w2)) == (x * y).to_word(), (q, n, v_sq)
+                    assert tuple(bar(w1)) == x.bar().to_word(), (q, n, v_sq)
+                    assert inner(w1, w2) == x.inner(y), (q, n, v_sq)
 
 
 def test_all_simple_left_ideals_self_orthogonal_raw():

@@ -177,6 +177,26 @@ def test_analyze_missing_file(capsys):
     assert rc == 2
 
 
+def test_analyze_directory_exit2(capsys, tmp_path):
+    rc, out, err = run(capsys, "analyze", str(tmp_path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_construct_out_directory_exit2(capsys, tmp_path):
+    rc, out, err = run(capsys, "construct", "--q", "5", "--n", "3", "--out", f"{tmp_path}/")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_analyze_non_utf8_file_exit2(capsys, tmp_path):
+    path = tmp_path / "code.bin"
+    path.write_bytes(b"5 6 1\n1 0 4 2 0 \xff\n")
+    rc, out, err = run(capsys, "analyze", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: malformed generator matrix file\n"
+
+
 @pytest.mark.parametrize(
     "text",
     ["5 6 2\n1 0 4\n", "5 5 1\n1 0 4 2 0\n", "x y z\n", "5 6 1\n1 0 7 2 0 -1\n"],

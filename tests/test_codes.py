@@ -233,6 +233,20 @@ def test_beta_vector_component_is_lazy_oracle():
         beta.component(2)
 
 
+def test_beta_unit_is_e0_plus_components(rng):
+    # unit() sums KtField.word; the oracle sums the matrix-isomorphism elements
+    for q, n, tw in ((7, 3, -1), (3, 5, -1), (4, 5, -1), (2, 7, -1), (5, 7, 1), (9, 5, 1)):
+        A = get_algebra(q, n, tw)
+        kts = kt_fields(A)
+        assert BetaVector.identity(kts).unit() == A.one()
+        for _ in range(5):
+            beta = BetaVector.random(kts, rng)
+            total = A.decompose()[0].identity
+            for c in A.decompose()[1:]:
+                total = total + beta.component(c.index)
+            assert beta.unit() == total
+
+
 def _product_oracle(A, family, beta, include_a0=False):
     """The family's code with every part generator twisted by an AlgElem
     product g * beta_t, then row-reduced; None when the family does not exist."""

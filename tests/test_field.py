@@ -1,6 +1,8 @@
 import functools
+import gc
 import math
 import random
+import weakref
 from collections import Counter
 from itertools import product
 
@@ -108,6 +110,23 @@ def test_reducible_modulus_rejected():
 def test_field_make_overflow():
     with pytest.raises(Overflow):
         field_make(2, 200)
+
+
+def test_field_cache_returns_the_held_field():
+    F = field_from_order(9)
+    assert field_from_order(9) is F
+    assert TwistedDihedralAlgebra(field_from_order(9), 5, -1).field is F
+    assert field_make(3, 2) is not F  # field_make itself never caches
+
+
+def test_field_cache_frees_unheld_fields():
+    # GF(2^9) is held by no other test: once dropped, it and its tables go
+    F = field_from_order(512)
+    field, tables = weakref.ref(F), weakref.ref(F.tables())
+    del F
+    gc.collect()
+    assert field() is None and tables() is None
+    assert field_from_order(512).q == 512
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
