@@ -507,6 +507,7 @@ class TwistedDihedralAlgebra:
         self._idems: Optional[IdempotentSet] = None
         self._components: Optional[list[Component]] = None
         self._action: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._ideal_rrefs: dict[bytes, np.ndarray] = {}
 
     # -- element constructors -------------------------------------------------
 
@@ -636,6 +637,16 @@ class TwistedDihedralAlgebra:
         """
         words = [g.word if isinstance(g, AlgElem) else g for g in gens]
         return self.translates(np.array(words, dtype=np.int64).reshape(-1, 2 * self.n))
+
+    def ideal_rref(self, gens: Sequence[AlgElem]) -> np.ndarray:
+        """Read-only RREF of left_ideal_rows(gens), cached by the generator words."""
+        words = np.array([g.word for g in gens], dtype=np.int64)
+        key = words.tobytes()
+        if key not in self._ideal_rrefs:
+            R, _ = linalg.rref(self.field, self.left_ideal_rows(words))
+            R.setflags(write=False)
+            self._ideal_rrefs[key] = R
+        return self._ideal_rrefs[key]
 
     def decomposition_report(self) -> dict:
         comps = self.decompose()

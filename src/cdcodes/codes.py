@@ -322,31 +322,33 @@ def assemble_code(
 
     With a beta, each part generator g is replaced by the product
     g * beta (BetaVector.unit) first; extra_generators (e.g. the whole
-    block A_0) and C_0 are taken verbatim.
+    block A_0) and C_0 are taken verbatim.  As x -> x * beta is the linear
+    map L(beta), the twisted parts span the k rows G . L(beta), G the cached
+    RREF of the untwisted parts (`ideal_rref`); one rref of those rows and
+    the cached RREF of C_0 and the extras gives the generator matrix.
     """
     if not parts and not include_C0 and not extra_generators:
         raise BlockCollision("no parts to assemble")
-    unit = None if beta is None else beta.unit()
     seen = set()
-    gens: list[AlgElem] = []
     expected = 0
-    for comp, f in parts:
+    for comp, _ in parts:
         if comp.index in seen:
             raise BlockCollision(f"two parts for block {comp.index}")
         seen.add(comp.index)
-        gens.append(f if unit is None else f * unit)
         expected += 2 * comp.k
+    fixed = list(extra_generators)
     if include_C0:
-        comp0 = alg.decompose()[0]
-        g0 = build_C0(comp0)
+        g0 = build_C0(alg.decompose()[0])
         if g0 is None:
             raise HypothesisUnmet(
                 f"q = {alg.field.q} admits no r with r^2 = v^2; C_0 does not exist"
             )
-        gens.append(g0)
+        fixed.append(g0)
         expected += 1
-    gens.extend(extra_generators)
-    rows = alg.left_ideal_rows(gens)
+    twisted = alg.ideal_rref([f for _, f in parts])
+    if beta is not None:
+        twisted = linalg.matmul(alg.field, twisted, alg.translates(beta.unit().word[None]))
+    rows = np.vstack([twisted, alg.ideal_rref(fixed)])
     origin = dict(origin or {})
     origin.setdefault("q", alg.field.q)
     origin.setdefault("n", alg.n)
@@ -355,7 +357,7 @@ def assemble_code(
     origin.setdefault("include_C0", include_C0)
     if beta is not None:
         origin.setdefault("beta", list(beta.codes))
-    code = LinearCode.from_rows(alg.field, rows, origin=origin)
+    code = LinearCode.from_rows(alg.field, rows, n_len=2 * alg.n, origin=origin)
     if expected_dim is None and not extra_generators:
         expected_dim = expected
     if expected_dim is not None and code.k_dim != expected_dim:
@@ -364,21 +366,19 @@ def assemble_code(
 
 
 def dual_code(code: LinearCode) -> LinearCode:
-    if code.k_dim == 0:
-        gen = np.eye(code.n_len, dtype=np.int64)
-        return LinearCode.from_rows(code.field, gen, origin={"dual_of": code.origin})
+    """C-perp, its generator the nullspace basis, which is already RREF."""
     basis = linalg.nullspace(code.field, code.gen)
-    return LinearCode.from_rows(
-        code.field, basis, n_len=code.n_len, origin={"dual_of": code.origin}
-    )
+    return LinearCode(code.field, code.n_len, len(basis), basis, {"dual_of": code.origin})
 
 
 def hull_dimension(code: LinearCode) -> int:
-    """dim(C meet C-perp), by intersection and by k - rank(G G^T); must agree."""
+    """dim(C meet C-perp), as k + dim C-perp - rank [G; H] (H the dual's
+    canonical generator) and as k - rank(G G^T); the two must agree."""
     if code.k_dim == 0:
         return 0
     dual = dual_code(code)
-    by_intersection = linalg.intersection_dim(code.field, code.gen, dual.gen)
+    stacked = linalg.rank(code.field, np.vstack([code.gen, dual.gen]))
+    by_intersection = code.k_dim + dual.k_dim - stacked
     gram = linalg.matmul(code.field, code.gen, code.gen.T)
     by_gram = code.k_dim - linalg.rank(code.field, gram)
     assert by_intersection == by_gram, "hull methods disagree"

@@ -39,13 +39,10 @@ def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         piv = r + nz[0]
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
-        inv = t.inv[m[r, c]]
-        m[r] = t.mul[inv, m[r]]
-        others = np.nonzero(m[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            factors = t.neg[m[others, c]]
-            m[others] = t.add[m[others], t.mul[factors[:, None], m[r][None, :]]]
+        m[r] = t.mul[t.inv[m[r, c]], m[r]]
+        f = t.neg[m[:, c]]
+        f[r] = 0
+        m = t.add[m, t.mul[f[:, None], m[r]]]  # every row i -= m[i, c] * row r, in one update
         pivots.append(c)
         r += 1
     return m[:r], tuple(pivots)
@@ -66,9 +63,7 @@ def nullspace(field: Field, mat: np.ndarray) -> np.ndarray:
         basis[i, f] = 1
         for j, p in enumerate(pivots):
             basis[i, p] = t.neg[R[j, f]]
-    if basis.shape[0] > 1:
-        basis, _ = rref(field, basis)
-    return basis
+    return rref(field, basis)[0]
 
 
 def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,27 +74,14 @@ def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return field.matmul(a, b)
 
 
-def reduce_against(field: Field, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray) -> np.ndarray:
-    """Residue of v modulo the row space of (R, pivots) from rref."""
+def in_row_space(field: Field, R: np.ndarray, pivots: tuple[int, ...], v) -> bool:
+    """Whether v reduces to zero modulo the row space of (R, pivots) from rref."""
     t = field.tables()
     v = np.array(v, dtype=np.int64)
     for j, p in enumerate(pivots):
-        c = v[p]
-        if c:
-            v = t.add[v, t.mul[t.neg[c], R[j]]]
-    return v
-
-
-def in_row_space(field: Field, R: np.ndarray, pivots: tuple[int, ...], v) -> bool:
-    return not np.any(reduce_against(field, R, pivots, np.asarray(v, dtype=np.int64)))
-
-
-def intersection_dim(field: Field, a: np.ndarray, b: np.ndarray) -> int:
-    """dim of the intersection of two row spaces, by inclusion-exclusion."""
-    ra = rank(field, a)
-    rb = rank(field, b)
-    rs = rank(field, np.vstack([as_matrix(a), as_matrix(b)]))
-    return ra + rb - rs
+        if v[p]:
+            v = t.add[v, t.mul[t.neg[v[p]], R[j]]]
+    return not v.any()
 
 
 def enumerate_span(field: Field, basis: np.ndarray) -> np.ndarray:

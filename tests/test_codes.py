@@ -7,7 +7,7 @@ import pytest
 from conftest import get_algebra
 
 from cdcodes import codes, linalg
-from cdcodes.algebra import SELF_CONJ, Mat2
+from cdcodes.algebra import SELF_CONJ, Mat2, TwistedDihedralAlgebra
 from cdcodes.codes import (
     BetaVector,
     LinearCode,
@@ -300,6 +300,73 @@ def test_linear_twist_matches_product_oracle(q):
     assert built["plain", False] and built["self-dual", False]
     if q in (3, 7):
         assert built["lcd", False] and built["lcd", True]
+
+
+def _translate_path(A, parts, beta=None, include_C0=False, extra=()):
+    """assemble_code's generator matrix the direct way: the rref of the
+    translates of every g * beta, with C_0 and the extras taken verbatim."""
+    gens = [f if beta is None else f * beta.unit() for _, f in parts]
+    if include_C0:
+        gens.append(build_C0(A.decompose()[0]))
+    gens.extend(extra)
+    R, _ = linalg.rref(A.field, A.left_ideal_rows(gens))
+    return R
+
+
+# the criterion-8 census grid plus (2, 15) and (4, 7)
+K_ROW_GRID = [(5, 3), (7, 3), (13, 3), (3, 5), (2, 7), (2, 9), (3, 7), (2, 11), (7, 5), (2, 15), (4, 7)]
+
+
+@pytest.mark.parametrize("q, n", K_ROW_GRID)
+def test_k_row_assembly_matches_translate_path(q, n):
+    # C beta from the k rows G . L(beta) equals the rref of all translates
+    rng = random.Random(q * 100 + n)
+    built = Counter()
+    for tw in (-1, 1):
+        A = get_algebra(q, n, tw)
+        kts = kt_fields(A)
+        comps = A.decompose()
+        qualifying = [(c, build_Ct(c)) for c in comps[1:] if c.kind == SELF_CONJ and c.k % 2 == 1]
+        cases = [
+            ("plain", build_plain_code, {}, codes.standard_parts(A), False, ()),
+            ("self-dual", build_self_dual_code, {}, codes.standard_parts(A), True, ()),
+            ("lcd", build_lcd_code, {}, qualifying, False, ()),
+            ("lcd+a0", build_lcd_code, {"include_a0": True}, qualifying, False, (comps[0].identity,)),
+        ]
+        betas = [BetaVector.identity(kts)] + [BetaVector.random(kts, rng) for _ in range(3)]
+        for family, builder, kw, parts, c0, extra in cases:
+            for beta in betas:
+                try:
+                    got = builder(A, beta, **kw)
+                except HypothesisUnmet:
+                    break
+                want = _translate_path(A, parts, beta, include_C0=c0, extra=extra)
+                assert got.gen.dtype == want.dtype and got.gen.tobytes() == want.tobytes(), (tw, family, beta)
+                built[family] += 1
+    assert built["plain"] == 8
+    assert built["self-dual"] >= 4
+    if (q, n) == (3, 7):
+        assert built["lcd"] == built["lcd+a0"] == 8
+
+
+def test_k_row_assembly_cache_tells_part_lists_apart():
+    # two part lists on one fresh algebra: the same block with two different
+    # generators, and different blocks, each against the translate path
+    A = TwistedDihedralAlgebra(field_from_order(2), 9, -1)
+    kts = kt_fields(A)
+    c1, c2 = A.decompose()[1:]
+    unit = kts[0].element(1)  # not in F_1*, so it moves the ideal
+    lists = [
+        [(c1, build_Ct(c1))],
+        [(c1, build_Ct(c1) * unit)],
+        [(c2, build_Ct(c2))],
+        [(c1, build_Ct(c1)), (c2, build_Ct(c2))],
+    ]
+    assert _translate_path(A, lists[0]).tobytes() != _translate_path(A, lists[1]).tobytes()
+    for beta in (None, BetaVector.random(kts, random.Random(9))):
+        for parts in lists + lists[::-1]:
+            got = assemble_code(A, parts, beta=beta)
+            assert got.gen.tobytes() == _translate_path(A, parts, beta).tobytes()
 
 
 @pytest.mark.parametrize("q, n, kind", [(2, 7, "paired"), (4, 3, "paired"), (3, 5, SELF_CONJ), (7, 3, "paired"), (4, 5, SELF_CONJ)])

@@ -38,16 +38,79 @@ def test_rref_preserves_row_space(data, q):
     assert len(piv) == R.shape[0]
 
 
-@given(data=st.data(), q=st.sampled_from([2, 3, 4]))
+@given(data=st.data(), q=st.sampled_from([2, 3, 4, 5]))
 @settings(max_examples=40, deadline=None)
 def test_nullspace_orthogonality(data, q):
     F = field_from_order(q)
-    M = random_matrix(data, q)
+    M = random_matrix(data, q, rows=data.draw(st.integers(1, 4)))
     N = linalg.nullspace(F, M)
     assert N.shape[0] == M.shape[1] - linalg.rank(F, M)
+    assert np.array_equal(N, linalg.rref(F, N)[0])  # canonical, a single row included
     if N.size:
         prod = linalg.matmul(F, M, N.T)
         assert not prod.any()
+
+
+def test_nullspace_one_row_is_reduced():
+    # a 1-dimensional nullspace is scaled to leading entry 1 like any other
+    F = field_from_order(5)
+    N = linalg.nullspace(F, np.array([[1, 0, 2], [0, 1, 3]]))
+    assert N.tolist() == [[1, 4, 2]]
+
+
+def reference_rref(field, M):
+    """Gauss-Jordan elimination one entry at a time with the scalar field ops."""
+    m = [list(map(int, row)) for row in M]
+    rows, cols = len(m), len(M[0]) if len(M) else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        below = [i for i in range(r, rows) if m[i][c]]
+        if not below:
+            continue
+        m[r], m[below[0]] = m[below[0]], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = field.neg(m[i][c])
+                m[i] = [field.add(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], tuple(pivots)
+
+
+@st.composite
+def rref_inputs(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 9, 13]))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    entry = st.integers(0, q - 1)
+    shape = draw(st.sampled_from(["random", "zero", "zero rows", "deficient"]))
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    M = np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=np.int64).reshape(rows, cols)
+    if shape == "zero":
+        M[:] = 0
+    elif shape == "zero rows" and rows:
+        M[draw(st.lists(st.integers(0, rows - 1), min_size=1))] = 0
+    elif shape == "deficient" and rows > 1:
+        # the last row is a combination of two earlier ones
+        F = field_from_order(q)
+        a, b = draw(entry), draw(entry)
+        i, j = draw(st.integers(0, rows - 2)), draw(st.integers(0, rows - 2))
+        M[-1] = F.matmul(np.array([[a, b]]), M[[i, j]])[0]
+    return q, M
+
+
+@given(rref_inputs())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_reference_elimination(case):
+    # zero, zero-row, rank-deficient, tall (rows > cols) and wide matrices
+    q, M = case
+    F = field_from_order(q)
+    R, piv = linalg.rref(F, M)
+    want, want_piv = reference_rref(F, M)
+    assert piv == want_piv
+    assert R.shape == (len(want_piv), M.shape[1])
+    assert R.tolist() == want
 
 
 def test_matmul_matches_integer_arithmetic():
@@ -80,8 +143,8 @@ def test_intersection_dim_vs_bruteforce(data, q):
     A = random_matrix(data, q, rows=2, cols=4)
     B = random_matrix(data, q, rows=2, cols=4)
     inter = brute_row_space(F, A) & brute_row_space(F, B)
-    # |intersection| = q^dim
-    d = linalg.intersection_dim(F, A, B)
+    # |intersection| = q^dim, dim by inclusion-exclusion as in hull_dimension
+    d = linalg.rank(F, A) + linalg.rank(F, B) - linalg.rank(F, np.vstack([A, B]))
     assert len(inter) == q**d
 
 
