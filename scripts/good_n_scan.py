@@ -9,6 +9,8 @@ LCD tags n at which the `lcd` block family exists, i.e. q = 3 mod 4 and the
 block of the primitive d-th roots of unity is self-conjugate with odd k_t
 for some divisor d > 1 of n; its computed hull equals its dimension, so
 those codes are self-orthogonal, not LCD (see analysis.good_n_sequence).
+A q that is not a prime power prints an "error:" line on stderr and exits 2,
+as the cdcodes CLI does for invalid input.
 
 Example:
     python scripts/good_n_scan.py --q 3 --limit 60
@@ -21,8 +23,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cdcodes.analysis import good_n_sequence
+from cdcodes.analysis import PROFILES, good_n_sequence
+from cdcodes.cli import EXIT_INVALID
 from cdcodes.cyclic import lambda_n
+from cdcodes.errors import CdcodesError
 from cdcodes.field import mult_order
 
 
@@ -33,11 +37,11 @@ def main():
     args = ap.parse_args()
     q = args.q
 
-    profiles = {
-        "SelfOrthogonal": set(good_n_sequence(q, args.limit, "SelfOrthogonal")),
-        "LCD": set(good_n_sequence(q, args.limit, "LCD")),
-        "SelfDual": set(good_n_sequence(q, args.limit, "SelfDual")),
-    }
+    try:
+        profiles = {name: set(good_n_sequence(q, args.limit, name)) for name in PROFILES}
+    except CdcodesError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return EXIT_INVALID
     print(f"q = {q}")
     print(f"{'n':>4} {'ord':>5} {'lambda':>7} {'log_q(n)/lambda':>16}  profiles")
     for n in range(3, args.limit + 1, 2):
@@ -47,7 +51,8 @@ def main():
         ratio = math.log(n, q) / lam
         tags = ",".join(name for name, members in profiles.items() if n in members) or "-"
         print(f"{n:>4} {mult_order(q, n):>5} {lam:>7} {ratio:>16.4f}  {tags}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

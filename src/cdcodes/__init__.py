@@ -6,6 +6,7 @@ from .codes import (
     KtField,
     LinearCode,
     assemble_code,
+    beta_at,
     build_C0,
     build_Ct,
     build_lcd_code,

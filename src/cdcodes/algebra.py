@@ -192,11 +192,6 @@ class Mat2:
         z = ft.zero
         return cls(ft, ((ft.identity, z), (z, ft.identity)))
 
-    @classmethod
-    def zero(cls, ft: SubfieldView):
-        z = ft.zero
-        return cls(ft, ((z, z), (z, z)))
-
     def __add__(self, other):
         (a, b), (c, d) = self.entries
         (e, f), (g, h) = other.entries

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,8 +20,8 @@ import numpy as np
 
 from . import codes as codes_mod
 from . import linalg
-from .algebra import AlgElem, TwistedDihedralAlgebra
-from .codes import BetaVector, KtField, LinearCode, assemble_code
+from .algebra import TwistedDihedralAlgebra
+from .codes import KtField, LinearCode, assemble_code, beta_at
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -31,7 +30,7 @@ from .errors import (
     NoNonzeroWords,
     NotLeftIdeal,
 )
-from .field import mult_order, prime_factors
+from .field import mult_order, prime_power
 
 FLOAT_SLACK = 1e-9
 
@@ -143,7 +142,7 @@ def _pruned_min_weight(code: LinearCode, budget: int) -> WeightReport:
     any unseen codeword then has weight >= w + 1 on the information set."""
     field = code.field
     q = field.q
-    R, piv = linalg.rref(field, code.gen)
+    R = code.gen
     k, n = R.shape
     best = int(np.count_nonzero(R, axis=1).min())  # every row is a codeword
     spent = 0
@@ -193,12 +192,12 @@ def is_left_ideal(alg: TwistedDihedralAlgebra, code: LinearCode) -> bool:
     """
     if code.n_len != 2 * alg.n:
         raise DimensionMismatch(f"code length {code.n_len} is not 2n = {2 * alg.n}")
-    R, piv = linalg.rref(alg.field, code.gen)
     perm, sign = alg.group_action()
     mul = alg.field.tables().mul
+    piv = code.pivots
     for h in (1, alg.n):
         for img in mul[sign[h], code.gen[:, perm[h]]]:
-            if not linalg.in_row_space(alg.field, R, piv, img):
+            if not linalg.in_row_space(alg.field, code.gen, piv, img):
                 return False
     return True
 
@@ -223,8 +222,7 @@ def balanced_check(
     field = alg.field
     q = field.q
     k = code.k_dim
-    _, piv = linalg.rref(field, code.gen)
-    info = tuple(piv)
+    info = code.pivots
     # the rows of perm carry info to h^-1 info; over the whole group these
     # are the same translates as h info
     perm, _ = alg.group_action()
@@ -252,27 +250,6 @@ def balanced_check(
     )
 
 
-# -- support descriptors -------------------------------------------------------------
-
-
-@dataclass
-class SupportDescriptor:
-    blocks: tuple[int, ...]
-    ell: int
-
-
-def support_descriptor(alg: TwistedDihedralAlgebra, x: AlgElem) -> SupportDescriptor:
-    """Blocks where the component of x is nonzero, and the k-sum over them."""
-    comps = alg.decompose()
-    blocks = []
-    ell = 0
-    for c in comps[1:]:
-        if not c.project(x).is_zero():
-            blocks.append(c.index)
-            ell += c.k
-    return SupportDescriptor(blocks=tuple(blocks), ell=ell)
-
-
 # -- the K* census ---------------------------------------------------------------------
 
 
@@ -282,7 +259,8 @@ class CensusResult:
 
     summary_json reports support_bounds_ok as true without a check: decompose
     asserts k_1 + ... + k_m = (n-1)/2, so any word with a nonzero component in
-    some matrix block has min k_t <= ell <= (n-1)/2 (SupportDescriptor).
+    some matrix block has min k_t <= ell <= (n-1)/2, where ell is the sum of
+    k_t over the blocks t in which the word's component is nonzero.
     """
 
     q: int
@@ -345,14 +323,8 @@ def _census_chunk(
     """
     rows = []
     weights: dict[bytes, tuple[int, float]] = {}
-    radices = [kt.order - 1 for kt in kts]
     for idx in indices:
-        rem = idx
-        codes_vec = []
-        for r in radices:
-            codes_vec.append(1 + rem % r)
-            rem //= r
-        beta = BetaVector(kts, codes_vec)
+        beta = beta_at(kts, idx)
         code = assemble_code(alg, parts, include_C0=include_C0, beta=beta)
         key = code.key()
         if key not in weights:
@@ -459,54 +431,6 @@ def _census_worker(arg):
     return _census_chunk(alg, parts, kts, include_C0, indices, word_budget)
 
 
-# -- good twist search ------------------------------------------------------------------
-
-
-def find_good_beta(
-    alg: TwistedDihedralAlgebra,
-    delta: float,
-    strategy: str = "exhaustive",
-    seed: Optional[int] = None,
-    include_C0: bool = False,
-    samples: int = 1000,
-    word_budget: int = DEFAULT_WORD_BUDGET,
-) -> tuple[Optional[BetaVector], Optional[WeightReport]]:
-    """First beta with Delta(C beta) > delta, or (None, None) when exhausted.
-
-    A beta qualifies only when the lower end of its weight bracket exceeds
-    delta * n_len, so a pruned upper bound is never read as the distance;
-    each distinct code is weighed once.  delta must satisfy
-    0 < delta < 1 - 1/q and h_q(delta) < 1/4.
-    """
-    q = alg.field.q
-    if not 0 < delta < 1 - 1 / q:
-        raise DomainError(f"delta = {delta} outside (0, 1 - 1/q)")
-    if entropy_q(q, delta) >= 0.25:
-        raise DomainError(f"h_q({delta}) >= 1/4")
-    kts = codes_mod.kt_fields(alg)
-    parts = codes_mod.standard_parts(alg)
-    if strategy == "exhaustive":
-        betas: Iterator[BetaVector] = codes_mod.enumerate_beta(kts)
-    elif strategy == "sampled":
-        if seed is None:
-            raise DomainError("sampled strategy requires a seed")
-        rng = random.Random(seed)
-        betas = (BetaVector.random(kts, rng) for _ in range(samples))
-    else:
-        raise DomainError(f"unknown strategy {strategy!r}")
-    rejected: set[bytes] = set()
-    for beta in betas:
-        code = assemble_code(alg, parts, include_C0=include_C0, beta=beta)
-        key = code.key()
-        if key in rejected:
-            continue
-        rep = min_weight(code, budget=word_budget)
-        if Fraction(rep.lower, code.n_len) > delta:
-            return beta, rep
-        rejected.add(key)
-    return None, None
-
-
 # -- good-n predicates ---------------------------------------------------------------------
 
 
@@ -518,11 +442,12 @@ class GoodNFlags:
     ord_odd: bool
     minus1_in_q: bool
     two_exactly_divides_ord: bool
-    in_G_t: bool
 
 
 def good_n_predicates(q: int, n: int) -> GoodNFlags:
-    """Number-theoretic flags steering the asymptotic families."""
+    """Number-theoretic flags steering the asymptotic families (NotPrime
+    unless q is a prime power)."""
+    prime_power(q)
     if math.gcd(n, q) != 1:
         raise GcdViolation(f"gcd({n}, {q}) != 1")
     coprime_odd = n > 1 and n % 2 == 1
@@ -533,9 +458,6 @@ def good_n_predicates(q: int, n: int) -> GoodNFlags:
         two_exact = ordv % 2 == 0 and ordv % 4 != 0
     else:
         ord_odd = minus1 = two_exact = False
-    in_gt = False
-    if coprime_odd and n > q and len(prime_factors(n)) == 1 and prime_factors(n)[0] == n:
-        in_gt = mult_order(q, n) >= math.log(n, q) ** 2
     return GoodNFlags(
         q=q,
         n=n,
@@ -543,13 +465,13 @@ def good_n_predicates(q: int, n: int) -> GoodNFlags:
         ord_odd=ord_odd,
         minus1_in_q=minus1,
         two_exactly_divides_ord=two_exact,
-        in_G_t=in_gt,
     )
 
 
 PROFILE_SELF_ORTHOGONAL = "SelfOrthogonal"
 PROFILE_LCD = "LCD"
 PROFILE_SELF_DUAL = "SelfDual"
+PROFILES = (PROFILE_SELF_ORTHOGONAL, PROFILE_LCD, PROFILE_SELF_DUAL)
 
 
 def good_n_sequence(q: int, limit: int, profile: str) -> list[int]:
@@ -561,8 +483,12 @@ def good_n_sequence(q: int, limit: int, profile: str) -> list[int]:
     of unity is self-conjugate with odd k_t = ord_d(q)/2, which is exactly
     when the `lcd` block family exists at n.  Its computed hull equals its
     dimension: despite the name these codes are self-orthogonal, not LCD.
-    SelfDual: every such n when q is even or 4 | q - 1.
+    SelfDual: every such n when q is even or 4 | q - 1.  A q that is not a
+    prime power raises NotPrime, and an unknown profile DomainError.
     """
+    prime_power(q)
+    if profile not in PROFILES:
+        raise DomainError(f"unknown profile {profile!r}; expected one of {', '.join(PROFILES)}")
     out = []
     for n in range(3, limit + 1, 2):
         if math.gcd(n, q) != 1:
@@ -573,9 +499,6 @@ def good_n_sequence(q: int, limit: int, profile: str) -> list[int]:
             divisor_flags = (good_n_predicates(q, d) for d in range(3, n + 1, 2) if n % d == 0)
             if q % 4 == 3 and any(f.minus1_in_q and f.two_exactly_divides_ord for f in divisor_flags):
                 out.append(n)
-        elif profile == PROFILE_SELF_DUAL:
-            if q % 2 == 0 or (q - 1) % 4 == 0:
-                out.append(n)
-        else:
-            raise DomainError(f"unknown profile {profile!r}")
+        elif q % 2 == 0 or (q - 1) % 4 == 0:  # PROFILE_SELF_DUAL
+            out.append(n)
     return out

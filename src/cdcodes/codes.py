@@ -15,7 +15,6 @@ methods that must agree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Optional, Sequence
 
@@ -69,6 +68,11 @@ class LinearCode:
     def __post_init__(self):
         if self.gen.shape != (self.k_dim, self.n_len):
             raise DimensionMismatch("generator shape does not match (k, n)")
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """Each row's leading column; gen is RREF, so these are its pivots."""
+        return tuple(int(c) for c in np.argmax(self.gen != 0, axis=1))
 
     def key(self) -> bytes:
         """Canonical identity of the row space."""
@@ -190,12 +194,6 @@ class KtField:
             digits.append(d)
         return linalg.matmul(self.alg.field, digits, self._basis_words)[0]
 
-    def unit_codes(self) -> range:
-        return range(1, self.order)
-
-    def random_unit_code(self, rng) -> int:
-        return rng.randrange(1, self.order)
-
 
 def _first_irreducible_quadratic_g(ft: SubfieldView) -> CyclicElem:
     """First g' in canonical order with X^2 + g'X + 1 irreducible over ft."""
@@ -243,18 +241,7 @@ class BetaVector:
 
     @classmethod
     def random(cls, kts: Sequence[KtField], rng) -> "BetaVector":
-        return cls(kts, [kt.random_unit_code(rng) for kt in kts])
-
-    def _unit(self, t: int) -> tuple[KtField, int]:
-        for kt, c in zip(self.kts, self.codes):
-            if kt.comp.index == t:
-                return kt, c
-        raise KeyError(t)
-
-    def component(self, t: int) -> AlgElem:
-        """beta_t as an algebra element, built through the matrix isomorphism."""
-        kt, c = self._unit(t)
-        return kt.element(c)
+        return cls(kts, [rng.randrange(1, kt.order) for kt in kts])
 
     def unit(self) -> AlgElem:
         """beta as one unit of the algebra: e_0 plus every beta_t, each from
@@ -282,10 +269,25 @@ def k_star_size(kts: Sequence[KtField]) -> int:
     return size
 
 
+def beta_at(kts: Sequence[KtField], index: int) -> BetaVector:
+    """The twist at index in the census order of K*.
+
+    The index is read in mixed radix |K_t| - 1 with block 1 fastest, each
+    code running 1 .. |K_t| - 1.  An index outside [0, |K*|) raises
+    InvalidBeta.
+    """
+    if not 0 <= index < k_star_size(kts):
+        raise InvalidBeta(f"index {index} outside [0, |K*|)")
+    codes = []
+    for kt in kts:
+        index, c = divmod(index, kt.order - 1)
+        codes.append(1 + c)
+    return BetaVector(kts, codes)
+
+
 def enumerate_beta(kts: Sequence[KtField]) -> Iterator[BetaVector]:
-    """All of K* in product order (last block fastest)."""
-    for codes in itertools.product(*(kt.unit_codes() for kt in kts)):
-        yield BetaVector(kts, codes)
+    """All of K* once each, in the census order of beta_at."""
+    return (beta_at(kts, i) for i in range(k_star_size(kts)))
 
 
 def build_C0(comp: Component) -> Optional[AlgElem]:
@@ -367,7 +369,7 @@ def assemble_code(
 
 def dual_code(code: LinearCode) -> LinearCode:
     """C-perp, its generator the nullspace basis, which is already RREF."""
-    basis = linalg.nullspace(code.field, code.gen)
+    basis = linalg.nullspace(code.field, code.gen, code.pivots)
     return LinearCode(code.field, code.n_len, len(basis), basis, {"dual_of": code.origin})
 
 

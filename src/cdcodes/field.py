@@ -480,19 +480,21 @@ def _field_cached(p: int, m: int) -> Field:
     return field
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, m) with q = p^m; NotPrime when q is not a prime power."""
+    primes = prime_factors(q)  # [] for q < 2
+    if len(primes) != 1:
+        raise NotPrime(f"{q} is not a prime power")
+    p = primes[0]
+    m = 1
+    while p**m < q:
+        m += 1
+    return p, m
+
+
 def field_from_order(q: int) -> Field:
     """GF(q) for a prime power q, with the canonical modulus."""
-    if q < 2:
-        raise NotPrime(f"{q} is not a prime power")
-    p = prime_factors(q)[0]
-    m = 0
-    t = q
-    while t % p == 0 and t > 1:
-        t //= p
-        m += 1
-    if t != 1:
-        raise NotPrime(f"{q} is not a prime power")
-    return _field_cached(p, m)
+    return _field_cached(*prime_power(q))
 
 
 def mult_order(q: int, n: int) -> int:

@@ -52,12 +52,15 @@ def rank(field: Field, mat: np.ndarray) -> int:
     return rref(field, mat)[0].shape[0]
 
 
-def nullspace(field: Field, mat: np.ndarray) -> np.ndarray:
-    """Canonical basis of {v : mat . v^T = 0}, as RREF rows."""
+def nullspace(field: Field, R: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
+    """Canonical basis of {v : R . v^T = 0}, as RREF rows.
+
+    (R, pivots) is a reduced row echelon form as rref returns it; a
+    LinearCode's gen and pivots are one.
+    """
     t = field.tables()
-    R, pivots = rref(field, mat)
-    cols = as_matrix(mat).shape[1]
-    free = [c for c in range(cols) if c not in set(pivots)]
+    cols = R.shape[1]
+    free = sorted(set(range(cols)) - set(pivots))
     basis = np.zeros((len(free), cols), dtype=np.int64)
     for i, f in enumerate(free):
         basis[i, f] = 1

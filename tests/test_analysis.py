@@ -16,11 +16,9 @@ from cdcodes.analysis import (
     balanced_check,
     census_K_le_delta,
     entropy_q,
-    find_good_beta,
     good_n_predicates,
     good_n_sequence,
     min_weight,
-    support_descriptor,
 )
 from cdcodes.codes import LinearCode, build_plain_code, build_self_dual_code
 from cdcodes.errors import (
@@ -30,6 +28,7 @@ from cdcodes.errors import (
     HypothesisUnmet,
     NoNonzeroWords,
     NotLeftIdeal,
+    NotPrime,
 )
 from cdcodes.field import field_from_order, mult_order
 
@@ -383,47 +382,15 @@ def test_census_distinct_codes_are_twist_classes(q, n, include_C0):
     assert res.csv_lines()[0] == "beta_index,beta_codes,min_weight,delta"
 
 
-# -- good beta search ---------------------------------------------------------------------------
+# -- good betas ---------------------------------------------------------------------------------
 
 
-def test_find_good_beta_tiny_delta():
-    A = get_algebra(5, 3)
-    beta, rep = find_good_beta(A, 0.05)
-    assert beta is not None and rep.relative_distance > Fraction(1, 20)
-
-
-def test_find_good_beta_exhaustive_7_3():
-    A = get_algebra(3, 7)
-    beta, rep = find_good_beta(A, 0.04)
-    assert beta is not None
-    assert rep.relative_distance > Fraction(4, 100)
-
-
-def test_find_good_beta_sampled_needs_seed():
-    A = get_algebra(5, 3)
-    with pytest.raises(DomainError):
-        find_good_beta(A, 0.05, strategy="sampled")
-    beta, rep = find_good_beta(A, 0.05, strategy="sampled", seed=9)
-    assert beta is not None
-
-
-def test_find_good_beta_needs_lower_end_above_delta():
-    # q = 2, n = 13: 1/26 < delta = 0.04 < 2/26.  Past the word budget the
-    # pruned bracket is [1, 26] and proves nothing, so no beta qualifies.
-    A = get_algebra(2, 13)
-    beta, rep = find_good_beta(A, 0.04, strategy="sampled", seed=1, samples=20, word_budget=1)
-    assert beta is None and rep is None
-    beta, rep = find_good_beta(A, 0.04, strategy="sampled", seed=1, samples=20)
-    assert beta is not None and rep.exact
-    assert Fraction(rep.lower, 26) > 0.04
-
-
-def test_find_good_beta_domain():
-    A = get_algebra(5, 3)
-    with pytest.raises(DomainError):
-        find_good_beta(A, 0.5)  # h_5(0.5) >= 1/4
-    with pytest.raises(DomainError):
-        find_good_beta(A, 0.9)  # outside (0, 1 - 1/q)
+@pytest.mark.parametrize("q, n, delta", [(5, 3, 0.05), (3, 7, 0.04)])
+def test_census_rows_hold_a_good_beta(q, n, delta):
+    # some beta has Delta(C beta) > delta, read off the census's exact weights
+    res = census_K_le_delta(get_algebra(q, n), delta)
+    good = sum(1 for *_, d in res.rows if d > delta)
+    assert good and res.count == res.k_star_size - good
 
 
 # -- support descriptors ----------------------------------------------------------------------------
@@ -442,9 +409,10 @@ def test_support_descriptor_bounds(rng):
             unit = beta.unit()
             words += [f * unit for _, f in codes.standard_parts(A)]
         for x in words:
-            sd = support_descriptor(A, x)
-            if sd.ell:
-                assert kmin <= sd.ell <= (n - 1) // 2, (q, n, sd)
+            # ell: the k-sum over the blocks where x has a nonzero component
+            ell = sum(c.k for c in A.decompose()[1:] if not c.project(x).is_zero())
+            if ell:
+                assert kmin <= ell <= (n - 1) // 2, (q, n, ell)
 
 
 # -- good-n predicates -------------------------------------------------------------------------------
@@ -470,6 +438,18 @@ def test_good_n_sequences():
     assert sd5 == [3, 7, 9, 11]
     with pytest.raises(DomainError):
         good_n_sequence(3, 10, "Nope")
+
+
+def test_good_n_needs_a_prime_power():
+    for q in (6, 1, 0, 12):
+        with pytest.raises(NotPrime):
+            good_n_predicates(q, 5)
+        for profile in analysis.PROFILES:
+            with pytest.raises(NotPrime):
+                good_n_sequence(q, 15, profile)
+    # the profile is checked before the loop, so an empty range raises too
+    with pytest.raises(DomainError):
+        good_n_sequence(3, 2, "Nope")
 
 
 def test_self_orthogonal_profile_matches_plain_hull():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -8,10 +9,12 @@ from conftest import get_algebra
 
 from cdcodes import codes, linalg
 from cdcodes.algebra import SELF_CONJ, Mat2, TwistedDihedralAlgebra
+from cdcodes.analysis import census_K_le_delta
 from cdcodes.codes import (
     BetaVector,
     LinearCode,
     assemble_code,
+    beta_at,
     build_C0,
     build_Ct,
     build_lcd_code,
@@ -224,13 +227,12 @@ def test_kt_word_is_linear_in_digits():
 
 
 def test_beta_vector_component_is_lazy_oracle():
+    # beta holds only its codes; beta_t is built on demand by KtField.element
     A = get_algebra(7, 3)
     kts = kt_fields(A)
     beta = BetaVector(kts, [5])
     assert vars(beta).keys() == {"kts", "codes"}
-    assert beta.component(1) == kts[0].element(5)
-    with pytest.raises(KeyError):
-        beta.component(2)
+    assert beta.unit() == A.decompose()[0].identity + kts[0].element(5)
 
 
 def test_beta_unit_is_e0_plus_components(rng):
@@ -242,8 +244,8 @@ def test_beta_unit_is_e0_plus_components(rng):
         for _ in range(5):
             beta = BetaVector.random(kts, rng)
             total = A.decompose()[0].identity
-            for c in A.decompose()[1:]:
-                total = total + beta.component(c.index)
+            for kt, c in zip(beta.kts, beta.codes):
+                total = total + kt.element(c)
             assert beta.unit() == total
 
 
@@ -260,7 +262,8 @@ def _product_oracle(A, family, beta, include_a0=False):
             return None
     else:
         blocks = comps[1:]
-    gens = [build_Ct(c) * beta.component(c.index) for c in blocks]
+    beta_t = {kt.comp.index: kt.element(c) for kt, c in zip(beta.kts, beta.codes)}
+    gens = [build_Ct(c) * beta_t[c.index] for c in blocks]
     if family == "self-dual":
         if A.tw == -1 and q % 4 == 3:
             return None
@@ -382,15 +385,15 @@ def test_twist_class_is_beta_modulo_Ft_star(q, n, kind):
     ft = comp.ft
     scalars = [comp.iso_from_mat2(Mat2.identity(ft).scaled(a)) for a in ft.elements() if not a.is_zero()]
     assert len(scalars) == ft.order - 1
-    code_of = {kt.element(c).to_word(): c for c in kt.unit_codes()}
+    code_of = {kt.element(c).to_word(): c for c in range(1, kt.order)}
     rest = [k.identity_code for k in kts[1:]]
     key = {
-        c: assemble_code(A, parts, beta=BetaVector(kts, [c] + rest)).key() for c in kt.unit_codes()
+        c: assemble_code(A, parts, beta=BetaVector(kts, [c] + rest)).key() for c in range(1, kt.order)
     }
-    for c in kt.unit_codes():
+    for c in range(1, kt.order):
         beta_t = kt.element(c)
         orbit = {code_of[(s * beta_t).to_word()] for s in scalars}
-        same_code = {d for d in kt.unit_codes() if key[d] == key[c]}
+        same_code = {d for d in range(1, kt.order) if key[d] == key[c]}
         assert same_code == orbit
     assert len(set(key.values())) == ft.order + 1
 
@@ -402,6 +405,38 @@ def test_twist_preserves_dimension(rng):
     for _ in range(20):
         beta = BetaVector.random(kts, rng)
         assert assemble_code(A, parts, beta=beta).k_dim == A.n - 1
+
+
+@pytest.mark.parametrize("q, n", [(2, 9), (2, 15)])
+def test_enumerate_beta_follows_the_census_order(q, n):
+    # two and three blocks: one order of K*, block 1 fastest
+    A = get_algebra(q, n)
+    kts = kt_fields(A)
+    res = census_K_le_delta(A, delta=0.5)
+    assert [b.codes for b in enumerate_beta(kts)] == [codes_ for _, codes_, _, _ in res.rows]
+
+
+def test_beta_at_covers_k_star_once():
+    for q, n in ((7, 3), (3, 5), (4, 5), (2, 7), (2, 9)):
+        kts = kt_fields(get_algebra(q, n))
+        size = k_star_size(kts)
+        seen = {beta_at(kts, i).codes for i in range(size)}
+        assert len(seen) == size
+        assert seen == set(itertools.product(*(range(1, kt.order) for kt in kts)))
+        assert beta_at(kts, 1).codes[0] == 2  # block 1 fastest
+        for bad in (-1, size):
+            with pytest.raises(InvalidBeta):
+                beta_at(kts, bad)
+
+
+def test_linear_code_pivots_are_its_rref_pivots():
+    F = field_from_order(5)
+    rows = [[0, 2, 1, 0, 3], [0, 4, 2, 1, 1], [0, 0, 0, 0, 0]]
+    code = LinearCode.from_rows(F, rows)
+    assert code.pivots == linalg.rref(F, np.array(rows))[1] == (1, 3)
+    assert LinearCode.from_rows(F, [], n_len=4).pivots == ()
+    plain = build_plain_code(get_algebra(3, 7))
+    assert plain.pivots == linalg.rref(plain.field, plain.gen)[1]
 
 
 def test_invalid_beta():

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 CENSUS_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "census_experiment.py"
+GOOD_N_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "good_n_scan.py"
 
 
 def run_census(tmp_path, *args):
@@ -45,3 +46,25 @@ def test_census_script_exit_codes(tmp_path, args, exit_code):
     assert code == exit_code
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "census.csv").exists()
+
+
+def run_good_n_scan(*args):
+    proc = subprocess.run(
+        [sys.executable, str(GOOD_N_SCRIPT), *args], capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_good_n_scan_prints_the_table():
+    code, out, err = run_good_n_scan("--q", "3", "--limit", "9")
+    assert code == 0, err
+    assert out.splitlines()[0] == "q = 3"
+    assert [ln.split()[0] for ln in out.splitlines()[2:]] == ["5", "7"]
+
+
+@pytest.mark.parametrize("q", ["6", "1"])
+def test_good_n_scan_rejects_a_non_prime_power(q):
+    code, out, err = run_good_n_scan("--q", q, "--limit", "15")
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
