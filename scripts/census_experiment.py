@@ -4,8 +4,8 @@
 Writes one CSV row per twist (integer-encoded beta, minimum weight, relative
 distance) plus a JSON summary comparing the bad-twist count against the
 volume bound when the exponent margin is positive.  Exit codes follow the
-cdcodes CLI: 2 invalid input (including an --out directory that does not
-exist), 3 hypothesis unmet, 4 budget exceeded (|K*| over --k-star-budget),
+cdcodes CLI: 2 invalid input (including an --out path that cannot be
+written), 3 hypothesis unmet, 4 budget exceeded (|K*| over --k-star-budget),
 each with an "error:" line on stderr.
 
 Example:
@@ -50,7 +50,7 @@ def main():
         )
         csv_path.write_text("\n".join(res.csv_lines()) + "\n")
         json_path.write_text(json.dumps(res.summary_json(), indent=2) + "\n")
-    except (CdcodesError, FileNotFoundError) as ex:
+    except (CdcodesError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         if isinstance(ex, BudgetExceeded):
             return EXIT_BUDGET

@@ -39,7 +39,7 @@ PRUNED = "pruned"
 MODES = ("auto", EXHAUSTIVE, PRUNED)
 
 # Words min_weight may weigh (at least 1): it bounds time, not memory, which
-# stays O(linalg.SPAN_CHUNK n) on both paths.
+# stays O(linalg.SPAN_CHUNK n) on both paths (packed words on the exhaustive one).
 DEFAULT_WORD_BUDGET = 1 << 20
 
 
@@ -83,11 +83,11 @@ def min_weight(code: LinearCode, budget: int = DEFAULT_WORD_BUDGET, mode: str = 
 
     budget (at least 1) caps the words weighed, so it bounds time; memory is
     O(SPAN_CHUNK n) on both paths.  The exhaustive path weighs all q^k words
-    (linalg.weight_distribution); mode "exhaustive" raises BudgetExceeded
-    instead of falling back.  The pruned path expands every message of
-    weight <= w on an information set while whole weight layers fit the
-    budget, giving the bracket [w+1, best]; best starts at the lightest
-    generator row.
+    by packed XOR and popcount (linalg.weight_distribution); mode "exhaustive"
+    raises BudgetExceeded instead of falling back.  The pruned path expands
+    every message of weight <= w on an information set while whole weight
+    layers fit the budget, giving the bracket [w+1, best]; best starts at the
+    lightest generator row.
     """
     if mode not in MODES:
         raise DomainError(f"unknown min_weight mode {mode!r}; expected one of {', '.join(MODES)}")

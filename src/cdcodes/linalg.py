@@ -121,22 +121,37 @@ def _span_chunks(field: Field, basis: np.ndarray):
             yield add[top, low]
 
 
+def _pack(words: np.ndarray, b: int) -> np.ndarray:
+    """Rows of element codes as rows of uint64 lanes: b bits a coordinate, 64 // b to a lane."""
+    per = 64 // b
+    padded = np.zeros((len(words), -(-words.shape[1] // per) * per), dtype=np.uint64)
+    padded[:, : words.shape[1]] = words
+    shifts = np.arange(per, dtype=np.uint64) * np.uint64(b)
+    return np.bitwise_or.reduce(padded.reshape(len(words), -1, per) << shifts, axis=2)
+
+
 def weight_distribution(field: Field, basis: np.ndarray) -> np.ndarray:
     """Counts A_0..A_n of the row space's words by Hamming weight.
 
-    The span of the last j rows (q^j <= SPAN_CHUNK) is held once; each word o
-    of the span of the other rows shifts it, and x + o has weight the number
-    of coordinates where x differs from -o, so no sum is formed.  The offsets
-    come in blocks of SPAN_CHUNK too: memory is O(SPAN_CHUNK n), not O(q^k n).
+    The span of the last j = min(_low_rows, ceil(k/2)) rows is held once; each
+    word o of the other rows' span (both ~sqrt(q^k) words) shifts it, and x + o
+    has weight #{i : x_i != -o_i}.  In uint64 lanes, b = bit_length(q - 1) bits
+    a coordinate, ((z & M) + M | z) & H with z = x XOR pack(-o) keeps the top
+    bit (H) of each nonzero field (M: its low b - 1 bits) for a popcount.  At
+    most SPAN_CHUNK words are weighed at a time: memory is O(SPAN_CHUNK n).
     """
     basis = as_matrix(basis)
     k, n = basis.shape
-    j = _low_rows(field.q, k)
-    dtype = np.uint8 if field.q <= 256 else np.uint16
-    low = enumerate_span(field, basis[k - j :]).astype(dtype)
-    neg = field.tables().neg.astype(dtype)
+    j = min(_low_rows(field.q, k), -(-k // 2))
+    b = (field.q - 1).bit_length()
+    low = _pack(enumerate_span(field, basis[k - j :]), b)
+    H, M = _pack(np.array([[1 << (b - 1)], [(1 << (b - 1)) - 1]]).repeat(n, axis=1), b)
+    step = max(1, SPAN_CHUNK // len(low))
     counts = np.zeros(n + 1, dtype=np.int64)
     for offsets in _span_chunks(field, basis[: k - j]):
-        for o in neg[offsets]:
-            counts += np.bincount(np.count_nonzero(low != o, axis=1), minlength=n + 1)
+        negs = _pack(field.tables().neg[offsets], b)[:, None, :]
+        for s in range(0, len(negs), step):
+            z = low ^ negs[s : s + step]
+            weights = np.bitwise_count((((z & M) + M) | z) & H).sum(axis=2, dtype=np.intp)
+            counts += np.bincount(weights.ravel(), minlength=n + 1)
     return counts

@@ -124,17 +124,21 @@ def test_min_weight_rejects_budget_below_one(budget):
 
 
 def test_exhaustive_min_weight_memory_is_bounded():
-    # q^k = 2^20 words of length 42: all of them as int64 would take 336 MiB
-    code = build_plain_code(get_algebra(2, 21))
-    code.field.tables()
-    tracemalloc.start()
-    try:
-        rep = min_weight(code)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.method == analysis.EXHAUSTIVE and rep.exact
-    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    # q^k = 2^20 binary words of length 42 (one packed lane): all of them as
+    # int64 would take 336 MiB; and 3^12 ternary words of length 70, which
+    # fill three lanes of 32 coordinates (284 MiB as int64)
+    ternary = np.random.default_rng(0).integers(0, 3, (12, 70))
+    for code in (build_plain_code(get_algebra(2, 21)), LinearCode.from_rows(field_from_order(3), ternary)):
+        assert code.field.q**code.k_dim >= 3**12
+        code.field.tables()
+        tracemalloc.start()
+        try:
+            rep = min_weight(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.method == analysis.EXHAUSTIVE and rep.exact
+        assert peak <= 16 * 2**20, f"q = {code.field.q}: peak {peak / 2**20:.1f} MiB"
 
 
 def reference_pruned_bracket(code, budget):

@@ -166,7 +166,7 @@ def span_weights(field, basis):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 13, 1024])
 def test_weight_distribution_matches_span(q):
     # k = 1, the largest k with q^k <= SPAN_CHUNK (one chunk) and the least
-    # k past it (a chunk of offsets); q = 1024 holds its words as uint16
+    # k past it (a chunk of offsets); q = 1024 packs 10 bits a coordinate
     F = field_from_order(q)
     rng = np.random.default_rng(q)
     n = 4 if q > 256 else 9
@@ -184,10 +184,35 @@ def test_weight_distribution_many_offset_chunks(monkeypatch, q, k):
     monkeypatch.setattr(linalg, "SPAN_CHUNK", 16)
     F = field_from_order(q)
     basis = np.random.default_rng(k).integers(0, q, (k, 10))
-    j = linalg._low_rows(q, k)
+    j = min(linalg._low_rows(q, k), -(-k // 2))  # the split weight_distribution makes
     blocks = list(linalg._span_chunks(F, basis[: k - j]))
     assert len(blocks) > 1 and all(len(b) <= 16 for b in blocks)
     assert sum(map(len, blocks)) == q ** (k - j)
+    assert np.array_equal(linalg.weight_distribution(F, basis), span_weights(F, basis))
+
+
+@pytest.mark.parametrize(
+    "b, q, k",
+    [(1, 2, 6), (2, 3, 4), (3, 5, 3), (4, 9, 3), (5, 17, 2), (6, 49, 2), (7, 81, 2), (8, 169, 2), (9, 343, 2),
+     (10, 729, 1), (11, 2048, 1)],
+)
+def test_weight_distribution_packed_fields(b, q, k):
+    # every field width b; a word one coordinate short of a full lane, a full
+    # lane, one coordinate over, and two lanes plus one
+    F = field_from_order(q)
+    assert (q - 1).bit_length() == b
+    rng = np.random.default_rng(q)
+    per = 64 // b
+    for n in (per - 1, per, per + 1, 2 * per + 1):
+        basis = rng.integers(0, q, (k, n))
+        basis[:, -1] = q - 1  # the largest code in the last field of each word
+        assert np.array_equal(linalg.weight_distribution(F, basis), span_weights(F, basis)), n
+
+
+def test_weight_distribution_long_words():
+    F = field_from_order(3)
+    basis = np.random.default_rng(0).integers(0, 3, (5, 300))
+    basis[0] = 1  # weights past 255
     assert np.array_equal(linalg.weight_distribution(F, basis), span_weights(F, basis))
 
 

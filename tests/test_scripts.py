@@ -48,6 +48,14 @@ def test_census_script_exit_codes(tmp_path, args, exit_code):
     assert not (tmp_path / "census.csv").exists()
 
 
+def test_census_script_unwritable_out_exits_2(tmp_path):
+    (tmp_path / "census.csv").mkdir()
+    code, out, err = run_census(tmp_path, "--q", "7", "--n", "3", "--delta", "0.2")
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "census.json").exists()
+
+
 def run_good_n_scan(*args):
     proc = subprocess.run(
         [sys.executable, str(GOOD_N_SCRIPT), *args], capture_output=True, text=True, timeout=120
