@@ -37,7 +37,7 @@ from .errors import (
     NotInComponent,
     NotPaired,
 )
-from .field import Field, sqrt_minus_one
+from .field import Field, _rot_index, sqrt_minus_one
 
 TRIVIAL_FIELD = "trivial_field"
 TRIVIAL_SPLIT = "trivial_split"
@@ -126,14 +126,15 @@ class SubfieldView:
     """A subfield of FH given by an identity idempotent and an RREF basis.
 
     Elements are CyclicElems; the view supplies identity-aware inversion,
-    membership, and the canonical integer encoding of coordinates.
+    membership, and the canonical integer encoding of coordinates.  span is
+    a 2-D array of coefficient rows that spans the subfield.
     """
 
-    def __init__(self, field: Field, n: int, identity: CyclicElem, span: Sequence[CyclicElem], label: str = ""):
+    def __init__(self, field: Field, n: int, identity: CyclicElem, span: np.ndarray, label: str = ""):
         self.field = field
         self.n = n
         self.identity = identity
-        R, pivots = linalg.rref(field, np.array([v.coeffs for v in span]))
+        R, pivots = linalg.rref(field, span)
         self.basis = tuple(CyclicElem(field, row) for row in R)
         self._R = R
         self._pivots = pivots
@@ -335,7 +336,13 @@ def solve_norm_equation(
 
 
 class Component:
-    """One block A_t of the decomposition, with its isomorphism data."""
+    """One block A_t of the decomposition, with its isomorphism data.
+
+    Built eagerly: e, identity, k, dim, fhe and ft, and on self-conjugate
+    blocks g, s, s_prime, ue and uinv_e.  Only iso_to_mat2 / iso_from_mat2
+    read epsilon, eta, nu, eta_nu, _b_inv and _diff_inv, so those are built
+    on their first use (`_iso_data`) and cached.
+    """
 
     def __init__(self, alg: "TwistedDihedralAlgebra", index: int, kind: str, idem_indices: tuple[int, ...]):
         self.alg = alg
@@ -349,6 +356,7 @@ class Component:
         self.g = self.s = self.s_prime = None
         self.ft: Optional[SubfieldView] = None
         self.ebar: Optional[CyclicElem] = None
+        self._iso: Optional[tuple] = None  # _iso_data(), on first use
 
         if kind in (TRIVIAL_FIELD, TRIVIAL_SPLIT):
             self.e = idems[0]
@@ -364,11 +372,7 @@ class Component:
         i = idem_indices[0]
         self.e = idems[i]
         ue = self.e.shift(1)
-        fhe_span = [self.e]
-        x = self.e
-        for _ in range(n - 1):
-            x = x.shift(1)
-            fhe_span.append(x)
+        fhe_span = self.e.coeffs[_rot_index(n)]  # row d is u^d e
         self.fhe = SubfieldView(F, n, self.e, fhe_span, label=f"FHe[{i}]")
         self.ue = ue
         self.uinv_e = self.e.shift(-1)
@@ -385,9 +389,9 @@ class Component:
         # self-conjugate: F_t = bar-fixed subfield of FHe, spanned by traces
         assert kind == SELF_CONJ
         assert self.e.bar() == self.e
-        span = [y + y.bar() for y in fhe_span]
+        span = F.tables().add[fhe_span, fhe_span[:, -np.arange(n) % n]]  # rows y + bar(y)
         if F.p == 2:
-            span.append(self.e)  # char 2: e itself is bar-fixed, traces may miss it
+            span = np.vstack((span, self.e.coeffs))  # char 2: e itself is bar-fixed, traces may miss it
         ftv = SubfieldView(F, n, self.e, span, label=f"Fix(FHe[{i}])")
         self.ft = ftv
         self.k = ftv.dim
@@ -400,17 +404,26 @@ class Component:
         self.g = -(ue + self.uinv_e)
         assert ftv.contains(self.g)
         self.s, self.s_prime = solve_norm_equation(ftv, self.g, rhs=self.e.scale(alg.tw_code))
-        self._diff_inv = self.fhe.inv(ue - self.uinv_e)
-        z = ftv.zero
-        self.epsilon = Mat2.identity(ftv)
-        self.eta = Mat2(ftv, ((-self.g, self.e), (-self.e, z)))
-        sgsp = self.s * self.g + self.s_prime
-        self.nu = Mat2(ftv, ((self.s, self.s_prime), (sgsp, -self.s)))
-        self.eta_nu = self.eta * self.nu
-        basis = [self.epsilon, self.eta, self.nu, self.eta_nu]
-        cols = [m.vec() for m in basis]
-        rows = [[cols[j][i] for j in range(4)] for i in range(4)]
-        self._b_inv = _ft_mat_inv(ftv, rows)
+
+    def _iso_data(self) -> tuple:
+        """(epsilon, eta, nu, eta_nu, _b_inv, _diff_inv) of a self-conjugate block, cached."""
+        if self._iso is None:
+            self._require((SELF_CONJ,))
+            ftv, e = self.ft, self.e
+            eta = Mat2(ftv, ((-self.g, e), (-e, ftv.zero)))
+            nu = Mat2(ftv, ((self.s, self.s_prime), (self.s * self.g + self.s_prime, -self.s)))
+            basis = (Mat2.identity(ftv), eta, nu, eta * nu)
+            cols = [m.vec() for m in basis]
+            b_inv = _ft_mat_inv(ftv, [[cols[j][i] for j in range(4)] for i in range(4)])
+            self._iso = basis + (b_inv, self.fhe.inv(self.ue - self.uinv_e))
+        return self._iso
+
+    epsilon = property(lambda self: self._iso_data()[0])
+    eta = property(lambda self: self._iso_data()[1])
+    nu = property(lambda self: self._iso_data()[2])
+    eta_nu = property(lambda self: self._iso_data()[3])
+    _b_inv = property(lambda self: self._iso_data()[4])
+    _diff_inv = property(lambda self: self._iso_data()[5])
 
     # -- membership ---------------------------------------------------------
 
@@ -582,20 +595,25 @@ class TwistedDihedralAlgebra:
         assert 2 * ksum == self.n - 1, "k-sum accounting failed"
         lam = self.lambda_()
         assert all(2 * c.k >= lam for c in comps[1:]), "2k_t >= lambda(n) failed"
-        # orthogonality of the block identities
+        # the block identities sum to 1 and are orthogonal idempotents
         total = self.zero()
         for c in comps:
             total = total + c.identity
         assert total == self.one()
-        for ci in comps:
-            for cj in comps:
-                prod = ci.identity * cj.identity
-                if ci is cj:
-                    assert prod == ci.identity
-                else:
-                    assert prod.is_zero()
+        self._check_orthogonal_idempotents(np.array([c.identity.word for c in comps]))
         self._components = comps
         return comps
+
+    def _check_orthogonal_idempotents(self, words: np.ndarray):
+        """Assert w_i w_j = w_i if i == j, else 0, for the rows w_i of words.
+
+        One product W . [L(w_0) ... L(w_m)] holds every w_i w_j, in block (i, j).
+        """
+        r, n2 = words.shape
+        L = self.translates(words).reshape(r, n2, n2).transpose(1, 0, 2).reshape(n2, r * n2)
+        expect = np.zeros((r, r, n2), dtype=np.int64)
+        expect[np.arange(r), np.arange(r)] = words
+        assert np.array_equal(self.field.matmul(words, L).reshape(r, r, n2), expect), "block identities"
 
     def group_action(self) -> tuple[np.ndarray, np.ndarray]:
         """Signed coordinate permutations (perm, sign) of all 2n group elements.

@@ -43,9 +43,11 @@ ANALYZE_CHECKS = ("min-weight", "hull", "balance")
 
 def _field(ns: argparse.Namespace) -> Field:
     if ns.q is not None:
+        if ns.p is not None or ns.m is not None:
+            raise DomainError("--q excludes --p and --m")
         return field_from_order(ns.q)
     if ns.p is not None:
-        return field_make(ns.p, ns.m)
+        return field_make(ns.p, 1 if ns.m is None else ns.m)
     raise DomainError("either --q or --p/--m is required")
 
 
@@ -56,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--q", type=int, help="field size as a prime power")
         sp.add_argument("--p", type=int, help="characteristic (with --m)")
-        sp.add_argument("--m", type=int, default=1, help="extension degree")
+        sp.add_argument("--m", type=int, help="extension degree (with --p; default 1)")
         sp.add_argument("--n", type=int, required=True, help="odd cyclic order n")
         sp.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
         sp.add_argument("--out", help="output path (default stdout)")

@@ -58,14 +58,11 @@ def nullspace(field: Field, R: np.ndarray, pivots: tuple[int, ...]) -> np.ndarra
     (R, pivots) is a reduced row echelon form as rref returns it; a
     LinearCode's gen and pivots are one.
     """
-    t = field.tables()
     cols = R.shape[1]
     free = sorted(set(range(cols)) - set(pivots))
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for j, p in enumerate(pivots):
-            basis[i, p] = t.neg[R[j, f]]
+    basis[np.arange(len(free)), free] = 1
+    basis[:, list(pivots)] = field.tables().neg[R[:, free]].T
     return rref(field, basis)[0]
 
 

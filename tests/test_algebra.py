@@ -2,6 +2,7 @@ import pytest
 
 from conftest import get_algebra
 
+from cdcodes import algebra
 from cdcodes.algebra import (
     PAIRED,
     SELF_CONJ,
@@ -9,6 +10,7 @@ from cdcodes.algebra import (
     TRIVIAL_SPLIT,
     Mat2,
     SubfieldView,
+    TwistedDihedralAlgebra,
     solve_norm_equation,
 )
 from cdcodes.cyclic import CyclicElem
@@ -22,7 +24,7 @@ def scalar_view(q):
     """A plain field GF(q) presented as the n = 1 subfield of FH."""
     F = field_from_order(q)
     one = CyclicElem.one(F, 1)
-    return SubfieldView(F, 1, one, [one], label=f"GF({q})")
+    return SubfieldView(F, 1, one, one.coeffs[None], label=f"GF({q})")
 
 
 # -- defining relations ------------------------------------------------------------
@@ -151,6 +153,73 @@ def test_block_orthogonality():
                 if i == j:
                     continue
                 assert all(x.inner(y) == 0 for x in bi for y in bj)
+
+
+def _orthogonal_idempotents_by_products(A, words):
+    """The pairwise AlgElem oracle: w_i w_j = w_i if i == j, else 0."""
+    elems = [A.from_word(w) for w in words]
+    return all(
+        x * y == (x if i == j else A.zero()) for i, x in enumerate(elems) for j, y in enumerate(elems)
+    )
+
+
+def test_block_identity_check_rejects_bad_sets():
+    A = get_algebra(5, 13)
+    W = np.array([c.identity.word for c in A.decompose()])
+    A._check_orthogonal_idempotents(W)
+    t = A.field.tables()
+    not_orthogonal = W.copy()
+    not_orthogonal[1] = t.add[W[1], W[2]]  # e_1 + e_2 is idempotent, but meets e_2
+    not_idempotent = W.copy()
+    not_idempotent[1] = (A.u(1) * A.from_word(W[1])).word  # orthogonal to the rest, u e_1 != (u e_1)^2
+    for bad in (not_orthogonal, not_idempotent):
+        assert not _orthogonal_idempotents_by_products(A, bad)
+        with pytest.raises(AssertionError):
+            A._check_orthogonal_idempotents(bad)
+
+
+def test_block_identity_check_matches_pairwise_products(rng):
+    # raises exactly when some pairwise product is wrong
+    for q, n in ((3, 5), (7, 3), (2, 9), (5, 13)):
+        A = get_algebra(q, n)
+        W = np.array([c.identity.word for c in A.decompose()])
+        t = A.field.tables()
+        for _ in range(6):
+            sets = [W, W[rng.sample(range(len(W)), len(W))], W[: rng.randrange(1, len(W) + 1)]]
+            i, j = rng.randrange(len(W)), rng.randrange(len(W))
+            summed = W.copy()
+            summed[i] = t.add[W[i], W[j]]
+            sets.append(summed)
+            for words in sets:
+                if _orthogonal_idempotents_by_products(A, words):
+                    A._check_orthogonal_idempotents(words)
+                else:
+                    with pytest.raises(AssertionError):
+                        A._check_orthogonal_idempotents(words)
+
+
+@pytest.mark.parametrize("tw", [-1, 1])
+@pytest.mark.parametrize("q, n", [(3, 7), (5, 13), (7, 5)])
+def test_decompose_builds_no_iso_data(monkeypatch, rng, q, n, tw):
+    # the 4x4 inverse and the matrix basis serve only the isomorphisms
+    def fail(*args):
+        raise AssertionError("_ft_mat_inv called")
+
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "_ft_mat_inv", fail)
+        A = TwistedDihedralAlgebra(field_from_order(q), n, tw)
+        A.decompose()
+        A.decomposition_report()
+        selfconj = [c for c in A.decompose() if c.kind == SELF_CONJ]
+        assert selfconj and all(c._iso is None for c in selfconj)
+    for comp in selfconj:
+        assert comp.iso_to_mat2(comp.identity) == Mat2.identity(comp.ft)
+        for _ in range(10):
+            x = comp.project(A.random_elem(rng))
+            y = comp.project(A.random_elem(rng))
+            M = comp.iso_to_mat2(x)
+            assert comp.iso_from_mat2(M) == x
+            assert comp.iso_to_mat2(x * y) == M * comp.iso_to_mat2(y)
 
 
 def test_component_split_of_random_ideals(rng):

@@ -48,6 +48,30 @@ def test_decompose_p_m_flags(capsys):
 
 
 @pytest.mark.parametrize(
+    "field_args",
+    [("--q", "3", "--p", "2"), ("--q", "3", "--m", "1"), ("--q", "9", "--p", "3", "--m", "2")],
+    ids=["q-p", "q-m", "q-p-m"],
+)
+@pytest.mark.parametrize("subcommand", ["decompose", "construct"])
+def test_q_with_p_or_m_exit2(capsys, subcommand, field_args):
+    rc, out, err = run(capsys, subcommand, *field_args, "--n", "5")
+    assert (rc, out) == (2, "")
+    assert err == "error: --q excludes --p and --m\n"
+
+
+def test_p_without_m_is_prime_field(capsys):
+    rc, out, _ = run(capsys, "decompose", "--p", "3", "--n", "5")
+    assert rc == 0
+    assert out.startswith("q=3 n=5 ")
+
+
+def test_m_without_p_or_q_exit2(capsys):
+    rc, out, err = run(capsys, "decompose", "--m", "2", "--n", "5")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
     "field_args, q",
     [(("--q", "8192"), 8192), (("--p", "2", "--m", "13"), 8192), (("--p", "3", "--m", "8"), 6561)],
     ids=["q8192", "p2m13", "p3m8"],
