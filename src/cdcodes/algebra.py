@@ -151,13 +151,18 @@ class SubfieldView:
 
     def code_of(self, y: CyclicElem, check: bool = True) -> int:
         """Coordinate encoding; with check=True raises if y is outside."""
-        coords = y.coeffs[list(self._pivots)].tolist()
+        coords = self.coords(y.coeffs).tolist()
         code = 0
         for c in reversed(coords):
             code = code * self.field.q + c
         if check and self.element(code) != y:
             raise NotInComponent("element outside the subfield")
         return code
+
+    def coords(self, words: np.ndarray) -> np.ndarray:
+        """Coordinates of each row of words (assumed in the subfield): the
+        entries at the basis pivots, i.e. the base-q digits of code_of."""
+        return words[..., list(self._pivots)]
 
     def element(self, code: int) -> CyclicElem:
         """The element whose coordinates are the base-q digits of code."""

@@ -255,7 +255,11 @@ def balanced_check(
 
 @dataclass
 class CensusResult:
-    """One census of K*.
+    """One census of K*: a row per beta, computed from one assembly and one
+    exact weight per twist class.
+
+    distinct_codes is the number of classes, prod(|F_t| + 1); the census
+    asserts that their generator matrices are pairwise distinct.
 
     summary_json reports support_bounds_ok as true without a check: decompose
     asserts k_1 + ... + k_m = (n-1)/2, so any word with a nonzero component in
@@ -273,7 +277,7 @@ class CensusResult:
     exponent: float
     bound: Optional[float]
     rows: list[tuple[int, tuple[int, ...], int, float]]  # (index, beta codes, min weight, Delta)
-    distinct_codes: int  # distinct twisted codes among the rows; not exported
+    distinct_codes: int  # the prod(|F_t| + 1) twist classes, checked to give distinct codes; not exported
 
     def summary_json(self) -> dict:
         return {
@@ -315,23 +319,28 @@ def _census_chunk(
     include_C0: bool,
     indices: Sequence[int],
     word_budget: int,
-) -> tuple[list[tuple[int, tuple[int, ...], int, float]], set[bytes]]:
-    """Census rows for the given beta indices, and the keys of their codes.
+) -> tuple[list[tuple[int, tuple[int, ...], int, float]], dict[tuple[int, ...], bytes]]:
+    """Census rows for the given beta indices, and the generator key of each
+    twist class among them.
 
-    Many betas give the same code (C beta depends only on beta modulo the
-    F_t*), so each distinct code's exact weight is computed once.
+    C beta depends only on beta modulo the F_t* (BetaVector.twist_class).
+    assemble_code is still called once per beta, but with one memo for the
+    chunk, so it row-reduces each class once and serves the other betas from
+    the memo; each class's exact weight is computed once too.  Nothing
+    outlives the call.
     """
     rows = []
-    weights: dict[bytes, tuple[int, float]] = {}
+    memo: dict[tuple[int, ...], LinearCode] = {}
+    weights: dict[tuple[int, ...], tuple[int, float]] = {}
     for idx in indices:
         beta = beta_at(kts, idx)
-        code = assemble_code(alg, parts, include_C0=include_C0, beta=beta)
-        key = code.key()
-        if key not in weights:
+        code = assemble_code(alg, parts, include_C0=include_C0, beta=beta, memo=memo)
+        cls = beta.twist_class()
+        if cls not in weights:
             rep = min_weight(code, budget=word_budget, mode=EXHAUSTIVE)
-            weights[key] = (rep.min_weight, float(rep.relative_distance))
-        rows.append((idx, beta.codes, *weights[key]))
-    return rows, set(weights)
+            weights[cls] = (rep.min_weight, float(rep.relative_distance))
+        rows.append((idx, beta.codes, *weights[cls]))
+    return rows, {cls: code.key() for cls, code in memo.items()}
 
 
 def census_K_le_delta(
@@ -363,6 +372,11 @@ def census_K_le_delta(
         rows, keys = _parallel_census(alg, parts, kts, include_C0, size, word_budget, jobs)
     else:
         rows, keys = _census_chunk(alg, parts, kts, include_C0, range(size), word_budget)
+    # C beta = C beta' iff beta' beta^-1 lies in the product of the F_t*:
+    # a class table that merges or splits classes fails here
+    classes = math.prod(kt.comp.ft.order + 1 for kt in kts)
+    assert len(keys) == classes, f"{len(keys)} twist classes, expected {classes}"
+    assert len(set(keys.values())) == classes, "two twist classes gave the same code"
     rows.sort(key=lambda r: r[0])
     count = sum(1 for _, _, _, d in rows if d <= delta + FLOAT_SLACK)
     lam = alg.lambda_()
@@ -385,7 +399,7 @@ def census_K_le_delta(
         exponent=exponent,
         bound=bound,
         rows=rows,
-        distinct_codes=len(keys),
+        distinct_codes=classes,
     )
 
 
@@ -413,10 +427,11 @@ def _parallel_census(alg, parts, kts, include_C0, size, word_budget, jobs):
         )
         return _census_chunk(alg, parts, kts, include_C0, range(size), word_budget)
     rows = []
-    keys: set[bytes] = set()
+    keys: dict[tuple[int, ...], bytes] = {}
     for chunk_rows, chunk_keys in results:
         rows.extend(chunk_rows)
-        keys |= chunk_keys
+        for cls, key in chunk_keys.items():
+            assert keys.setdefault(cls, key) == key, "workers disagree on a twist class's code"
     return rows, keys
 
 

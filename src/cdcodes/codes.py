@@ -147,6 +147,7 @@ class KtField:
         else:
             self.g_prime = None
         self._basis_words: Optional[np.ndarray] = None
+        self._class_ids: Optional[list[int]] = None
 
     def element(self, code: int) -> AlgElem:
         comp = self.comp
@@ -193,6 +194,60 @@ class KtField:
             code, d = divmod(code, q)
             digits.append(d)
         return linalg.matmul(self.alg.field, digits, self._basis_words)[0]
+
+    def class_ids(self) -> list[int]:
+        """The twist class of each code: entry c is the id of the orbit
+        F_t* . element(c), one of |F_t| + 1 ids (entry 0, the zero code, is -1).
+
+        K_t = F_t + F_t w, with w the companion matrix (paired; the code is
+        a + b |F_t|) or ue (self-conjugate; y = a + b ue as in
+        Component._split_ft), and lambda in F_t* scales a and b alike.  So the
+        orbit of a + b w is the F_t-line [a : b]: its id is the code of a / b,
+        or |F_t| when b = 0.  Built on first use.
+        """
+        if self._class_ids is None:
+            comp, ft, F = self.comp, self.comp.ft, self.alg.field
+            k, Q = ft.dim, ft.order
+            pw = F.q ** np.arange(k)
+            codes = np.arange(self.order)
+            if comp.kind == PAIRED:
+                a, b = codes % Q, codes // Q
+            else:
+                # the split is F-linear, so its matrix is read off the FHe basis
+                diff_inv = comp.fhe.inv(comp.ue - comp.uinv_e)
+                split = []
+                for y in comp.fhe.basis:
+                    beta = (y - y.bar()) * diff_inv
+                    split.append(np.concatenate((ft.coords((y - beta * comp.ue).coeffs), ft.coords(beta.coeffs))))
+                ab = F.matmul(_digits(codes, F.q, 2 * k), np.array(split))
+                a, b = ab[:, :k] @ pw, ab[:, k:] @ pw
+            mul = _mul_table(ft)
+            inv = np.zeros(Q, dtype=np.int64)
+            units, inverses = np.nonzero(mul == ft.code_of(ft.identity, check=False))
+            inv[units] = inverses
+            ids = np.where(b == 0, Q, mul[a, inv[b]])
+            ids[0] = -1
+            self._class_ids = ids.tolist()
+        return self._class_ids
+
+
+def _digits(codes: np.ndarray, q: int, width: int) -> np.ndarray:
+    """Base-q digits of each code, least significant first: (len(codes), width)."""
+    return codes[:, None] // q ** np.arange(width) % q
+
+
+def _mul_table(ft: SubfieldView) -> np.ndarray:
+    """(|F_t|, |F_t|) array of the codes of x * y, indexed by the codes of x and y.
+
+    From the coordinates S[i, j] of b_i b_j, b the basis: row y of M holds
+    the coordinates of every b_i y, and x * y = sum_i x_i (b_i y).
+    """
+    F, k, Q = ft.field, ft.dim, ft.order
+    S = np.array([[ft.coords((bi * bj).coeffs) for bj in ft.basis] for bi in ft.basis])
+    D = _digits(np.arange(Q), F.q, k)
+    M = F.matmul(D, S.transpose(1, 0, 2).reshape(k, k * k)).reshape(Q, k, k)
+    P = F.matmul(D, M.transpose(1, 0, 2).reshape(k, Q * k)).reshape(Q, Q, k)
+    return P @ F.q ** np.arange(k)
 
 
 def _first_irreducible_quadratic_g(ft: SubfieldView) -> CyclicElem:
@@ -253,6 +308,11 @@ class BetaVector:
         for kt, c in zip(self.kts, self.codes):
             word = add[word, kt.word(c)]
         return AlgElem(alg, word)
+
+    def twist_class(self) -> tuple[int, ...]:
+        """Each block's KtField.class_ids entry: C beta = C beta' iff these
+        agree on the blocks of C."""
+        return tuple([kt.class_ids()[c] for kt, c in zip(self.kts, self.codes)])
 
     def __repr__(self):
         return f"BetaVector{self.codes}"
@@ -319,6 +379,7 @@ def assemble_code(
     extra_generators: Sequence[AlgElem] = (),
     origin: Optional[dict] = None,
     expected_dim: Optional[int] = None,
+    memo: Optional[dict] = None,
 ) -> LinearCode:
     """Row-reduce the left ideal generated by the given block parts.
 
@@ -328,6 +389,12 @@ def assemble_code(
     map L(beta), the twisted parts span the k rows G . L(beta), G the cached
     RREF of the untwisted parts (`ideal_rref`); one rref of those rows and
     the cached RREF of C_0 and the extras gives the generator matrix.
+
+    memo (used with a beta) is a dict that this call reads and fills, keyed
+    by beta's twist class on the parts' blocks (BetaVector.twist_class).
+    C beta depends only on that class, so a hit returns the cached generator
+    with this call's origin and skips the product and the rref.  One memo
+    serves calls that differ only in beta.
     """
     if not parts and not include_C0 and not extra_generators:
         raise BlockCollision("no parts to assemble")
@@ -338,32 +405,41 @@ def assemble_code(
             raise BlockCollision(f"two parts for block {comp.index}")
         seen.add(comp.index)
         expected += 2 * comp.k
-    fixed = list(extra_generators)
     if include_C0:
-        g0 = build_C0(alg.decompose()[0])
-        if g0 is None:
+        if alg.decompose()[0].kind != TRIVIAL_SPLIT:
             raise HypothesisUnmet(
                 f"q = {alg.field.q} admits no r with r^2 = v^2; C_0 does not exist"
             )
-        fixed.append(g0)
         expected += 1
-    twisted = alg.ideal_rref([f for _, f in parts])
-    if beta is not None:
-        twisted = linalg.matmul(alg.field, twisted, alg.translates(beta.unit().word[None]))
-    rows = np.vstack([twisted, alg.ideal_rref(fixed)])
     origin = dict(origin or {})
     origin.setdefault("q", alg.field.q)
     origin.setdefault("n", alg.n)
     origin.setdefault("v_squared", alg.tw)
     origin.setdefault("blocks", sorted(seen))
     origin.setdefault("include_C0", include_C0)
+    cls = None
     if beta is not None:
         origin.setdefault("beta", list(beta.codes))
+        if memo is not None:
+            cls = tuple([c for kt, c in zip(beta.kts, beta.twist_class()) if kt.comp.index in seen])
+            hit = memo.get(cls)
+            if hit is not None:
+                return LinearCode(alg.field, hit.n_len, hit.k_dim, hit.gen, origin)
+    fixed = list(extra_generators)
+    if include_C0:
+        fixed.append(build_C0(alg.decompose()[0]))
+    twisted = alg.ideal_rref([f for _, f in parts])
+    if beta is not None:
+        twisted = linalg.matmul(alg.field, twisted, alg.translates(beta.unit().word[None]))
+    rows = np.vstack([twisted, alg.ideal_rref(fixed)])
     code = LinearCode.from_rows(alg.field, rows, n_len=2 * alg.n, origin=origin)
     if expected_dim is None and not extra_generators:
         expected_dim = expected
     if expected_dim is not None and code.k_dim != expected_dim:
         raise AssertionError(f"assembled dim {code.k_dim}, expected {expected_dim}")
+    if cls is not None:
+        code.gen.setflags(write=False)  # shared by every beta of the class
+        memo[cls] = code
     return code
 
 

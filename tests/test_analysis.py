@@ -12,6 +12,7 @@ import pytest
 from conftest import get_algebra
 
 from cdcodes import analysis, codes, linalg
+from cdcodes.algebra import TRIVIAL_SPLIT
 from cdcodes.analysis import (
     balanced_check,
     census_K_le_delta,
@@ -384,6 +385,113 @@ def test_census_distinct_codes_are_twist_classes(q, n, include_C0):
     assert set(seen.values()) == {math.prod(f - 1 for f in f_orders)}
     assert "distinct_codes" not in res.summary_json()
     assert res.csv_lines()[0] == "beta_index,beta_codes,min_weight,delta"
+
+
+def _per_beta_census(A, delta, include_C0):
+    """The census without the class memo: every beta's code assembled on its
+    own and weighed exhaustively (once per generator matrix, a weight being a
+    function of it)."""
+    kts = codes.kt_fields(A)
+    parts = codes.standard_parts(A)
+    weights = {}
+    rows = []
+    for idx, beta in enumerate(codes.enumerate_beta(kts)):
+        code = codes.assemble_code(A, parts, include_C0=include_C0, beta=beta)
+        key = code.key()
+        if key not in weights:
+            weights[key] = min_weight(code, mode=analysis.EXHAUSTIVE).min_weight
+        rows.append((idx, beta.codes, weights[key], weights[key] / code.n_len))
+    count = sum(1 for *_, d in rows if d <= delta + analysis.FLOAT_SLACK)
+    hypothesis, exponent, bound = analysis.census_bound(
+        A.field.q, A.n, A.lambda_(), delta, len(rows), hatted=include_C0
+    )
+    return analysis.CensusResult(
+        A.field.q, A.n, delta, include_C0, len(rows), count, hypothesis, exponent, bound, rows, len(weights)
+    )
+
+
+# the criterion-8 grid plus (2, 15) and (4, 7), v^2 = -1 and, for odd q, v^2 = 1
+# (in characteristic 2 the two are one algebra)
+ORACLE_GRID = [
+    (q, n, tw)
+    for q, n in [(5, 3), (7, 3), (13, 3), (3, 5), (2, 7), (2, 9), (3, 7), (2, 11), (7, 5), (2, 15), (4, 7)]
+    for tw in (-1, 1)
+    if tw == -1 or q % 2
+]
+
+
+@pytest.mark.parametrize("q, n, tw", ORACLE_GRID)
+def test_census_matches_per_beta_oracle(q, n, tw):
+    # C_0 taken wherever it exists; serial and parallel census alike
+    A = get_algebra(q, n, tw)
+    include_C0 = A.decompose()[0].kind == TRIVIAL_SPLIT
+    oracle = _per_beta_census(A, 0.2, include_C0)
+    for jobs in (1, 2):
+        res = census_K_le_delta(A, delta=0.2, include_C0=include_C0, jobs=jobs)
+        assert res.csv_lines() == oracle.csv_lines()
+        assert json.dumps(res.summary_json()) == json.dumps(oracle.summary_json())
+        assert res.distinct_codes == oracle.distinct_codes
+
+
+@pytest.mark.parametrize("q, n, include_C0", [(3, 7, False), (2, 9, True), (4, 7, False)])
+def test_census_calls_assemble_code_per_beta_and_rref_per_class(monkeypatch, q, n, include_C0):
+    A = get_algebra(q, n)
+    census_K_le_delta(A, delta=0.2, include_C0=include_C0)  # caches the untwisted RREFs
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(analysis, "assemble_code", counting("assemble", analysis.assemble_code))
+    monkeypatch.setattr(linalg, "rref", counting("rref", linalg.rref))
+    res = census_K_le_delta(A, delta=0.2, include_C0=include_C0)
+    assert calls["assemble"] == res.k_star_size
+    assert calls["rref"] == res.distinct_codes == math.prod(kt.comp.ft.order + 1 for kt in codes.kt_fields(A))
+
+
+def test_builders_hull_and_min_weight_build_no_class_table(monkeypatch, rng):
+    def no_table(self):
+        raise AssertionError("class table built")
+
+    monkeypatch.setattr(codes.KtField, "class_ids", no_table)
+    for q, n in ((3, 7), (5, 3), (2, 9), (11, 3)):
+        A = get_algebra(q, n)
+        beta = codes.BetaVector.random(codes.kt_fields(A), rng)
+        built = [build_plain_code(A), build_plain_code(A, beta)]
+        if q % 4 == 3:
+            built.append(codes.build_lcd_code(A, beta, include_a0=True))
+        else:
+            built.append(build_self_dual_code(A, beta))
+        for code in built:
+            assert codes.hull_dimension(code) >= 0
+            assert min_weight(code).min_weight >= 1
+    with pytest.raises(AssertionError, match="class table built"):
+        census_K_le_delta(get_algebra(5, 3), delta=0.4)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("fault", ["merge", "split"])
+def test_census_rejects_a_class_table_that_merges_or_splits(monkeypatch, fault, jobs):
+    # the census checks prod(|F_t| + 1) classes with pairwise distinct codes,
+    # on the union of the workers' classes when jobs > 1
+    real = codes.KtField.class_ids
+
+    def faulty(self):
+        ids = list(real(self))
+        if fault == "merge":  # the class of code 1 swallows another
+            other = next(i for i in ids[1:] if i != ids[1])
+            return [ids[1] if i == other else i for i in ids]
+        twin = next(c for c in range(2, len(ids)) if ids[c] == ids[1])
+        ids[twin] = max(ids) + 1  # one code of code 1's class gets an id of its own
+        return ids
+
+    monkeypatch.setattr(codes.KtField, "class_ids", faulty)
+    with pytest.raises(AssertionError, match="twist class"):
+        census_K_le_delta(get_algebra(3, 7), delta=0.2, jobs=jobs)
 
 
 # -- good betas ---------------------------------------------------------------------------------

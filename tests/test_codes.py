@@ -390,12 +390,70 @@ def test_twist_class_is_beta_modulo_Ft_star(q, n, kind):
     key = {
         c: assemble_code(A, parts, beta=BetaVector(kts, [c] + rest)).key() for c in range(1, kt.order)
     }
+    ids = kt.class_ids()
     for c in range(1, kt.order):
         beta_t = kt.element(c)
         orbit = {code_of[(s * beta_t).to_word()] for s in scalars}
         same_code = {d for d in range(1, kt.order) if key[d] == key[c]}
-        assert same_code == orbit
+        assert same_code == orbit == {d for d in range(1, kt.order) if ids[d] == ids[c]}
     assert len(set(key.values())) == ft.order + 1
+
+
+CLASS_TABLE_GRID = [
+    # (q, n, kind of every block): prime and extension fields; the least q = 9
+    # paired block has |K_t| = 9^6, too many codes to assemble one by one
+    (2, 7, "paired"), (2, 5, SELF_CONJ), (3, 13, "paired"), (3, 5, SELF_CONJ),
+    (4, 3, "paired"), (4, 5, SELF_CONJ), (7, 3, "paired"), (7, 5, SELF_CONJ),
+    (9, 5, SELF_CONJ),
+]
+
+
+@pytest.mark.parametrize("tw", [-1, 1])
+@pytest.mark.parametrize("q, n, kind", CLASS_TABLE_GRID)
+def test_class_ids_are_the_twist_classes(q, n, kind, tw):
+    # on every block, two codes share a class id iff twisting by them (the
+    # other blocks at 1) assembles the same code; |F_t| + 1 ids
+    A = get_algebra(q, n, tw)
+    kts = kt_fields(A)
+    parts = codes.standard_parts(A)
+    assert {kt.comp.kind for kt in kts} == {kind}
+    ones = [kt.identity_code for kt in kts]
+    for i, kt in enumerate(kts):
+        ids = kt.class_ids()
+        assert len(ids) == kt.order and ids[0] == -1
+        assert len(set(ids[1:])) == kt.comp.ft.order + 1
+        keys = {}
+        for c in range(1, kt.order):
+            beta = BetaVector(kts, ones[:i] + [c] + ones[i + 1 :])
+            keys.setdefault(ids[c], set()).add(assemble_code(A, parts, beta=beta).key())
+        assert all(len(k) == 1 for k in keys.values())
+        assert len(set.union(*keys.values())) == len(keys)
+
+
+def test_assemble_code_memo_serves_a_class_without_rref(monkeypatch):
+    # a hit returns the class's generator with the caller's origin, and builds
+    # no unit, product or rref
+    A = get_algebra(3, 5)
+    kts = kt_fields(A)
+    parts = codes.standard_parts(A)
+    memo = {}
+    betas = list(enumerate_beta(kts))
+    for beta in betas:
+        got = assemble_code(A, parts, include_C0=False, beta=beta, memo=memo)
+        want = assemble_code(A, parts, include_C0=False, beta=beta)
+        assert got == want and got.origin == want.origin
+    assert set(memo) == {beta.twist_class() for beta in betas} and len(memo) == 10
+
+    def boom(*args, **kwargs):
+        raise AssertionError("computed on a hit")
+
+    monkeypatch.setattr(linalg, "rref", boom)
+    monkeypatch.setattr(BetaVector, "unit", boom)
+    monkeypatch.setattr(A, "translates", boom)
+    for beta in betas:
+        code = assemble_code(A, parts, beta=beta, memo=memo, origin={"family": "plain"})
+        assert code.origin["beta"] == list(beta.codes) and code.origin["family"] == "plain"
+        assert code.gen is memo[beta.twist_class()].gen
 
 
 def test_twist_preserves_dimension(rng):
