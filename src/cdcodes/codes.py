@@ -72,7 +72,7 @@ class LinearCode:
     @property
     def pivots(self) -> tuple[int, ...]:
         """Each row's leading column; gen is RREF, so these are its pivots."""
-        return tuple(int(c) for c in np.argmax(self.gen != 0, axis=1))
+        return tuple(np.argmax(self.gen != 0, axis=1).tolist())
 
     def key(self) -> bytes:
         """Canonical identity of the row space."""
@@ -444,21 +444,30 @@ def assemble_code(
 
 
 def dual_code(code: LinearCode) -> LinearCode:
-    """C-perp, its generator the nullspace basis, which is already RREF."""
+    """C-perp, its generator the kernel basis of G row-reduced (`linalg.nullspace`)."""
     basis = linalg.nullspace(code.field, code.gen, code.pivots)
     return LinearCode(code.field, code.n_len, len(basis), basis, {"dual_of": code.origin})
 
 
 def hull_dimension(code: LinearCode) -> int:
-    """dim(C meet C-perp), as k + dim C-perp - rank [G; H] (H the dual's
-    canonical generator) and as k - rank(G G^T); the two must agree."""
+    """dim(C meet C-perp) by two methods, which must agree.
+
+    Intersection: H is the unreduced kernel basis of G (`linalg.kernel_basis`),
+    so dim C-perp = n_len - k and the hull has dimension n_len - rank [G; H].
+    G is RREF, so G[:, P] = I on its pivots P, and subtracting H[:, P] . G
+    from H clears H's pivot columns with row operations by G alone:
+    rank [G; H] = k + rank(H - H[:, P] . G), and the hull is n_len - k - the
+    rank of that residual.  Gram: k - rank(G G^T).
+    """
     if code.k_dim == 0:
         return 0
-    dual = dual_code(code)
-    stacked = linalg.rank(code.field, np.vstack([code.gen, dual.gen]))
-    by_intersection = code.k_dim + dual.k_dim - stacked
-    gram = linalg.matmul(code.field, code.gen, code.gen.T)
-    by_gram = code.k_dim - linalg.rank(code.field, gram)
+    field, G, P = code.field, code.gen, code.pivots
+    t = field.tables()
+    H = linalg.kernel_basis(field, G, P)
+    residual = t.add[H, t.neg[field.matmul(H[:, list(P)], G)]]
+    by_intersection = len(H) - linalg.rank(field, residual)
+    gram = linalg.matmul(field, G, G.T)
+    by_gram = code.k_dim - linalg.rank(field, gram)
     assert by_intersection == by_gram, "hull methods disagree"
     return by_intersection
 

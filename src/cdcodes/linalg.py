@@ -52,18 +52,24 @@ def rank(field: Field, mat: np.ndarray) -> int:
     return rref(field, mat)[0].shape[0]
 
 
-def nullspace(field: Field, R: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
-    """Canonical basis of {v : R . v^T = 0}, as RREF rows.
+def kernel_basis(field: Field, R: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
+    """A basis of {v : R . v^T = 0}: row f is e_f - sum_j R[j, f] e_{p_j}.
 
     (R, pivots) is a reduced row echelon form as rref returns it; a
-    LinearCode's gen and pivots are one.
+    LinearCode's gen and pivots are one.  There is one row per free column f
+    (ascending), and the basis is not reduced: its pivot columns carry -R^T.
     """
     cols = R.shape[1]
     free = sorted(set(range(cols)) - set(pivots))
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, list(pivots)] = field.tables().neg[R[:, free]].T
-    return rref(field, basis)[0]
+    return basis
+
+
+def nullspace(field: Field, R: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
+    """Canonical basis of {v : R . v^T = 0}, as RREF rows: kernel_basis reduced."""
+    return rref(field, kernel_basis(field, R, pivots))[0]
 
 
 def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import get_algebra
 
@@ -193,6 +195,76 @@ def test_hull_self_dual_example():
     A = get_algebra(5, 3)
     code = build_self_dual_code(A)
     assert hull_dimension(code) == 3 == code.k_dim
+
+
+def brute_hull(code: LinearCode) -> int:
+    """log_q #{c in C : c . g^T = 0 for every row g of G}, the words enumerated."""
+    q = code.field.q
+    words = linalg.enumerate_span(code.field, code.gen)
+    count = int((~linalg.matmul(code.field, words, code.gen.T).any(axis=1)).sum())
+    dim = round(np.log(count) / np.log(q))
+    assert q**dim == count
+    return dim
+
+
+@given(data=st.data(), q=st.sampled_from([2, 3, 4, 5, 9]))
+@settings(max_examples=60, deadline=None)
+def test_hull_dimension_vs_bruteforce(data, q):
+    F = field_from_order(q)
+    n = data.draw(st.integers(1, 7))
+    rows = data.draw(st.integers(1, min(n, int(np.log(60000) / np.log(q)))))
+    M = np.array(
+        data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=rows, max_size=rows)),
+        dtype=np.int64,
+    )
+    code = LinearCode.from_rows(F, M)
+    assert hull_dimension(code) == brute_hull(code)
+
+
+@pytest.mark.parametrize(
+    "q, rows, hull",
+    [
+        (3, np.zeros((1, 5), dtype=np.int64), 0),  # k = 0
+        (4, np.eye(5, dtype=np.int64), 0),  # k = n_len: C-perp = 0
+        (3, [[1, 1, 0, 0], [0, 0, 1, 0]], 0),  # LCD: G G^T is invertible
+        (5, [[1, 2, 0, 0], [0, 0, 1, 3]], 2),  # self-dual: 1 + 2^2 = 1 + 3^2 = 0 mod 5
+        # the [7, 4] Hamming code contains its dual, the [7, 3] simplex code
+        (2, [[1, 0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 0, 1], [0, 0, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]], 3),
+        (3, [[1, 1, 1, 0], [0, 0, 0, 1]], 1),  # 0 < hull < k
+    ],
+    ids=["zero", "full", "lcd", "self-dual", "hamming-contains-dual", "partial"],
+)
+def test_hull_dimension_explicit_cases(q, rows, hull):
+    F = field_from_order(q)
+    code = LinearCode.from_rows(F, np.array(rows, dtype=np.int64), n_len=np.shape(rows)[1])
+    assert hull_dimension(code) == brute_hull(code) == hull
+    if hull == code.n_len - code.k_dim:  # C-perp inside C
+        assert all(linalg.in_row_space(F, code.gen, code.pivots, h) for h in dual_code(code).gen)
+
+
+def test_hull_dimension_reduces_the_kernel_basis_only(monkeypatch):
+    cases = [
+        build_plain_code(get_algebra(7, 3)),
+        build_self_dual_code(get_algebra(5, 3)),
+        build_lcd_code(get_algebra(3, 7)),
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("hull_dimension builds no canonical dual")
+
+    monkeypatch.setattr(codes, "dual_code", forbidden)
+    monkeypatch.setattr(linalg, "nullspace", forbidden)
+    rref, calls = linalg.rref, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    for code in cases:
+        calls.clear()
+        assert hull_dimension(code) == code.k_dim
+        assert len(calls) == 2  # the residual and the Gram matrix
 
 
 # -- twisting ----------------------------------------------------------------------------------------

@@ -51,6 +51,19 @@ def test_nullspace_orthogonality(data, q):
         assert not prod.any()
 
 
+@given(data=st.data(), q=st.sampled_from([2, 3, 4, 5]))
+@settings(max_examples=40, deadline=None)
+def test_kernel_basis_reduces_to_nullspace(data, q):
+    F = field_from_order(q)
+    M = random_matrix(data, q, rows=data.draw(st.integers(1, 4)))
+    R, piv = linalg.rref(F, M)
+    K = linalg.kernel_basis(F, R, piv)
+    free = [c for c in range(M.shape[1]) if c not in piv]
+    assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int64))
+    assert not linalg.matmul(F, M, K.T).any()
+    assert np.array_equal(linalg.rref(F, K)[0], linalg.nullspace(F, R, piv))
+
+
 def test_nullspace_one_row_is_reduced():
     # a 1-dimensional nullspace is scaled to leading entry 1 like any other
     F = field_from_order(5)
@@ -143,7 +156,7 @@ def test_intersection_dim_vs_bruteforce(data, q):
     A = random_matrix(data, q, rows=2, cols=4)
     B = random_matrix(data, q, rows=2, cols=4)
     inter = brute_row_space(F, A) & brute_row_space(F, B)
-    # |intersection| = q^dim, dim by inclusion-exclusion as in hull_dimension
+    # |intersection| = q^dim, dim by inclusion-exclusion: rank A + rank B - rank [A; B]
     d = linalg.rank(F, A) + linalg.rank(F, B) - linalg.rank(F, np.vstack([A, B]))
     assert len(inter) == q**d
 
