@@ -33,7 +33,6 @@ def main():
     ap.add_argument("--delta", type=float, required=True)
     ap.add_argument("--include-c0", action="store_true", help="census the self-dual family")
     ap.add_argument("--k-star-budget", type=int, default=100_000)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default="census", help="output prefix (.csv / .json)")
     args = ap.parse_args()
 
@@ -46,7 +45,6 @@ def main():
             delta=args.delta,
             include_C0=args.include_c0,
             k_star_budget=args.k_star_budget,
-            jobs=args.jobs,
         )
         csv_path.write_text("\n".join(res.csv_lines()) + "\n")
         json_path.write_text(json.dumps(res.summary_json(), indent=2) + "\n")

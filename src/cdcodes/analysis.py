@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -21,7 +20,7 @@ import numpy as np
 from . import codes as codes_mod
 from . import linalg
 from .algebra import TwistedDihedralAlgebra
-from .codes import KtField, LinearCode, assemble_code, beta_at
+from .codes import LinearCode, assemble_code, beta_at
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -312,44 +311,12 @@ def census_bound(q: int, n: int, lam: int, delta: float, k_star: int, hatted: bo
     return hypothesis, exponent, bound
 
 
-def _census_chunk(
-    alg: TwistedDihedralAlgebra,
-    parts,
-    kts: Sequence[KtField],
-    include_C0: bool,
-    indices: Sequence[int],
-    word_budget: int,
-) -> tuple[list[tuple[int, tuple[int, ...], int, float]], dict[tuple[int, ...], bytes]]:
-    """Census rows for the given beta indices, and the generator key of each
-    twist class among them.
-
-    C beta depends only on beta modulo the F_t* (BetaVector.twist_class).
-    assemble_code is still called once per beta, but with one memo for the
-    chunk, so it row-reduces each class once and serves the other betas from
-    the memo; each class's exact weight is computed once too.  Nothing
-    outlives the call.
-    """
-    rows = []
-    memo: dict[tuple[int, ...], LinearCode] = {}
-    weights: dict[tuple[int, ...], tuple[int, float]] = {}
-    for idx in indices:
-        beta = beta_at(kts, idx)
-        code = assemble_code(alg, parts, include_C0=include_C0, beta=beta, memo=memo)
-        cls = beta.twist_class()
-        if cls not in weights:
-            rep = min_weight(code, budget=word_budget, mode=EXHAUSTIVE)
-            weights[cls] = (rep.min_weight, float(rep.relative_distance))
-        rows.append((idx, beta.codes, *weights[cls]))
-    return rows, {cls: code.key() for cls, code in memo.items()}
-
-
 def census_K_le_delta(
     alg: TwistedDihedralAlgebra,
     delta: float,
     include_C0: bool = False,
     k_star_budget: int = 100_000,
     word_budget: int = DEFAULT_WORD_BUDGET,
-    jobs: int = 1,
 ) -> CensusResult:
     """Exact census of {beta in K* : Delta(C beta) <= delta}.
 
@@ -357,27 +324,37 @@ def census_K_le_delta(
     q^k words exceed word_budget.  Asserts count <= |K*| always, and count
     <= the volume bound whenever the exponent hypothesis
     1/4 - h_q(delta) - log_q(n)/lambda(n) > 0 holds.
+
+    C beta depends only on beta modulo the F_t* (BetaVector.twist_class).
+    assemble_code is called once per beta with one memo for the census, so
+    it row-reduces each class once and serves the other betas from the memo;
+    each class's exact weight is computed once too.  Rows come out in beta
+    index order.
     """
     q = alg.field.q
     if not 0 < delta <= 1:
         raise DomainError("delta must lie in (0, 1]")
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
     kts = codes_mod.kt_fields(alg)
     parts = codes_mod.standard_parts(alg)
     size = codes_mod.k_star_size(kts)
     if size > k_star_budget:
         raise BudgetExceeded(f"|K*| = {size} exceeds the census budget {k_star_budget}")
-    if jobs > 1:
-        rows, keys = _parallel_census(alg, parts, kts, include_C0, size, word_budget, jobs)
-    else:
-        rows, keys = _census_chunk(alg, parts, kts, include_C0, range(size), word_budget)
+    rows = []
+    memo: dict[tuple[int, ...], LinearCode] = {}
+    weights: dict[tuple[int, ...], tuple[int, float]] = {}
+    for idx in range(size):
+        beta = beta_at(kts, idx)
+        code = assemble_code(alg, parts, include_C0=include_C0, beta=beta, memo=memo)
+        cls = beta.twist_class()
+        if cls not in weights:
+            rep = min_weight(code, budget=word_budget, mode=EXHAUSTIVE)
+            weights[cls] = (rep.min_weight, float(rep.relative_distance))
+        rows.append((idx, beta.codes, *weights[cls]))
     # C beta = C beta' iff beta' beta^-1 lies in the product of the F_t*:
     # a class table that merges or splits classes fails here
     classes = math.prod(kt.comp.ft.order + 1 for kt in kts)
-    assert len(keys) == classes, f"{len(keys)} twist classes, expected {classes}"
-    assert len(set(keys.values())) == classes, "two twist classes gave the same code"
-    rows.sort(key=lambda r: r[0])
+    assert len(memo) == classes, f"{len(memo)} twist classes, expected {classes}"
+    assert len({code.key() for code in memo.values()}) == classes, "two twist classes gave the same code"
     count = sum(1 for _, _, _, d in rows if d <= delta + FLOAT_SLACK)
     lam = alg.lambda_()
     h_delta_ok = delta <= 1 - 1 / q + FLOAT_SLACK
@@ -401,49 +378,6 @@ def census_K_le_delta(
         rows=rows,
         distinct_codes=classes,
     )
-
-
-def _parallel_census(alg, parts, kts, include_C0, size, word_budget, jobs):
-    """Deterministic partition of the beta index range across processes.
-
-    When no process pool can be started the census reruns serially, with a
-    RuntimeWarning that names the exception.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = []
-    step = (size + jobs - 1) // jobs
-    for start in range(0, size, step):
-        chunks.append(range(start, min(start + step, size)))
-    payload = (alg.field.p, alg.field.m, alg.n, alg.tw, include_C0, word_budget)
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_census_worker, [(payload, list(c)) for c in chunks]))
-    except (OSError, RuntimeError) as ex:
-        warnings.warn(
-            f"parallel census failed ({type(ex).__name__}: {ex}); rerunning serially",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return _census_chunk(alg, parts, kts, include_C0, range(size), word_budget)
-    rows = []
-    keys: dict[tuple[int, ...], bytes] = {}
-    for chunk_rows, chunk_keys in results:
-        rows.extend(chunk_rows)
-        for cls, key in chunk_keys.items():
-            assert keys.setdefault(cls, key) == key, "workers disagree on a twist class's code"
-    return rows, keys
-
-
-def _census_worker(arg):
-    (p, m, n, tw, include_C0, word_budget), indices = arg
-    from .field import _field_cached
-
-    field = _field_cached(p, m)
-    alg = TwistedDihedralAlgebra(field, n, tw)
-    kts = codes_mod.kt_fields(alg)
-    parts = codes_mod.standard_parts(alg)
-    return _census_chunk(alg, parts, kts, include_C0, indices, word_budget)
 
 
 # -- good-n predicates ---------------------------------------------------------------------

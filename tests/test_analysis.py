@@ -309,29 +309,6 @@ def test_census_bound_asserted_under_hypothesis():
     assert res.count <= res.bound + 1e-9
 
 
-def test_census_parallel_matches_serial():
-    A = get_algebra(5, 3)
-    serial = census_K_le_delta(A, delta=0.4, jobs=1)
-    parallel = census_K_le_delta(A, delta=0.4, jobs=2)
-    assert serial.rows == parallel.rows
-    assert serial.count == parallel.count
-
-
-def test_census_parallel_fallback_warns(monkeypatch):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise OSError("no process pool")
-
-    A = get_algebra(5, 3)
-    serial = census_K_le_delta(A, delta=0.4, jobs=1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    with pytest.warns(RuntimeWarning, match="OSError: no process pool"):
-        fallback = census_K_le_delta(A, delta=0.4, jobs=2)
-    assert fallback.rows == serial.rows
-    assert fallback.count == serial.count
-
-
 def test_census_weights_are_exact_or_raise():
     # q^k = 49 words exceed a budget of 10: the census must not read the
     # pruned bracket's upper end as the weight
@@ -341,23 +318,6 @@ def test_census_weights_are_exact_or_raise():
     res = census_K_le_delta(A, delta=0.5)
     assert res.count == 12
     assert min(w for _, _, w, _ in res.rows) == 3
-
-
-def test_census_rejects_jobs_below_one():
-    A = get_algebra(5, 3)
-    for jobs in (0, -1):
-        with pytest.raises(DomainError, match="jobs"):
-            census_K_le_delta(A, delta=0.4, jobs=jobs)
-
-
-@pytest.mark.parametrize("q, n, include_C0", [(3, 7, False), (2, 9, True)])
-def test_census_jobs_2_byte_identical(q, n, include_C0):
-    A = get_algebra(q, n)
-    serial = census_K_le_delta(A, delta=0.2, include_C0=include_C0, jobs=1)
-    parallel = census_K_le_delta(A, delta=0.2, include_C0=include_C0, jobs=2)
-    assert parallel.csv_lines() == serial.csv_lines()
-    assert json.dumps(parallel.summary_json()) == json.dumps(serial.summary_json())
-    assert parallel.distinct_codes == serial.distinct_codes
 
 
 TWIST_CLASS_GRID = [
@@ -422,15 +382,14 @@ ORACLE_GRID = [
 
 @pytest.mark.parametrize("q, n, tw", ORACLE_GRID)
 def test_census_matches_per_beta_oracle(q, n, tw):
-    # C_0 taken wherever it exists; serial and parallel census alike
+    # C_0 taken wherever it exists
     A = get_algebra(q, n, tw)
     include_C0 = A.decompose()[0].kind == TRIVIAL_SPLIT
     oracle = _per_beta_census(A, 0.2, include_C0)
-    for jobs in (1, 2):
-        res = census_K_le_delta(A, delta=0.2, include_C0=include_C0, jobs=jobs)
-        assert res.csv_lines() == oracle.csv_lines()
-        assert json.dumps(res.summary_json()) == json.dumps(oracle.summary_json())
-        assert res.distinct_codes == oracle.distinct_codes
+    res = census_K_le_delta(A, delta=0.2, include_C0=include_C0)
+    assert res.csv_lines() == oracle.csv_lines()
+    assert json.dumps(res.summary_json()) == json.dumps(oracle.summary_json())
+    assert res.distinct_codes == oracle.distinct_codes
 
 
 @pytest.mark.parametrize("q, n, include_C0", [(3, 7, False), (2, 9, True), (4, 7, False)])
@@ -473,11 +432,9 @@ def test_builders_hull_and_min_weight_build_no_class_table(monkeypatch, rng):
         census_K_le_delta(get_algebra(5, 3), delta=0.4)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("fault", ["merge", "split"])
-def test_census_rejects_a_class_table_that_merges_or_splits(monkeypatch, fault, jobs):
-    # the census checks prod(|F_t| + 1) classes with pairwise distinct codes,
-    # on the union of the workers' classes when jobs > 1
+def test_census_rejects_a_class_table_that_merges_or_splits(monkeypatch, fault):
+    # the census checks prod(|F_t| + 1) classes with pairwise distinct codes
     real = codes.KtField.class_ids
 
     def faulty(self):
@@ -491,7 +448,7 @@ def test_census_rejects_a_class_table_that_merges_or_splits(monkeypatch, fault, 
 
     monkeypatch.setattr(codes.KtField, "class_ids", faulty)
     with pytest.raises(AssertionError, match="twist class"):
-        census_K_le_delta(get_algebra(3, 7), delta=0.2, jobs=jobs)
+        census_K_le_delta(get_algebra(3, 7), delta=0.2)
 
 
 # -- good betas ---------------------------------------------------------------------------------

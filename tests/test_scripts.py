@@ -34,7 +34,6 @@ def test_census_script_writes_csv_and_summary(tmp_path):
     [
         (("--q", "7", "--n", "3", "--delta", "0.2", "--k-star-budget", "10"), 4),
         (("--q", "7", "--n", "3", "--delta", "0.2", "--include-c0"), 3),
-        (("--q", "7", "--n", "3", "--delta", "0.2", "--jobs", "0"), 2),
         (("--q", "6", "--n", "3", "--delta", "0.2"), 2),
         (("--q", "7", "--n", "4", "--delta", "0.2"), 2),
         (("--q", "7", "--n", "3", "--delta", "1.5"), 2),
@@ -45,6 +44,14 @@ def test_census_script_exit_codes(tmp_path, args, exit_code):
     code, out, err = run_census(tmp_path, *args)
     assert code == exit_code
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "census.csv").exists()
+
+
+def test_census_script_refuses_jobs(tmp_path):
+    # the census is serial; an old command line must fail, not change meaning
+    code, out, err = run_census(tmp_path, "--q", "7", "--n", "3", "--delta", "0.2", "--jobs", "2")
+    assert code == 2
+    assert "unrecognized arguments: --jobs" in err
     assert not (tmp_path / "census.csv").exists()
 
 
