@@ -34,6 +34,7 @@ def test_census_script_writes_csv_and_summary(tmp_path):
     [
         (("--q", "7", "--n", "3", "--delta", "0.2", "--k-star-budget", "10"), 4),
         (("--q", "7", "--n", "3", "--delta", "0.2", "--include-c0"), 3),
+        (("--q", "7", "--n", "3", "--delta", "0"), 2),
         (("--q", "6", "--n", "3", "--delta", "0.2"), 2),
         (("--q", "7", "--n", "4", "--delta", "0.2"), 2),
         (("--q", "7", "--n", "3", "--delta", "1.5"), 2),
