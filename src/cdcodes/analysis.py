@@ -35,7 +35,6 @@ FLOAT_SLACK = 1e-9
 
 EXHAUSTIVE = "exhaustive"
 PRUNED = "pruned"
-MODES = ("auto", EXHAUSTIVE, PRUNED)
 
 # Words min_weight may weigh (at least 1): it bounds time, not memory, which
 # stays O(linalg.SPAN_CHUNK n) on both paths (packed words on the exhaustive one).
@@ -77,38 +76,33 @@ class WeightReport:
         return self.lower == self.upper
 
 
-def min_weight(code: LinearCode, budget: int = DEFAULT_WORD_BUDGET, mode: str = "auto") -> WeightReport:
+def min_weight(code: LinearCode, budget: int = DEFAULT_WORD_BUDGET) -> WeightReport:
     """Minimum nonzero weight; exhaustive within budget, bracketed beyond.
 
     budget (at least 1) caps the words weighed, so it bounds time; memory is
-    O(SPAN_CHUNK n) on both paths.  The exhaustive path weighs all q^k words
-    by packed XOR and popcount (linalg.weight_distribution); mode "exhaustive"
-    raises BudgetExceeded instead of falling back.  The pruned path expands
-    every message of weight <= w on an information set while whole weight
-    layers fit the budget, giving the bracket [w+1, best]; best starts at the
-    lightest generator row.
+    O(SPAN_CHUNK n) on both paths.  When q^k <= budget the exhaustive path
+    weighs all q^k words by packed XOR and popcount
+    (linalg.weight_distribution).  Otherwise the pruned path expands every
+    message of weight <= w on an information set while whole weight layers
+    fit the budget, giving the bracket [w+1, best]; best starts at the
+    lightest generator row.  A caller that needs an exact weight compares
+    q^k with its budget first (census_K_le_delta does).
     """
-    if mode not in MODES:
-        raise DomainError(f"unknown min_weight mode {mode!r}; expected one of {', '.join(MODES)}")
     _check_budget(budget)
     if code.k_dim == 0:
         raise NoNonzeroWords("the zero code has no nonzero codeword")
-    q = code.field.q
-    count = q**code.k_dim
-    if count <= budget and mode != PRUNED:
-        counts = linalg.weight_distribution(code.field, code.gen)
-        m = int(np.flatnonzero(counts[1:])[0]) + 1
-        return WeightReport(
-            min_weight=m,
-            relative_distance=Fraction(m, code.n_len),
-            rate=Fraction(code.k_dim, code.n_len),
-            method=EXHAUSTIVE,
-            lower=m,
-            upper=m,
-        )
-    if mode == EXHAUSTIVE:
-        raise BudgetExceeded(f"q^k = {count} exceeds the budget {budget}")
-    return _pruned_min_weight(code, budget)
+    if code.field.q**code.k_dim > budget:
+        return _pruned_min_weight(code, budget)
+    counts = linalg.weight_distribution(code.field, code.gen)
+    m = int(np.flatnonzero(counts[1:])[0]) + 1
+    return WeightReport(
+        min_weight=m,
+        relative_distance=Fraction(m, code.n_len),
+        rate=Fraction(code.k_dim, code.n_len),
+        method=EXHAUSTIVE,
+        lower=m,
+        upper=m,
+    )
 
 
 def _check_budget(budget: int) -> None:
@@ -212,15 +206,19 @@ def balanced_check(
     The leftmost pivot columns give one information set; every group
     translate of it must again be an information set, and the translates
     must cover each coordinate equally often.  For each delta the census
-    |B^<=delta| <= q^(k h_q(delta)) is checked when q^k fits the budget
-    (at least 1).
+    |B^<=delta| <= q^(k h_q(delta)) is checked over all q^k words; given
+    deltas, a q^k above the budget (at least 1) raises BudgetExceeded.
     """
     _check_budget(budget)
-    if not is_left_ideal(alg, code):
-        raise NotLeftIdeal("code is not invariant under the algebra action")
     field = alg.field
     q = field.q
     k = code.k_dim
+    if deltas and q**k > budget:
+        raise BudgetExceeded(
+            f"the balance census enumerates q^k = {q}^{k} = {q**k} words, over the budget {budget}"
+        )
+    if not is_left_ideal(alg, code):
+        raise NotLeftIdeal("code is not invariant under the algebra action")
     info = code.pivots
     # the rows of perm carry info to h^-1 info; over the whole group these
     # are the same translates as h info
@@ -230,7 +228,7 @@ def balanced_check(
     all_info = all(linalg.rank(field, code.gen[:, image]) == k for image in images)
     uniform = bool(np.all(coverage == coverage[0]))
     census = []
-    if deltas and q**k <= budget:
+    if deltas:
         counts = linalg.weight_distribution(field, code.gen)
         for d in deltas:
             h = entropy_q(q, d)
@@ -316,12 +314,13 @@ def census_K_le_delta(
     delta: float,
     include_C0: bool = False,
     k_star_budget: int = 100_000,
-    word_budget: int = DEFAULT_WORD_BUDGET,
 ) -> CensusResult:
     """Exact census of {beta in K* : Delta(C beta) <= delta}.
 
     Every minimum weight is exact: BudgetExceeded is raised when some code's
-    q^k words exceed word_budget.  Asserts count <= |K*| always, and count
+    q^k words exceed DEFAULT_WORD_BUDGET (read at call time); the check
+    follows the code's assembly, so a missing C_0 raises
+    HypothesisUnmet first.  Asserts count <= |K*| always, and count
     <= the volume bound whenever the exponent hypothesis
     1/4 - h_q(delta) - log_q(n)/lambda(n) > 0 holds.
 
@@ -347,7 +346,9 @@ def census_K_le_delta(
         code = assemble_code(alg, parts, include_C0=include_C0, beta=beta, memo=memo)
         cls = beta.twist_class()
         if cls not in weights:
-            rep = min_weight(code, budget=word_budget, mode=EXHAUSTIVE)
+            if q**code.k_dim > DEFAULT_WORD_BUDGET:
+                raise BudgetExceeded(f"q^k = {q**code.k_dim} exceeds the budget {DEFAULT_WORD_BUDGET}")
+            rep = min_weight(code, DEFAULT_WORD_BUDGET)
             weights[cls] = (rep.min_weight, float(rep.relative_distance))
         rows.append((idx, beta.codes, *weights[cls]))
     # C beta = C beta' iff beta' beta^-1 lies in the product of the F_t*:

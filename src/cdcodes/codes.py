@@ -378,7 +378,6 @@ def assemble_code(
     beta: Optional[BetaVector] = None,
     extra_generators: Sequence[AlgElem] = (),
     origin: Optional[dict] = None,
-    expected_dim: Optional[int] = None,
     memo: Optional[dict] = None,
 ) -> LinearCode:
     """Row-reduce the left ideal generated by the given block parts.
@@ -388,7 +387,9 @@ def assemble_code(
     block A_0) and C_0 are taken verbatim.  As x -> x * beta is the linear
     map L(beta), the twisted parts span the k rows G . L(beta), G the cached
     RREF of the untwisted parts (`ideal_rref`); one rref of those rows and
-    the cached RREF of C_0 and the extras gives the generator matrix.
+    the cached RREF of C_0 and the extras gives the generator matrix.  The
+    sum must be direct: the dimension is asserted to be sum 2 k_t over the
+    parts plus the rank of the ideal of C_0 and the extras.
 
     memo (used with a beta) is a dict that this call reads and fills, keyed
     by beta's twist class on the parts' blocks (BetaVector.twist_class).
@@ -410,7 +411,6 @@ def assemble_code(
             raise HypothesisUnmet(
                 f"q = {alg.field.q} admits no r with r^2 = v^2; C_0 does not exist"
             )
-        expected += 1
     origin = dict(origin or {})
     origin.setdefault("q", alg.field.q)
     origin.setdefault("n", alg.n)
@@ -431,12 +431,12 @@ def assemble_code(
     twisted = alg.ideal_rref([f for _, f in parts])
     if beta is not None:
         twisted = linalg.matmul(alg.field, twisted, alg.translates(beta.unit().word[None]))
-    rows = np.vstack([twisted, alg.ideal_rref(fixed)])
+    fixed_rows = alg.ideal_rref(fixed)
+    expected += len(fixed_rows)
+    rows = np.vstack([twisted, fixed_rows])
     code = LinearCode.from_rows(alg.field, rows, n_len=2 * alg.n, origin=origin)
-    if expected_dim is None and not extra_generators:
-        expected_dim = expected
-    if expected_dim is not None and code.k_dim != expected_dim:
-        raise AssertionError(f"assembled dim {code.k_dim}, expected {expected_dim}")
+    if code.k_dim != expected:
+        raise AssertionError(f"assembled dim {code.k_dim}, expected {expected}")
     if cls is not None:
         code.gen.setflags(write=False)  # shared by every beta of the class
         memo[cls] = code
@@ -444,9 +444,9 @@ def assemble_code(
 
 
 def dual_code(code: LinearCode) -> LinearCode:
-    """C-perp, its generator the kernel basis of G row-reduced (`linalg.nullspace`)."""
-    basis = linalg.nullspace(code.field, code.gen, code.pivots)
-    return LinearCode(code.field, code.n_len, len(basis), basis, {"dual_of": code.origin})
+    """C-perp, its generator the kernel basis of G (`linalg.kernel_basis`) row-reduced."""
+    basis = linalg.kernel_basis(code.field, code.gen, code.pivots)
+    return LinearCode.from_rows(code.field, basis, n_len=code.n_len, origin={"dual_of": code.origin})
 
 
 def hull_dimension(code: LinearCode) -> int:
@@ -530,16 +530,13 @@ def build_lcd_code(
     extra: list[AlgElem] = []
     if include_a0:
         extra = [comps[0].identity]
-    expected = sum(2 * c.k for c in qualifying) + (2 if include_a0 else 0)
-    code = assemble_code(
+    return assemble_code(
         alg,
         parts,
         beta=beta,
         extra_generators=extra,
         origin={"family": "lcd", "include_a0": include_a0},
-        expected_dim=expected,
     )
-    return code
 
 
 def component_of_code(alg: TwistedDihedralAlgebra, code: LinearCode, comp: Component) -> LinearCode:

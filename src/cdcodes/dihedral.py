@@ -307,13 +307,7 @@ def count_Cab_codes(
         lcd_count = 0
         for gens in itertools.product(*(_block_generators(c) for c in comps)):
             parts = list(zip(comps, gens))
-            code = assemble_code(
-                alg,
-                parts,
-                extra_generators=[hat_gen],
-                expected_dim=alg.n,
-                origin={"family": "C_ab"},
-            )
+            code = assemble_code(alg, parts, extra_generators=[hat_gen], origin={"family": "C_ab"})
             assert code.k_dim == alg.n
             keys.add(code.key())
             if hull_dimension(code) == 0:
@@ -346,9 +340,7 @@ def count_Cab_codes(
                 expect_lcd = False
             parts.append((c, f_ab(c, a, b)))
         # any (a, b) != 0 has matrix rank 1, so each block contributes 2k_t
-        code = assemble_code(
-            alg, parts, extra_generators=[hat_gen], expected_dim=alg.n, origin={"family": "C_ab"}
-        )
+        code = assemble_code(alg, parts, extra_generators=[hat_gen], origin={"family": "C_ab"})
         actual_lcd = hull_dimension(code) == 0
         if actual_lcd == expect_lcd:
             agreements += 1

@@ -67,11 +67,6 @@ def kernel_basis(field: Field, R: np.ndarray, pivots: tuple[int, ...]) -> np.nda
     return basis
 
 
-def nullspace(field: Field, R: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
-    """Canonical basis of {v : R . v^T = 0}, as RREF rows: kernel_basis reduced."""
-    return rref(field, kernel_basis(field, R, pivots))[0]
-
-
 def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = as_matrix(a)
     b = as_matrix(b)

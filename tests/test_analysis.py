@@ -97,29 +97,25 @@ def test_min_weight_zero_code():
 
 def test_min_weight_budget_and_pruned():
     A = get_algebra(3, 7)
-    code = codes.build_lcd_code(A)  # [14, 6] over GF(3)
-    with pytest.raises(BudgetExceeded):
-        min_weight(code, budget=10, mode="exhaustive")
-    exact = min_weight(code).min_weight
-    pruned = min_weight(code, budget=2000, mode="pruned")
-    assert pruned.lower <= exact <= pruned.upper
-    full_pruned = min_weight(code, budget=10**6, mode="pruned")
-    assert full_pruned.exact and full_pruned.min_weight == exact
-
-
-def test_min_weight_rejects_unknown_mode():
-    code = build_plain_code(get_algebra(7, 3))
-    with pytest.raises(DomainError, match="'exhaustve'.*auto, exhaustive, pruned"):
-        min_weight(code, mode="exhaustve")
+    code = codes.build_lcd_code(A)  # [14, 6] over GF(3): 3^6 = 729 words
+    exact = min_weight(code)
+    assert exact.method == analysis.EXHAUSTIVE
+    # 200 words cover layers 1 and 2 (12 + 60 messages) but not layer 3
+    pruned = min_weight(code, budget=200)
+    assert pruned.method == analysis.PRUNED
+    assert pruned.lower <= exact.min_weight <= pruned.upper
+    # q^k - 1 words cover every nonzero message: the pruned path is exact
+    full_pruned = min_weight(code, budget=3**6 - 1)
+    assert full_pruned.method == analysis.PRUNED
+    assert full_pruned.exact and full_pruned.min_weight == exact.min_weight
 
 
 @pytest.mark.parametrize("budget", [0, -5])
 def test_min_weight_rejects_budget_below_one(budget):
     A = get_algebra(2, 7)
     code = build_plain_code(A)
-    for mode in analysis.MODES:
-        with pytest.raises(DomainError, match="at least 1"):
-            min_weight(code, budget=budget, mode=mode)
+    with pytest.raises(DomainError, match="at least 1"):
+        min_weight(code, budget=budget)
     with pytest.raises(DomainError, match="at least 1"):
         balanced_check(A, code, deltas=(0.2,), budget=budget)
 
@@ -181,9 +177,12 @@ def test_pruned_brackets_match_per_word_loop(q, n, family):
     layers = [math.comb(k, w) * (q - 1) ** w for w in range(1, k + 1)]
     # after layer 1, mid-way (half the layers and a word over), every word
     for budget in (layers[0], sum(layers[: k // 2]) + 1, q**k - 1):
-        rep = min_weight(code, budget=budget, mode="pruned")
+        rep = min_weight(code, budget=budget)
+        assert rep.method == analysis.PRUNED
         assert (rep.lower, rep.upper) == reference_pruned_bracket(code, budget), budget
-    assert rep.exact and rep.min_weight == min_weight(code, mode="exhaustive").min_weight
+    exact = min_weight(code)
+    assert exact.method == analysis.EXHAUSTIVE
+    assert rep.exact and rep.min_weight == exact.min_weight
 
 
 @pytest.mark.parametrize("chunk", [8, linalg.SPAN_CHUNK])
@@ -251,6 +250,16 @@ def test_balance_census_counts_match_enumerated_span():
     assert [c["count"] for c in rep.census_checks] == want
 
 
+def test_balance_census_over_budget_raises():
+    # the plain q = 3, n = 7 code is [14, 6]: its census weighs 3^6 = 729 words
+    A = get_algebra(3, 7)
+    code = build_plain_code(A)
+    with pytest.raises(BudgetExceeded, match=r"q\^k = 3\^6 = 729 words, over the budget 728"):
+        balanced_check(A, code, deltas=(0.2,), budget=728)
+    assert balanced_check(A, code, budget=728).census_checks == []  # no deltas, no census
+    assert len(balanced_check(A, code, deltas=(0.2,), budget=729).census_checks) == 1
+
+
 def test_balanced_rejects_non_ideal():
     A = get_algebra(7, 3)
     row = np.zeros((1, 6), dtype=np.int64)
@@ -309,12 +318,17 @@ def test_census_bound_asserted_under_hypothesis():
     assert res.count <= res.bound + 1e-9
 
 
-def test_census_weights_are_exact_or_raise():
+def test_census_weights_are_exact_or_raise(monkeypatch):
     # q^k = 49 words exceed a budget of 10: the census must not read the
     # pruned bracket's upper end as the weight
     A = get_algebra(7, 3)
-    with pytest.raises(BudgetExceeded):
-        census_K_le_delta(A, delta=0.5, word_budget=10)
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "DEFAULT_WORD_BUDGET", 10)
+        with pytest.raises(BudgetExceeded, match=r"q\^k = 49 exceeds the budget 10"):
+            census_K_le_delta(A, delta=0.5)
+        # the budget is checked after assembly: a missing C_0 is reported first
+        with pytest.raises(HypothesisUnmet):
+            census_K_le_delta(A, delta=0.5, include_C0=True)
     res = census_K_le_delta(A, delta=0.5)
     assert res.count == 12
     assert min(w for _, _, w, _ in res.rows) == 3
@@ -359,7 +373,9 @@ def _per_beta_census(A, delta, include_C0):
         code = codes.assemble_code(A, parts, include_C0=include_C0, beta=beta)
         key = code.key()
         if key not in weights:
-            weights[key] = min_weight(code, mode=analysis.EXHAUSTIVE).min_weight
+            rep = min_weight(code)
+            assert rep.method == analysis.EXHAUSTIVE
+            weights[key] = rep.min_weight
         rows.append((idx, beta.codes, weights[key], weights[key] / code.n_len))
     count = sum(1 for *_, d in rows if d <= delta + analysis.FLOAT_SLACK)
     hypothesis, exponent, bound = analysis.census_bound(

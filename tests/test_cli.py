@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -41,12 +42,6 @@ def test_decompose_even_n_exit2(capsys):
     assert "odd" in err
 
 
-def test_decompose_p_m_flags(capsys):
-    rc, out, _ = run(capsys, "decompose", "--p", "3", "--m", "2", "--n", "5")
-    assert rc == 0
-    assert "q=9" in out
-
-
 @pytest.mark.parametrize(
     "field_args",
     [("--q", "3", "--p", "2"), ("--q", "3", "--m", "1"), ("--q", "9", "--p", "3", "--m", "2")],
@@ -54,30 +49,21 @@ def test_decompose_p_m_flags(capsys):
 )
 @pytest.mark.parametrize("subcommand", ["decompose", "construct"])
 def test_q_with_p_or_m_exit2(capsys, subcommand, field_args):
+    # --q is the only field option: --p and --m are unknown to the parser
     rc, out, err = run(capsys, subcommand, *field_args, "--n", "5")
     assert (rc, out) == (2, "")
-    assert err == "error: --q excludes --p and --m\n"
-
-
-def test_p_without_m_is_prime_field(capsys):
-    rc, out, _ = run(capsys, "decompose", "--p", "3", "--n", "5")
-    assert rc == 0
-    assert out.startswith("q=3 n=5 ")
+    assert err.endswith(f": error: unrecognized arguments: {' '.join(field_args[2:])}\n")
 
 
 def test_m_without_p_or_q_exit2(capsys):
     rc, out, err = run(capsys, "decompose", "--m", "2", "--n", "5")
     assert (rc, out) == (2, "")
-    assert err.startswith("error: ")
+    assert err.endswith(": error: the following arguments are required: --q\n")
 
 
-@pytest.mark.parametrize(
-    "field_args, q",
-    [(("--q", "8192"), 8192), (("--p", "2", "--m", "13"), 8192), (("--p", "3", "--m", "8"), 6561)],
-    ids=["q8192", "p2m13", "p3m8"],
-)
-def test_decompose_field_above_table_bound_exit2(capsys, field_args, q):
-    rc, out, err = run(capsys, "decompose", *field_args, "--n", "3")
+@pytest.mark.parametrize("q", [8192, 6561], ids=["q8192", "p3m8"])
+def test_decompose_field_above_table_bound_exit2(capsys, q):
+    rc, out, err = run(capsys, "decompose", "--q", str(q), "--n", "3")
     assert (rc, out) == (2, "")
     assert err == f"error: field of size {q} too large for lookup tables\n"
 
@@ -176,6 +162,26 @@ def test_construct_include_a0_only_for_lcd(capsys):
 def test_removed_options_rejected(capsys):
     assert run(capsys, "decompose", "--q", "5", "--n", "3", "--jobs", "2")[0] == 2
     assert run(capsys, "construct", "--q", "2", "--n", "7", "--family", "self-orthogonal")[0] == 2
+
+
+# each subcommand's option strings (without -h/--help): a new knob shows up here
+OPTION_INVENTORY = {
+    "decompose": ["--q", "--n", "--format", "--out", "--dihedral"],
+    "construct": ["--q", "--n", "--format", "--out", "--family", "--beta", "--seed", "--include-a0"],
+    "analyze": ["--checks", "--delta", "--budget", "--v-squared", "--format", "--out"],
+    "verify-paper": ["--format", "--out"],
+}
+
+
+def test_cli_option_inventory():
+    ap = cli._build_parser()
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: [s for a in sp._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for name, sp in sub.choices.items()
+    }
+    assert got == OPTION_INVENTORY
+    assert sum(map(len, got.values())) == 21
 
 
 # -- analyze ------------------------------------------------------------------------------------
@@ -311,7 +317,7 @@ def test_verify_paper_reports_known_defects(capsys):
     # three checks pass; the two statements corrected in this implementation
     # (the self-conjugate-block inner-product dichotomy and the f bar f
     # closed form) fail, so the command exits 1
-    rc, out, _ = run(capsys, "verify-paper", "--qs", "3,5,7")
+    rc, out, _ = run(capsys, "verify-paper")
     assert rc == 1
     lines = out.splitlines()
     assert any(l.startswith("PASS counterexample") for l in lines)
@@ -322,7 +328,7 @@ def test_verify_paper_reports_known_defects(capsys):
 
 
 def test_verify_paper_json(capsys):
-    rc, out, _ = run(capsys, "verify-paper", "--qs", "7", "--format", "json")
+    rc, out, _ = run(capsys, "verify-paper", "--format", "json")
     assert rc == 1
     rep = json.loads(out)
     names = {c["name"]: c["passed"] for c in rep["checks"]}
@@ -330,23 +336,22 @@ def test_verify_paper_json(capsys):
     assert rep["all_passed"] is False
 
 
-@pytest.mark.parametrize("qs", ["3,x", "", "3,,5"], ids=["letter", "empty", "empty-entry"])
-def test_verify_paper_bad_q_grid_exit2(capsys, qs):
-    rc, out, err = run(capsys, "verify-paper", "--qs", qs)
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error: ") and "q grid" in err
-
-
 @pytest.mark.parametrize(
-    "qs, message",
-    [("3,8192", "field of size 8192 too large for lookup tables"), ("3,6", "6 is not a prime power")],
-    ids=["above-table-bound", "not-prime-power"],
+    "qs", ["3,x", "", "3,,5", "7"], ids=["letter", "empty", "empty-entry", "valid-grid"]
 )
-def test_verify_paper_rejects_q_before_any_check(capsys, monkeypatch, qs, message):
-    def no_checks(q_grid):
-        raise AssertionError("a check ran before the q grid was validated")
+def test_verify_paper_bad_q_grid_exit2(capsys, qs):
+    # the q grid is fixed (cli.PAPER_QS): any --qs is an unknown argument
+    rc, out, err = run(capsys, "verify-paper", "--qs", qs)
+    assert (rc, out) == (2, "")
+    assert err.endswith(f": error: unrecognized arguments: --qs {qs}\n")
+
+
+@pytest.mark.parametrize("qs", ["3,8192", "3,6"], ids=["above-table-bound", "not-prime-power"])
+def test_verify_paper_rejects_q_before_any_check(capsys, monkeypatch, qs):
+    def no_checks():
+        raise AssertionError("a check ran although the arguments were rejected")
 
     monkeypatch.setattr(cli, "_paper_checks", no_checks)
     rc, out, err = run(capsys, "verify-paper", "--qs", qs)
-    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    assert (rc, out) == (2, "")
+    assert err.endswith(f": error: unrecognized arguments: --qs {qs}\n")
