@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import codes as codes_mod
 from . import linalg
 from .algebra import TwistedDihedralAlgebra
-from .codes import LinearCode, assemble_code, beta_at
+from .codes import BetaVector, LinearCode, assemble_code
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -84,9 +85,9 @@ def min_weight(code: LinearCode, budget: int = DEFAULT_WORD_BUDGET) -> WeightRep
     weighs all q^k words by packed XOR and popcount
     (linalg.weight_distribution).  Otherwise the pruned path expands every
     message of weight <= w on an information set while whole weight layers
-    fit the budget, giving the bracket [w+1, best]; best starts at the
-    lightest generator row.  A caller that needs an exact weight compares
-    q^k with its budget first (census_K_le_delta does).
+    fit the budget, giving the bracket [w+1, best], exact once w reaches k;
+    best starts at the lightest generator row.  A caller that needs an exact
+    weight compares q^k with its budget first (census_K_le_delta does).
     """
     _check_budget(budget)
     if code.k_dim == 0:
@@ -132,7 +133,8 @@ def _layer_messages(k: int, q: int, w: int) -> Iterator[np.ndarray]:
 
 def _pruned_min_weight(code: LinearCode, budget: int) -> WeightReport:
     """Information-set bracketing: all messages of weight <= w are expanded;
-    any unseen codeword then has weight >= w + 1 on the information set."""
+    any unseen codeword then has weight >= w + 1 on the information set.  At
+    w = k no nonzero codeword is unseen, and the bracket closes on best."""
     field = code.field
     q = field.q
     R = code.gen
@@ -149,7 +151,7 @@ def _pruned_min_weight(code: LinearCode, budget: int) -> WeightReport:
         for msgs in _layer_messages(k, q, w):
             best = min(best, int(np.count_nonzero(field.matmul(msgs, R), axis=1).min()))
         spent += layer
-    lower = min(best, w + 1)
+    lower = best if w == k else min(best, w + 1)
     return WeightReport(
         min_weight=best,
         relative_distance=Fraction(best, n),
@@ -250,13 +252,58 @@ def balanced_check(
 # -- the K* census ---------------------------------------------------------------------
 
 
+# betas whose codes are turned into Python objects at a time, so that K*
+# never exists as one Python list
+ROW_BLOCK = 4096
+
+
+class CensusRows(Sequence):
+    """The rows (beta index, beta codes, min weight, Delta) of a census, as
+    numpy columns: the codes and class number of every beta, and the weight
+    of every class.
+
+    A row is built when it is read, so a census holds 8 (m + 1) bytes a beta
+    (m matrix blocks), not a Python row of about 200 bytes; the rows of one
+    class share its weight and Delta objects.
+    """
+
+    def __init__(self, beta_codes: np.ndarray, class_of: np.ndarray, class_weights: np.ndarray, n_len: int):
+        self._codes = beta_codes
+        self._class_of = class_of
+        self._weights = class_weights.tolist()
+        self._deltas = (class_weights / n_len).tolist()
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, i: int) -> tuple[int, tuple[int, ...], int, float]:
+        i = range(len(self))[i]  # negative indices count from the end; IndexError past it
+        c = int(self._class_of[i])
+        return i, tuple(self._codes[i].tolist()), self._weights[c], self._deltas[c]
+
+    def __iter__(self) -> Iterator[tuple[int, tuple[int, ...], int, float]]:
+        weights, deltas = self._weights, self._deltas
+        for start in range(0, len(self), ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            classes = self._class_of[block].tolist()
+            yield from zip(
+                itertools.count(start),
+                map(tuple, self._codes[block].tolist()),
+                map(weights.__getitem__, classes),
+                map(deltas.__getitem__, classes),
+            )
+
+
 @dataclass
 class CensusResult:
     """One census of K*: a row per beta, computed from one assembly and one
     exact weight per twist class.
 
-    distinct_codes is the number of classes, prod(|F_t| + 1); the census
-    asserts that their generator matrices are pairwise distinct.
+    rows is a sequence of (index, beta codes, min weight, Delta) in beta
+    index order; census_K_le_delta gives CensusRows, which builds each row
+    from numpy columns when it is read.  distinct_codes is the number of
+    classes, prod(|F_t| + 1); the census asserts that their generator
+    matrices are pairwise distinct.
 
     summary_json reports support_bounds_ok as true without a check: decompose
     asserts k_1 + ... + k_m = (n-1)/2, so any word with a nonzero component in
@@ -273,7 +320,7 @@ class CensusResult:
     hypothesis_ok: bool
     exponent: float
     bound: Optional[float]
-    rows: list[tuple[int, tuple[int, ...], int, float]]  # (index, beta codes, min weight, Delta)
+    rows: Sequence[tuple[int, tuple[int, ...], int, float]]  # (index, beta codes, min weight, Delta)
     distinct_codes: int  # the prod(|F_t| + 1) twist classes, checked to give distinct codes; not exported
 
     def summary_json(self) -> dict:
@@ -317,18 +364,24 @@ def census_K_le_delta(
 ) -> CensusResult:
     """Exact census of {beta in K* : Delta(C beta) <= delta}.
 
-    Every minimum weight is exact: BudgetExceeded is raised when some code's
+    Every minimum weight is exact: BudgetExceeded is raised when the codes'
     q^k words exceed DEFAULT_WORD_BUDGET (read at call time); the check
-    follows the code's assembly, so a missing C_0 raises
-    HypothesisUnmet first.  Asserts count <= |K*| always, and count
-    <= the volume bound whenever the exponent hypothesis
-    1/4 - h_q(delta) - log_q(n)/lambda(n) > 0 holds.
+    follows the first code's assembly, so a missing C_0 raises
+    HypothesisUnmet first, and no other class is assembled.  Asserts count
+    <= |K*| always, and count <= the volume bound whenever the exponent
+    hypothesis 1/4 - h_q(delta) - log_q(n)/lambda(n) > 0 holds.
 
-    C beta depends only on beta modulo the F_t* (BetaVector.twist_class).
-    assemble_code is called once per beta with one memo for the census, so
-    it row-reduces each class once and serves the other betas from the memo;
-    each class's exact weight is computed once too.  Rows come out in beta
-    index order.
+    The codes of beta index i are its digits in mixed radix |K_t| - 1, plus
+    one (block 1 fastest, as in beta_at), computed for all of K* as numpy
+    columns.  C beta depends only on beta modulo the F_t*
+    (BetaVector.twist_class), so each beta also gets a class number: its
+    KtField.class_ids entries read in mixed radix |F_t| + 1.  assemble_code
+    is called once per beta with one memo for the census, so it row-reduces
+    each class once and serves the other betas from the memo.  The census
+    then asserts prod(|F_t| + 1) classes with pairwise distinct codes and
+    weighs every class in one call of linalg.weight_distribution on their
+    stacked generators.  The rows are CensusRows, which read each beta's
+    weight off its class number, in beta index order.
     """
     q = alg.field.q
     if not 0 < delta <= 1:
@@ -338,25 +391,36 @@ def census_K_le_delta(
     size = codes_mod.k_star_size(kts)
     if size > k_star_budget:
         raise BudgetExceeded(f"|K*| = {size} exceeds the census budget {k_star_budget}")
-    rows = []
+    rest = np.arange(size, dtype=np.int64)
+    beta_codes = np.empty((size, len(kts)), dtype=np.int64)
+    class_of = np.zeros(size, dtype=np.int64)
+    strides = []
+    classes = 1
+    for t, kt in enumerate(kts):
+        rest, digit = np.divmod(rest, kt.order - 1)
+        beta_codes[:, t] = 1 + digit
+        ids = np.asarray(kt.class_ids()[1:], dtype=np.int64)
+        lines = kt.comp.ft.order + 1
+        assert ids.min() >= 0 and ids.max() < lines, f"a twist class id of K_{kt.comp.index} is outside 0..{lines - 1}"
+        class_of += ids[digit] * classes
+        strides.append(classes)
+        classes *= lines
     memo: dict[tuple[int, ...], LinearCode] = {}
-    weights: dict[tuple[int, ...], tuple[int, float]] = {}
-    for idx in range(size):
-        beta = beta_at(kts, idx)
-        code = assemble_code(alg, parts, include_C0=include_C0, beta=beta, memo=memo)
-        cls = beta.twist_class()
-        if cls not in weights:
-            if q**code.k_dim > DEFAULT_WORD_BUDGET:
-                raise BudgetExceeded(f"q^k = {q**code.k_dim} exceeds the budget {DEFAULT_WORD_BUDGET}")
-            rep = min_weight(code, DEFAULT_WORD_BUDGET)
-            weights[cls] = (rep.min_weight, float(rep.relative_distance))
-        rows.append((idx, beta.codes, *weights[cls]))
+    first = assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, beta_codes[0].tolist()), memo=memo)
+    if q**first.k_dim > DEFAULT_WORD_BUDGET:
+        raise BudgetExceeded(f"q^k = {q**first.k_dim} exceeds the budget {DEFAULT_WORD_BUDGET}")
+    for start in range(1, size, ROW_BLOCK):
+        for codes in beta_codes[start : start + ROW_BLOCK].tolist():
+            assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, codes), memo=memo)
     # C beta = C beta' iff beta' beta^-1 lies in the product of the F_t*:
     # a class table that merges or splits classes fails here
-    classes = math.prod(kt.comp.ft.order + 1 for kt in kts)
     assert len(memo) == classes, f"{len(memo)} twist classes, expected {classes}"
     assert len({code.key() for code in memo.values()}) == classes, "two twist classes gave the same code"
-    count = sum(1 for _, _, _, d in rows if d <= delta + FLOAT_SLACK)
+    counts = linalg.weight_distribution(alg.field, np.stack([code.gen for code in memo.values()]))
+    class_weights = np.empty(classes, dtype=np.int64)
+    class_weights[np.array(list(memo), dtype=np.int64) @ strides] = np.argmax(counts[:, 1:] > 0, axis=1) + 1
+    bad = class_weights / first.n_len <= delta + FLOAT_SLACK
+    count = int(np.count_nonzero(bad[class_of]))
     lam = alg.lambda_()
     h_delta_ok = delta <= 1 - 1 / q + FLOAT_SLACK
     if h_delta_ok:
@@ -376,7 +440,7 @@ def census_K_le_delta(
         hypothesis_ok=hypothesis,
         exponent=exponent,
         bound=bound,
-        rows=rows,
+        rows=CensusRows(beta_codes, class_of, class_weights, first.n_len),
         distinct_codes=classes,
     )
 

@@ -119,37 +119,79 @@ def _span_chunks(field: Field, basis: np.ndarray):
             yield add[top, low]
 
 
-def _pack(words: np.ndarray, b: int) -> np.ndarray:
-    """Rows of element codes as rows of uint64 lanes: b bits a coordinate, 64 // b to a lane."""
-    per = 64 // b
-    padded = np.zeros((len(words), -(-words.shape[1] // per) * per), dtype=np.uint64)
-    padded[:, : words.shape[1]] = words
-    shifts = np.arange(per, dtype=np.uint64) * np.uint64(b)
-    return np.bitwise_or.reduce(padded.reshape(len(words), -1, per) << shifts, axis=2)
+def _pack(words: np.ndarray, b: int, n: int) -> np.ndarray:
+    """Rows of c codes' element codes, n coordinates each, as rows of uint64 lanes.
+
+    b bits a coordinate and per = 64 // b coordinates to a lane; each code
+    starts a lane of its own, so a row becomes c * ceil(n / per) lanes.
+    """
+    shifts = (np.arange(words.shape[1]) % n % (64 // b) * b).astype(np.uint64)  # each coordinate's field
+    return np.bitwise_or.reduceat(words.astype(np.uint64) << shifts, (shifts == 0).nonzero()[0], axis=1)
 
 
 def weight_distribution(field: Field, basis: np.ndarray) -> np.ndarray:
-    """Counts A_0..A_n of the row space's words by Hamming weight.
+    """Counts A_0..A_n of the row space's words by Hamming weight, per code.
+
+    basis is one (k, n) basis, giving counts of shape (n + 1,), or a stack of
+    c of them, (c, k, n), giving (c, n + 1); one basis is the c = 1 case.
 
     The span of the last j = min(_low_rows, ceil(k/2)) rows is held once; each
     word o of the other rows' span (both ~sqrt(q^k) words) shifts it, and x + o
     has weight #{i : x_i != -o_i}.  In uint64 lanes, b = bit_length(q - 1) bits
     a coordinate, ((z & M) + M | z) & H with z = x XOR pack(-o) keeps the top
-    bit (H) of each nonzero field (M: its low b - 1 bits) for a popcount.  At
-    most SPAN_CHUNK words are weighed at a time: memory is O(SPAN_CHUNK n).
+    bit (H) of each nonzero field (M: its low b - 1 bits) for a popcount; at
+    b = 1, M = 0 and the mask is the identity.
+
+    Codes are weighed in batches side by side: a batch's bases are joined
+    column-wise into [G_1 | G_2 | ...], whose span holds its codes' words
+    under the same messages, so one walk of the span serves the batch, each
+    code packed into lanes of its own; one bincount with an offset per code
+    counts them.  A batch holds at most SPAN_CHUNK / 16 words of low spans
+    (but at least one code), so its joined blocks stay as small as those of
+    one code with a 256-word low span: larger blocks leave the cache, and 16
+    codes with 256-word low spans took 1.35-1.4 times as long in one batch
+    as one at a time.  An XOR pass holds at most 4 SPAN_CHUNK packed lanes
+    (but at least one offset), and an offset block at most SPAN_CHUNK
+    offsets.  As q^(k - j) <= q^j unless q^j > SPAN_CHUNK / q, memory is
+    O(SPAN_CHUNK n) whatever c and q^k are.
     """
-    basis = as_matrix(basis)
-    k, n = basis.shape
+    stack = np.asarray(basis, dtype=np.int64)
+    single = stack.ndim < 3
+    if single:
+        stack = as_matrix(stack)[None]
+    c, k, n = stack.shape
     j = min(_low_rows(field.q, k), -(-k // 2))
+    batch = max(1, SPAN_CHUNK // (16 * field.q**j))
+    counts = np.zeros((c, n + 1), dtype=np.int64)
+    for s in range(0, c, batch):
+        counts[s : s + batch] = _batch_weights(field, stack[s : s + batch], j)
+    return counts[0] if single else counts
+
+
+def _batch_weights(field: Field, stack: np.ndarray, j: int) -> np.ndarray:
+    """weight_distribution of a (c, k, n) stack, every code in one span walk.
+
+    Lanes run along the first axes and low-span words along the last, so
+    every elementwise pass loops over |low| words at a time.
+    """
+    c, k, n = stack.shape
     b = (field.q - 1).bit_length()
-    low = _pack(enumerate_span(field, basis[k - j :]), b)
-    H, M = _pack(np.array([[1 << (b - 1)], [(1 << (b - 1)) - 1]]).repeat(n, axis=1), b)
-    step = max(1, SPAN_CHUNK // len(low))
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for offsets in _span_chunks(field, basis[: k - j]):
-        negs = _pack(field.tables().neg[offsets], b)[:, None, :]
+    joined = stack.transpose(1, 0, 2).reshape(k, c * n)  # [G_1 | ... | G_c]
+    low = np.ascontiguousarray(_pack(enumerate_span(field, joined[k - j :]), b, n).T)
+    lanes = len(low) // c
+    ones = ((1 << (64 // b * b)) - 1) // ((1 << b) - 1)  # a 1 in the low bit of every field of a lane
+    H, M = np.uint64(ones << (b - 1)), np.uint64(ones * ((1 << (b - 1)) - 1))  # padding fields of z stay 0
+    bins = np.arange(c)[:, None] * (n + 1)  # code i counts weight w in bin i (n + 1) + w
+    step = max(1, 4 * SPAN_CHUNK // low.size)
+    counts = np.zeros(c * (n + 1), dtype=np.int64)
+    for offsets in _span_chunks(field, joined[: k - j]):
+        negs = _pack(field.tables().neg[offsets], b, n)[:, :, None]
         for s in range(0, len(negs), step):
             z = low ^ negs[s : s + step]
-            weights = np.bitwise_count((((z & M) + M) | z) & H).sum(axis=2, dtype=np.intp)
-            counts += np.bincount(weights.ravel(), minlength=n + 1)
-    return counts
+            if b > 1:
+                z = (((z & M) + M) | z) & H
+            weights = np.bitwise_count(z)
+            if lanes > 1:
+                weights = weights.reshape(len(z), c, lanes, -1).sum(axis=2, dtype=np.intp)
+            counts += np.bincount((weights + bins).ravel(), minlength=c * (n + 1))
+    return counts.reshape(c, n + 1)

@@ -164,12 +164,12 @@ def reference_pruned_bracket(code, budget):
                 if 0 < wt < best:
                     best = wt
         spent += layer
-    return min(best, w + 1), best
+    return (best if w == k else min(best, w + 1)), best
 
 
 @pytest.mark.parametrize(
     "q, n, family",
-    [(2, 9, "plain"), (3, 7, "lcd"), (4, 5, "self_dual"), (5, 7, "plain"), (9, 5, "plain")],
+    [(2, 9, "plain"), (3, 7, "lcd"), (4, 5, "self_dual"), (5, 7, "plain"), (9, 5, "plain"), (3, 5, "plain")],
 )
 def test_pruned_brackets_match_per_word_loop(q, n, family):
     code = getattr(codes, f"build_{family}_code")(get_algebra(q, n))
@@ -306,6 +306,27 @@ def test_census_hatted_self_dual():
     A = get_algebra(5, 3)
     res = census_K_le_delta(A, delta=1.0, include_C0=True)
     assert res.count == res.k_star_size == 24
+
+
+def test_census_rows_are_read_off_columns():
+    # a census keeps each beta's codes and class number as numpy columns and
+    # builds a row when it is read: 8 (m + 1) bytes a beta, m = 3 blocks here
+    A = get_algebra(2, 15)
+    census_K_le_delta(A, delta=0.2, include_C0=True)  # caches the algebra's RREFs and K_t
+    tracemalloc.start()
+    try:
+        res = census_K_le_delta(A, delta=0.2, include_C0=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 40 * res.k_star_size, f"{held / res.k_star_size:.0f} bytes a beta"
+    rows = list(res.rows)
+    assert len(res.rows) == len(rows) == res.k_star_size == 11_475
+    for i in (0, 1, 4096, len(rows) - 1, -1):
+        assert res.rows[i] == rows[i]
+    assert type(rows[-1][1][0]) is int and type(rows[-1][3]) is float
+    with pytest.raises(IndexError):
+        res.rows[len(rows)]
 
 
 def test_census_bound_asserted_under_hypothesis():
@@ -448,9 +469,10 @@ def test_builders_hull_and_min_weight_build_no_class_table(monkeypatch, rng):
         census_K_le_delta(get_algebra(5, 3), delta=0.4)
 
 
-@pytest.mark.parametrize("fault", ["merge", "split"])
+@pytest.mark.parametrize("fault", ["merge", "split", "shift"])
 def test_census_rejects_a_class_table_that_merges_or_splits(monkeypatch, fault):
-    # the census checks prod(|F_t| + 1) classes with pairwise distinct codes
+    # the census checks prod(|F_t| + 1) classes with pairwise distinct codes,
+    # and that every class id is a digit of its class number
     real = codes.KtField.class_ids
 
     def faulty(self):
@@ -458,6 +480,8 @@ def test_census_rejects_a_class_table_that_merges_or_splits(monkeypatch, fault):
         if fault == "merge":  # the class of code 1 swallows another
             other = next(i for i in ids[1:] if i != ids[1])
             return [ids[1] if i == other else i for i in ids]
+        if fault == "shift":  # the same classes, with ids 1 .. |F_t| + 1
+            return [i + 1 if i >= 0 else i for i in ids]
         twin = next(c for c in range(2, len(ids)) if ids[c] == ids[1])
         ids[twin] = max(ids) + 1  # one code of code 1's class gets an id of its own
         return ids

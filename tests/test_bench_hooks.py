@@ -3,13 +3,17 @@
 The benchmark patches library functions by name; a refactor that renames or
 removes one of them should fail here rather than in a traced benchmark run.
 The decompose workload's reports are also checked against the digests the
-benchmark recorded, so a change to their bytes fails here first.
+benchmark recorded, so a change to their bytes fails here first, and one
+traced pass of every workload runs in a worker process, so a changed digest
+or pinned call count fails here rather than in a benchmark run.
 """
 
 import ast
 import functools
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -104,3 +108,22 @@ def test_decompose_reports_match_recorded_digests(bench):
         out = w.run(item)
         assert w.digest(item, out) == refs[w.key(item)], item
         assert w.oracle(item, out, {}) == [], item
+
+
+@pytest.mark.parametrize("workload", ["census", "decompose", "hull", "min_weight"])
+def test_traced_benchmark_pass_is_correct(workload):
+    # one traced pass of each workload: its recorded digests, oracles and
+    # pinned call counts (census: one assemble_code call per beta) all hold
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH.parent / "src"))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    args = ["--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "1"]
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), *args],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,63 @@ def test_weight_distribution_dependent_rows_and_empty_basis():
     basis = np.array([[1, 2, 0, 1], [2, 1, 0, 2]], dtype=np.int64)  # row 1 = 2 * row 0
     assert linalg.weight_distribution(F, basis).tolist() == [3, 0, 0, 6, 0]
     assert linalg.weight_distribution(F, np.zeros((0, 4), dtype=np.int64)).tolist() == [1, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("chunk", [16, linalg.SPAN_CHUNK])
+@pytest.mark.parametrize(
+    "q, k, n",
+    [(2, 9, 14), (3, 6, 10), (4, 5, 10), (5, 4, 6), (7, 3, 6), (8, 3, 10), (9, 3, 10), (13, 2, 22), (13, 3, 22)],
+)
+def test_weight_distribution_stack_matches_single_codes(monkeypatch, chunk, q, k, n):
+    # 40 codes: at the default chunk, batches of 3 to 19 codes and a last
+    # one part full (one code a batch at q = 13, k = 3); chunk 16 weighs one
+    # code a batch and walks several offset blocks.  At q = 13, n = 22 each
+    # code takes two lanes of 16 coordinates
+    monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
+    F = field_from_order(q)
+    c = 40
+    stack = np.random.default_rng(q * n).integers(0, q, (c, k, n))
+    stack[0, 1] = stack[0, 0]  # a dependent row
+    counts = linalg.weight_distribution(F, stack)
+    assert counts.shape == (c, n + 1) and counts.dtype == np.int64
+    for basis, row in zip(stack, counts):
+        assert np.array_equal(row, linalg.weight_distribution(F, basis))
+        assert np.array_equal(row, span_weights(F, basis))
+
+
+def test_weight_distribution_walks_one_span_per_batch(monkeypatch):
+    # 40 codes with 5-word low spans (q = 5, k = 2) fit one batch: one low
+    # span and one offset block of the joined bases weigh all of them
+    shapes = []
+    real = linalg.enumerate_span
+
+    def recording(field, basis):
+        shapes.append(basis.shape)
+        return real(field, basis)
+
+    monkeypatch.setattr(linalg, "enumerate_span", recording)
+    F = field_from_order(5)
+    stack = np.random.default_rng(5).integers(0, 5, (40, 2, 6))
+    counts = linalg.weight_distribution(F, stack)
+    assert shapes == [(1, 40 * 6), (1, 40 * 6)]
+    assert all(np.array_equal(row, span_weights(F, basis)) for basis, row in zip(stack, counts))
+
+
+def test_weight_distribution_stack_memory_is_bounded():
+    # 64 binary codes of dimension 14 and length 42, two to a batch: their
+    # 2^20 words would take 336 MiB as int64, and the batches hold a few MiB
+    F = field_from_order(2)
+    stack = np.random.default_rng(1).integers(0, 2, (64, 14, 42))
+    F.tables()
+    tracemalloc.start()
+    try:
+        counts = linalg.weight_distribution(F, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (counts.sum(axis=1) == 2**14).all()
+    assert np.array_equal(counts[-1], linalg.weight_distribution(F, stack[-1]))
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_in_row_space():
