@@ -521,7 +521,6 @@ class TwistedDihedralAlgebra:
         self._components: Optional[list[Component]] = None
         self._action: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._ideal_rrefs: dict[bytes, np.ndarray] = {}
-        self._kt_fields: Optional[list] = None  # codes.kt_fields, on first use
 
     # -- element constructors -------------------------------------------------
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -252,58 +251,13 @@ def balanced_check(
 # -- the K* census ---------------------------------------------------------------------
 
 
-# betas whose codes are turned into Python objects at a time, so that K*
-# never exists as one Python list
-ROW_BLOCK = 4096
-
-
-class CensusRows(Sequence):
-    """The rows (beta index, beta codes, min weight, Delta) of a census, as
-    numpy columns: the codes and class number of every beta, and the weight
-    of every class.
-
-    A row is built when it is read, so a census holds 8 (m + 1) bytes a beta
-    (m matrix blocks), not a Python row of about 200 bytes; the rows of one
-    class share its weight and Delta objects.
-    """
-
-    def __init__(self, beta_codes: np.ndarray, class_of: np.ndarray, class_weights: np.ndarray, n_len: int):
-        self._codes = beta_codes
-        self._class_of = class_of
-        self._weights = class_weights.tolist()
-        self._deltas = (class_weights / n_len).tolist()
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def __getitem__(self, i: int) -> tuple[int, tuple[int, ...], int, float]:
-        i = range(len(self))[i]  # negative indices count from the end; IndexError past it
-        c = int(self._class_of[i])
-        return i, tuple(self._codes[i].tolist()), self._weights[c], self._deltas[c]
-
-    def __iter__(self) -> Iterator[tuple[int, tuple[int, ...], int, float]]:
-        weights, deltas = self._weights, self._deltas
-        for start in range(0, len(self), ROW_BLOCK):
-            block = slice(start, start + ROW_BLOCK)
-            classes = self._class_of[block].tolist()
-            yield from zip(
-                itertools.count(start),
-                map(tuple, self._codes[block].tolist()),
-                map(weights.__getitem__, classes),
-                map(deltas.__getitem__, classes),
-            )
-
-
 @dataclass
 class CensusResult:
     """One census of K*: a row per beta, computed from one assembly and one
     exact weight per twist class.
 
-    rows is a sequence of (index, beta codes, min weight, Delta) in beta
-    index order; census_K_le_delta gives CensusRows, which builds each row
-    from numpy columns when it is read.  distinct_codes is the number of
-    classes, prod(|F_t| + 1); the census asserts that their generator
-    matrices are pairwise distinct.
+    distinct_codes is the number of classes, prod(|F_t| + 1); the census
+    asserts that their generator matrices are pairwise distinct.
 
     summary_json reports support_bounds_ok as true without a check: decompose
     asserts k_1 + ... + k_m = (n-1)/2, so any word with a nonzero component in
@@ -320,7 +274,7 @@ class CensusResult:
     hypothesis_ok: bool
     exponent: float
     bound: Optional[float]
-    rows: Sequence[tuple[int, tuple[int, ...], int, float]]  # (index, beta codes, min weight, Delta)
+    rows: list[tuple[int, tuple[int, ...], int, float]]  # (index, beta codes, min weight, Delta)
     distinct_codes: int  # the prod(|F_t| + 1) twist classes, checked to give distinct codes; not exported
 
     def summary_json(self) -> dict:
@@ -380,8 +334,7 @@ def census_K_le_delta(
     each class once and serves the other betas from the memo.  The census
     then asserts prod(|F_t| + 1) classes with pairwise distinct codes and
     weighs every class in one call of linalg.weight_distribution on their
-    stacked generators.  The rows are CensusRows, which read each beta's
-    weight off its class number, in beta index order.
+    stacked generators, and reads each beta's weight off its class number.
     """
     q = alg.field.q
     if not 0 < delta <= 1:
@@ -405,13 +358,14 @@ def census_K_le_delta(
         class_of += ids[digit] * classes
         strides.append(classes)
         classes *= lines
+    beta_tuples = list(zip(*beta_codes.T.tolist()))
+    del beta_codes, rest, digit  # K*-long arrays; the rows hold the codes from here on
     memo: dict[tuple[int, ...], LinearCode] = {}
-    first = assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, beta_codes[0].tolist()), memo=memo)
+    first = assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, beta_tuples[0]), memo=memo)
     if q**first.k_dim > DEFAULT_WORD_BUDGET:
         raise BudgetExceeded(f"q^k = {q**first.k_dim} exceeds the budget {DEFAULT_WORD_BUDGET}")
-    for start in range(1, size, ROW_BLOCK):
-        for codes in beta_codes[start : start + ROW_BLOCK].tolist():
-            assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, codes), memo=memo)
+    for codes in itertools.islice(beta_tuples, 1, None):
+        assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, codes), memo=memo)
     # C beta = C beta' iff beta' beta^-1 lies in the product of the F_t*:
     # a class table that merges or splits classes fails here
     assert len(memo) == classes, f"{len(memo)} twist classes, expected {classes}"
@@ -419,8 +373,10 @@ def census_K_le_delta(
     counts = linalg.weight_distribution(alg.field, np.stack([code.gen for code in memo.values()]))
     class_weights = np.empty(classes, dtype=np.int64)
     class_weights[np.array(list(memo), dtype=np.int64) @ strides] = np.argmax(counts[:, 1:] > 0, axis=1) + 1
-    bad = class_weights / first.n_len <= delta + FLOAT_SLACK
-    count = int(np.count_nonzero(bad[class_of]))
+    weights = class_weights[class_of].tolist()
+    deltas = (np.arange(first.n_len + 1) / first.n_len).tolist()  # one float per weight, shared by its rows
+    rows = list(zip(range(size), beta_tuples, weights, map(deltas.__getitem__, weights)))
+    count = sum(1 for _, _, _, d in rows if d <= delta + FLOAT_SLACK)
     lam = alg.lambda_()
     h_delta_ok = delta <= 1 - 1 / q + FLOAT_SLACK
     if h_delta_ok:
@@ -440,7 +396,7 @@ def census_K_le_delta(
         hypothesis_ok=hypothesis,
         exponent=exponent,
         bound=bound,
-        rows=CensusRows(beta_codes, class_of, class_weights, first.n_len),
+        rows=rows,
         distinct_codes=classes,
     )
 

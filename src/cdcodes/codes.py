@@ -319,15 +319,7 @@ class BetaVector:
 
 
 def kt_fields(alg: TwistedDihedralAlgebra) -> list[KtField]:
-    """The K_t of every matrix block, in block order, as a fresh list.
-
-    They depend only on the algebra, so they are built once per algebra and
-    cached on it, as ideal_rref is; their class tables and basis words are
-    then built once per algebra too.
-    """
-    if alg._kt_fields is None:
-        alg._kt_fields = [KtField(c) for c in alg.decompose()[1:]]
-    return list(alg._kt_fields)
+    return [KtField(c) for c in alg.decompose()[1:]]
 
 
 def k_star_size(kts: Sequence[KtField]) -> int:

@@ -308,27 +308,6 @@ def test_census_hatted_self_dual():
     assert res.count == res.k_star_size == 24
 
 
-def test_census_rows_are_read_off_columns():
-    # a census keeps each beta's codes and class number as numpy columns and
-    # builds a row when it is read: 8 (m + 1) bytes a beta, m = 3 blocks here
-    A = get_algebra(2, 15)
-    census_K_le_delta(A, delta=0.2, include_C0=True)  # caches the algebra's RREFs and K_t
-    tracemalloc.start()
-    try:
-        res = census_K_le_delta(A, delta=0.2, include_C0=True)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held <= 40 * res.k_star_size, f"{held / res.k_star_size:.0f} bytes a beta"
-    rows = list(res.rows)
-    assert len(res.rows) == len(rows) == res.k_star_size == 11_475
-    for i in (0, 1, 4096, len(rows) - 1, -1):
-        assert res.rows[i] == rows[i]
-    assert type(rows[-1][1][0]) is int and type(rows[-1][3]) is float
-    with pytest.raises(IndexError):
-        res.rows[len(rows)]
-
-
 def test_census_bound_asserted_under_hypothesis():
     # (n, q) = (5, 7): lambda = 4, log_7 5 / 4 = 0.207; delta small enough
     # that h_7(delta) stays under 1/4 - 0.207
