@@ -5,8 +5,8 @@ Writes one CSV row per twist (integer-encoded beta, minimum weight, relative
 distance) plus a JSON summary comparing the bad-twist count against the
 volume bound when the exponent margin is positive.  Exit codes follow the
 cdcodes CLI: 2 invalid input (including an --out path that cannot be
-written), 3 hypothesis unmet, 4 budget exceeded (|K*| over --k-star-budget),
-each with an "error:" line on stderr.
+written and a --k-star-budget below 1), 3 hypothesis unmet, 4 budget
+exceeded (|K*| over --k-star-budget), each with an "error:" line on stderr.
 
 Example:
     python scripts/census_experiment.py --q 7 --n 3 --delta 0.2 --out census_7_3
@@ -46,7 +46,8 @@ def main():
             include_C0=args.include_c0,
             k_star_budget=args.k_star_budget,
         )
-        csv_path.write_text("\n".join(res.csv_lines()) + "\n")
+        with csv_path.open("w") as csv_file:
+            csv_file.writelines(line + "\n" for line in res.csv_lines())
         json_path.write_text(json.dumps(res.summary_json(), indent=2) + "\n")
     except (CdcodesError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -321,24 +321,30 @@ def census_K_le_delta(
     Every minimum weight is exact: BudgetExceeded is raised when the codes'
     q^k words exceed DEFAULT_WORD_BUDGET (read at call time); the check
     follows the first code's assembly, so a missing C_0 raises
-    HypothesisUnmet first, and no other class is assembled.  Asserts count
-    <= |K*| always, and count <= the volume bound whenever the exponent
-    hypothesis 1/4 - h_q(delta) - log_q(n)/lambda(n) > 0 holds.
+    HypothesisUnmet first, and no other class is assembled.  A
+    k_star_budget below 1 raises DomainError.  Asserts count <= |K*|
+    always, and count <= the volume bound whenever the exponent hypothesis
+    1/4 - h_q(delta) - log_q(n)/lambda(n) > 0 holds.
 
     The codes of beta index i are its digits in mixed radix |K_t| - 1, plus
     one (block 1 fastest, as in beta_at), computed for all of K* as numpy
     columns.  C beta depends only on beta modulo the F_t*
     (BetaVector.twist_class), so each beta also gets a class number: its
-    KtField.class_ids entries read in mixed radix |F_t| + 1.  assemble_code
-    is called once per beta with one memo for the census, so it row-reduces
-    each class once and serves the other betas from the memo.  The census
-    then asserts prod(|F_t| + 1) classes with pairwise distinct codes and
-    weighs every class in one call of linalg.weight_distribution on their
-    stacked generators, and reads each beta's weight off its class number.
+    KtField.class_ids entries read in mixed radix |F_t| + 1.  The first beta
+    is assembled by assemble_code alone; then one beta of each class is
+    assembled in a stacked pass (_twisted_gens), whose generator for the
+    first beta's class must equal the first code's.  The pass fills the
+    class memo, keyed by the full twist class, so the census's one
+    assemble_code call per beta is a memo hit.  The census asserts
+    prod(|F_t| + 1) classes with pairwise distinct codes, weighs every class
+    in one call of linalg.weight_distribution on their stacked generators,
+    and reads each beta's weight off its class number.
     """
     q = alg.field.q
     if not 0 < delta <= 1:
         raise DomainError("delta must lie in (0, 1]")
+    if k_star_budget < 1:
+        raise DomainError(f"the census budget must be at least 1, got {k_star_budget}")
     kts = codes_mod.kt_fields(alg)
     parts = codes_mod.standard_parts(alg)
     size = codes_mod.k_star_size(kts)
@@ -347,32 +353,43 @@ def census_K_le_delta(
     rest = np.arange(size, dtype=np.int64)
     beta_codes = np.empty((size, len(kts)), dtype=np.int64)
     class_of = np.zeros(size, dtype=np.int64)
-    strides = []
+    strides, lines = [], []
     classes = 1
     for t, kt in enumerate(kts):
         rest, digit = np.divmod(rest, kt.order - 1)
         beta_codes[:, t] = 1 + digit
         ids = np.asarray(kt.class_ids()[1:], dtype=np.int64)
-        lines = kt.comp.ft.order + 1
-        assert ids.min() >= 0 and ids.max() < lines, f"a twist class id of K_{kt.comp.index} is outside 0..{lines - 1}"
+        lines.append(kt.comp.ft.order + 1)
+        assert ids.min() >= 0 and ids.max() < lines[-1], f"a twist class id of K_{kt.comp.index} is outside 0..{lines[-1] - 1}"
         class_of += ids[digit] * classes
         strides.append(classes)
-        classes *= lines
+        classes *= lines[-1]
     beta_tuples = list(zip(*beta_codes.T.tolist()))
+    seen, reps = np.unique(class_of, return_index=True)
+    # C beta = C beta' iff beta' beta^-1 lies in the product of the F_t*:
+    # a class table that merges or splits classes fails here
+    assert len(seen) == classes, f"{len(seen)} twist classes, expected {classes}"
+    rep_codes = beta_codes[reps]  # seen is 0 .. classes - 1, so row i is a beta of class i
     del beta_codes, rest, digit  # K*-long arrays; the rows hold the codes from here on
     memo: dict[tuple[int, ...], LinearCode] = {}
     first = assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, beta_tuples[0]), memo=memo)
     if q**first.k_dim > DEFAULT_WORD_BUDGET:
         raise BudgetExceeded(f"q^k = {q**first.k_dim} exceeds the budget {DEFAULT_WORD_BUDGET}")
+    gens = np.empty((classes, first.k_dim, first.n_len), dtype=np.int64)
+    for s, R in _twisted_gens(alg, parts, include_C0, kts, rep_codes):
+        assert R.shape[1] == first.k_dim, f"assembled dim {R.shape[1]}, expected {first.k_dim}"
+        gens[s : s + len(R)] = R
+    gens.setflags(write=False)  # shared by every beta of a class
+    assert np.array_equal(gens[class_of[0]], first.gen), "the stacked RREF of the first twist class differs from rref"
+    assert len({gen.tobytes() for gen in gens}) == classes, "two twist classes gave the same code"
+    keys = np.arange(classes)[:, None] // np.array(strides) % np.array(lines)  # each class's twist_class()
+    for key, gen in zip(map(tuple, keys.tolist()), gens):
+        memo.setdefault(key, LinearCode(alg.field, first.n_len, first.k_dim, gen))
     for codes in itertools.islice(beta_tuples, 1, None):
         assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, codes), memo=memo)
-    # C beta = C beta' iff beta' beta^-1 lies in the product of the F_t*:
-    # a class table that merges or splits classes fails here
-    assert len(memo) == classes, f"{len(memo)} twist classes, expected {classes}"
-    assert len({code.key() for code in memo.values()}) == classes, "two twist classes gave the same code"
-    counts = linalg.weight_distribution(alg.field, np.stack([code.gen for code in memo.values()]))
-    class_weights = np.empty(classes, dtype=np.int64)
-    class_weights[np.array(list(memo), dtype=np.int64) @ strides] = np.argmax(counts[:, 1:] > 0, axis=1) + 1
+    assert len(memo) == classes, f"{len(memo)} twist classes after the per-beta calls, expected {classes}"
+    counts = linalg.weight_distribution(alg.field, gens)
+    class_weights = np.argmax(counts[:, 1:] > 0, axis=1) + 1
     weights = class_weights[class_of].tolist()
     deltas = (np.arange(first.n_len + 1) / first.n_len).tolist()  # one float per weight, shared by its rows
     rows = list(zip(range(size), beta_tuples, weights, map(deltas.__getitem__, weights)))
@@ -399,6 +416,42 @@ def census_K_le_delta(
         rows=rows,
         distinct_codes=classes,
     )
+
+
+def _twisted_gens(
+    alg: TwistedDihedralAlgebra,
+    parts: Sequence,
+    include_C0: bool,
+    kts: Sequence[codes_mod.KtField],
+    beta_codes: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The RREF generators of C beta for every row of beta codes, as
+    (start, R) chunks, R of shape (c, k, 2n): assemble_code on a stack.
+
+    Each chunk sums the unit words e_0 + KtField.words of its betas, takes
+    their L(beta) from one translates call and G . L(beta) for all of them
+    from one Field.matmul (G the cached RREF of the untwisted parts),
+    appends the cached RREF of C_0 and reduces the stack with one
+    linalg.rref_stack.  A chunk holds at most SPAN_CHUNK // 2n betas, so its
+    L stack holds at most SPAN_CHUNK 2n entries whatever the number of rows.
+    """
+    F = alg.field
+    add = F.tables().add
+    n2 = 2 * alg.n
+    trivial = alg.decompose()[0]
+    G = alg.ideal_rref([g for _, g in parts])
+    fixed = alg.ideal_rref([codes_mod.build_C0(trivial)] if include_C0 else [])
+    step = max(1, linalg.SPAN_CHUNK // n2)
+    for s in range(0, len(beta_codes), step):
+        chunk = beta_codes[s : s + step]
+        c = len(chunk)
+        units = np.broadcast_to(trivial.identity.word, (c, n2))
+        for t, kt in enumerate(kts):
+            units = add[units, kt.words(chunk[:, t])]
+        L = alg.translates(units).reshape(c, n2, n2).transpose(1, 0, 2).reshape(n2, c * n2)  # [L_1 | ... | L_c]
+        twisted = F.matmul(G, L).reshape(len(G), c, n2).transpose(1, 0, 2)
+        stack = np.concatenate([twisted, np.broadcast_to(fixed, (c, *fixed.shape))], axis=1)
+        yield s, linalg.rref_stack(F, stack)[0]
 
 
 # -- good-n predicates ---------------------------------------------------------------------

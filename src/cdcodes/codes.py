@@ -180,20 +180,22 @@ class KtField:
                 out.append(self.element(q**i * ft.order**half))
         return out
 
-    def word(self, code: int) -> np.ndarray:
-        """Word of element(code), as its base-q digits times the basis words.
+    def words(self, codes) -> np.ndarray:
+        """Words of element(c) for each code c, as rows: their base-q digits
+        times the basis words.
 
         element is linear in those digits; the basis words are built on the
         first call.
         """
         if self._basis_words is None:
             self._basis_words = np.array([b.word for b in self.basis()])
-        q = self.alg.field.q
-        digits = []
-        for _ in range(len(self._basis_words)):
-            code, d = divmod(code, q)
-            digits.append(d)
-        return linalg.matmul(self.alg.field, digits, self._basis_words)[0]
+        F = self.alg.field
+        digits = _digits(np.asarray(codes, dtype=np.int64), F.q, len(self._basis_words))
+        return F.matmul(digits, self._basis_words)
+
+    def word(self, code: int) -> np.ndarray:
+        """Word of element(code): the one-code case of words."""
+        return self.words([code])[0]
 
     def class_ids(self) -> list[int]:
         """The twist class of each code: entry c is the id of the orbit
@@ -288,7 +290,7 @@ class BetaVector:
             if not 1 <= c < kt.order:
                 raise InvalidBeta(f"code {c} is not a unit of K_{kt.comp.index}")
         self.kts = tuple(kts)
-        self.codes = tuple(int(c) for c in codes)
+        self.codes = tuple(map(int, codes))
 
     @classmethod
     def identity(cls, kts: Sequence[KtField]) -> "BetaVector":
@@ -392,10 +394,12 @@ def assemble_code(
     parts plus the rank of the ideal of C_0 and the extras.
 
     memo (used with a beta) is a dict that this call reads and fills, keyed
-    by beta's twist class on the parts' blocks (BetaVector.twist_class).
-    C beta depends only on that class, so a hit returns the cached generator
-    with this call's origin and skips the product and the rref.  One memo
-    serves calls that differ only in beta.
+    by beta's twist class on every block (BetaVector.twist_class).  C beta
+    depends only on the class on the parts' blocks, so the full class is a
+    finer key that is still correct: a hit returns the cached generator with
+    this call's origin and skips the product and the rref.  One memo serves
+    calls that differ only in beta; census_K_le_delta fills it for every
+    class from one stacked pass, so its per-beta calls all hit.
     """
     if not parts and not include_C0 and not extra_generators:
         raise BlockCollision("no parts to assemble")
@@ -421,7 +425,7 @@ def assemble_code(
     if beta is not None:
         origin.setdefault("beta", list(beta.codes))
         if memo is not None:
-            cls = tuple([c for kt, c in zip(beta.kts, beta.twist_class()) if kt.comp.index in seen])
+            cls = beta.twist_class()
             hit = memo.get(cls)
             if hit is not None:
                 return LinearCode(alg.field, hit.n_len, hit.k_dim, hit.gen, origin)

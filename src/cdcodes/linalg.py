@@ -48,6 +48,45 @@ def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return m[:r], tuple(pivots)
 
 
+def rref_stack(field: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rref of every matrix of a (c, rows, cols) stack whose matrices share one
+    rank k; returns R of shape (c, k, cols) and the (c, k) array of pivots.
+
+    One column loop serves the whole stack.  Each matrix keeps its own next
+    row r; in each column every matrix with a nonzero entry at or below its r
+    swaps the first such row up, scales it to 1 and clears the column in its
+    other rows, as rref does.  Unequal ranks raise ValueError.  For a single
+    matrix rref is faster: the stack's fancy indexing costs more per column.
+    """
+    t = field.tables()
+    m = np.array(stack, dtype=np.int64)
+    c, rows, cols = m.shape
+    r = np.zeros(c, dtype=np.intp)
+    pivots = np.zeros((c, rows), dtype=np.intp)
+    below = np.arange(rows)
+    for col in range(cols):
+        if (r == rows).all():
+            break
+        cand = (m[:, :, col] != 0) & (below >= r[:, None])
+        sel = np.flatnonzero(cand.any(axis=1))
+        if sel.size == 0:
+            continue
+        rs, piv = r[sel], cand[sel].argmax(axis=1)
+        top = m[sel, piv]
+        m[sel, piv] = m[sel, rs]
+        top = t.mul[t.inv[top[:, col]][:, None], top]
+        f = t.neg[m[sel, :, col]]
+        f[np.arange(sel.size), rs] = 0
+        m[sel] = t.add[m[sel], t.mul[f[:, :, None], top[:, None, :]]]  # every row i -= m[i, col] * top
+        m[sel, rs] = top
+        pivots[sel, rs] = col
+        r[sel] += 1
+    k = int(r[0]) if c else 0
+    if (r != k).any():
+        raise ValueError(f"the stack's matrices have ranks {sorted(set(r.tolist()))}, not one rank")
+    return m[:, :k], pivots[:, :k]
+
+
 def rank(field: Field, mat: np.ndarray) -> int:
     return rref(field, mat)[0].shape[0]
 

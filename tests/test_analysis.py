@@ -300,6 +300,9 @@ def test_census_budget():
     A = get_algebra(7, 11)  # |K*| = 7^10 - 1
     with pytest.raises(BudgetExceeded):
         census_K_le_delta(A, delta=0.3, k_star_budget=1000)
+    for budget in (0, -1):  # invalid input, not a budget that |K*| exceeds
+        with pytest.raises(DomainError, match="at least 1"):
+            census_K_le_delta(get_algebra(7, 3), delta=0.2, k_star_budget=budget)
 
 
 def test_census_hatted_self_dual():
@@ -409,9 +412,13 @@ def test_census_matches_per_beta_oracle(q, n, tw):
 
 
 @pytest.mark.parametrize("q, n, include_C0", [(3, 7, False), (2, 9, True), (4, 7, False)])
-def test_census_calls_assemble_code_per_beta_and_rref_per_class(monkeypatch, q, n, include_C0):
+def test_census_calls_assemble_code_per_beta_rref_once_and_rref_stack_per_chunk(monkeypatch, q, n, include_C0):
+    # the first beta is assembled alone (one rref); the other classes come
+    # from one rref_stack per chunk of SPAN_CHUNK // 2n classes, and every
+    # beta still calls assemble_code once
     A = get_algebra(q, n)
-    census_K_le_delta(A, delta=0.2, include_C0=include_C0)  # caches the untwisted RREFs
+    want = census_K_le_delta(A, delta=0.2, include_C0=include_C0)  # caches the untwisted RREFs
+    classes = math.prod(kt.comp.ft.order + 1 for kt in codes.kt_fields(A))
     calls = Counter()
 
     def counting(name, fn):
@@ -423,9 +430,44 @@ def test_census_calls_assemble_code_per_beta_and_rref_per_class(monkeypatch, q, 
 
     monkeypatch.setattr(analysis, "assemble_code", counting("assemble", analysis.assemble_code))
     monkeypatch.setattr(linalg, "rref", counting("rref", linalg.rref))
-    res = census_K_le_delta(A, delta=0.2, include_C0=include_C0)
-    assert calls["assemble"] == res.k_star_size
-    assert calls["rref"] == res.distinct_codes == math.prod(kt.comp.ft.order + 1 for kt in codes.kt_fields(A))
+    monkeypatch.setattr(linalg, "rref_stack", counting("rref_stack", linalg.rref_stack))
+    for chunk in (linalg.SPAN_CHUNK, 64):
+        monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
+        calls.clear()
+        res = census_K_le_delta(A, delta=0.2, include_C0=include_C0)
+        assert res.rows == want.rows and res.distinct_codes == classes
+        assert calls["assemble"] == res.k_star_size
+        assert calls["rref"] == 1
+        assert calls["rref_stack"] == -(-classes // (chunk // (2 * n)))
+    assert calls["rref_stack"] > 1
+
+
+def test_census_class_pass_memory_is_bounded():
+    # 2000 twists at (2, 21): their L(beta) stack alone would take 27 MiB as
+    # int64, and the pass in one chunk peaks near 106 MiB; a chunk of
+    # SPAN_CHUNK // 42 = 97 twists peaks near 6 MiB
+    A = get_algebra(2, 21)
+    kts = codes.kt_fields(A)
+    parts = codes.standard_parts(A)
+    rng = np.random.default_rng(21)
+    beta_codes = np.stack([rng.integers(1, kt.order, 2000) for kt in kts], axis=1)
+    for kt in kts:
+        kt.word(1)  # builds the basis words
+    list(analysis._twisted_gens(A, parts, False, kts, beta_codes[:1]))  # caches the untwisted RREF
+    tracemalloc.start()
+    try:
+        sizes = []
+        for s, R in analysis._twisted_gens(A, parts, False, kts, beta_codes):
+            sizes.append(len(R))
+            if s == 0:
+                first = R[0].copy()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) == 2000 and max(sizes) == linalg.SPAN_CHUNK // 42
+    beta = codes.BetaVector(kts, beta_codes[0])
+    assert np.array_equal(first, codes.assemble_code(A, parts, beta=beta).gen)
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_builders_hull_and_min_weight_build_no_class_table(monkeypatch, rng):

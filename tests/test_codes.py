@@ -307,6 +307,18 @@ def test_kt_word_is_linear_in_digits():
                 assert kt.word(c).tolist() == list(kt.element(c).to_word())
 
 
+@pytest.mark.parametrize("q, n, kind", [(7, 3, "paired"), (4, 3, "paired"), (3, 5, SELF_CONJ), (4, 5, SELF_CONJ)])
+def test_kt_words_are_the_words_of_each_code(q, n, kind):
+    # the stacked words of a whole K_t, in any order, are its one-code words
+    kt = kt_fields(get_algebra(q, n))[0]
+    assert kt.comp.kind == kind
+    codes_ = np.random.default_rng(q * n).permutation(kt.order)
+    words = kt.words(codes_)
+    assert words.shape == (kt.order, 2 * n) and words.dtype == np.int64
+    assert words.tolist() == [kt.word(int(c)).tolist() for c in codes_]
+    assert kt.words([]).shape == (0, 2 * n)
+
+
 def test_beta_vector_component_is_lazy_oracle():
     # beta holds only its codes; beta_t is built on demand by KtField.element
     A = get_algebra(7, 3)

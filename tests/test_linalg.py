@@ -129,6 +129,50 @@ def test_rref_matches_reference_elimination(case):
     assert R.tolist() == want
 
 
+def equal_rank_stack(F, rng, c, rows, cols, k):
+    """c random (rows, cols) matrices of rank k: random rank-k products whose
+    first i % (cols - k + 1) columns are zero in matrix i, so when k < cols
+    the first pivot differs between matrices."""
+    stack = np.zeros((c, rows, cols), dtype=np.int64)
+    for i in range(c):
+        while linalg.rank(F, stack[i]) != k:
+            left = rng.integers(0, F.q, (rows, k))
+            right = rng.integers(0, F.q, (k, cols))
+            right[:, : i % (cols - k + 1)] = 0
+            stack[i] = F.matmul(left, right)
+    return stack
+
+
+@pytest.mark.parametrize("q", [2, 7, 4, 9])
+def test_rref_stack_matches_rref(q):
+    # full-rank, rank-deficient (more rows than the rank) and wide stacks;
+    # every matrix must equal its own rref, pivots included
+    F = field_from_order(q)
+    rng = np.random.default_rng(q)
+    for c, rows, cols, k in [(20, 4, 9, 4), (20, 6, 8, 3), (15, 5, 5, 5), (10, 7, 4, 2), (5, 3, 12, 1), (4, 3, 5, 0)]:
+        stack = equal_rank_stack(F, rng, c, rows, cols, k)
+        R, pivots = linalg.rref_stack(F, stack)
+        assert R.shape == (c, k, cols) and pivots.shape == (c, k)
+        for M, Ri, piv in zip(stack, R, pivots):
+            want, want_piv = linalg.rref(F, M)
+            assert np.array_equal(Ri, want) and tuple(piv.tolist()) == want_piv
+        if 0 < k < cols:
+            assert len({tuple(p) for p in pivots.tolist()}) > 1  # the pivot columns differ
+
+
+def test_rref_stack_edge_shapes_and_unequal_ranks():
+    F = field_from_order(3)
+    R, pivots = linalg.rref_stack(F, np.zeros((4, 0, 6), dtype=np.int64))
+    assert R.shape == (4, 0, 6) and pivots.shape == (4, 0)
+    stack = np.zeros((3, 2, 4), dtype=np.int64)
+    stack[:, 0, 0] = 1
+    stack[2, 1, 3] = 2  # rank 2 beside two of rank 1
+    with pytest.raises(ValueError, match="ranks"):
+        linalg.rref_stack(F, stack)
+    R, _ = linalg.rref_stack(F, stack[:2])
+    assert R.tolist() == [[[1, 0, 0, 0]], [[1, 0, 0, 0]]]
+
+
 def test_matmul_matches_integer_arithmetic():
     F = field_from_order(7)
     rng = np.random.default_rng(1)

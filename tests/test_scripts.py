@@ -39,6 +39,7 @@ def test_census_script_writes_csv_and_summary(tmp_path):
         (("--q", "7", "--n", "4", "--delta", "0.2"), 2),
         (("--q", "7", "--n", "3", "--delta", "1.5"), 2),
         (("--q", "7", "--n", "3", "--delta", "0.2", "--out", "missing/census"), 2),
+        (("--q", "7", "--n", "3", "--delta", "0.2", "--k-star-budget", "-1"), 2),
     ],
 )
 def test_census_script_exit_codes(tmp_path, args, exit_code):
