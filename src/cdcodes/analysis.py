@@ -80,12 +80,16 @@ def min_weight(code: LinearCode, budget: int = DEFAULT_WORD_BUDGET) -> WeightRep
     """Minimum nonzero weight; exhaustive within budget, bracketed beyond.
 
     budget (at least 1) caps the words weighed, so it bounds time; memory is
-    O(SPAN_CHUNK n) on both paths.  When q^k <= budget the exhaustive path
-    weighs all q^k words by packed XOR and popcount
+    O(SPAN_CHUNK n) on both paths.  Both weigh one word of each scalar class
+    {a c : a in F_q*}, as its q - 1 words share one weight.  When q^k <=
+    budget the exhaustive path counts all q^k words, weighing about
+    q^k/(q - 1) of them by packed XOR and popcount
     (linalg.weight_distribution).  Otherwise the pruned path expands every
     message of weight <= w on an information set while whole weight layers
     fit the budget, giving the bracket [w+1, best], exact once w reaches k;
-    best starts at the lightest generator row.  A caller that needs an exact
+    best starts at the lightest generator row.  The budget counts all the
+    words of a layer, not the classes weighed, so its bracket and method do
+    not depend on the folding.  A caller that needs an exact
     weight compares q^k with its budget first (census_K_le_delta does).
     """
     _check_budget(budget)
@@ -111,20 +115,23 @@ def _check_budget(budget: int) -> None:
 
 
 def _layer_messages(k: int, q: int, w: int) -> Iterator[np.ndarray]:
-    """All messages of Hamming weight w, in blocks of at most SPAN_CHUNK rows.
+    """One message of each scalar class of Hamming weight w, the one whose
+    first nonzero value is 1: C(k, w) (q - 1)^(w - 1) messages, in blocks of
+    at most SPAN_CHUNK rows.
 
     A block pairs a run of supports (in combinations order) with a run of
-    nonzero value tuples, each tuple read as w digits in base q - 1.
+    value tuples, each a 1 followed by w - 1 digits in base q - 1, plus one.
     """
-    per_support = (q - 1) ** w
+    per_support = (q - 1) ** (w - 1)
     runs = max(1, linalg.SPAN_CHUNK // per_support)
-    powers = (q - 1) ** np.arange(w, dtype=np.int64)
+    powers = (q - 1) ** np.arange(w - 1, dtype=np.int64)
     supports = itertools.combinations(range(k), w)
-    while block := list(itertools.islice(supports, runs)):
-        sup = np.array(block, dtype=np.int64)
+    while (flat := np.fromiter(itertools.chain.from_iterable(itertools.islice(supports, runs)), dtype=np.int64)).size:
+        sup = flat.reshape(-1, w)
         for start in range(0, per_support, linalg.SPAN_CHUNK):
             idx = np.arange(start, min(per_support, start + linalg.SPAN_CHUNK), dtype=np.int64)
-            vals = 1 + idx[:, None] // powers % (q - 1)
+            vals = np.ones((len(idx), w), dtype=np.int64)
+            vals[:, 1:] += idx[:, None] // powers % (q - 1)
             msgs = np.zeros((len(sup), len(vals), k), dtype=np.int64)
             msgs[np.arange(len(sup))[:, None, None], np.arange(len(vals))[:, None], sup[:, None, :]] = vals
             yield msgs.reshape(-1, k)
@@ -133,11 +140,23 @@ def _layer_messages(k: int, q: int, w: int) -> Iterator[np.ndarray]:
 def _pruned_min_weight(code: LinearCode, budget: int) -> WeightReport:
     """Information-set bracketing: all messages of weight <= w are expanded;
     any unseen codeword then has weight >= w + 1 on the information set.  At
-    w = k no nonzero codeword is unseen, and the bracket closes on best."""
+    w = k no nonzero codeword is unseen, and the bracket closes on best.
+
+    A message and its scalar multiples give words of one weight, so each
+    layer expands only _layer_messages' one message per scalar class.  As
+    code.gen is RREF, a message m of weight w gives the word m on the pivot
+    columns, so its weight is w + nnz(m R[:, free]).  The budget still counts
+    whole layers, C(k, w) (q - 1)^w words each, so w and the bracket do not
+    depend on the folding.
+    """
     field = code.field
     q = field.q
     R = code.gen
     k, n = R.shape
+    free = np.ones(n, dtype=bool)
+    free[list(code.pivots)] = False
+    assert np.array_equal(R[:, ~free], np.eye(k, dtype=np.int64)), "the generator is not in RREF"
+    tail = R[:, free]
     best = int(np.count_nonzero(R, axis=1).min())  # every row is a codeword
     spent = 0
     w = 0
@@ -148,7 +167,7 @@ def _pruned_min_weight(code: LinearCode, budget: int) -> WeightReport:
             w -= 1
             break
         for msgs in _layer_messages(k, q, w):
-            best = min(best, int(np.count_nonzero(field.matmul(msgs, R), axis=1).min()))
+            best = min(best, w + int(np.count_nonzero(field.matmul(msgs, tail), axis=1).min()))
         spent += layer
     lower = best if w == k else min(best, w + 1)
     return WeightReport(
@@ -390,10 +409,11 @@ def census_K_le_delta(
     assert len(memo) == classes, f"{len(memo)} twist classes after the per-beta calls, expected {classes}"
     counts = linalg.weight_distribution(alg.field, gens)
     class_weights = np.argmax(counts[:, 1:] > 0, axis=1) + 1
-    weights = class_weights[class_of].tolist()
-    deltas = (np.arange(first.n_len + 1) / first.n_len).tolist()  # one float per weight, shared by its rows
+    weights = class_weights[class_of]
+    deltas = np.arange(first.n_len + 1) / first.n_len
+    count = int(np.count_nonzero(deltas[weights] <= delta + FLOAT_SLACK))
+    weights, deltas = weights.tolist(), deltas.tolist()  # one float per weight, shared by its rows
     rows = list(zip(range(size), beta_tuples, weights, map(deltas.__getitem__, weights)))
-    count = sum(1 for _, _, _, d in rows if d <= delta + FLOAT_SLACK)
     lam = alg.lambda_()
     h_delta_ok = delta <= 1 - 1 / q + FLOAT_SLACK
     if h_delta_ok:

@@ -158,6 +158,34 @@ def _span_chunks(field: Field, basis: np.ndarray):
             yield add[top, low]
 
 
+def _normalised_chunks(field: Field, basis: np.ndarray):
+    """Offset 0, then one word of each scalar class of the other nonzero
+    words of the row space, in blocks of at most SPAN_CHUNK words.
+
+    The classes' representatives are the words whose message has first
+    nonzero digit 1: b_i + span(basis[i+1:]) for every row i, so there are
+    (q^h - 1)/(q - 1) of them for h rows.  The first block starts with the
+    zero word and holds the pieces of the last rows while they fit, each
+    piece's span grown from the one before; the pieces of the other rows
+    follow in the blocks of _span_chunks.
+    """
+    t = field.tables()
+    h, n = basis.shape
+    m = h  # the last m rows' pieces fit the first block, offset 0 included
+    while (field.q**m - 1) // (field.q - 1) >= SPAN_CHUNK:
+        m -= 1
+    tail = np.zeros((1, n), dtype=np.int64)  # span(basis[i+1:])
+    pieces = [tail]
+    for i in reversed(range(h - m, h)):
+        pieces.append(t.add[basis[i], tail])
+        if i > h - m:
+            tail = t.add[t.mul[np.arange(field.q)[:, None], basis[i]][:, None], tail].reshape(-1, n)
+    yield np.concatenate(pieces)
+    for i in range(h - m):
+        for tail in _span_chunks(field, basis[i + 1 :]):
+            yield t.add[basis[i], tail]
+
+
 def _pack(words: np.ndarray, b: int, n: int) -> np.ndarray:
     """Rows of c codes' element codes, n coordinates each, as rows of uint64 lanes.
 
@@ -174,10 +202,14 @@ def weight_distribution(field: Field, basis: np.ndarray) -> np.ndarray:
     basis is one (k, n) basis, giving counts of shape (n + 1,), or a stack of
     c of them, (c, k, n), giving (c, n + 1); one basis is the c = 1 case.
 
-    The span of the last j = min(_low_rows, ceil(k/2)) rows is held once; each
-    word o of the other rows' span (both ~sqrt(q^k) words) shifts it, and x + o
-    has weight #{i : x_i != -o_i}.  In uint64 lanes, b = bit_length(q - 1) bits
-    a coordinate, ((z & M) + M | z) & H with z = x XOR pack(-o) keeps the top
+    The span of the last j = min(_low_rows, ceil(k/2)) rows is held once, and
+    a word o of the other h = k - j rows' span (both ~sqrt(q^k) words) shifts
+    it: x + o has weight #{i : x_i != -o_i}.  As x + a o = a (a^-1 x + o) and
+    x -> a^-1 x permutes the held span, the shift a o (a != 0) gives the
+    weights of o; so offset 0 and one o of each scalar class are weighed,
+    1 + (q^h - 1)/(q - 1) shifts, each class counting q - 1 times: about
+    q^k/(q - 1) words in all.  In uint64 lanes, b = bit_length(q - 1) bits a
+    coordinate, ((z & M) + M | z) & H with z = x XOR pack(-o) keeps the top
     bit (H) of each nonzero field (M: its low b - 1 bits) for a popcount; at
     b = 1, M = 0 and the mask is the identity.
 
@@ -210,8 +242,12 @@ def weight_distribution(field: Field, basis: np.ndarray) -> np.ndarray:
 def _batch_weights(field: Field, stack: np.ndarray, j: int) -> np.ndarray:
     """weight_distribution of a (c, k, n) stack, every code in one span walk.
 
-    Lanes run along the first axes and low-span words along the last, so
-    every elementwise pass loops over |low| words at a time.
+    The walk runs over the shifts of _normalised_chunks: offset 0, the first
+    row of the first block, then one shift of each scalar class, so
+    A = A(offset 0) + (q - 1) A(the other shifts).  That holds for dependent
+    rows too: it counts messages, not distinct words.  Lanes run along the
+    first axes and low-span words along the last, so every elementwise pass
+    loops over |low| words at a time.
     """
     c, k, n = stack.shape
     b = (field.q - 1).bit_length()
@@ -223,7 +259,8 @@ def _batch_weights(field: Field, stack: np.ndarray, j: int) -> np.ndarray:
     bins = np.arange(c)[:, None] * (n + 1)  # code i counts weight w in bin i (n + 1) + w
     step = max(1, 4 * SPAN_CHUNK // low.size)
     counts = np.zeros(c * (n + 1), dtype=np.int64)
-    for offsets in _span_chunks(field, joined[: k - j]):
+    zero = None  # offset 0's counts, read off the first row of the first block
+    for offsets in _normalised_chunks(field, joined[: k - j]):
         negs = _pack(field.tables().neg[offsets], b, n)[:, :, None]
         for s in range(0, len(negs), step):
             z = low ^ negs[s : s + step]
@@ -232,5 +269,9 @@ def _batch_weights(field: Field, stack: np.ndarray, j: int) -> np.ndarray:
             weights = np.bitwise_count(z)
             if lanes > 1:
                 weights = weights.reshape(len(z), c, lanes, -1).sum(axis=2, dtype=np.intp)
-            counts += np.bincount((weights + bins).ravel(), minlength=c * (n + 1))
-    return counts.reshape(c, n + 1)
+            weights = weights + bins
+            if zero is None:
+                zero = np.bincount(weights[0].ravel(), minlength=c * (n + 1))
+            counts += np.bincount(weights.ravel(), minlength=c * (n + 1))
+    # offset 0 stands for itself and every other offset for its q - 1 multiples
+    return ((field.q - 1) * counts - (field.q - 2) * zero).reshape(c, n + 1)

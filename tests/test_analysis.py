@@ -188,14 +188,25 @@ def test_pruned_brackets_match_per_word_loop(q, n, family):
 @pytest.mark.parametrize("chunk", [8, linalg.SPAN_CHUNK])
 @pytest.mark.parametrize("k, q, w", [(5, 2, 2), (4, 3, 3), (4, 13, 4), (6, 4, 1)])
 def test_layer_messages_are_the_weight_layer(monkeypatch, chunk, k, q, w):
-    # (4, 13, 4) has 12^4 > SPAN_CHUNK value tuples per support
+    # one message of each scalar class of the weight-w layer; (4, 13, 4) has
+    # 12^3 > chunk value tuples per support at chunk 8
     monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
     blocks = list(analysis._layer_messages(k, q, w))
     assert all(len(b) <= chunk for b in blocks)
     got = [tuple(m) for b in blocks for m in b.tolist()]
-    want = {m for m in itertools.product(range(q), repeat=k) if sum(1 for c in m if c) == w}
-    assert len(got) == len(want) == math.comb(k, w) * (q - 1) ** w
-    assert set(got) == want
+    assert all(sum(1 for c in m if c) == w and next(c for c in m if c) == 1 for m in got)
+    yielded = set(got)
+    assert len(got) == len(yielded) == math.comb(k, w) * (q - 1) ** (w - 1)
+    F = field_from_order(q)
+    mul = F.tables().mul
+    classes = Counter()
+    for m in itertools.product(range(q), repeat=k):
+        if sum(1 for c in m if c) == w:
+            multiples = {tuple(int(mul[a, c]) for c in m) for a in range(1, q)}
+            hits = multiples & yielded
+            assert len(hits) == 1, m
+            classes[hits.pop()] += 1
+    assert set(classes) == yielded and set(classes.values()) == {q - 1}
 
 
 def test_pruned_upper_starts_at_lightest_row():

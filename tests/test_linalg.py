@@ -305,21 +305,73 @@ def test_weight_distribution_stack_matches_single_codes(monkeypatch, chunk, q, k
         assert np.array_equal(row, span_weights(F, basis))
 
 
+@pytest.mark.parametrize("q, k", [(2, 10), (3, 6), (4, 5), (5, 4), (7, 4), (8, 4), (9, 4), (13, 4)])
+def test_weight_distribution_scalar_classes_over_many_blocks(monkeypatch, q, k):
+    # at chunk 16 the 1 + (q^h - 1)/(q - 1) offsets fill several blocks, so
+    # offset 0, weighed once, must be told apart from the block starts; words
+    # of 70 coordinates take two lanes or more for every q
+    monkeypatch.setattr(linalg, "SPAN_CHUNK", 16)
+    F = field_from_order(q)
+    n = 70
+    stack = np.random.default_rng(q).integers(0, q, (3, k, n))
+    stack[0, 1] = F.tables().mul[q - 1, stack[0, 0]]  # a dependent row
+    stack[1, -1] = stack[1, 0]  # a dependent row in the held low span
+    j = min(linalg._low_rows(q, k), -(-k // 2))
+    assert len(list(linalg._normalised_chunks(F, stack[0, : k - j]))) > 1
+    counts = linalg.weight_distribution(F, stack)
+    for basis, row in zip(stack, counts):
+        assert np.array_equal(row, span_weights(F, basis))
+    empty = linalg.weight_distribution(F, np.zeros((3, 0, n), dtype=np.int64))
+    assert empty.tolist() == [[1] + [0] * n] * 3
+
+
+@pytest.mark.parametrize("chunk", [16, linalg.SPAN_CHUNK])
+@pytest.mark.parametrize("q, k", [(2, 12), (3, 8), (4, 6), (5, 6), (7, 5), (9, 4), (13, 4)])
+def test_weight_distribution_weighs_one_offset_per_scalar_class(monkeypatch, chunk, q, k):
+    # the first packed block is the held low span of j rows; every later one
+    # is a block of offsets, offset 0 and one per scalar class of the rest
+    monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
+    packed = []
+    real = linalg._pack
+
+    def recording(words, b, n):
+        packed.append(len(words))
+        return real(words, b, n)
+
+    monkeypatch.setattr(linalg, "_pack", recording)
+    F = field_from_order(q)
+    basis = np.random.default_rng(k).integers(0, q, (k, 9))
+    counts = linalg.weight_distribution(F, basis)
+    j = min(linalg._low_rows(q, k), -(-k // 2))
+    h = k - j
+    assert packed[0] == q**j
+    assert sum(packed[1:]) == 1 + (q**h - 1) // (q - 1)
+    assert np.array_equal(counts, span_weights(F, basis))
+
+
 def test_weight_distribution_walks_one_span_per_batch(monkeypatch):
     # 40 codes with 5-word low spans (q = 5, k = 2) fit one batch: one low
-    # span and one offset block of the joined bases weigh all of them
-    shapes = []
-    real = linalg.enumerate_span
+    # span and one offset block of the joined bases weigh all of them; the
+    # block holds offset 0 and the leading row, 1 + (5 - 1)/(5 - 1) words
+    shapes, blocks = [], []
+    real, real_chunks = linalg.enumerate_span, linalg._normalised_chunks
 
     def recording(field, basis):
         shapes.append(basis.shape)
         return real(field, basis)
 
+    def recording_chunks(field, basis):
+        for block in real_chunks(field, basis):
+            blocks.append(block.shape)
+            yield block
+
     monkeypatch.setattr(linalg, "enumerate_span", recording)
+    monkeypatch.setattr(linalg, "_normalised_chunks", recording_chunks)
     F = field_from_order(5)
     stack = np.random.default_rng(5).integers(0, 5, (40, 2, 6))
     counts = linalg.weight_distribution(F, stack)
-    assert shapes == [(1, 40 * 6), (1, 40 * 6)]
+    assert shapes == [(1, 40 * 6)]
+    assert blocks == [(2, 40 * 6)]
     assert all(np.array_equal(row, span_weights(F, basis)) for basis, row in zip(stack, counts))
 
 
