@@ -346,7 +346,8 @@ class Component:
     Built eagerly: e, identity, k, dim, fhe and ft, and on self-conjugate
     blocks g, s, s_prime, ue and uinv_e.  Only iso_to_mat2 / iso_from_mat2
     read epsilon, eta, nu, eta_nu, _b_inv and _diff_inv, so those are built
-    on their first use (`_iso_data`) and cached.
+    on their first use (`_iso_data`) and cached; so is the generator of the
+    chosen simple left ideal C_t (`codes.build_Ct`, in _ct).
     """
 
     def __init__(self, alg: "TwistedDihedralAlgebra", index: int, kind: str, idem_indices: tuple[int, ...]):
@@ -362,6 +363,7 @@ class Component:
         self.ft: Optional[SubfieldView] = None
         self.ebar: Optional[CyclicElem] = None
         self._iso: Optional[tuple] = None  # _iso_data(), on first use
+        self._ct: Optional[AlgElem] = None  # codes.build_Ct(self), on first use
 
         if kind in (TRIVIAL_FIELD, TRIVIAL_SPLIT):
             self.e = idems[0]

@@ -448,15 +448,14 @@ def _twisted_gens(
     """The RREF generators of C beta for every row of beta codes, as
     (start, R) chunks, R of shape (c, k, 2n): assemble_code on a stack.
 
-    Each chunk sums the unit words e_0 + KtField.words of its betas, takes
-    their L(beta) from one translates call and G . L(beta) for all of them
-    from one Field.matmul (G the cached RREF of the untwisted parts),
+    Each chunk takes the unit words of its betas from one codes.unit_words
+    call, their L(beta) from one translates call and G . L(beta) for all of
+    them from one Field.matmul (G the cached RREF of the untwisted parts),
     appends the cached RREF of C_0 and reduces the stack with one
     linalg.rref_stack.  A chunk holds at most SPAN_CHUNK // 2n betas, so its
     L stack holds at most SPAN_CHUNK 2n entries whatever the number of rows.
     """
     F = alg.field
-    add = F.tables().add
     n2 = 2 * alg.n
     trivial = alg.decompose()[0]
     G = alg.ideal_rref([g for _, g in parts])
@@ -465,10 +464,8 @@ def _twisted_gens(
     for s in range(0, len(beta_codes), step):
         chunk = beta_codes[s : s + step]
         c = len(chunk)
-        units = np.broadcast_to(trivial.identity.word, (c, n2))
-        for t, kt in enumerate(kts):
-            units = add[units, kt.words(chunk[:, t])]
-        L = alg.translates(units).reshape(c, n2, n2).transpose(1, 0, 2).reshape(n2, c * n2)  # [L_1 | ... | L_c]
+        L = alg.translates(codes_mod.unit_words(kts, chunk))
+        L = L.reshape(c, n2, n2).transpose(1, 0, 2).reshape(n2, c * n2)  # [L_1 | ... | L_c]
         twisted = F.matmul(G, L).reshape(len(G), c, n2).transpose(1, 0, 2)
         stack = np.concatenate([twisted, np.broadcast_to(fixed, (c, *fixed.shape))], axis=1)
         yield s, linalg.rref_stack(F, stack)[0]

@@ -107,11 +107,14 @@ class LinearCode:
             raise DimensionMismatch("malformed generator matrix file") from None
         if q != field.q:
             raise DimensionMismatch(f"file is over GF({q}), expected GF({field.q})")
-        if any(len(r) != n_len for r in rows) or len(rows) != k_dim:
-            raise DimensionMismatch("malformed generator matrix file")
+        if any(len(r) != n_len for r in rows) or len(lines) != 1 + k_dim:
+            raise DimensionMismatch(f"malformed generator matrix file: expected {k_dim} x {n_len} entries")
         if any(not 0 <= c < q for r in rows for c in r):
             raise DimensionMismatch(f"generator matrix entry outside GF({q})")
-        return cls.from_rows(field, rows, n_len=n_len)
+        code = cls.from_rows(field, rows, n_len=n_len)
+        if code.k_dim != k_dim:
+            raise DimensionMismatch(f"the {k_dim} generator rows have rank {code.k_dim}")
+        return code
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,18 +183,17 @@ class KtField:
                 out.append(self.element(q**i * ft.order**half))
         return out
 
-    def words(self, codes) -> np.ndarray:
-        """Words of element(c) for each code c, as rows: their base-q digits
-        times the basis words.
-
-        element is linear in those digits; the basis words are built on the
-        first call.
-        """
+    def basis_words(self) -> np.ndarray:
+        """The words of basis(), as rows; built on the first call."""
         if self._basis_words is None:
             self._basis_words = np.array([b.word for b in self.basis()])
-        F = self.alg.field
-        digits = _digits(np.asarray(codes, dtype=np.int64), F.q, len(self._basis_words))
-        return F.matmul(digits, self._basis_words)
+        return self._basis_words
+
+    def words(self, codes) -> np.ndarray:
+        """Words of element(c) for each code c, as rows: their base-q digits
+        times the basis words (element is linear in those digits)."""
+        F, B = self.alg.field, self.basis_words()
+        return F.matmul(_digits(np.asarray(codes, dtype=np.int64), F.q, len(B)), B)
 
     def word(self, code: int) -> np.ndarray:
         """Word of element(code): the one-code case of words."""
@@ -301,15 +303,10 @@ class BetaVector:
         return cls(kts, [rng.randrange(1, kt.order) for kt in kts])
 
     def unit(self) -> AlgElem:
-        """beta as one unit of the algebra: e_0 plus every beta_t, each from
-        KtField.word.  The blocks are orthogonal two-sided ideals, so
+        """beta as one unit of the algebra: e_0 plus every beta_t, its word
+        from unit_words.  The blocks are orthogonal two-sided ideals, so
         g * beta = g * beta_t for g in block t."""
-        alg = self.kts[0].alg
-        add = alg.field.tables().add
-        word = alg.decompose()[0].identity.word
-        for kt, c in zip(self.kts, self.codes):
-            word = add[word, kt.word(c)]
-        return AlgElem(alg, word)
+        return AlgElem(self.kts[0].alg, unit_words(self.kts, [self.codes])[0])
 
     def twist_class(self) -> tuple[int, ...]:
         """Each block's KtField.class_ids entry: C beta = C beta' iff these
@@ -318,6 +315,21 @@ class BetaVector:
 
     def __repr__(self):
         return f"BetaVector{self.codes}"
+
+
+def unit_words(kts: Sequence[KtField], codes) -> np.ndarray:
+    """Words of the units e_0 + sum_t KtField.element(c_t), one row per row
+    (c_1, ..., c_m) of the (c, m) array codes: BetaVector.unit on a stack.
+
+    Each element is linear in its code's base-q digits (KtField.words), so
+    the blocks' digits side by side times their basis words stacked sum
+    every block in one Field.matmul.
+    """
+    alg, F = kts[0].alg, kts[0].alg.field
+    codes = np.asarray(codes, dtype=np.int64)
+    bases = [kt.basis_words() for kt in kts]
+    digits = np.concatenate([_digits(codes[:, t], F.q, len(B)) for t, B in enumerate(bases)], axis=1)
+    return F.tables().add[alg.decompose()[0].identity.word, F.matmul(digits, np.concatenate(bases))]
 
 
 def kt_fields(alg: TwistedDihedralAlgebra) -> list[KtField]:
@@ -363,14 +375,16 @@ def build_C0(comp: Component) -> Optional[AlgElem]:
 
 
 def build_Ct(comp: Component) -> AlgElem:
-    """Generator of the chosen simple left ideal C_t of a matrix block."""
-    alg = comp.alg
-    if comp.kind == PAIRED:
-        return alg.embed_fh(comp.e)
-    if comp.kind == SELF_CONJ:
-        part_a = comp.s - comp.s_prime * comp.ue
-        return alg.elem(part_a, comp.e)
-    raise NotInComponent("C_t lives on a matrix block")
+    """Generator of the chosen simple left ideal C_t of a matrix block, built on
+    the first call and cached on the block: one AlgElem, its word read-only."""
+    if comp._ct is None:
+        if comp.kind == PAIRED:
+            comp._ct = comp.alg.embed_fh(comp.e)
+        elif comp.kind == SELF_CONJ:
+            comp._ct = comp.alg.elem(comp.s - comp.s_prime * comp.ue, comp.e)
+        else:
+            raise NotInComponent("C_t lives on a matrix block")
+    return comp._ct
 
 
 def assemble_code(

@@ -24,17 +24,23 @@ def as_matrix(rows) -> np.ndarray:
 
 
 def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form with zero rows dropped; returns (R, pivots)."""
+    """Reduced row echelon form with zero rows dropped; returns (R, pivots).
+
+    Only the columns nonzero in mat are probed (row operations keep a zero
+    column zero), and the first probe that finds no pivot while the rows
+    below the last pivot are all zero ends the loop, as does a pivot in the
+    last row.  R and the pivots are those of the full column loop.
+    """
     t = field.tables()
     m = as_matrix(mat).copy()
-    rows, cols = m.shape
+    rows = len(m)
     pivots = []
     r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
+    for c in m.any(axis=0).nonzero()[0].tolist():
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
+            if not m[r:].any():
+                break
             continue
         piv = r + nz[0]
         if piv != r:
@@ -45,6 +51,8 @@ def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         m = t.add[m, t.mul[f[:, None], m[r]]]  # every row i -= m[i, c] * row r, in one update
         pivots.append(c)
         r += 1
+        if r == rows:
+            break
     return m[:r], tuple(pivots)
 
 
@@ -99,7 +107,9 @@ def kernel_basis(field: Field, R: np.ndarray, pivots: tuple[int, ...]) -> np.nda
     (ascending), and the basis is not reduced: its pivot columns carry -R^T.
     """
     cols = R.shape[1]
-    free = sorted(set(range(cols)) - set(pivots))
+    free = np.ones(cols, dtype=bool)
+    free[list(pivots)] = False
+    free = free.nonzero()[0]
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, list(pivots)] = field.tables().neg[R[:, free]].T

@@ -240,6 +240,18 @@ def test_analyze_malformed_file_exit2(capsys, tmp_path, text):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "text", ["3 4 2\n1 0 1 2\n2 0 2 1\n", "3 4 1\n1 0 1 2\n9 9 9 9\n"], ids=["dependent-rows", "extra-line"]
+)
+def test_analyze_file_declaring_another_code_exit2(capsys, tmp_path, text):
+    # without the header check both files load as the [4, 1] code and exit 0
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    rc, out, err = run(capsys, "analyze", str(path), "--checks", "min-weight,hull")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_analyze_unknown_checks_exit2(capsys, tmp_path):
     path = tmp_path / "code.txt"
     assert run(capsys, "construct", "--q", "3", "--n", "7", "--out", str(path))[0] == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import get_algebra
 
 from cdcodes import codes, linalg
-from cdcodes.algebra import SELF_CONJ, Mat2, TwistedDihedralAlgebra
+from cdcodes.algebra import PAIRED, SELF_CONJ, Mat2, TwistedDihedralAlgebra
 from cdcodes.analysis import census_K_le_delta
 from cdcodes.codes import (
     BetaVector,
@@ -116,6 +116,38 @@ def test_build_Ct_selfconj_dim_and_orthogonality():
     code = assemble_code(A, [(comp, build_Ct(comp))])
     assert code.k_dim == 2 * comp.k == 4
     assert hull_dimension(code) == code.k_dim  # 4 | (3^2 - 1): self-orthogonal
+
+
+def test_build_Ct_is_cached_on_the_block():
+    # one AlgElem per block, built on the first call, its word read-only;
+    # the oracle is the generator formula on each kind of block
+    A = TwistedDihedralAlgebra(field_from_order(2), 15, -1)
+    kinds = set()
+    for comp in A.decompose()[1:]:
+        gen = build_Ct(comp)
+        assert build_Ct(comp) is gen
+        assert not gen.word.flags.writeable
+        with pytest.raises(ValueError):
+            gen.word[0] = 1
+        if comp.kind == SELF_CONJ:
+            assert gen == A.elem(comp.s - comp.s_prime * comp.ue, comp.e)
+        else:
+            assert gen == A.embed_fh(comp.e)
+        kinds.add(comp.kind)
+    assert kinds == {SELF_CONJ, PAIRED}
+
+
+@pytest.mark.parametrize(
+    "q, n, builder",
+    [(2, 15, build_plain_code), (5, 9, build_self_dual_code), (3, 7, build_lcd_code), (7, 11, build_lcd_code)],
+)
+def test_family_builders_give_equal_codes_twice(q, n, builder):
+    # the second call reuses the cached block generators and gives the same code
+    A = TwistedDihedralAlgebra(field_from_order(q), n, -1)
+    beta = BetaVector.random(kt_fields(A), random.Random(q * n))
+    first, second = builder(A, beta), builder(A, beta)
+    assert first == second and first.origin == second.origin
+    assert first == builder(TwistedDihedralAlgebra(field_from_order(q), n, -1), beta)
 
 
 def test_selfconj_ideals_always_self_orthogonal():
@@ -340,6 +372,29 @@ def test_beta_unit_is_e0_plus_components(rng):
             for kt, c in zip(beta.kts, beta.codes):
                 total = total + kt.element(c)
             assert beta.unit() == total
+
+
+@pytest.mark.parametrize("q, ns", [(2, (7, 5, 15)), (3, (13, 5)), (4, (3, 5)), (9, (7, 5))])
+@pytest.mark.parametrize("tw", [-1, 1])
+def test_unit_words_are_e0_plus_kt_words(q, ns, tw):
+    # one product over every block equals the sum of the one-block words
+    rng = np.random.default_rng(q)
+    kinds = set()
+    for n in ns:
+        A = get_algebra(q, n, tw)
+        kts = kt_fields(A)
+        kinds.update(kt.comp.kind for kt in kts)
+        twists = np.stack([rng.integers(1, kt.order, 12) for kt in kts], axis=1)
+        words = codes.unit_words(kts, twists)
+        assert words.shape == (12, 2 * n) and words.dtype == np.int64
+        add = A.field.tables().add
+        for row, word in zip(twists.tolist(), words):
+            want = A.decompose()[0].identity.word
+            for kt, c in zip(kts, row):
+                want = add[want, kt.word(c)]
+            assert np.array_equal(word, want)
+            assert np.array_equal(BetaVector(kts, row).unit().word, want)
+    assert kinds == {SELF_CONJ, PAIRED}
 
 
 def _product_oracle(A, family, beta, include_a0=False):
@@ -697,6 +752,19 @@ def test_text_field_mismatch():
     code = build_self_dual_code(A)
     with pytest.raises(DimensionMismatch):
         LinearCode.from_text(field_from_order(7), code.to_text())
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3 4 2\n1 0 1 2\n2 0 2 1\n", "3 4 1\n1 0 1 2\n9 9 9 9\n", "3 4 1\n1 0 1 2\n0 1 0 0\n"],
+    ids=["dependent-rows", "extra-line", "extra-row"],
+)
+def test_text_declaring_another_code_is_refused(text):
+    # rows of lower rank than the header's k, or lines after the k rows,
+    # would load a different code than the file declares
+    with pytest.raises(DimensionMismatch):
+        LinearCode.from_text(field_from_order(3), text)
+    assert LinearCode.from_text(field_from_order(3), "3 4 1\n1 0 1 2\n\n").gen.tolist() == [[1, 0, 1, 2]]
 
 
 def test_json_dict():

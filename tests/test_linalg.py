@@ -98,21 +98,30 @@ def reference_rref(field, M):
 @st.composite
 def rref_inputs(draw):
     q = draw(st.sampled_from([2, 3, 4, 5, 9, 13]))
-    rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["random", "zero", "zero rows", "deficient", "zero columns", "low rank wide"]))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 14 if shape == "low rank wide" else 7))
     entry = st.integers(0, q - 1)
-    shape = draw(st.sampled_from(["random", "zero", "zero rows", "deficient"]))
     row = st.lists(entry, min_size=cols, max_size=cols)
     M = np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=np.int64).reshape(rows, cols)
+    F = field_from_order(q)
     if shape == "zero":
         M[:] = 0
     elif shape == "zero rows" and rows:
         M[draw(st.lists(st.integers(0, rows - 1), min_size=1))] = 0
     elif shape == "deficient" and rows > 1:
         # the last row is a combination of two earlier ones
-        F = field_from_order(q)
         a, b = draw(entry), draw(entry)
         i, j = draw(st.integers(0, rows - 2)), draw(st.integers(0, rows - 2))
         M[-1] = F.matmul(np.array([[a, b]]), M[[i, j]])[0]
+    elif shape == "zero columns" and cols > 1:
+        # all-zero columns scattered between nonzero ones
+        M[:, draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=cols - 1))] = 0
+    elif shape == "low rank wide":
+        # rank <= 2 with some zero columns, like the hull's residual H - H[:, P] G
+        pair = st.lists(entry, min_size=2, max_size=2)
+        left = np.array(draw(st.lists(pair, min_size=rows, max_size=rows)), dtype=np.int64).reshape(rows, 2)
+        M = F.matmul(left, M[:2] if rows >= 2 else np.zeros((2, cols), dtype=np.int64))
+        M[:, draw(st.lists(st.integers(0, cols - 1), max_size=cols // 2))] = 0
     return q, M
 
 
@@ -127,6 +136,15 @@ def test_rref_matches_reference_elimination(case):
     assert piv == want_piv
     assert R.shape == (len(want_piv), M.shape[1])
     assert R.tolist() == want
+
+
+@given(rref_inputs())
+@settings(max_examples=300, deadline=None)
+def test_rank_matches_reference_elimination(case):
+    # rref's skipped zero columns and early stop leave the rank exact too
+    q, M = case
+    F = field_from_order(q)
+    assert linalg.rank(F, M) == len(reference_rref(F, M)[1])
 
 
 def equal_rank_stack(F, rng, c, rows, cols, k):
