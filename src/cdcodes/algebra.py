@@ -24,7 +24,7 @@ significant.  Every "first element such that ..." scan below uses this order.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -90,10 +90,6 @@ class AlgElem:
         b = self.alg.field.tables().mul[self.alg.tw_code, self.word[n:]]
         return AlgElem(self.alg, np.concatenate((a[:1], a[:0:-1], b)))
 
-    def sigma(self) -> int:
-        """Coefficient of u^0 v^0."""
-        return int(self.word[0])
-
     def inner(self, other: "AlgElem") -> int:
         self._check(other)
         return int(linalg.matmul(self.alg.field, self.word, other.word[:, None])[0, 0])
@@ -149,14 +145,12 @@ class SubfieldView:
     def contains(self, y: CyclicElem) -> bool:
         return linalg.in_row_space(self.field, self._R, self._pivots, y.coeffs)
 
-    def code_of(self, y: CyclicElem, check: bool = True) -> int:
-        """Coordinate encoding; with check=True raises if y is outside."""
+    def code_of(self, y: CyclicElem) -> int:
+        """Coordinate encoding of y, assumed in the subfield."""
         coords = self.coords(y.coeffs).tolist()
         code = 0
         for c in reversed(coords):
             code = code * self.field.q + c
-        if check and self.element(code) != y:
-            raise NotInComponent("element outside the subfield")
         return code
 
     def coords(self, words: np.ndarray) -> np.ndarray:
@@ -169,10 +163,6 @@ class SubfieldView:
         q = self.field.q
         digits = [code // q**i % q for i in range(self.dim)]
         return CyclicElem(self.field, linalg.matmul(self.field, digits, self._R)[0])
-
-    def elements(self) -> Iterator[CyclicElem]:
-        for code in range(self.order):
-            yield self.element(code)
 
     def inv(self, y: CyclicElem) -> CyclicElem:
         if y.is_zero():
@@ -302,7 +292,7 @@ def sqrt_min(ft: SubfieldView, a: CyclicElem) -> Optional[CyclicElem]:
             M, c, t_val, r = i, b * b, t_val * (b * b), r * b
         t = r
     mt = -t
-    return t if ft.code_of(t, check=False) <= ft.code_of(mt, check=False) else mt
+    return t if ft.code_of(t) <= ft.code_of(mt) else mt
 
 
 def solve_norm_equation(
@@ -335,7 +325,7 @@ def solve_norm_equation(
         t = sqrt_min(ft, rhs - b * (sp * sp))
         if t is not None:
             cand = [t - half_g * sp, -t - half_g * sp]
-            cand.sort(key=lambda z: ft.code_of(z, check=False))
+            cand.sort(key=ft.code_of)
             return cand[0], sp
     raise AssertionError("norm equation has no solution (impossible)")
 
@@ -437,10 +427,6 @@ class Component:
     def contains(self, x: AlgElem) -> bool:
         return self.identity * x == x
 
-    def project(self, x: AlgElem) -> AlgElem:
-        """The A_t-component 1_At * x."""
-        return self.identity * x
-
     # -- matrix isomorphisms -------------------------------------------------
 
     def _require(self, kinds):
@@ -492,17 +478,6 @@ class Component:
         alpha = y - beta * self.ue
         return alpha, beta
 
-    def bar_via_matrix(self, M: Mat2) -> Mat2:
-        """Matrix form of the bar map on a paired block.
-
-        Consta case: (a11 a12; a21 a22) -> (a22 -a12; -a21 a11); the dihedral
-        analogue keeps the off-diagonal signs.
-        """
-        self._require((PAIRED,))
-        sign = self.alg.tw_code
-        (a11, a12), (a21, a22) = M.entries
-        return Mat2(self.ft, ((a22, a12.scale(sign)), (a21.scale(sign), a11)))
-
     def __repr__(self):
         return f"Component(t={self.index}, {self.kind}, k={self.k})"
 
@@ -548,10 +523,6 @@ class TwistedDihedralAlgebra:
         if len(word) != 2 * self.n:
             raise DimensionMismatch(f"word length must be {2 * self.n}")
         return AlgElem(self, word)
-
-    def random_elem(self, rng) -> AlgElem:
-        q = self.field.q
-        return self.from_word([rng.randrange(q) for _ in range(2 * self.n)])
 
     # -- structure -------------------------------------------------------------
 

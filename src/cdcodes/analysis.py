@@ -346,7 +346,7 @@ def census_K_le_delta(
     1/4 - h_q(delta) - log_q(n)/lambda(n) > 0 holds.
 
     The codes of beta index i are its digits in mixed radix |K_t| - 1, plus
-    one (block 1 fastest, as in beta_at), computed for all of K* as numpy
+    one (block 1 fastest), computed for all of K* as numpy
     columns.  C beta depends only on beta modulo the F_t*
     (BetaVector.twist_class), so each beta also gets a class number: its
     KtField.class_ids entries read in mixed radix |F_t| + 1.  The first beta

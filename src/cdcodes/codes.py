@@ -16,7 +16,7 @@ methods that must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -107,6 +107,8 @@ class LinearCode:
             raise DimensionMismatch("malformed generator matrix file") from None
         if q != field.q:
             raise DimensionMismatch(f"file is over GF({q}), expected GF({field.q})")
+        if n_len < 0 or k_dim < 0:
+            raise DimensionMismatch(f"malformed generator matrix file: negative size {k_dim} x {n_len}")
         if any(len(r) != n_len for r in rows) or len(lines) != 1 + k_dim:
             raise DimensionMismatch(f"malformed generator matrix file: expected {k_dim} x {n_len} entries")
         if any(not 0 <= c < q for r in rows for c in r):
@@ -167,8 +169,8 @@ class KtField:
     def identity_code(self) -> int:
         comp = self.comp
         if comp.kind == SELF_CONJ:
-            return comp.fhe.code_of(comp.e, check=False)
-        return comp.ft.code_of(comp.e, check=False)
+            return comp.fhe.code_of(comp.e)
+        return comp.ft.code_of(comp.e)
 
     def basis(self) -> list[AlgElem]:
         """2 k_t elements whose coordinate digits realize element(code)."""
@@ -188,16 +190,6 @@ class KtField:
         if self._basis_words is None:
             self._basis_words = np.array([b.word for b in self.basis()])
         return self._basis_words
-
-    def words(self, codes) -> np.ndarray:
-        """Words of element(c) for each code c, as rows: their base-q digits
-        times the basis words (element is linear in those digits)."""
-        F, B = self.alg.field, self.basis_words()
-        return F.matmul(_digits(np.asarray(codes, dtype=np.int64), F.q, len(B)), B)
-
-    def word(self, code: int) -> np.ndarray:
-        """Word of element(code): the one-code case of words."""
-        return self.words([code])[0]
 
     def class_ids(self) -> list[int]:
         """The twist class of each code: entry c is the id of the orbit
@@ -227,7 +219,7 @@ class KtField:
                 a, b = ab[:, :k] @ pw, ab[:, k:] @ pw
             mul = _mul_table(ft)
             inv = np.zeros(Q, dtype=np.int64)
-            units, inverses = np.nonzero(mul == ft.code_of(ft.identity, check=False))
+            units, inverses = np.nonzero(mul == ft.code_of(ft.identity))
             inv[units] = inverses
             ids = np.where(b == 0, Q, mul[a, inv[b]])
             ids[0] = -1
@@ -321,9 +313,9 @@ def unit_words(kts: Sequence[KtField], codes) -> np.ndarray:
     """Words of the units e_0 + sum_t KtField.element(c_t), one row per row
     (c_1, ..., c_m) of the (c, m) array codes: BetaVector.unit on a stack.
 
-    Each element is linear in its code's base-q digits (KtField.words), so
-    the blocks' digits side by side times their basis words stacked sum
-    every block in one Field.matmul.
+    Each element is linear in its code's base-q digits, whose coefficients
+    are KtField.basis_words, so the blocks' digits side by side times their
+    basis words stacked sum every block in one Field.matmul.
     """
     alg, F = kts[0].alg, kts[0].alg.field
     codes = np.asarray(codes, dtype=np.int64)
@@ -341,27 +333,6 @@ def k_star_size(kts: Sequence[KtField]) -> int:
     for kt in kts:
         size *= kt.order - 1
     return size
-
-
-def beta_at(kts: Sequence[KtField], index: int) -> BetaVector:
-    """The twist at index in the census order of K*.
-
-    The index is read in mixed radix |K_t| - 1 with block 1 fastest, each
-    code running 1 .. |K_t| - 1.  An index outside [0, |K*|) raises
-    InvalidBeta.
-    """
-    if not 0 <= index < k_star_size(kts):
-        raise InvalidBeta(f"index {index} outside [0, |K*|)")
-    codes = []
-    for kt in kts:
-        index, c = divmod(index, kt.order - 1)
-        codes.append(1 + c)
-    return BetaVector(kts, codes)
-
-
-def enumerate_beta(kts: Sequence[KtField]) -> Iterator[BetaVector]:
-    """All of K* once each, in the census order of beta_at."""
-    return (beta_at(kts, i) for i in range(k_star_size(kts)))
 
 
 def build_C0(comp: Component) -> Optional[AlgElem]:
@@ -461,12 +432,6 @@ def assemble_code(
     return code
 
 
-def dual_code(code: LinearCode) -> LinearCode:
-    """C-perp, its generator the kernel basis of G (`linalg.kernel_basis`) row-reduced."""
-    basis = linalg.kernel_basis(code.field, code.gen, code.pivots)
-    return LinearCode.from_rows(code.field, basis, n_len=code.n_len, origin={"dual_of": code.origin})
-
-
 def hull_dimension(code: LinearCode) -> int:
     """dim(C meet C-perp) by two methods, which must agree.
 
@@ -556,8 +521,3 @@ def build_lcd_code(
         origin={"family": "lcd", "include_a0": include_a0},
     )
 
-
-def component_of_code(alg: TwistedDihedralAlgebra, code: LinearCode, comp: Component) -> LinearCode:
-    """1_At * C (the A_t-component of C): 1_At is central, so each row times L(1_At)."""
-    rows = linalg.matmul(alg.field, code.gen, alg.translates(comp.identity.word[None]))
-    return LinearCode.from_rows(alg.field, rows, n_len=code.n_len)

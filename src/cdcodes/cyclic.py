@@ -123,22 +123,6 @@ class IdempotentSet:
     def __len__(self):
         return len(self.idems)
 
-    def to_json_dict(self) -> dict:
-        pairing = conj_pairing(self)
-        return {
-            "q": self.field.q,
-            "n": self.n,
-            "idempotents": [e.coeffs.tolist() for e in self.idems],
-            "dims": list(self.dims),
-            "cosets": [list(c) for c in self.cosets],
-            "pairing": [
-                {"index": i, "kind": "self_conjugate"}
-                if j == i
-                else {"index": i, "kind": "paired", "partner": j}
-                for i, j in enumerate(pairing)
-            ],
-        }
-
 
 def primitive_idempotents(n: int, field: Field) -> IdempotentSet:
     """One idempotent per irreducible factor of x^n - 1, e_0 first, as the

@@ -2,10 +2,10 @@
 
 This module carries the pieces specific to the untwisted algebra: the
 counterexample showing that <C, D> = 0 does not imply bar(D) C = 0, the
-matrix-level enumeration of simple left ideals of M_2(F), the f_ab ideal
-classification on paired blocks (self-orthogonal iff 2ab = 0), and the
-count of codes A_0 ehat_0 + A_1 f_{a1 b1} + ... built from one simple left
-ideal per block: prod(q^k_t + 1) in total, prod(q^k_t - 1) of them LCD.
+f_ab generators of the simple left ideals of a paired block (the ideal of
+f_ab is self-orthogonal iff 2ab = 0, and LCD otherwise), and the count of
+codes A_0 ehat_0 + A_1 f_{a1 b1} + ... built from one simple left ideal per
+block: prod(q^k_t + 1) in total, prod(q^k_t - 1) of them LCD.
 """
 
 from __future__ import annotations
@@ -15,97 +15,17 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import codes as codes_mod
 from . import linalg
 from .algebra import PAIRED, AlgElem, Component, Mat2, TwistedDihedralAlgebra
-from .codes import LinearCode, assemble_code, hull_dimension
+from .codes import assemble_code, hull_dimension
 from .cyclic import CyclicElem
-from .errors import HypothesisUnmet, NotPaired, ZeroGenerator
+from .errors import HypothesisUnmet, NotPaired
 from .field import Field, field_from_order, mult_order
 
 
 def dihedral_algebra(field: Field, n: int) -> TwistedDihedralAlgebra:
     return TwistedDihedralAlgebra(field, n, 1)
-
-
-# -- matrix-level simple left ideals -----------------------------------------
-
-
-def mat2_simple_left_ideals(field: Field) -> list[bytes]:
-    """All simple left ideals of M_2(GF(q)), enumerated exhaustively.
-
-    Every 2-dimensional subspace of the 4-dimensional matrix space is tested
-    for closure under left multiplication by the matrix units; in the
-    semisimple algebra M_2 these 2-dimensional left ideals are exactly the
-    simple ones.  Returns canonical RREF keys; the count must be q + 1.
-    """
-    q = field.q
-    gens = []
-    for i in range(2):
-        for j in range(2):
-            E = np.zeros((2, 2), dtype=np.int64)
-            E[i, j] = 1
-            gens.append(E)
-
-    def act(E, v):  # left multiplication on vec(row-major)
-        M = v.reshape(2, 2)
-        return linalg.matmul(field, E, M).reshape(4)
-
-    found = set()
-    # 2-dim subspaces via RREF canonical forms: pivots (c0, c1), free entries
-    for c0, c1 in itertools.combinations(range(4), 2):
-        free = [c for c in range(4) if c not in (c0, c1) and c > c0]
-        free1 = [c for c in free if c > c1]
-        free0 = [c for c in free if c < c1]
-        for vals in itertools.product(range(q), repeat=len(free0) + 2 * len(free1)):
-            b0 = np.zeros(4, dtype=np.int64)
-            b1 = np.zeros(4, dtype=np.int64)
-            b0[c0] = 1
-            b1[c1] = 1
-            it = iter(vals)
-            for c in free0:
-                b0[c] = next(it)
-            for c in free1:
-                b0[c] = next(it)
-                b1[c] = next(it)
-            basis = np.vstack([b0, b1])
-            R, piv = linalg.rref(field, basis)
-            if R.shape[0] != 2 or piv != (c0, c1):
-                continue  # not the canonical form of this pivot pair
-            closed = True
-            for E in gens:
-                for row in R:
-                    img = act(E, row)
-                    if not linalg.in_row_space(field, R, piv, img):
-                        closed = False
-                        break
-                if not closed:
-                    break
-            if closed:
-                found.add(R.tobytes())
-    return sorted(found)
-
-
-def mat2_generator_ideals(field: Field) -> list[bytes]:
-    """The q+1 ideals from the generator list (a 1; 0 0), a in F, and (1 0; 0 0)."""
-    keys = []
-    for a in list(field.elements()) + [None]:
-        if a is None:
-            f = np.array([[1, 0], [0, 0]], dtype=np.int64)
-        else:
-            f = np.array([[a, 1], [0, 0]], dtype=np.int64)
-        rows = []
-        for i in range(2):
-            for j in range(2):
-                E = np.zeros((2, 2), dtype=np.int64)
-                E[i, j] = 1
-                rows.append(linalg.matmul(field, E, f).reshape(4))
-        R, _ = linalg.rref(field, np.array(rows))
-        keys.append(R.tobytes())
-    assert len(set(keys)) == len(keys)
-    return sorted(keys)
 
 
 # -- the counterexample -------------------------------------------------------
@@ -180,52 +100,6 @@ def f_ab(comp: Component, a: CyclicElem, b: CyclicElem) -> AlgElem:
         raise NotPaired("f_ab lives on a paired block")
     z = comp.ft.zero
     return comp.iso_from_mat2(Mat2(comp.ft, ((a, b), (z, z))))
-
-
-def block_ideal(comp: Component, gen: AlgElem) -> LinearCode:
-    alg = comp.alg
-    rows = alg.left_ideal_rows([gen])
-    return LinearCode.from_rows(alg.field, rows, n_len=2 * alg.n)
-
-
-def enumerate_simple_left_ideals(comp: Component) -> list[LinearCode]:
-    """The |F_t| + 1 simple left ideals of a paired block, as row spaces."""
-    if comp.kind != PAIRED:
-        raise NotPaired("enumeration is defined on paired blocks")
-    ideals = [block_ideal(comp, g) for g in _block_generators(comp)]
-    keys = {c.key() for c in ideals}
-    assert len(keys) == comp.ft.order + 1, "generator ideals are not pairwise distinct"
-    assert all(c.k_dim == 2 * comp.k for c in ideals)
-    return ideals
-
-
-SELF_ORTHOGONAL_IN_BLOCK = "self_orthogonal_in_block"
-LCD_IN_BLOCK = "lcd_in_block"
-
-
-def classify_Cab(comp: Component, a: CyclicElem, b: CyclicElem) -> str:
-    """Classify the block ideal generated by f_ab.
-
-    Characteristic 2: always self-orthogonal.  Odd characteristic:
-    self-orthogonal iff ab = 0 (dihedral blocks), cross-checked against the
-    hull of the actual row space.
-    """
-    if comp.kind != PAIRED:
-        raise NotPaired("classification is defined on paired blocks")
-    if a.is_zero() and b.is_zero():
-        raise ZeroGenerator("(a, b) = (0, 0)")
-    alg = comp.alg
-    if alg.tw == -1 and alg.field.p != 2:
-        raise HypothesisUnmet("f_ab classification targets the dihedral algebra")
-    prod_zero = (a * b).is_zero()
-    predicted = SELF_ORTHOGONAL_IN_BLOCK if (alg.field.p == 2 or prod_zero) else LCD_IN_BLOCK
-    code = block_ideal(comp, f_ab(comp, a, b))
-    hull = hull_dimension(code)
-    actual = SELF_ORTHOGONAL_IN_BLOCK if hull == code.k_dim else (
-        LCD_IN_BLOCK if hull == 0 else "mixed"
-    )
-    assert actual == predicted, f"hull check disagrees: {actual} vs {predicted}"
-    return predicted
 
 
 # -- counting the C_ab codes ---------------------------------------------------

@@ -64,6 +64,3 @@ class NotLeftIdeal(CdcodesError):
 class NoNonzeroWords(CdcodesError):
     """The zero code has no nonzero codeword (minimum weight undefined)."""
 
-
-class ZeroGenerator(CdcodesError):
-    """The pair (a, b) = (0, 0) does not generate a nonzero ideal."""

@@ -163,24 +163,6 @@ class Field:
     def one(self) -> int:
         return 1
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def from_int(self, c: int) -> int:
-        """Reduce an ordinary integer into the prime subfield GF(p)."""
-        return c % self.p
-
     def tables(self) -> Tables:
         if self._tables is None:
             self._tables = Tables(self)
@@ -701,10 +683,6 @@ def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, list
     assert prod == xn1 and len({f for f, _ in pairs}) == r, "factors are not the r irreducible factors"
     pairs.sort(key=lambda fe: (fe[0] != x_minus_1, _poly_sort_key(fe[0])))
     return [(f, label, e) for (f, e), label in zip(pairs, _coset_labels(field, pairs, cosets))]
-
-
-def factor_xn_minus_1(n: int, field: Field) -> list[Poly]:
-    return [f for f, _, _ in factor_xn_minus_1_with_cosets(n, field)]
 
 
 def sqrt_minus_one(field: Field) -> Optional[int]:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import get_algebra
+from oracles import enumerate_beta, random_elem
 
 from cdcodes import analysis, codes, linalg
 from cdcodes.algebra import TRIVIAL_SPLIT
@@ -367,7 +368,7 @@ def test_census_distinct_codes_are_twist_classes(q, n, include_C0):
     parts = codes.standard_parts(A)
     seen = Counter(
         codes.assemble_code(A, parts, include_C0=include_C0, beta=beta).key()
-        for beta in codes.enumerate_beta(kts)
+        for beta in enumerate_beta(kts)
     )
     assert len(seen) == res.distinct_codes
     assert set(seen.values()) == {math.prod(f - 1 for f in f_orders)}
@@ -383,7 +384,7 @@ def _per_beta_census(A, delta, include_C0):
     parts = codes.standard_parts(A)
     weights = {}
     rows = []
-    for idx, beta in enumerate(codes.enumerate_beta(kts)):
+    for idx, beta in enumerate(enumerate_beta(kts)):
         code = codes.assemble_code(A, parts, include_C0=include_C0, beta=beta)
         key = code.key()
         if key not in weights:
@@ -463,7 +464,7 @@ def test_census_class_pass_memory_is_bounded():
     rng = np.random.default_rng(21)
     beta_codes = np.stack([rng.integers(1, kt.order, 2000) for kt in kts], axis=1)
     for kt in kts:
-        kt.word(1)  # builds the basis words
+        kt.basis_words()  # built on the first call
     list(analysis._twisted_gens(A, parts, False, kts, beta_codes[:1]))  # caches the untwisted RREF
     tracemalloc.start()
     try:
@@ -544,14 +545,14 @@ def test_support_descriptor_bounds(rng):
         A = get_algebra(q, n)
         kmin = min(c.k for c in A.decompose()[1:])
         kts = codes.kt_fields(A)
-        words = [A.random_elem(rng) for _ in range(20)]
+        words = [random_elem(A, rng) for _ in range(20)]
         for _ in range(10):
             beta = codes.BetaVector.random(kts, rng)
             unit = beta.unit()
             words += [f * unit for _, f in codes.standard_parts(A)]
         for x in words:
             # ell: the k-sum over the blocks where x has a nonzero component
-            ell = sum(c.k for c in A.decompose()[1:] if not c.project(x).is_zero())
+            ell = sum(c.k for c in A.decompose()[1:] if not (c.identity * x).is_zero())
             if ell:
                 assert kmin <= ell <= (n - 1) // 2, (q, n, ell)
 

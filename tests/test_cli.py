@@ -229,8 +229,8 @@ def test_analyze_non_utf8_file_exit2(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["5 6 2\n1 0 4\n", "5 5 1\n1 0 4 2 0\n", "x y z\n", "5 6 1\n1 0 7 2 0 -1\n"],
-    ids=["short-row", "odd-length", "non-integer-header", "entry-outside-field"],
+    ["5 6 2\n1 0 4\n", "5 5 1\n1 0 4 2 0\n", "x y z\n", "5 6 1\n1 0 7 2 0 -1\n", "2 -1 0\n"],
+    ids=["short-row", "odd-length", "non-integer-header", "entry-outside-field", "negative-length"],
 )
 def test_analyze_malformed_file_exit2(capsys, tmp_path, text):
     path = tmp_path / "bad.txt"

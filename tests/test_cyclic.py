@@ -158,7 +158,7 @@ def test_e0_is_the_averaging_idempotent():
     for q, n in ((7, 3), (3, 5), (2, 7), (5, 3)):
         F = field_from_order(q)
         s = idem_set(q, n)
-        inv_n = F.inv(F.from_int(n))
+        inv_n = F.inv(n % F.p)
         expected = CyclicElem(F, [inv_n] * n)
         assert s.idems[0] == expected
 
@@ -246,12 +246,11 @@ def test_lambda_equals_min_block_dim_full_grid(q):
         assert lam == min(s.dims[1:])
 
 
-# -- serialization ----------------------------------------------------------------------------
+# -- the set's fields and its pairing ---------------------------------------------------------
 
 
 def test_idempotent_set_json():
-    d = idem_set(7, 3).to_json_dict()
-    assert d["q"] == 7 and d["n"] == 3
-    assert d["idempotents"][1] == [5, 3, 6]
-    kinds = [p["kind"] for p in d["pairing"]]
-    assert kinds == ["self_conjugate", "paired", "paired"]
+    s = idem_set(7, 3)
+    assert s.field.q == 7 and s.n == 3
+    assert s.idems[1].coeffs.tolist() == [5, 3, 6]
+    assert conj_pairing(s) == (0, 2, 1)  # e_0 self-conjugate, e_1 and e_2 paired

@@ -1,10 +1,12 @@
 import pytest
 
 from conftest import get_algebra
+from oracles import bar_via_matrix, mat2_generator_ideals, mat2_simple_left_ideals, random_elem
 
 from cdcodes import dihedral as dih
 from cdcodes.algebra import Mat2
-from cdcodes.errors import HypothesisUnmet, NotPaired, ZeroGenerator
+from cdcodes.codes import LinearCode, hull_dimension
+from cdcodes.errors import HypothesisUnmet, NotPaired
 from cdcodes.field import field_from_order
 
 
@@ -32,8 +34,8 @@ def test_char2_consta_equals_dihedral(rng):
 def test_dihedral_inner_sigma_identity(rng):
     D = get_algebra(5, 7, 1)
     for _ in range(100):
-        x, y = D.random_elem(rng), D.random_elem(rng)
-        assert x.inner(y) == (x * y.bar()).sigma()
+        x, y = random_elem(D, rng), random_elem(D, rng)
+        assert x.inner(y) == (x * y.bar()).word[0]
 
 
 # -- the counterexample -------------------------------------------------------------
@@ -56,8 +58,8 @@ def test_counterexample_exact():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_mat2_simple_left_ideal_count(q):
     F = field_from_order(q)
-    exhaustive = dih.mat2_simple_left_ideals(F)
-    from_generators = dih.mat2_generator_ideals(F)
+    exhaustive = mat2_simple_left_ideals(F)
+    from_generators = mat2_generator_ideals(F)
     assert len(exhaustive) == q + 1
     assert set(exhaustive) == set(from_generators)
 
@@ -69,8 +71,8 @@ def test_dihedral_paired_iso_roundtrip(rng):
     D = get_algebra(7, 3, 1)
     comp = D.decompose()[1]
     for _ in range(100):
-        x = comp.project(D.random_elem(rng))
-        y = comp.project(D.random_elem(rng))
+        x = comp.identity * random_elem(D, rng)
+        y = comp.identity * random_elem(D, rng)
         M = comp.iso_to_mat2(x)
         assert comp.iso_from_mat2(M) == x
         assert comp.iso_to_mat2(x * y) == M * comp.iso_to_mat2(y)
@@ -81,23 +83,30 @@ def test_dihedral_bar_matrix_no_sign_flip():
     comp = D.decompose()[1]
     z, e = comp.ft.zero, comp.ft.identity
     M = Mat2(comp.ft, ((z, e), (z, z)))
-    assert comp.bar_via_matrix(M) == M  # (0 1; 0 0) is bar-fixed here
+    assert bar_via_matrix(comp, M) == M  # (0 1; 0 0) is bar-fixed here
     I = Mat2.identity(comp.ft)
-    assert comp.bar_via_matrix(I) == I
+    assert bar_via_matrix(comp, I) == I
 
 
 def test_dihedral_bar_matrix_matches_bar(rng):
     D = get_algebra(7, 3, 1)
     comp = D.decompose()[1]
     for _ in range(100):
-        x = comp.project(D.random_elem(rng))
-        assert comp.iso_to_mat2(x.bar()) == comp.bar_via_matrix(comp.iso_to_mat2(x))
+        x = comp.identity * random_elem(D, rng)
+        assert comp.iso_to_mat2(x.bar()) == bar_via_matrix(comp, comp.iso_to_mat2(x))
+
+
+def block_ideal(comp, gen):
+    """The left ideal generated by gen, as a code of length 2n."""
+    alg = comp.alg
+    return LinearCode.from_rows(alg.field, alg.left_ideal_rows([gen]), n_len=2 * alg.n)
 
 
 def test_enumerate_simple_left_ideals_block():
+    # the q + 1 generators of a paired block give q + 1 distinct simple left ideals
     D = get_algebra(7, 3, 1)
     comp = D.decompose()[1]
-    ideals = dih.enumerate_simple_left_ideals(comp)
+    ideals = [block_ideal(comp, g) for g in dih._block_generators(comp)]
     assert len(ideals) == 8
     assert all(c.k_dim == 2 * comp.k for c in ideals)
     assert len({c.key() for c in ideals}) == 8
@@ -107,21 +116,28 @@ def test_enumerate_requires_paired():
     D = get_algebra(3, 5, 1)
     comp = D.decompose()[1]
     with pytest.raises(NotPaired):
-        dih.enumerate_simple_left_ideals(comp)
+        dih._block_generators(comp)
 
 
-# -- classification --------------------------------------------------------------------------
+# -- the 2ab = 0 rule --------------------------------------------------------------------------
+
+
+def expected_hull(comp, a, b):
+    """The hull of the ideal of f_ab: all of its dimension 2 k_t when p = 2 or
+    ab = 0 (self-orthogonal), else 0 (LCD)."""
+    return 2 * comp.k if comp.alg.field.p == 2 or (a * b).is_zero() else 0
 
 
 def test_classify_examples():
     D = get_algebra(7, 3, 1)
     comp = D.decompose()[1]
     ft = comp.ft
-    assert dih.classify_Cab(comp, ft.zero, ft.identity) == dih.SELF_ORTHOGONAL_IN_BLOCK
-    assert dih.classify_Cab(comp, ft.identity, ft.zero) == dih.SELF_ORTHOGONAL_IN_BLOCK
-    assert dih.classify_Cab(comp, ft.identity, ft.identity) == dih.LCD_IN_BLOCK
-    with pytest.raises(ZeroGenerator):
-        dih.classify_Cab(comp, ft.zero, ft.zero)
+    z, e = ft.zero, ft.identity
+    for a, b, hull in ((z, e, 2), (e, z, 2), (e, e, 0)):
+        code = block_ideal(comp, dih.f_ab(comp, a, b))
+        assert code.k_dim == 2
+        assert hull_dimension(code) == hull == expected_hull(comp, a, b)
+    assert block_ideal(comp, dih.f_ab(comp, z, z)).k_dim == 0
 
 
 def test_classify_char2_always_self_orthogonal():
@@ -132,8 +148,8 @@ def test_classify_char2_always_self_orthogonal():
         for b_code in range(ft.order):
             if a_code == 0 and b_code == 0:
                 continue
-            verdict = dih.classify_Cab(comp, ft.element(a_code), ft.element(b_code))
-            assert verdict == dih.SELF_ORTHOGONAL_IN_BLOCK
+            code = block_ideal(comp, dih.f_ab(comp, ft.element(a_code), ft.element(b_code)))
+            assert hull_dimension(code) == code.k_dim == 2 * comp.k
 
 
 def test_classify_agrees_with_hull_small_ft():
@@ -148,7 +164,10 @@ def test_classify_agrees_with_hull_small_ft():
                 for b_code in range(ft.order):
                     if a_code == 0 and b_code == 0:
                         continue
-                    dih.classify_Cab(comp, ft.element(a_code), ft.element(b_code))
+                    a, b = ft.element(a_code), ft.element(b_code)
+                    code = block_ideal(comp, dih.f_ab(comp, a, b))
+                    assert code.k_dim == 2 * comp.k
+                    assert hull_dimension(code) == expected_hull(comp, a, b)
 
 
 # -- counting ----------------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Source hygiene: every name a library module, test or script imports is read
-somewhere in it, and every module-level private name is read by some module of
-the package."""
+somewhere in it, every module-level private name is read by some module of
+the package, and every public function, class and method of the package has a
+reader outside the tests."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,13 @@ SRC = ROOT / "src" / "cdcodes"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS_AND_SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 PACKAGE = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+OUTSIDE_READERS = [p.read_text() for d in ("scripts", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+
+# Public names that only the tests read, each with the reason it stays.
+PUBLIC_ALLOWLIST = {
+    "algebra.Component.iso_to_mat2": "the README's corrected identities (bar is the adjugate on every "
+    "matrix block) are stated and tested through the matrix isomorphism",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -79,3 +89,74 @@ def test_hygiene_checker_flags_unread_private():
 
 def test_no_unread_private_names():
     assert unread_private_names(PACKAGE) == []
+
+
+def _name_reads(tree: ast.AST) -> Counter:
+    """Reads of each name in tree: Name loads, attribute loads, ImportFrom
+    aliases, and the words of string constants other than docstrings (the
+    benchmark harness looks functions up by dotted strings)."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    reads: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            reads.update(re.findall(r"\w+", node.value))
+    return reads
+
+
+def unread_public_names(library: dict[str, str], outside: list[str]) -> list[str]:
+    """Public module-level functions and classes, and public methods, of the
+    library modules that nothing reads: no library module other than
+    `__init__` and no source in outside.  The reads of a definition's own
+    name inside its body do not count."""
+    trees = {module: ast.parse(source) for module, source in library.items() if module != "__init__"}
+    reads: Counter = Counter()
+    for tree in list(trees.values()) + [ast.parse(source) for source in outside]:
+        reads.update(_name_reads(tree))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unread = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if not isinstance(node, defs):
+                continue
+            found = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, defs)]
+            for key, d in found:
+                if not d.name.startswith("_") and reads[d.name] <= _name_reads(d)[d.name]:
+                    unread.append(f"{module}.{key} (line {d.lineno})")
+    return unread
+
+
+def test_hygiene_checker_flags_unread_public():
+    library = {
+        "a": (
+            "def f():\n    return f()\n"
+            "class C:\n    def m(self):\n        pass\n    def used(self):\n        pass\n"
+            "    def _p(self):\n        pass\n"
+            "def g():\n    'Calls h.'\n"
+            "def h():\n    pass\n"
+        ),
+        "b": "from .a import C\nC().used()\n",
+        "__init__": "from .a import f, g, h\n",
+    }
+    outside = ["import a\nSPANS = ['a.g']\n"]
+    assert unread_public_names(library, outside) == ["a.f (line 1)", "a.C.m (line 4)", "a.h (line 12)"]
+
+
+def test_public_names_have_readers():
+    unread = [entry.split()[0] for entry in unread_public_names(PACKAGE, OUTSIDE_READERS)]
+    assert len(PUBLIC_ALLOWLIST) <= 1
+    assert sorted(unread) == sorted(PUBLIC_ALLOWLIST)
