@@ -82,23 +82,22 @@ def min_weight(code: LinearCode, budget: int = DEFAULT_WORD_BUDGET) -> WeightRep
     budget (at least 1) caps the words weighed, so it bounds time; memory is
     O(SPAN_CHUNK n) on both paths.  Both weigh one word of each scalar class
     {a c : a in F_q*}, as its q - 1 words share one weight.  When q^k <=
-    budget the exhaustive path counts all q^k words, weighing about
-    q^k/(q - 1) of them by packed XOR and popcount
-    (linalg.weight_distribution).  Otherwise the pruned path expands every
-    message of weight <= w on an information set while whole weight layers
-    fit the budget, giving the bracket [w+1, best], exact once w reaches k;
-    best starts at the lightest generator row.  The budget counts all the
-    words of a layer, not the classes weighed, so its bracket and method do
-    not depend on the folding.  A caller that needs an exact
-    weight compares q^k with its budget first (census_K_le_delta does).
+    budget the exhaustive path weighs about q^k/(q - 1) words by packed XOR
+    and popcount and keeps only their minimum (linalg.min_nonzero_weight).
+    Otherwise the pruned path expands every message of weight <= w on an
+    information set while whole weight layers fit the budget, giving the
+    bracket [w+1, best], exact once w reaches k; best starts at the
+    lightest generator row.  The budget counts all the words of a layer,
+    not the classes weighed, so its bracket and method do not depend on the
+    folding.  A caller that needs an exact weight compares q^k with its
+    budget first (census_K_le_delta does).
     """
     _check_budget(budget)
     if code.k_dim == 0:
         raise NoNonzeroWords("the zero code has no nonzero codeword")
     if code.field.q**code.k_dim > budget:
         return _pruned_min_weight(code, budget)
-    counts = linalg.weight_distribution(code.field, code.gen)
-    m = int(np.flatnonzero(counts[1:])[0]) + 1
+    m = linalg.min_nonzero_weight(code.field, code.gen)
     return WeightReport(
         min_weight=m,
         relative_distance=Fraction(m, code.n_len),
@@ -119,22 +118,57 @@ def _layer_messages(k: int, q: int, w: int) -> Iterator[np.ndarray]:
     first nonzero value is 1: C(k, w) (q - 1)^(w - 1) messages, in blocks of
     at most SPAN_CHUNK rows.
 
-    A block pairs a run of supports (in combinations order) with a run of
-    value tuples, each a 1 followed by w - 1 digits in base q - 1, plus one.
+    A block pairs a run of supports (from _support_blocks, in combinations
+    order) with a run of value tuples, each a 1 followed by w - 1 digits in
+    base q - 1, plus one.
     """
     per_support = (q - 1) ** (w - 1)
     runs = max(1, linalg.SPAN_CHUNK // per_support)
     powers = (q - 1) ** np.arange(w - 1, dtype=np.int64)
-    supports = itertools.combinations(range(k), w)
-    while (flat := np.fromiter(itertools.chain.from_iterable(itertools.islice(supports, runs)), dtype=np.int64)).size:
-        sup = flat.reshape(-1, w)
-        for start in range(0, per_support, linalg.SPAN_CHUNK):
-            idx = np.arange(start, min(per_support, start + linalg.SPAN_CHUNK), dtype=np.int64)
-            vals = np.ones((len(idx), w), dtype=np.int64)
-            vals[:, 1:] += idx[:, None] // powers % (q - 1)
-            msgs = np.zeros((len(sup), len(vals), k), dtype=np.int64)
-            msgs[np.arange(len(sup))[:, None, None], np.arange(len(vals))[:, None], sup[:, None, :]] = vals
-            yield msgs.reshape(-1, k)
+    for block in _support_blocks(0, k, w):
+        for r in range(0, len(block), runs):
+            sup = block[r : r + runs]
+            for start in range(0, per_support, linalg.SPAN_CHUNK):
+                idx = np.arange(start, min(per_support, start + linalg.SPAN_CHUNK), dtype=np.int64)
+                vals = np.ones((len(idx), w), dtype=np.int64)
+                vals[:, 1:] += idx[:, None] // powers % (q - 1)
+                msgs = np.zeros((len(sup), len(vals), k), dtype=np.int64)
+                msgs[np.arange(len(sup))[:, None, None], np.arange(len(vals))[:, None], sup[:, None, :]] = vals
+                yield msgs.reshape(-1, k)
+
+
+def _support_blocks(lo: int, k: int, w: int) -> Iterator[np.ndarray]:
+    """The w-subsets of range(lo, k) in itertools.combinations order, as
+    blocks of at most SPAN_CHUNK rows (at least one block).
+
+    While C(k - lo, w) exceeds SPAN_CHUNK the first index is expanded: each
+    i in turn heads the blocks of the (w - 1)-subsets of range(i + 1, k).
+    """
+    if math.comb(k - lo, w) <= linalg.SPAN_CHUNK:
+        yield lo + _combinations(k - lo, w)
+        return
+    for i in range(lo, k - w + 1):
+        for block in _support_blocks(i + 1, k, w - 1):
+            yield np.concatenate([np.full((len(block), 1), i, dtype=np.int64), block], axis=1)
+
+
+def _combinations(m: int, w: int) -> np.ndarray:
+    """All w-subsets of range(m) in itertools.combinations order, (C(m, w), w).
+
+    Built from the last column back: the tails of length r are the r-subsets
+    of range(w - r, m), and those headed by e follow it with the tails of
+    length r - 1 that start past e, the last C(m - e - 1, r - 1) of them.
+    The tables grow with r, so none is larger than the result.
+    """
+    tails = np.arange(w - 1, m, dtype=np.int64)[:, None] if w else np.zeros((1, 0), dtype=np.int64)
+    for r in range(2, w + 1):
+        heads = np.arange(w - r, m - r + 1, dtype=np.int64)
+        sizes = np.array([math.comb(m - e - 1, r - 1) for e in heads.tolist()], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        # row t of head e's run reads tails[len(tails) - sizes[e] + t]
+        rows = np.arange(ends[-1]) + np.repeat(len(tails) - ends, sizes)
+        tails = np.concatenate([np.repeat(heads, sizes)[:, None], tails[rows]], axis=1)
+    return tails
 
 
 def _pruned_min_weight(code: LinearCode, budget: int) -> WeightReport:

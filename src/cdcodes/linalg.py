@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NoNonzeroWords
 from .field import Field
 
 SPAN_CHUNK = 4096  # most words (or offsets) a span computation holds at once
@@ -214,14 +215,15 @@ def weight_distribution(field: Field, basis: np.ndarray) -> np.ndarray:
 
     The span of the last j = min(_low_rows, ceil(k/2)) rows is held once, and
     a word o of the other h = k - j rows' span (both ~sqrt(q^k) words) shifts
-    it: x + o has weight #{i : x_i != -o_i}.  As x + a o = a (a^-1 x + o) and
-    x -> a^-1 x permutes the held span, the shift a o (a != 0) gives the
-    weights of o; so offset 0 and one o of each scalar class are weighed,
-    1 + (q^h - 1)/(q - 1) shifts, each class counting q - 1 times: about
-    q^k/(q - 1) words in all.  In uint64 lanes, b = bit_length(q - 1) bits a
-    coordinate, ((z & M) + M | z) & H with z = x XOR pack(-o) keeps the top
-    bit (H) of each nonzero field (M: its low b - 1 bits) for a popcount; at
-    b = 1, M = 0 and the mask is the identity.
+    it.  As x + a o = a (a^-1 x + o) and x -> a^-1 x permutes the held span,
+    the shift a o (a != 0) gives the weights of o; so offset 0 and one o of
+    each scalar class are weighed, 1 + (q^h - 1)/(q - 1) shifts, each class
+    counting q - 1 times: about q^k/(q - 1) words in all.  In uint64 lanes,
+    b = bit_length(q - 1) bits a coordinate, ((z & M) + M | z) & H with
+    z = x XOR pack(o) keeps the top bit (H) of each nonzero field (M: its low
+    b - 1 bits) for a popcount; at b = 1, M = 0 and the mask is the identity.
+    That weighs x - o, not x + o: as the held span is a subspace, x -> -x
+    permutes it, so both give one multiset of weights.
 
     Codes are weighed in batches side by side: a batch's bases are joined
     column-wise into [G_1 | G_2 | ...], whose span holds its codes' words
@@ -245,19 +247,63 @@ def weight_distribution(field: Field, basis: np.ndarray) -> np.ndarray:
     batch = max(1, SPAN_CHUNK // (16 * field.q**j))
     counts = np.zeros((c, n + 1), dtype=np.int64)
     for s in range(0, c, batch):
-        counts[s : s + batch] = _batch_weights(field, stack[s : s + batch], j)
+        counts[s : s + batch] = _batch_counts(field, stack[s : s + batch], j)
     return counts[0] if single else counts
 
 
-def _batch_weights(field: Field, stack: np.ndarray, j: int) -> np.ndarray:
+def _batch_counts(field: Field, stack: np.ndarray, j: int) -> np.ndarray:
     """weight_distribution of a (c, k, n) stack, every code in one span walk.
 
-    The walk runs over the shifts of _normalised_chunks: offset 0, the first
-    row of the first block, then one shift of each scalar class, so
-    A = A(offset 0) + (q - 1) A(the other shifts).  That holds for dependent
-    rows too: it counts messages, not distinct words.  Lanes run along the
-    first axes and low-span words along the last, so every elementwise pass
-    loops over |low| words at a time.
+    The first row of the first block is offset 0, and every other row one
+    shift of a scalar class, so A = A(offset 0) + (q - 1) A(the other
+    shifts).  That holds for dependent rows too: it counts messages, not
+    distinct words.
+    """
+    c, _, n = stack.shape
+    size = c * (n + 1)
+    bins = np.arange(c)[:, None] * (n + 1)  # code i counts weight w in bin i (n + 1) + w
+    counts = np.zeros(size, dtype=np.int64)
+    zero = None  # offset 0's counts
+    for weights in _weighed_blocks(field, stack, j):
+        if c > 1:
+            weights = weights + bins
+        if zero is None:
+            zero = np.bincount(weights[0].ravel(), minlength=size)
+        counts += np.bincount(weights.ravel(), minlength=size)
+    # offset 0 stands for itself and every other offset for its q - 1 multiples
+    return ((field.q - 1) * counts - (field.q - 2) * zero).reshape(c, n + 1)
+
+
+def min_nonzero_weight(field: Field, basis: np.ndarray) -> int:
+    """The least weight of a nonzero word of the row space of one (k, n) basis.
+
+    It walks the shifts weight_distribution walks, so it weighs about
+    q^k/(q - 1) words in O(SPAN_CHUNK n) memory, but keeps only their
+    minimum.  Every zero word (offset 0 against the held zero word and,
+    when rows are dependent, any offset that lies in the held span) wraps
+    under w - 1 to the largest value of the weights' unsigned type, so it
+    never wins.  A row space without a nonzero word raises NoNonzeroWords.
+    """
+    basis = as_matrix(basis)
+    k, n = basis.shape
+    j = min(_low_rows(field.q, k), -(-k // 2))
+    blocks = _weighed_blocks(field, basis[None], j)
+    least = min(int((w.view(f"u{w.itemsize}") - 1).min()) for w in blocks)
+    if least >= n:
+        raise NoNonzeroWords("the row space has no nonzero word")
+    return least + 1
+
+
+def _weighed_blocks(field: Field, stack: np.ndarray, j: int):
+    """The weights of the span walk of a (c, k, n) stack, one block per XOR pass.
+
+    The span of each code's last j rows is held packed, and the walk runs
+    over the shifts of _normalised_chunks: offset 0, the first row of the
+    first block, then one shift of each scalar class.  A block has shape
+    (shifts, c, held words), uint8 when a code fits one lane and intp sums
+    over its lanes otherwise.  Lanes run along the first axes and held words
+    along the last, so every elementwise pass loops over |low| words at a
+    time.
     """
     c, k, n = stack.shape
     b = (field.q - 1).bit_length()
@@ -266,22 +312,14 @@ def _batch_weights(field: Field, stack: np.ndarray, j: int) -> np.ndarray:
     lanes = len(low) // c
     ones = ((1 << (64 // b * b)) - 1) // ((1 << b) - 1)  # a 1 in the low bit of every field of a lane
     H, M = np.uint64(ones << (b - 1)), np.uint64(ones * ((1 << (b - 1)) - 1))  # padding fields of z stay 0
-    bins = np.arange(c)[:, None] * (n + 1)  # code i counts weight w in bin i (n + 1) + w
     step = max(1, 4 * SPAN_CHUNK // low.size)
-    counts = np.zeros(c * (n + 1), dtype=np.int64)
-    zero = None  # offset 0's counts, read off the first row of the first block
     for offsets in _normalised_chunks(field, joined[: k - j]):
-        negs = _pack(field.tables().neg[offsets], b, n)[:, :, None]
-        for s in range(0, len(negs), step):
-            z = low ^ negs[s : s + step]
+        packed = _pack(offsets, b, n)[:, :, None]
+        for s in range(0, len(packed), step):
+            z = low ^ packed[s : s + step]
             if b > 1:
                 z = (((z & M) + M) | z) & H
             weights = np.bitwise_count(z)
             if lanes > 1:
                 weights = weights.reshape(len(z), c, lanes, -1).sum(axis=2, dtype=np.intp)
-            weights = weights + bins
-            if zero is None:
-                zero = np.bincount(weights[0].ravel(), minlength=c * (n + 1))
-            counts += np.bincount(weights.ravel(), minlength=c * (n + 1))
-    # offset 0 stands for itself and every other offset for its q - 1 multiples
-    return ((field.q - 1) * counts - (field.q - 2) * zero).reshape(c, n + 1)
+            yield weights

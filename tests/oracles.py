@@ -3,8 +3,8 @@
 Each one computes by a route the library does not take: the simple left
 ideals of M_2(GF(q)) by exhaustive search, the census order of K* one index
 at a time, the bar map through the paired-block matrix isomorphism, the
-dual code by row-reducing the kernel basis.  None of them is on a path the
-library runs.
+dual code by row-reducing the kernel basis, the weight distribution from
+every word of the span.  None of them is on a path the library runs.
 """
 
 from __future__ import annotations
@@ -135,3 +135,14 @@ def dual(code: LinearCode) -> LinearCode:
     """C-perp, its generator the kernel basis of G (`linalg.kernel_basis`) row-reduced."""
     basis = linalg.kernel_basis(code.field, code.gen, code.pivots)
     return LinearCode.from_rows(code.field, basis, n_len=code.n_len, origin={"dual_of": code.origin})
+
+
+def span_weights(field: Field, basis: np.ndarray) -> np.ndarray:
+    """The weight distribution read off the fully materialised span."""
+    words = linalg.enumerate_span(field, basis)
+    return np.bincount(np.count_nonzero(words, axis=1), minlength=basis.shape[1] + 1)
+
+
+def first_nonzero_weight(counts: np.ndarray) -> int:
+    """The minimum weight read off a weight distribution A_0..A_n."""
+    return int(np.flatnonzero(counts[1:])[0]) + 1

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import get_algebra
-from oracles import enumerate_beta, random_elem
+from oracles import enumerate_beta, first_nonzero_weight, random_elem, span_weights
 
 from cdcodes import analysis, codes, linalg
 from cdcodes.algebra import TRIVIAL_SPLIT
@@ -121,12 +121,23 @@ def test_min_weight_rejects_budget_below_one(budget):
         balanced_check(A, code, deltas=(0.2,), budget=budget)
 
 
-def test_exhaustive_min_weight_memory_is_bounded():
+def refuse_distribution(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the exhaustive min_weight counted a weight distribution")
+
+    monkeypatch.setattr(linalg, "weight_distribution", refuse)
+
+
+def test_exhaustive_min_weight_memory_is_bounded(monkeypatch):
     # q^k = 2^20 binary words of length 42 (one packed lane): all of them as
     # int64 would take 336 MiB; and 3^12 ternary words of length 70, which
-    # fill three lanes of 32 coordinates (284 MiB as int64)
+    # fill three lanes of 32 coordinates (284 MiB as int64).  The weights go
+    # straight to their minimum, never through weight_distribution
     ternary = np.random.default_rng(0).integers(0, 3, (12, 70))
-    for code in (build_plain_code(get_algebra(2, 21)), LinearCode.from_rows(field_from_order(3), ternary)):
+    cases = [build_plain_code(get_algebra(2, 21)), LinearCode.from_rows(field_from_order(3), ternary)]
+    expected = [first_nonzero_weight(linalg.weight_distribution(c.field, c.gen)) for c in cases]
+    refuse_distribution(monkeypatch)
+    for code, want in zip(cases, expected):
         assert code.field.q**code.k_dim >= 3**12
         code.field.tables()
         tracemalloc.start()
@@ -135,8 +146,23 @@ def test_exhaustive_min_weight_memory_is_bounded():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.method == analysis.EXHAUSTIVE and rep.exact
+        assert rep.method == analysis.EXHAUSTIVE and rep.exact and rep.min_weight == want
         assert peak <= 16 * 2**20, f"q = {code.field.q}: peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "q, n, family",
+    [(2, 9, "plain"), (3, 7, "lcd"), (4, 5, "self_dual"), (5, 7, "plain"), (9, 5, "plain"), (16, 3, "plain")],
+)
+def test_exhaustive_min_weight_reads_no_distribution(monkeypatch, q, n, family):
+    # the minimum comes from linalg.min_nonzero_weight; the span oracle checks it
+    code = getattr(codes, f"build_{family}_code")(get_algebra(q, n))
+    want = first_nonzero_weight(span_weights(code.field, code.gen))
+    refuse_distribution(monkeypatch)
+    rep = min_weight(code)
+    assert rep.method == analysis.EXHAUSTIVE
+    assert (rep.min_weight, rep.lower, rep.upper) == (want, want, want)
+    assert rep.relative_distance == Fraction(want, code.n_len)
 
 
 def reference_pruned_bracket(code, budget):
@@ -208,6 +234,35 @@ def test_layer_messages_are_the_weight_layer(monkeypatch, chunk, k, q, w):
             assert len(hits) == 1, m
             classes[hits.pop()] += 1
     assert set(classes) == yielded and set(classes.values()) == {q - 1}
+
+
+def combinations_table(k, w):
+    rows = list(itertools.combinations(range(k), w))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), w)
+
+
+def test_combinations_match_itertools():
+    for m in range(15):
+        for w in range(m + 1):
+            assert np.array_equal(analysis._combinations(m, w), combinations_table(m, w)), (m, w)
+    for w in (0, 1, 2, 3, 18, 19, 20, 21):
+        assert np.array_equal(analysis._combinations(21, w), combinations_table(21, w)), w
+
+
+@pytest.mark.parametrize("chunk", [1, 16, linalg.SPAN_CHUNK])
+def test_support_blocks_are_combinations_in_blocks(monkeypatch, chunk):
+    # every block holds at most chunk supports, and together they are the
+    # combinations in order; at chunk 16, C(8, 3) = 56 supports cross block
+    # boundaries inside the runs of a first index (C(7, 2) = 21 > 16)
+    monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
+    for k in range(13):
+        for w in range(k + 1):
+            blocks = list(analysis._support_blocks(0, k, w))
+            assert all(0 < len(b) <= chunk for b in blocks), (k, w)
+            assert np.array_equal(np.concatenate(blocks), combinations_table(k, w)), (k, w)
+    if chunk == 16:
+        sizes = [len(b) for b in analysis._support_blocks(0, 8, 3)]
+        assert sizes == [6, 5, 4, 3, 2, 1, 15, 10, 6, 3, 1]
 
 
 def test_pruned_upper_starts_at_lightest_row():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dual
+from oracles import dual, first_nonzero_weight, span_weights
 
 from cdcodes import linalg
 from cdcodes.codes import LinearCode
+from cdcodes.errors import NoNonzeroWords
 from cdcodes.field import field_from_order
 
 
@@ -237,12 +239,6 @@ def test_enumerate_span_counts():
     assert len({tuple(w) for w in words.tolist()}) == 9
 
 
-def span_weights(field, basis):
-    """The weight distribution read off the fully materialised span."""
-    words = linalg.enumerate_span(field, basis)
-    return np.bincount(np.count_nonzero(words, axis=1), minlength=basis.shape[1] + 1)
-
-
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 13, 1024])
 def test_weight_distribution_matches_span(q):
     # k = 1, the largest k with q^k <= SPAN_CHUNK (one chunk) and the least
@@ -410,6 +406,92 @@ def test_weight_distribution_stack_memory_is_bounded():
     assert (counts.sum(axis=1) == 2**14).all()
     assert np.array_equal(counts[-1], linalg.weight_distribution(F, stack[-1]))
     assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def assert_min_matches(F, basis):
+    """min_nonzero_weight against weight_distribution and the materialised span."""
+    counts = linalg.weight_distribution(F, basis)
+    assert np.array_equal(counts, span_weights(F, basis))
+    if counts[1:].any():
+        assert linalg.min_nonzero_weight(F, basis) == first_nonzero_weight(counts)
+    else:
+        with pytest.raises(NoNonzeroWords):
+            linalg.min_nonzero_weight(F, basis)
+    return counts
+
+
+@given(data=st.data(), q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16]))
+@settings(max_examples=60, deadline=None)
+def test_min_nonzero_weight_matches_distribution(data, q):
+    # up to 2^10 words; lengths up to two lanes plus one field, so some codes
+    # sum their weights over lanes; rows may repeat or vanish
+    F = field_from_order(q)
+    per = 64 // (q - 1).bit_length()
+    k = data.draw(st.integers(1, max(1, int(math.log(1024, q)))))
+    n = data.draw(st.integers(1, 2 * per + 1))
+    basis = random_matrix(data, q, rows=k, cols=n)
+    if k > 1 and data.draw(st.booleans()):
+        basis[-1] = basis[0]
+    assert_min_matches(F, basis)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_min_nonzero_weight_dependent_rows(q):
+    # a duplicated row, a zero row and a multiple of another row leave rank
+    # 3 of 6 rows: q^3 zero words, from dependencies among the offsets' rows
+    # (0, 1, 2) and the held rows (3, 4, 5); then a basis of zero rows only
+    F = field_from_order(q)
+    basis = np.random.default_rng(q).integers(0, q, (6, 12))
+    basis[1] = basis[0]
+    basis[-1] = F.tables().mul[q - 1, basis[-2]]
+    basis[2] = 0
+    counts = assert_min_matches(F, basis)
+    assert counts[0] == q**3
+    assert_min_matches(F, np.zeros((2, 5), dtype=np.int64))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_min_nonzero_weight_several_lanes(q):
+    # n_len > 64 // b: each word spans three lanes and its weight is an intp sum
+    F = field_from_order(q)
+    per = 64 // (q - 1).bit_length()
+    rng = np.random.default_rng(q)
+    for n in (per + 1, 2 * per + 3):
+        basis = rng.integers(0, q, (3, n))
+        basis[1] = basis[0]
+        basis[2, : n - 2] = 0  # a light word whose support crosses no lane
+        assert_min_matches(F, basis)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_min_nonzero_weight_held_span_only(monkeypatch, q):
+    # k = 1 <= j: the held span is the whole row space and offset 0 its only shift
+    blocks = []
+    real = linalg._normalised_chunks
+
+    def recording(field, basis):
+        for block in real(field, basis):
+            blocks.append(block.shape)
+            yield block
+
+    monkeypatch.setattr(linalg, "_normalised_chunks", recording)
+    F = field_from_order(q)
+    basis = np.array([[0, 1, q - 1, 0, 1]], dtype=np.int64)
+    assert linalg.min_nonzero_weight(F, basis) == 3
+    assert blocks == [(1, 5)]
+
+
+@pytest.mark.parametrize("q, k", [(2, 11), (3, 7), (4, 5), (5, 4), (7, 4), (8, 4), (9, 4), (16, 3)])
+def test_min_nonzero_weight_many_offset_blocks(monkeypatch, q, k):
+    # at chunk 16 the offsets fill several blocks and each block several XOR
+    # passes; 30 coordinates take one lane at b <= 2 and two past it
+    monkeypatch.setattr(linalg, "SPAN_CHUNK", 16)
+    F = field_from_order(q)
+    basis = np.random.default_rng(q).integers(0, q, (k, 30))
+    basis[-1] = basis[0]
+    j = min(linalg._low_rows(q, k), -(-k // 2))
+    assert len(list(linalg._normalised_chunks(F, basis[: k - j]))) > 1
+    assert_min_matches(F, basis)
 
 
 def test_in_row_space():
