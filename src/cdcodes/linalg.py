@@ -137,13 +137,26 @@ def in_row_space(field: Field, R: np.ndarray, pivots: tuple[int, ...], v) -> boo
 
 def enumerate_span(field: Field, basis: np.ndarray) -> np.ndarray:
     """All q^k vectors of the row space, message-digit order (row 0 = zero)."""
+    return _span(*_code_rows(field, as_matrix(basis)))
+
+
+def _code_rows(field: Field, basis: np.ndarray):
+    """The multiples of basis as element codes, a * basis[i] at [i, a], and their addition."""
     t = field.tables()
-    basis = as_matrix(basis)
-    k, n = basis.shape
-    words = np.zeros((1, n), dtype=np.int64)
-    for i in range(k):
-        scaled = t.mul[np.arange(field.q)[:, None], basis[i][None, :]]
-        words = t.add[words[:, None, :], scaled[None, :, :]].reshape(-1, n)
+    return t.mul[np.arange(field.q)[:, None], basis[:, None]], lambda x, y: t.add[x, y]
+
+
+def _span(rows: np.ndarray, add):
+    """All q^k words of span(b_0, ..., b_{k-1}) in message-digit order.
+
+    The span walk takes every row b_i as its multiples, rows[i, a] = a b_i
+    (shape (k, q, width)), and add, which adds words elementwise with
+    broadcasting: element codes and table gathers (_code_rows), or packed
+    lanes and XOR in characteristic 2 (_walk_rows).
+    """
+    words = np.zeros((1, rows.shape[2]), dtype=rows.dtype)
+    for multiples in rows:
+        words = add(words[:, None], multiples).reshape(-1, rows.shape[2])
     return words
 
 
@@ -155,46 +168,63 @@ def _low_rows(q: int, k: int) -> int:
     return j
 
 
-def _span_chunks(field: Field, basis: np.ndarray):
-    """The row space of basis as blocks of at most SPAN_CHUNK words each."""
-    k = len(basis)
-    j = _low_rows(field.q, k)
-    low = enumerate_span(field, basis[k - j :])
+def _span_chunks(rows: np.ndarray, add):
+    """The words of _span(rows, add) in blocks of at most SPAN_CHUNK words."""
+    k = len(rows)
+    j = _low_rows(rows.shape[1], k)
+    low = _span(rows[k - j :], add)
     if j == k:
         yield low
         return
-    add = field.tables().add
-    for tops in _span_chunks(field, basis[: k - j]):
+    for tops in _span_chunks(rows[: k - j], add):
         for top in tops:
-            yield add[top, low]
+            yield add(top, low)
 
 
-def _normalised_chunks(field: Field, basis: np.ndarray):
+def _normalised_chunks(rows: np.ndarray, add):
     """Offset 0, then one word of each scalar class of the other nonzero
-    words of the row space, in blocks of at most SPAN_CHUNK words.
+    words of _span(rows, add), in blocks of at most SPAN_CHUNK words.
 
     The classes' representatives are the words whose message has first
-    nonzero digit 1: b_i + span(basis[i+1:]) for every row i, so there are
+    nonzero digit 1: b_i + span(b_{i+1}, ...) for every row i, so there are
     (q^h - 1)/(q - 1) of them for h rows.  The first block starts with the
     zero word and holds the pieces of the last rows while they fit, each
     piece's span grown from the one before; the pieces of the other rows
     follow in the blocks of _span_chunks.
     """
-    t = field.tables()
-    h, n = basis.shape
+    h, q, width = rows.shape
     m = h  # the last m rows' pieces fit the first block, offset 0 included
-    while (field.q**m - 1) // (field.q - 1) >= SPAN_CHUNK:
+    while (q**m - 1) // (q - 1) >= SPAN_CHUNK:
         m -= 1
-    tail = np.zeros((1, n), dtype=np.int64)  # span(basis[i+1:])
+    tail = np.zeros((1, width), dtype=rows.dtype)  # span(b_{i+1}, ...)
     pieces = [tail]
     for i in reversed(range(h - m, h)):
-        pieces.append(t.add[basis[i], tail])
+        pieces.append(add(rows[i, 1], tail))
         if i > h - m:
-            tail = t.add[t.mul[np.arange(field.q)[:, None], basis[i]][:, None], tail].reshape(-1, n)
+            tail = add(rows[i][:, None], tail).reshape(-1, width)
     yield np.concatenate(pieces)
     for i in range(h - m):
-        for tail in _span_chunks(field, basis[i + 1 :]):
-            yield t.add[basis[i], tail]
+        for tail in _span_chunks(rows[i + 1 :], add):
+            yield add(rows[i, 1], tail)
+
+
+def _walk_rows(field: Field, joined: np.ndarray, b: int, n: int):
+    """The row multiples of joined bases for the span walk, their addition,
+    and the map that takes words of their span to uint64 lanes (see _pack).
+
+    Bit i of a code of GF(2^m) is its i-th coordinate over GF(2), so adding
+    two elements XORs their codes, and as b-bit fields never carry into each
+    other, pack(x + y) = pack(x) ^ pack(y).  So in characteristic 2 the
+    multiples are packed once, the walk adds by XOR of lanes and what it
+    weighs is packed already; in odd characteristic it adds element codes by
+    table gathers and packs what it weighs.
+    """
+    rows, add = _code_rows(field, joined)
+    if field.p != 2:
+        return rows, add, lambda words: _pack(words, b, n)
+    k, q, width = rows.shape
+    lanes = _pack(rows.reshape(k * q, width), b, n)
+    return lanes.reshape(k, q, lanes.shape[1]), np.bitwise_xor, lambda words: words
 
 
 def _pack(words: np.ndarray, b: int, n: int) -> np.ndarray:
@@ -218,8 +248,11 @@ def weight_distribution(field: Field, basis: np.ndarray) -> np.ndarray:
     it.  As x + a o = a (a^-1 x + o) and x -> a^-1 x permutes the held span,
     the shift a o (a != 0) gives the weights of o; so offset 0 and one o of
     each scalar class are weighed, 1 + (q^h - 1)/(q - 1) shifts, each class
-    counting q - 1 times: about q^k/(q - 1) words in all.  In uint64 lanes,
-    b = bit_length(q - 1) bits a coordinate, ((z & M) + M | z) & H with
+    counting q - 1 times: about q^k/(q - 1) words in all.  The held span
+    and the shifts are built from the q multiples of each row: in
+    characteristic 2 by XOR of packed lanes, as adding codes there is XOR
+    (_walk_rows), and otherwise as element codes, packed after.  In uint64
+    lanes, b = bit_length(q - 1) bits a coordinate, ((z & M) + M | z) & H with
     z = x XOR pack(o) keeps the top bit (H) of each nonzero field (M: its low
     b - 1 bits) for a popcount; at b = 1, M = 0 and the mask is the identity.
     That weighs x - o, not x + o: as the held span is a subspace, x -> -x
@@ -299,22 +332,24 @@ def _weighed_blocks(field: Field, stack: np.ndarray, j: int):
 
     The span of each code's last j rows is held packed, and the walk runs
     over the shifts of _normalised_chunks: offset 0, the first row of the
-    first block, then one shift of each scalar class.  A block has shape
-    (shifts, c, held words), uint8 when a code fits one lane and intp sums
-    over its lanes otherwise.  Lanes run along the first axes and held words
+    first block, then one shift of each scalar class.  Both are built from
+    _walk_rows's multiples, by XOR of lanes in characteristic 2, so nothing
+    there is packed twice.  A block has shape (shifts, c, held words), uint8
+    when a code fits one lane and intp sums over its lanes otherwise.  Lanes run along the first axes and held words
     along the last, so every elementwise pass loops over |low| words at a
     time.
     """
     c, k, n = stack.shape
     b = (field.q - 1).bit_length()
     joined = stack.transpose(1, 0, 2).reshape(k, c * n)  # [G_1 | ... | G_c]
-    low = np.ascontiguousarray(_pack(enumerate_span(field, joined[k - j :]), b, n).T)
+    rows, add, pack = _walk_rows(field, joined, b, n)
+    low = np.ascontiguousarray(pack(_span(rows[k - j :], add)).T)
     lanes = len(low) // c
     ones = ((1 << (64 // b * b)) - 1) // ((1 << b) - 1)  # a 1 in the low bit of every field of a lane
     H, M = np.uint64(ones << (b - 1)), np.uint64(ones * ((1 << (b - 1)) - 1))  # padding fields of z stay 0
     step = max(1, 4 * SPAN_CHUNK // low.size)
-    for offsets in _normalised_chunks(field, joined[: k - j]):
-        packed = _pack(offsets, b, n)[:, :, None]
+    for offsets in _normalised_chunks(rows[: k - j], add):
+        packed = pack(offsets)[:, :, None]
         for s in range(0, len(packed), step):
             z = low ^ packed[s : s + step]
             if b > 1:

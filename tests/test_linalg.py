@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,7 +265,7 @@ def test_weight_distribution_many_offset_chunks(monkeypatch, q, k):
     F = field_from_order(q)
     basis = np.random.default_rng(k).integers(0, q, (k, 10))
     j = min(linalg._low_rows(q, k), -(-k // 2))  # the split weight_distribution makes
-    blocks = list(linalg._span_chunks(F, basis[: k - j]))
+    blocks = list(linalg._span_chunks(*linalg._code_rows(F, basis[: k - j])))
     assert len(blocks) > 1 and all(len(b) <= 16 for b in blocks)
     assert sum(map(len, blocks)) == q ** (k - j)
     assert np.array_equal(linalg.weight_distribution(F, basis), span_weights(F, basis))
@@ -333,7 +337,7 @@ def test_weight_distribution_scalar_classes_over_many_blocks(monkeypatch, q, k):
     stack[0, 1] = F.tables().mul[q - 1, stack[0, 0]]  # a dependent row
     stack[1, -1] = stack[1, 0]  # a dependent row in the held low span
     j = min(linalg._low_rows(q, k), -(-k // 2))
-    assert len(list(linalg._normalised_chunks(F, stack[0, : k - j]))) > 1
+    assert len(list(linalg._normalised_chunks(*linalg._code_rows(F, stack[0, : k - j])))) > 1
     counts = linalg.weight_distribution(F, stack)
     for basis, row in zip(stack, counts):
         assert np.array_equal(row, span_weights(F, basis))
@@ -341,54 +345,111 @@ def test_weight_distribution_scalar_classes_over_many_blocks(monkeypatch, q, k):
     assert empty.tolist() == [[1] + [0] * n] * 3
 
 
+def record_walks(monkeypatch):
+    """The shape (shifts, codes, held words) of every block each span walk weighs, one list a walk."""
+    walks = []
+    real = linalg._weighed_blocks
+
+    def recording(field, stack, j):
+        walks.append([])
+        for block in real(field, stack, j):
+            walks[-1].append(block.shape)
+            yield block
+
+    monkeypatch.setattr(linalg, "_weighed_blocks", recording)
+    return walks
+
+
 @pytest.mark.parametrize("chunk", [16, linalg.SPAN_CHUNK])
 @pytest.mark.parametrize("q, k", [(2, 12), (3, 8), (4, 6), (5, 6), (7, 5), (9, 4), (13, 4)])
 def test_weight_distribution_weighs_one_offset_per_scalar_class(monkeypatch, chunk, q, k):
-    # the first packed block is the held low span of j rows; every later one
-    # is a block of offsets, offset 0 and one per scalar class of the rest
+    # every block weighs shifts against the held low span of j rows; the
+    # shifts are offset 0 and one per scalar class of the rest
     monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
-    packed = []
-    real = linalg._pack
-
-    def recording(words, b, n):
-        packed.append(len(words))
-        return real(words, b, n)
-
-    monkeypatch.setattr(linalg, "_pack", recording)
+    walks = record_walks(monkeypatch)
     F = field_from_order(q)
     basis = np.random.default_rng(k).integers(0, q, (k, 9))
     counts = linalg.weight_distribution(F, basis)
     j = min(linalg._low_rows(q, k), -(-k // 2))
     h = k - j
-    assert packed[0] == q**j
-    assert sum(packed[1:]) == 1 + (q**h - 1) // (q - 1)
+    (blocks,) = walks
+    assert {(codes, held) for _, codes, held in blocks} == {(1, q**j)}
+    assert sum(shifts for shifts, _, _ in blocks) == 1 + (q**h - 1) // (q - 1)
     assert np.array_equal(counts, span_weights(F, basis))
 
 
 def test_weight_distribution_walks_one_span_per_batch(monkeypatch):
-    # 40 codes with 5-word low spans (q = 5, k = 2) fit one batch: one low
-    # span and one offset block of the joined bases weigh all of them; the
-    # block holds offset 0 and the leading row, 1 + (5 - 1)/(5 - 1) words
-    shapes, blocks = [], []
-    real, real_chunks = linalg.enumerate_span, linalg._normalised_chunks
-
-    def recording(field, basis):
-        shapes.append(basis.shape)
-        return real(field, basis)
-
-    def recording_chunks(field, basis):
-        for block in real_chunks(field, basis):
-            blocks.append(block.shape)
-            yield block
-
-    monkeypatch.setattr(linalg, "enumerate_span", recording)
-    monkeypatch.setattr(linalg, "_normalised_chunks", recording_chunks)
+    # 40 codes with 5-word low spans (q = 5, k = 2) fit one batch: one walk of
+    # the joined bases weighs all of them in one block, which holds offset 0
+    # and the leading row, 1 + (5 - 1)/(5 - 1) shifts
+    walks = record_walks(monkeypatch)
     F = field_from_order(5)
     stack = np.random.default_rng(5).integers(0, 5, (40, 2, 6))
     counts = linalg.weight_distribution(F, stack)
-    assert shapes == [(1, 40 * 6)]
-    assert blocks == [(2, 40 * 6)]
+    assert walks == [[(2, 40, 5)]]
     assert all(np.array_equal(row, span_weights(F, basis)) for basis, row in zip(stack, counts))
+
+
+def test_characteristic_2_addition_is_xor_of_codes():
+    # the packed walk adds words by XOR of their lanes; that is exact only if
+    # adding codes of GF(2^m) is XOR, which is checked for every m with
+    # 2^m <= MAX_TABLE_SIZE, in a fresh interpreter: GF(4096)'s tables take
+    # 256 MiB, and the rest of the session should not hold that peak
+    check = (
+        "import numpy as np\n"
+        "from cdcodes.field import MAX_TABLE_SIZE, field_from_order\n"
+        "m = 1\n"
+        "while 2**m <= MAX_TABLE_SIZE:\n"
+        "    a = np.arange(2**m)\n"
+        "    assert np.array_equal(field_from_order(2**m).tables().add, a[:, None] ^ a), m\n"
+        "    m += 1\n"
+        "print(m - 1)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "12\n"  # q = 2 .. 4096
+
+
+@pytest.mark.parametrize("chunk", [16, linalg.SPAN_CHUNK])
+@pytest.mark.parametrize(
+    "q, k, n", [(2, 0, 70), (2, 1, 5), (2, 11, 70), (2, 14, 9), (4, 1, 40), (4, 6, 40), (8, 4, 30), (16, 4, 17)]
+)
+def test_packed_walk_matches_code_walk(monkeypatch, chunk, q, k, n):
+    # in characteristic 2 the walk XORs packed multiples of the rows; its
+    # held span, every block of offsets and every span chunk must be the
+    # packing of the code walk's.  Three codes side by side, with dependent
+    # rows; at k = 0 and k = 1 the held span is the whole span; n = 70, 40,
+    # 30 and 17 take two lanes a code
+    monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
+    F = field_from_order(q)
+    b = (q - 1).bit_length()
+    c = 3
+    stack = np.random.default_rng(q * k).integers(0, q, (c, k, n))
+    if k > 1:
+        stack[0, 1] = F.tables().mul[q - 1, stack[0, 0]]
+        stack[1, -1] = stack[1, 0]
+    joined = stack.transpose(1, 0, 2).reshape(k, c * n)
+    lanes, xor, pack = linalg._walk_rows(F, joined, b, n)
+    codes, add = linalg._code_rows(F, joined)
+    assert xor is np.bitwise_xor and lanes.dtype == np.uint64 and pack(lanes) is lanes
+    assert np.array_equal(lanes.reshape(-1, lanes.shape[2]), linalg._pack(codes.reshape(-1, c * n), b, n))
+    j = min(linalg._low_rows(q, k), -(-k // 2))
+    assert np.array_equal(linalg._span(lanes[k - j :], xor), linalg._pack(linalg._span(codes[k - j :], add), b, n))
+    walks = [
+        (linalg._normalised_chunks(lanes[: k - j], xor), linalg._normalised_chunks(codes[: k - j], add)),
+        (linalg._span_chunks(lanes, xor), linalg._span_chunks(codes, add)),
+    ]
+    for packed_blocks, code_blocks in walks:
+        code_blocks = list(code_blocks)
+        packed_blocks = list(packed_blocks)
+        assert len(packed_blocks) == len(code_blocks)
+        for packed, words in zip(packed_blocks, code_blocks):
+            assert np.array_equal(packed, linalg._pack(words, b, n))
+    counts = linalg.weight_distribution(F, stack)
+    for basis, row in zip(stack, counts):
+        assert np.array_equal(row, span_weights(F, basis))
 
 
 def test_weight_distribution_stack_memory_is_bounded():
@@ -466,19 +527,11 @@ def test_min_nonzero_weight_several_lanes(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
 def test_min_nonzero_weight_held_span_only(monkeypatch, q):
     # k = 1 <= j: the held span is the whole row space and offset 0 its only shift
-    blocks = []
-    real = linalg._normalised_chunks
-
-    def recording(field, basis):
-        for block in real(field, basis):
-            blocks.append(block.shape)
-            yield block
-
-    monkeypatch.setattr(linalg, "_normalised_chunks", recording)
+    walks = record_walks(monkeypatch)
     F = field_from_order(q)
     basis = np.array([[0, 1, q - 1, 0, 1]], dtype=np.int64)
     assert linalg.min_nonzero_weight(F, basis) == 3
-    assert blocks == [(1, 5)]
+    assert walks == [[(1, 1, q)]]
 
 
 @pytest.mark.parametrize("q, k", [(2, 11), (3, 7), (4, 5), (5, 4), (7, 4), (8, 4), (9, 4), (16, 3)])
@@ -490,7 +543,7 @@ def test_min_nonzero_weight_many_offset_blocks(monkeypatch, q, k):
     basis = np.random.default_rng(q).integers(0, q, (k, 30))
     basis[-1] = basis[0]
     j = min(linalg._low_rows(q, k), -(-k // 2))
-    assert len(list(linalg._normalised_chunks(F, basis[: k - j]))) > 1
+    assert len(list(linalg._normalised_chunks(*linalg._code_rows(F, basis[: k - j])))) > 1
     assert_min_matches(F, basis)
 
 
