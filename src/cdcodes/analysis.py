@@ -9,6 +9,7 @@ exponent hypothesis holds (a slack of 1e-9 absorbs float rounding).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -81,16 +82,16 @@ def min_weight(code: LinearCode, budget: int = DEFAULT_WORD_BUDGET) -> WeightRep
 
     budget (at least 1) caps the words weighed, so it bounds time; memory is
     O(SPAN_CHUNK n) on both paths.  Both weigh one word of each scalar class
-    {a c : a in F_q*}, as its q - 1 words share one weight.  When q^k <=
-    budget the exhaustive path weighs about q^k/(q - 1) words by packed XOR
-    and popcount and keeps only their minimum (linalg.min_nonzero_weight).
-    Otherwise the pruned path expands every message of weight <= w on an
-    information set while whole weight layers fit the budget, giving the
-    bracket [w+1, best], exact once w reaches k; best starts at the
-    lightest generator row.  The budget counts all the words of a layer,
-    not the classes weighed, so its bracket and method do not depend on the
-    folding.  A caller that needs an exact weight compares q^k with its
-    budget first (census_K_le_delta does).
+    {a c : a in F_q*}, as its q - 1 words share one weight, in packed lanes
+    by one popcount kernel.  When q^k <= budget the exhaustive path weighs
+    about q^k/(q - 1) words and keeps their minimum (min_nonzero_weight).
+    Otherwise the pruned path sums the row multiples of every message of
+    weight <= w on an information set while whole weight layers fit the
+    budget, giving the bracket [w+1, best], exact once w reaches k; best
+    starts at the lightest generator row.  The budget counts all the words
+    of a layer, not the classes weighed, so its bracket and method do not
+    depend on the folding.  A caller that needs an exact weight compares
+    q^k with its budget first (census_K_le_delta does).
     """
     _check_budget(budget)
     if code.k_dim == 0:
@@ -98,14 +99,11 @@ def min_weight(code: LinearCode, budget: int = DEFAULT_WORD_BUDGET) -> WeightRep
     if code.field.q**code.k_dim > budget:
         return _pruned_min_weight(code, budget)
     m = linalg.min_nonzero_weight(code.field, code.gen)
-    return WeightReport(
-        min_weight=m,
-        relative_distance=Fraction(m, code.n_len),
-        rate=Fraction(code.k_dim, code.n_len),
-        method=EXHAUSTIVE,
-        lower=m,
-        upper=m,
-    )
+    return _report(code, EXHAUSTIVE, m, m)
+
+
+def _report(code: LinearCode, method: str, lower: int, best: int) -> WeightReport:
+    return WeightReport(best, Fraction(best, code.n_len), Fraction(code.k_dim, code.n_len), method, lower, best)
 
 
 def _check_budget(budget: int) -> None:
@@ -113,28 +111,23 @@ def _check_budget(budget: int) -> None:
         raise DomainError(f"the word budget must be at least 1, got {budget}")
 
 
-def _layer_messages(k: int, q: int, w: int) -> Iterator[np.ndarray]:
+def _layer_runs(k: int, q: int, w: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """One message of each scalar class of Hamming weight w, the one whose
-    first nonzero value is 1: C(k, w) (q - 1)^(w - 1) messages, in blocks of
-    at most SPAN_CHUNK rows.
-
-    A block pairs a run of supports (from _support_blocks, in combinations
-    order) with a run of value tuples, each a 1 followed by w - 1 digits in
-    base q - 1, plus one.
+    first nonzero value is 1: C(k, w) (q - 1)^(w - 1) messages, as runs
+    (supports, values) of at most SPAN_CHUNK messages: every support of a
+    run (from _support_blocks, in combinations order) with every value tuple
+    (a 1 followed by w - 1 digits in base q - 1, plus one).
     """
     per_support = (q - 1) ** (w - 1)
     runs = max(1, linalg.SPAN_CHUNK // per_support)
     powers = (q - 1) ** np.arange(w - 1, dtype=np.int64)
     for block in _support_blocks(0, k, w):
         for r in range(0, len(block), runs):
-            sup = block[r : r + runs]
             for start in range(0, per_support, linalg.SPAN_CHUNK):
                 idx = np.arange(start, min(per_support, start + linalg.SPAN_CHUNK), dtype=np.int64)
                 vals = np.ones((len(idx), w), dtype=np.int64)
                 vals[:, 1:] += idx[:, None] // powers % (q - 1)
-                msgs = np.zeros((len(sup), len(vals), k), dtype=np.int64)
-                msgs[np.arange(len(sup))[:, None, None], np.arange(len(vals))[:, None], sup[:, None, :]] = vals
-                yield msgs.reshape(-1, k)
+                yield block[r : r + runs], vals
 
 
 def _support_blocks(lo: int, k: int, w: int) -> Iterator[np.ndarray]:
@@ -152,6 +145,7 @@ def _support_blocks(lo: int, k: int, w: int) -> Iterator[np.ndarray]:
             yield np.concatenate([np.full((len(block), 1), i, dtype=np.int64), block], axis=1)
 
 
+@functools.lru_cache(maxsize=256)  # _support_blocks asks for each (m, w) under many prefixes
 def _combinations(m: int, w: int) -> np.ndarray:
     """All w-subsets of range(m) in itertools.combinations order, (C(m, w), w).
 
@@ -168,6 +162,7 @@ def _combinations(m: int, w: int) -> np.ndarray:
         # row t of head e's run reads tails[len(tails) - sizes[e] + t]
         rows = np.arange(ends[-1]) + np.repeat(len(tails) - ends, sizes)
         tails = np.concatenate([np.repeat(heads, sizes)[:, None], tails[rows]], axis=1)
+    tails.setflags(write=False)  # cached
     return tails
 
 
@@ -176,42 +171,36 @@ def _pruned_min_weight(code: LinearCode, budget: int) -> WeightReport:
     any unseen codeword then has weight >= w + 1 on the information set.  At
     w = k no nonzero codeword is unseen, and the bracket closes on best.
 
-    A message and its scalar multiples give words of one weight, so each
-    layer expands only _layer_messages' one message per scalar class.  As
-    code.gen is RREF, a message m of weight w gives the word m on the pivot
-    columns, so its weight is w + nnz(m R[:, free]).  The budget still counts
-    whole layers, C(k, w) (q - 1)^w words each, so w and the bracket do not
-    depend on the folding.
+    A message's multiples give words of one weight, so each layer expands
+    only _layer_runs' one message per scalar class.  As code.gen is RREF, a
+    message m of weight w gives m on the pivot columns, so its weight is
+    w + wt(m R[:, free]): a sum of its support's row multiples from
+    linalg._walk_rows (XOR of packed lanes in characteristic 2), weighed by
+    linalg._lane_weights.  The budget still counts whole layers, C(k, w)
+    (q - 1)^w words each, so the bracket does not depend on the folding; it
+    closes early once best <= w + 1, which no later layer can undercut.
     """
-    field = code.field
-    q = field.q
-    R = code.gen
+    q, R = code.field.q, code.gen
     k, n = R.shape
-    free = np.ones(n, dtype=bool)
-    free[list(code.pivots)] = False
-    assert np.array_equal(R[:, ~free], np.eye(k, dtype=np.int64)), "the generator is not in RREF"
-    tail = R[:, free]
+    piv = list(code.pivots)
+    assert np.array_equal(R[:, piv], np.eye(k, dtype=np.int64)), "the generator is not in RREF"
+    b = (q - 1).bit_length()
+    rows, add, pack = linalg._walk_rows(code.field, np.delete(R, piv, axis=1), b, n - k)
+    flat = rows.reshape(k * q, -1)
     best = int(np.count_nonzero(R, axis=1).min())  # every row is a codeword
-    spent = 0
-    w = 0
-    while w < k:
+    spent = w = 0
+    while w < k and best > w + 1:
         w += 1
         layer = math.comb(k, w) * (q - 1) ** w
         if spent + layer > budget:
             w -= 1
             break
-        for msgs in _layer_messages(k, q, w):
-            best = min(best, w + int(np.count_nonzero(field.matmul(msgs, tail), axis=1).min()))
+        for sup, vals in _layer_runs(k, q, w):
+            terms = (sup[:, None] * q + vals).reshape(-1, w).T  # the rows of flat that each word sums
+            words = functools.reduce(add, (flat.take(i, axis=0) for i in terms))
+            best = min(best, w + int(linalg._lane_weights(pack(words), b, 1).min()))
         spent += layer
-    lower = best if w == k else min(best, w + 1)
-    return WeightReport(
-        min_weight=best,
-        relative_distance=Fraction(best, n),
-        rate=Fraction(k, n),
-        method=PRUNED,
-        lower=lower,
-        upper=best,
-    )
+    return _report(code, PRUNED, best if w == k else min(best, w + 1), best)
 
 
 # -- balance -----------------------------------------------------------------------

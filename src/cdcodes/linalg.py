@@ -217,12 +217,15 @@ def _walk_rows(field: Field, joined: np.ndarray, b: int, n: int):
     other, pack(x + y) = pack(x) ^ pack(y).  So in characteristic 2 the
     multiples are packed once, the walk adds by XOR of lanes and what it
     weighs is packed already; in odd characteristic it adds element codes by
-    table gathers and packs what it weighs.
+    one take from the flat add table at x q + y (in the least unsigned type
+    that holds q^2 - 1, up to q = 256) and packs what it weighs.
     """
     rows, add = _code_rows(field, joined)
-    if field.p != 2:
-        return rows, add, lambda words: _pack(words, b, n)
     k, q, width = rows.shape
+    if field.p != 2:
+        dtype = np.min_scalar_type(q * q - 1) if q <= 256 else np.int64  # larger tables cost more to convert
+        table = field.tables().add.astype(dtype, copy=False).ravel()
+        return rows.astype(dtype, copy=False), lambda x, y: table.take(x * q + y), lambda words: _pack(words, b, n)
     lanes = _pack(rows.reshape(k * q, width), b, n)
     return lanes.reshape(k, q, lanes.shape[1]), np.bitwise_xor, lambda words: words
 
@@ -252,10 +255,9 @@ def weight_distribution(field: Field, basis: np.ndarray) -> np.ndarray:
     and the shifts are built from the q multiples of each row: in
     characteristic 2 by XOR of packed lanes, as adding codes there is XOR
     (_walk_rows), and otherwise as element codes, packed after.  In uint64
-    lanes, b = bit_length(q - 1) bits a coordinate, ((z & M) + M | z) & H with
-    z = x XOR pack(o) keeps the top bit (H) of each nonzero field (M: its low
-    b - 1 bits) for a popcount; at b = 1, M = 0 and the mask is the identity.
-    That weighs x - o, not x + o: as the held span is a subspace, x -> -x
+    lanes, b = bit_length(q - 1) bits a coordinate, z = x XOR pack(o) has a
+    nonzero field where x and o differ, and _lane_weights counts them.  That
+    weighs x - o, not x + o: as the held span is a subspace, x -> -x
     permutes it, so both give one multiset of weights.
 
     Codes are weighed in batches side by side: a batch's bases are joined
@@ -334,8 +336,8 @@ def _weighed_blocks(field: Field, stack: np.ndarray, j: int):
     over the shifts of _normalised_chunks: offset 0, the first row of the
     first block, then one shift of each scalar class.  Both are built from
     _walk_rows's multiples, by XOR of lanes in characteristic 2, so nothing
-    there is packed twice.  A block has shape (shifts, c, held words), uint8
-    when a code fits one lane and intp sums over its lanes otherwise.  Lanes run along the first axes and held words
+    there is packed twice.  A block has shape (shifts, c, held words), as
+    _lane_weights weighs it.  Lanes run along the first axes and held words
     along the last, so every elementwise pass loops over |low| words at a
     time.
     """
@@ -344,17 +346,26 @@ def _weighed_blocks(field: Field, stack: np.ndarray, j: int):
     joined = stack.transpose(1, 0, 2).reshape(k, c * n)  # [G_1 | ... | G_c]
     rows, add, pack = _walk_rows(field, joined, b, n)
     low = np.ascontiguousarray(pack(_span(rows[k - j :], add)).T)
-    lanes = len(low) // c
-    ones = ((1 << (64 // b * b)) - 1) // ((1 << b) - 1)  # a 1 in the low bit of every field of a lane
-    H, M = np.uint64(ones << (b - 1)), np.uint64(ones * ((1 << (b - 1)) - 1))  # padding fields of z stay 0
     step = max(1, 4 * SPAN_CHUNK // low.size)
     for offsets in _normalised_chunks(rows[: k - j], add):
         packed = pack(offsets)[:, :, None]
         for s in range(0, len(packed), step):
-            z = low ^ packed[s : s + step]
-            if b > 1:
-                z = (((z & M) + M) | z) & H
-            weights = np.bitwise_count(z)
-            if lanes > 1:
-                weights = weights.reshape(len(z), c, lanes, -1).sum(axis=2, dtype=np.intp)
-            yield weights
+            yield _lane_weights(low ^ packed[s : s + step], b, c)
+
+
+def _lane_weights(z: np.ndarray, b: int, c: int) -> np.ndarray:
+    """Hamming weights, shape (words, c, ...), of the packed words z, shape
+    (words, c * lanes, ...), of c codes side by side in b-bit fields (_pack):
+    uint8 when a code fits one lane and intp sums over its lanes otherwise.
+
+    ((z & M) + M | z) & H keeps the top bit (H) of each nonzero field (M: its
+    low b - 1 bits) for a popcount; at b = 1, M = 0 and the mask is the identity.
+    """
+    if b > 1:
+        ones = ((1 << (64 // b * b)) - 1) // ((1 << b) - 1)  # a 1 in the low bit of every field of a lane
+        H, M = np.uint64(ones << (b - 1)), np.uint64(ones * ((1 << (b - 1)) - 1))  # padding fields stay 0
+        z = (((z & M) + M) | z) & H
+    weights = np.bitwise_count(z)
+    if z.shape[1] > c:  # a code takes more than one lane
+        weights = weights.reshape(len(z), c, z.shape[1] // c, -1).sum(axis=2, dtype=np.intp)
+    return weights

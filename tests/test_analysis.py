@@ -196,7 +196,16 @@ def reference_pruned_bracket(code, budget):
 
 @pytest.mark.parametrize(
     "q, n, family",
-    [(2, 9, "plain"), (3, 7, "lcd"), (4, 5, "self_dual"), (5, 7, "plain"), (9, 5, "plain"), (3, 5, "plain")],
+    [
+        (2, 9, "plain"),
+        (3, 7, "lcd"),
+        (4, 5, "self_dual"),
+        (5, 7, "plain"),
+        (9, 5, "plain"),
+        (3, 5, "plain"),
+        (8, 5, "plain"),
+        (16, 3, "plain"),
+    ],
 )
 def test_pruned_brackets_match_per_word_loop(q, n, family):
     code = getattr(codes, f"build_{family}_code")(get_algebra(q, n))
@@ -212,15 +221,37 @@ def test_pruned_brackets_match_per_word_loop(q, n, family):
     assert rep.exact and rep.min_weight == exact.min_weight
 
 
+def test_pruned_brackets_match_per_word_loop_on_two_lanes():
+    # the [42, 20] plain code over GF(8) has 22 non-pivot columns, more than
+    # the 21 three-bit fields of a lane, so every packed word takes two lanes;
+    # budgets of one and two layers keep the per-word loop short
+    code = build_plain_code(get_algebra(8, 21))
+    k = code.k_dim
+    assert code.n_len - k > 64 // 3
+    layers = [math.comb(k, w) * 7**w for w in (1, 2)]
+    for budget in (layers[0], sum(layers)):
+        rep = min_weight(code, budget=budget)
+        assert rep.method == analysis.PRUNED
+        assert (rep.lower, rep.upper) == reference_pruned_bracket(code, budget), budget
+
+
 @pytest.mark.parametrize("chunk", [8, linalg.SPAN_CHUNK])
 @pytest.mark.parametrize("k, q, w", [(5, 2, 2), (4, 3, 3), (4, 13, 4), (6, 4, 1)])
 def test_layer_messages_are_the_weight_layer(monkeypatch, chunk, k, q, w):
-    # one message of each scalar class of the weight-w layer; (4, 13, 4) has
-    # 12^3 > chunk value tuples per support at chunk 8
+    # the runs of the layer walk stand for one message of each scalar class
+    # of the weight-w layer, every support of a run with every value tuple;
+    # (4, 13, 4) has 12^3 > chunk value tuples per support at chunk 8
     monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
-    blocks = list(analysis._layer_messages(k, q, w))
-    assert all(len(b) <= chunk for b in blocks)
-    got = [tuple(m) for b in blocks for m in b.tolist()]
+    runs = list(analysis._layer_runs(k, q, w))
+    assert all(len(sup) * len(vals) <= chunk for sup, vals in runs)
+    got = []
+    for sup, vals in runs:
+        for support in sup.tolist():
+            for values in vals.tolist():
+                m = [0] * k
+                for i, c in zip(support, values):
+                    m[i] = c
+                got.append(tuple(m))
     assert all(sum(1 for c in m if c) == w and next(c for c in m if c) == 1 for m in got)
     yielded = set(got)
     assert len(got) == len(yielded) == math.comb(k, w) * (q - 1) ** (w - 1)
@@ -273,6 +304,32 @@ def test_pruned_upper_starts_at_lightest_row():
     lightest = int(np.count_nonzero(code.gen, axis=1).min())
     assert (rep.method, rep.lower, rep.upper) == (analysis.PRUNED, 1, lightest)
     assert lightest < code.n_len
+
+
+def test_pruned_min_weight_memory_is_bounded():
+    # the default bracket of the [62, 30] binary plain code walks six weight
+    # layers, 768,211 words, which would take 363 MiB as int64 words; the
+    # layer runs hold at most SPAN_CHUNK words
+    code = build_plain_code(get_algebra(2, 31))
+    code.field.tables()
+    tracemalloc.start()
+    try:
+        rep = min_weight(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.method, rep.lower, rep.upper) == (analysis.PRUNED, 7, 8)
+    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("q, k", [(2, 12), (3, 8), (4, 6)])
+def test_pruned_full_space_has_no_free_columns(q, k):
+    # the whole space F_q^k: no non-pivot column, and every layer's words
+    # weigh their message's weight alone
+    code = LinearCode.from_rows(field_from_order(q), np.eye(k, dtype=np.int64))
+    for budget in (5, 100, q**k - 1):
+        rep = min_weight(code, budget=budget)
+        assert (rep.method, rep.lower, rep.upper) == (analysis.PRUNED, 1, 1)
 
 
 @pytest.mark.parametrize(

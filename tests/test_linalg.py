@@ -452,6 +452,23 @@ def test_packed_walk_matches_code_walk(monkeypatch, chunk, q, k, n):
         assert np.array_equal(row, span_weights(F, basis))
 
 
+@pytest.mark.parametrize("q", [3, 5, 9, 13, 17, 27, 729])
+def test_odd_walk_adds_by_the_flat_table(q):
+    # in odd characteristic the walk holds element codes in the least
+    # unsigned type that holds q^2 - 1 (uint16 from q = 17 on; int64, the
+    # tables' own type, past q = 256) and adds them by one take from the
+    # flat add table; its span must be the table walk's
+    F = field_from_order(q)
+    basis = np.random.default_rng(q).integers(0, q, (2, 7))
+    rows, add, pack = linalg._walk_rows(F, basis, (q - 1).bit_length(), 7)
+    codes, table_add = linalg._code_rows(F, basis)
+    assert rows.dtype == (np.uint8 if q <= 16 else np.uint16 if q <= 256 else np.int64)
+    assert np.array_equal(rows, codes)
+    span = linalg._span(rows, add)
+    assert span.dtype == rows.dtype and np.array_equal(span, linalg._span(codes, table_add))
+    assert np.array_equal(pack(span), linalg._pack(span, (q - 1).bit_length(), 7))
+
+
 def test_weight_distribution_stack_memory_is_bounded():
     # 64 binary codes of dimension 14 and length 42, two to a batch: their
     # 2^20 words would take 336 MiB as int64, and the batches hold a few MiB
