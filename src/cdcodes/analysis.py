@@ -147,23 +147,12 @@ def _support_blocks(lo: int, k: int, w: int) -> Iterator[np.ndarray]:
 
 @functools.lru_cache(maxsize=256)  # _support_blocks asks for each (m, w) under many prefixes
 def _combinations(m: int, w: int) -> np.ndarray:
-    """All w-subsets of range(m) in itertools.combinations order, (C(m, w), w).
-
-    Built from the last column back: the tails of length r are the r-subsets
-    of range(w - r, m), and those headed by e follow it with the tails of
-    length r - 1 that start past e, the last C(m - e - 1, r - 1) of them.
-    The tables grow with r, so none is larger than the result.
-    """
-    tails = np.arange(w - 1, m, dtype=np.int64)[:, None] if w else np.zeros((1, 0), dtype=np.int64)
-    for r in range(2, w + 1):
-        heads = np.arange(w - r, m - r + 1, dtype=np.int64)
-        sizes = np.array([math.comb(m - e - 1, r - 1) for e in heads.tolist()], dtype=np.int64)
-        ends = np.cumsum(sizes)
-        # row t of head e's run reads tails[len(tails) - sizes[e] + t]
-        rows = np.arange(ends[-1]) + np.repeat(len(tails) - ends, sizes)
-        tails = np.concatenate([np.repeat(heads, sizes)[:, None], tails[rows]], axis=1)
-    tails.setflags(write=False)  # cached
-    return tails
+    """All w-subsets of range(m) in itertools.combinations order, (C(m, w), w)."""
+    count = math.comb(m, w)
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(m), w))
+    table = np.fromiter(subsets, dtype=np.int64, count=count * w).reshape(count, w)
+    table.setflags(write=False)  # cached
+    return table
 
 
 def _pruned_min_weight(code: LinearCode, budget: int) -> WeightReport:
@@ -369,15 +358,18 @@ def census_K_le_delta(
     1/4 - h_q(delta) - log_q(n)/lambda(n) > 0 holds.
 
     The codes of beta index i are its digits in mixed radix |K_t| - 1, plus
-    one (block 1 fastest), computed for all of K* as numpy
-    columns.  C beta depends only on beta modulo the F_t*
-    (BetaVector.twist_class), so each beta also gets a class number: its
-    KtField.class_ids entries read in mixed radix |F_t| + 1.  The first beta
-    is assembled by assemble_code alone; then one beta of each class is
-    assembled in a stacked pass (_twisted_gens), whose generator for the
-    first beta's class must equal the first code's.  The pass fills the
-    class memo, keyed by the full twist class, so the census's one
-    assemble_code call per beta is a memo hit.  The census asserts
+    one (block 1 fastest), computed for all of K* as numpy columns.  C beta
+    depends only on beta modulo the F_t* (BetaVector.twist_class), so the
+    census keeps one class table per block: KtField.class_ids puts each unit
+    of K_t on one of the |F_t| + 1 lines [a : b], and every line must be
+    met.  A beta's class number is its lines read in mixed radix |F_t| + 1;
+    class s has the twist class of its digits, and its representative takes
+    the first unit on its line in every block, the least beta of the class.
+    The first beta is assembled by assemble_code alone; then the
+    representatives are assembled in a stacked pass (_twisted_gens), whose
+    generator for the first beta's class must equal the first code's.  The
+    pass fills the class memo, keyed by twist class, so the census's one
+    assemble_code call per beta is a lookup.  The census asserts
     prod(|F_t| + 1) classes with pairwise distinct codes, weighs every class
     in one call of linalg.weight_distribution on their stacked generators,
     and reads each beta's weight off its class number.
@@ -392,31 +384,28 @@ def census_K_le_delta(
     size = codes_mod.k_star_size(kts)
     if size > k_star_budget:
         raise BudgetExceeded(f"|K*| = {size} exceeds the census budget {k_star_budget}")
-    rest = np.arange(size, dtype=np.int64)
-    beta_codes = np.empty((size, len(kts)), dtype=np.int64)
-    class_of = np.zeros(size, dtype=np.int64)
-    strides, lines = [], []
-    classes = 1
-    for t, kt in enumerate(kts):
-        rest, digit = np.divmod(rest, kt.order - 1)
-        beta_codes[:, t] = 1 + digit
+    lines = [kt.comp.ft.order + 1 for kt in kts]
+    classes = math.prod(lines)
+    line_of, first_unit = [], []
+    for kt, n_lines in zip(kts, lines):
         ids = np.asarray(kt.class_ids()[1:], dtype=np.int64)
-        lines.append(kt.comp.ft.order + 1)
-        assert ids.min() >= 0 and ids.max() < lines[-1], f"a twist class id of K_{kt.comp.index} is outside 0..{lines[-1] - 1}"
-        class_of += ids[digit] * classes
-        strides.append(classes)
-        classes *= lines[-1]
-    beta_tuples = list(zip(*beta_codes.T.tolist()))
-    seen, reps = np.unique(class_of, return_index=True)
-    # C beta = C beta' iff beta' beta^-1 lies in the product of the F_t*:
-    # a class table that merges or splits classes fails here
-    assert len(seen) == classes, f"{len(seen)} twist classes, expected {classes}"
-    rep_codes = beta_codes[reps]  # seen is 0 .. classes - 1, so row i is a beta of class i
-    del beta_codes, rest, digit  # K*-long arrays; the rows hold the codes from here on
-    memo: dict[tuple[int, ...], LinearCode] = {}
-    first = assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, beta_tuples[0]), memo=memo)
+        seen, index = np.unique(ids, return_index=True)
+        # C beta = C beta' iff beta' beta^-1 lies in the product of the F_t*:
+        # a class table that merges or splits classes fails here
+        assert np.array_equal(seen, np.arange(n_lines)), (
+            f"K_{kt.comp.index} has {len(seen)} twist classes with ids {seen[0]}..{seen[-1]}, expected 0..{n_lines - 1}"
+        )
+        line_of.append(ids)
+        first_unit.append(1 + index)  # the first unit code on each line
+    digits = np.unravel_index(np.arange(size), [kt.order - 1 for kt in kts], order="F")
+    class_of = np.ravel_multi_index([ids[d] for ids, d in zip(line_of, digits)], lines, order="F")
+    beta_tuples = list(zip(*[(1 + d).tolist() for d in digits]))
+    del digits  # K*-long arrays; the rows hold the codes from here on
+    lines_of_class = np.unravel_index(np.arange(classes), lines, order="F")  # each class's twist_class()
+    first = assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, beta_tuples[0]))
     if q**first.k_dim > DEFAULT_WORD_BUDGET:
         raise BudgetExceeded(f"q^k = {q**first.k_dim} exceeds the budget {DEFAULT_WORD_BUDGET}")
+    rep_codes = np.stack([units[c] for units, c in zip(first_unit, lines_of_class)], axis=1)
     gens = np.empty((classes, first.k_dim, first.n_len), dtype=np.int64)
     for s, R in _twisted_gens(alg, parts, include_C0, kts, rep_codes):
         assert R.shape[1] == first.k_dim, f"assembled dim {R.shape[1]}, expected {first.k_dim}"
@@ -424,9 +413,8 @@ def census_K_le_delta(
     gens.setflags(write=False)  # shared by every beta of a class
     assert np.array_equal(gens[class_of[0]], first.gen), "the stacked RREF of the first twist class differs from rref"
     assert len({gen.tobytes() for gen in gens}) == classes, "two twist classes gave the same code"
-    keys = np.arange(classes)[:, None] // np.array(strides) % np.array(lines)  # each class's twist_class()
-    for key, gen in zip(map(tuple, keys.tolist()), gens):
-        memo.setdefault(key, LinearCode(alg.field, first.n_len, first.k_dim, gen))
+    keys = zip(*[c.tolist() for c in lines_of_class])
+    memo = {key: LinearCode(alg.field, first.n_len, first.k_dim, gen) for key, gen in zip(keys, gens)}
     for codes in itertools.islice(beta_tuples, 1, None):
         assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, codes), memo=memo)
     assert len(memo) == classes, f"{len(memo)} twist classes after the per-beta calls, expected {classes}"

@@ -381,10 +381,11 @@ def assemble_code(
     memo (used with a beta) is a dict that this call reads and fills, keyed
     by beta's twist class on every block (BetaVector.twist_class).  C beta
     depends only on the class on the parts' blocks, so the full class is a
-    finer key that is still correct: a hit returns the cached generator with
-    this call's origin and skips the product and the rref.  One memo serves
-    calls that differ only in beta; census_K_le_delta fills it for every
-    class from one stacked pass, so its per-beta calls all hit.
+    finer key that is still correct.  A hit is a lookup: it returns the
+    memo's LinearCode itself, origin included, and builds no origin, unit,
+    product or rref.  One memo serves calls that differ only in beta;
+    census_K_le_delta fills it for every class from one stacked pass, so its
+    per-beta calls all hit.
     """
     if not parts and not include_C0 and not extra_generators:
         raise BlockCollision("no parts to assemble")
@@ -400,20 +401,20 @@ def assemble_code(
             raise HypothesisUnmet(
                 f"q = {alg.field.q} admits no r with r^2 = v^2; C_0 does not exist"
             )
+    cls = None
+    if beta is not None and memo is not None:
+        cls = beta.twist_class()
+        hit = memo.get(cls)
+        if hit is not None:
+            return hit
     origin = dict(origin or {})
     origin.setdefault("q", alg.field.q)
     origin.setdefault("n", alg.n)
     origin.setdefault("v_squared", alg.tw)
     origin.setdefault("blocks", sorted(seen))
     origin.setdefault("include_C0", include_C0)
-    cls = None
     if beta is not None:
         origin.setdefault("beta", list(beta.codes))
-        if memo is not None:
-            cls = beta.twist_class()
-            hit = memo.get(cls)
-            if hit is not None:
-                return LinearCode(alg.field, hit.n_len, hit.k_dim, hit.gen, origin)
     fixed = list(extra_generators)
     if include_C0:
         fixed.append(build_C0(alg.decompose()[0]))

@@ -427,27 +427,18 @@ def smallest_irreducible(field: Field, degree: int) -> Poly:
     raise AssertionError("no irreducible polynomial found (impossible)")
 
 
-def field_make(p: int, m: int = 1, modulus: Optional[Poly] = None) -> Field:
-    """Construct GF(p^m); selects the canonical modulus when none is given."""
+def field_make(p: int, m: int = 1) -> Field:
+    """Construct GF(p^m) with the canonical modulus (smallest_irreducible)."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m < 1:
         raise ReducibleModulus("extension degree must be >= 1")
     if p**m > MAX_TABLE_SIZE:
         raise Overflow(f"field of size {p**m} too large for lookup tables")
-    if m == 1:
-        F = PrimeField(p)
-        if modulus is not None and modulus.degree != 1:
-            raise ReducibleModulus("modulus must be monic of degree 1 for a prime field")
-        return F
     base = PrimeField(p)
-    if modulus is None:
-        modulus = smallest_irreducible(base, m)
-        return ExtField(base, modulus, check=False)
-    modulus = Poly(base, modulus.coeffs)  # rebind onto this base instance
-    if modulus.degree != m or modulus.coeffs[-1] != base.one:
-        raise ReducibleModulus(f"modulus must be monic of degree {m}")
-    return ExtField(base, modulus, check=True)
+    if m == 1:
+        return base
+    return ExtField(base, smallest_irreducible(base, m), check=False)
 
 
 # Canonical fields by (p, m), held weakly: while anything holds a field every

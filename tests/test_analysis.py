@@ -566,6 +566,26 @@ def test_census_calls_assemble_code_per_beta_rref_once_and_rref_stack_per_chunk(
     assert calls["rref_stack"] > 1
 
 
+@pytest.mark.parametrize("q, n, include_C0", [(3, 7, False), (2, 9, True)])
+def test_census_builds_a_linear_code_per_class_not_per_beta(monkeypatch, q, n, include_C0):
+    # the first code and one memo entry per class; the per-beta memo hits
+    # return the memo's code itself
+    A = get_algebra(q, n)
+    census_K_le_delta(A, delta=0.2, include_C0=include_C0)  # caches the class tables
+    classes = math.prod(kt.comp.ft.order + 1 for kt in codes.kt_fields(A))
+    built = Counter()
+    post_init = codes.LinearCode.__post_init__
+
+    def counting(self):
+        built["code"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(codes.LinearCode, "__post_init__", counting)
+    res = census_K_le_delta(A, delta=0.2, include_C0=include_C0)
+    assert res.k_star_size > classes + 1
+    assert 0 < built["code"] <= classes + 1
+
+
 def test_census_class_pass_memory_is_bounded():
     # 2000 twists at (2, 21): their L(beta) stack alone would take 27 MiB as
     # int64, and the pass in one chunk peaks near 106 MiB; a chunk of

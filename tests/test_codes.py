@@ -579,17 +579,20 @@ def test_class_ids_are_the_twist_classes(q, n, kind, tw):
 
 
 def test_assemble_code_memo_serves_a_class_without_rref(monkeypatch):
-    # a hit returns the class's generator with the caller's origin, and builds
-    # no unit, product or rref
+    # a miss assembles and stamps its origin; a hit returns the memo's code
+    # itself and builds no unit, product or rref
     A = get_algebra(3, 5)
     kts = kt_fields(A)
     parts = codes.standard_parts(A)
     memo = {}
     betas = list(enumerate_beta(kts))
     for beta in betas:
-        got = assemble_code(A, parts, include_C0=False, beta=beta, memo=memo)
-        want = assemble_code(A, parts, include_C0=False, beta=beta)
-        assert got == want and got.origin == want.origin
+        missed = beta.twist_class() not in memo
+        got = assemble_code(A, parts, include_C0=False, beta=beta, memo=memo, origin={"family": "plain"})
+        assert got == assemble_code(A, parts, include_C0=False, beta=beta)
+        assert got is memo[beta.twist_class()]
+        if missed:
+            assert got.origin["beta"] == list(beta.codes) and got.origin["family"] == "plain"
     assert set(memo) == {beta.twist_class() for beta in betas} and len(memo) == 10
 
     def boom(*args, **kwargs):
@@ -599,9 +602,8 @@ def test_assemble_code_memo_serves_a_class_without_rref(monkeypatch):
     monkeypatch.setattr(BetaVector, "unit", boom)
     monkeypatch.setattr(A, "translates", boom)
     for beta in betas:
-        code = assemble_code(A, parts, beta=beta, memo=memo, origin={"family": "plain"})
-        assert code.origin["beta"] == list(beta.codes) and code.origin["family"] == "plain"
-        assert code.gen is memo[beta.twist_class()].gen
+        code = assemble_code(A, parts, beta=beta, memo=memo, origin={"family": "other"})
+        assert code is memo[beta.twist_class()] and code.origin["family"] == "plain"
 
 
 def test_twist_preserves_dimension(rng):
