@@ -167,6 +167,8 @@ class SubfieldView:
     def inv(self, y: CyclicElem) -> CyclicElem:
         if y.is_zero():
             raise ZeroDivisionError("inverse of 0")
+        if self.order == 2:
+            return self.identity  # the only unit; y^0 would be the algebra's 1
         return y.pow(self.order - 2)
 
     def __repr__(self):

@@ -6,9 +6,10 @@ element codes, which goes straight to the field's lookup tables.  When
 gcd(n, q) = 1 the algebra is semisimple.
 `field.factor_xn_minus_1_with_cosets` splits the primitive idempotents out
 of the algebra and derives the irreducible factors of x^n - 1 from them;
-this module takes both as they come, in the canonical factor order, and
-asserts that the idempotents sum to 1.  The CRT definition (e_i = 1 mod f_i
-and e_i = 0 mod f_j for j != i) is checked by the tests, not rebuilt here.
+this module takes the (factor, idempotent) pairs as they come, in the
+canonical factor order, and asserts that the idempotents sum to 1.  The CRT
+definition (e_i = 1 mod f_i and e_i = 0 mod f_j for j != i) is checked by
+the tests, not rebuilt here.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, GcdViolation
+from .errors import DimensionMismatch, DomainError, GcdViolation
 from .field import (
     Field,
     Poly,
@@ -92,6 +93,8 @@ class CyclicElem:
 
     def pow(self, e: int) -> "CyclicElem":
         """self^e for e >= 0; self^0 is the algebra's one."""
+        if e < 0:
+            raise DomainError(f"exponent {e} is negative")
         one = CyclicElem.one(self.field, self.n)
         return CyclicElem(self.field, _power(self.field, self.coeffs, e, one.coeffs)) if e else one
 
@@ -116,8 +119,6 @@ class IdempotentSet:
     field: Field
     n: int
     idems: tuple[CyclicElem, ...]
-    dims: tuple[int, ...]
-    cosets: tuple[tuple[int, ...], ...]  # labels under factor_xn_minus_1_with_cosets' zeta
     factors: tuple[Poly, ...]
 
     def __len__(self):
@@ -127,20 +128,13 @@ class IdempotentSet:
 def primitive_idempotents(n: int, field: Field) -> IdempotentSet:
     """One idempotent per irreducible factor of x^n - 1, e_0 first, as the
     factoring splits them out."""
-    triples = factor_xn_minus_1_with_cosets(n, field)
-    idems = tuple(CyclicElem(field, e) for _, _, e in triples)
+    pairs = factor_xn_minus_1_with_cosets(n, field)
+    idems = tuple(CyclicElem(field, e) for _, e in pairs)
     total = idems[0]
     for e in idems[1:]:
         total = total + e
     assert total == CyclicElem.one(field, n), "idempotents do not sum to 1"
-    return IdempotentSet(
-        field=field,
-        n=n,
-        idems=idems,
-        dims=tuple(f.degree for f, _, _ in triples),
-        cosets=tuple(tuple(c) for _, c, _ in triples),
-        factors=tuple(f for f, _, _ in triples),
-    )
+    return IdempotentSet(field=field, n=n, idems=idems, factors=tuple(f for f, _ in pairs))
 
 
 def conj_pairing(idem_set: IdempotentSet) -> tuple[int, ...]:

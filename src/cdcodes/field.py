@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     GcdViolation,
     NotPrime,
     Overflow,
@@ -205,16 +206,17 @@ class PrimeField(Field):
 class ExtField(Field):
     """GF(p^m) built as GF(p)[X]/(modulus); elements coded in base-p digits.
 
-    The scalar operations read the lookup tables.
+    The modulus is always validated (monic, irreducible by Rabin's test).  The
+    scalar operations read the lookup tables.
     """
 
-    def __init__(self, base: Field, modulus: "Poly", check: bool = True):
+    def __init__(self, base: Field, modulus: "Poly"):
         if modulus.field is not base or base.m != 1:
             raise DimensionMismatch("modulus must be a polynomial over a prime field")
         d = modulus.degree
         if d < 1 or modulus.coeffs[-1] != base.one:
             raise ReducibleModulus("modulus must be monic of degree >= 1")
-        if check and not modulus.is_irreducible():
+        if not modulus.is_irreducible():
             raise ReducibleModulus(f"{modulus} is reducible over GF({base.q})")
         self.p = base.p
         self.m = d
@@ -368,6 +370,9 @@ class Poly:
         return a.monic() if not a.is_zero() else a
 
     def pow_mod(self, e: int, modulus: "Poly") -> "Poly":
+        """self^e mod modulus for e >= 0."""
+        if e < 0:
+            raise DomainError(f"exponent {e} is negative")
         result = Poly.one(self.field)
         base = self % modulus
         while e:
@@ -438,7 +443,7 @@ def field_make(p: int, m: int = 1) -> Field:
     base = PrimeField(p)
     if m == 1:
         return base
-    return ExtField(base, smallest_irreducible(base, m), check=False)
+    return ExtField(base, smallest_irreducible(base, m))
 
 
 # Canonical fields by (p, m), held weakly: while anything holds a field every
@@ -587,42 +592,11 @@ def _split_by(field: Field, e: np.ndarray, b: np.ndarray, bound: int) -> list[np
     return parts
 
 
-def _coset_labels(
-    field: Field, pairs: list[tuple[Poly, np.ndarray]], cosets: list[list[int]]
-) -> list[list[int]]:
-    """The coset label of each (factor, primitive idempotent) pair under the
-    zeta of `factor_xn_minus_1_with_cosets`; pairs come in canonical order."""
-    t = field.tables()
-    n = len(pairs[0][1])
-    # roots of f have order dividing n/p iff x^(n/p) e_f = e_f
-    m1 = next(
-        f for f, e in pairs if all(not np.array_equal(np.roll(e, n // p), e) for p in prime_factors(n))
-    )
-    # rho[j] is the constant term of x^j mod m1; an idempotent a takes the
-    # value a(zeta) in {0, 1}, so a(zeta^s) = sum_i a_i rho[i s mod n], and
-    # f(zeta^s) = 0 exactly when e_f(zeta^s) = 1
-    tail = t.neg[np.array(m1.coeffs[:-1], dtype=np.int64)]
-    v = np.zeros(m1.degree, dtype=np.int64)
-    v[0] = field.one
-    rho = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        rho[j] = v[0]
-        v = t.add[np.concatenate(([0], v[:-1])), t.mul[v[-1], tail]]
-    reps = [c[0] for c in cosets]
-    at_reps = rho[np.outer(np.arange(n), reps) % n]
-    labels = []
-    for _, e in pairs:
-        values = field.matmul(e[None], at_reps)[0]
-        hits = np.flatnonzero(values)
-        assert len(hits) == 1 and values[hits[0]] == field.one, "idempotent is not 0/1 at the powers of zeta"
-        labels.append(cosets[hits[0]])
-    assert sorted(c[0] for c in labels) == sorted(reps), "coset labels are not a bijection"
-    return labels
-
-
-def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, list[int], np.ndarray]]:
-    """Irreducible factors of x^n - 1 with their cyclotomic cosets and their
-    primitive idempotents, as (factor, coset, idempotent) triples.
+def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, np.ndarray]]:
+    """Irreducible factors of x^n - 1 with their primitive idempotents, as
+    (factor, idempotent) pairs.  The name is pinned, as perfbench traces the
+    factoring under it; the cosets it names are the ones the splitting sums
+    over, and they are not returned.
 
     The factor x - 1 comes first; the rest follow the canonical polynomial
     order.  No extension field is built.  The coset sums span the fixed
@@ -633,11 +607,6 @@ def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, list
     x^n - 1 are irreducible, and that is asserted.  The idempotent of f is
     the int64 coefficient vector of e, the e with e = 1 mod f and e = 0
     modulo every other factor.
-
-    Coset labels fix zeta := x mod m1, where m1 is the first factor in the
-    canonical order whose roots have order exactly n; the label of f is
-    {s : f(x^s) = 0 mod m1}, i.e. the exponents s with f(zeta^s) = 0, listed
-    as in `cyclotomic_cosets`.
 
     n > MAX_N raises Overflow.
     """
@@ -650,7 +619,7 @@ def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, list
         raise Overflow(f"n = {n} exceeds the supported length {MAX_N}")
     x_minus_1 = Poly(field, (field.neg(field.one), field.one))
     if n == 1:
-        return [(x_minus_1, [0], np.array([field.one], dtype=np.int64))]
+        return [(x_minus_1, np.array([field.one], dtype=np.int64))]
     t = field.tables()
     cosets = cyclotomic_cosets(n, q)
     r = len(cosets)
@@ -673,7 +642,7 @@ def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, list
         prod = prod * f
     assert prod == xn1 and len({f for f, _ in pairs}) == r, "factors are not the r irreducible factors"
     pairs.sort(key=lambda fe: (fe[0] != x_minus_1, _poly_sort_key(fe[0])))
-    return [(f, label, e) for (f, e), label in zip(pairs, _coset_labels(field, pairs, cosets))]
+    return pairs
 
 
 def sqrt_minus_one(field: Field) -> Optional[int]:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import get_algebra
@@ -280,6 +282,24 @@ def test_left_ideal_rows_accepts_words(rng):
     x, y = random_elem(A, rng), random_elem(A, rng)
     w = np.array(x.to_word(), dtype=np.int64)
     assert A.left_ideal_rows([w, y]).tolist() == A.left_ideal_rows([x, y]).tolist()
+
+
+# -- subfield views ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_subfield_inverse_stays_in_the_subfield(q):
+    # an order-2 subfield's only unit is its identity e, not y^0 = 1 of FH
+    for n in range(3, 16, 2):
+        if math.gcd(n, q) != 1:
+            continue
+        for comp in get_algebra(q, n).decompose()[1:]:
+            for view in (comp.ft, comp.fhe):
+                for code in {1, min(2, view.order - 1), view.order - 1}:
+                    y = view.element(code)
+                    inv = view.inv(y)
+                    assert view.contains(inv), (n, view)
+                    assert inv * y == view.identity, (n, view)
 
 
 # -- norm equation ----------------------------------------------------------------------------

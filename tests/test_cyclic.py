@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
+
 from cdcodes.cyclic import CyclicElem, conj_pairing, lambda_n, primitive_idempotents
 from cdcodes.errors import GcdViolation
 from cdcodes.field import Poly, cyclotomic_cosets, field_from_order, mult_order
@@ -17,6 +19,10 @@ def idem_set(q, n, _cache={}):
     if key not in _cache:
         _cache[key] = primitive_idempotents(n, field_from_order(q))
     return _cache[key]
+
+
+def degrees(s):
+    return [f.degree for f in s.factors]
 
 
 # -- multiplication ---------------------------------------------------------------
@@ -72,6 +78,22 @@ def test_shift_bar_pow_match_index_loops(q, n, rng):
         for e in range(6):
             assert A.pow(e) == power
             power = power * A
+
+
+def test_negative_power_raises():
+    # e >>= 1 stays at -1, so a negative exponent must be refused, not looped on
+    code = (
+        "from cdcodes.cyclic import CyclicElem\n"
+        "from cdcodes.errors import DomainError\n"
+        "from cdcodes.field import field_from_order\n"
+        "try:\n"
+        "    CyclicElem.u_power(field_from_order(5), 7, 1).pow(-1)\n"
+        "except DomainError:\n"
+        "    print('refused')\n"
+    )
+    proc = run_python(code, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"
 
 
 def test_coeffs_are_a_read_only_copy():
@@ -139,7 +161,7 @@ def test_bar_paper_values():
 def test_idempotents_paper_example():
     s = idem_set(7, 3)
     assert [list(e.coeffs) for e in s.idems] == [[5, 5, 5], [5, 3, 6], [5, 6, 3]]
-    assert s.dims == (1, 1, 1)
+    assert degrees(s) == [1, 1, 1]
 
 
 def test_idempotents_n1():
@@ -149,8 +171,8 @@ def test_idempotents_n1():
 
 def test_idempotents_gf2_n7_dims():
     s = idem_set(2, 7)
-    assert sorted(s.dims) == [1, 3, 3]
-    assert s.dims[0] == 1
+    assert sorted(degrees(s)) == [1, 3, 3]
+    assert degrees(s)[0] == 1
 
 
 def test_e0_is_the_averaging_idempotent():
@@ -165,7 +187,7 @@ def test_e0_is_the_averaging_idempotent():
 
 @pytest.mark.parametrize("q", GRID_QS)
 def test_idempotent_invariants_full_grid(q):
-    """Sum to 1, pairwise orthogonal, dims sum to n: all odd n <= 35."""
+    """Sum to 1, pairwise orthogonal, degrees sum to n: all odd n <= 35."""
     F = field_from_order(q)
     for n in range(3, 36, 2):
         if math.gcd(n, q) != 1:
@@ -179,28 +201,24 @@ def test_idempotent_invariants_full_grid(q):
         for i, ei in enumerate(s.idems):
             for j, ej in enumerate(s.idems):
                 assert ei * ej == (ei if i == j else zero)
-        assert sum(s.dims) == n
+        assert sum(degrees(s)) == n
 
 
 @pytest.mark.parametrize("q", GRID_QS)
-def test_coset_labels_zeta_free_properties(q):
-    """Coset-label properties that hold for every choice of zeta."""
+def test_factor_pairing_and_degrees(q):
+    """x - 1 comes first, the degrees are the coset sizes, and bar(e_i) = e_j
+    exactly when f_j is the monic reciprocal x^deg f_i(1/x) / f_i(0)."""
     F = field_from_order(q)
     for n in range(3, 36, 2):
         if math.gcd(n, q) != 1:
             continue
         s = idem_set(q, n)
-        assert sorted(s.cosets) == sorted(tuple(c) for c in cyclotomic_cosets(n, q))
-        assert s.cosets[0] == (0,)
         assert s.factors[0] == Poly(F, (F.neg(F.one), F.one))
-        for f, c, dim in zip(s.factors, s.cosets, s.dims):
-            assert f.degree == dim == len(c)
-            (g,) = {math.gcd(x, n) for x in c}
-            assert (Poly.x_pow_n_minus_1(F, n // g) % f).is_zero()
+        assert sorted(degrees(s)) == sorted(len(c) for c in cyclotomic_cosets(n, q))
         pairing = conj_pairing(s)
-        for i, c in enumerate(s.cosets):
-            minus = {(-x) % n for x in c}
-            assert [j for j, d in enumerate(s.cosets) if set(d) == minus] == [pairing[i]]
+        for i, f in enumerate(s.factors):
+            reciprocal = Poly(F, f.coeffs[::-1]).monic()
+            assert [j for j, g in enumerate(s.factors) if g == reciprocal] == [pairing[i]]
 
 
 # -- conjugation pairing ------------------------------------------------------------------
@@ -243,7 +261,7 @@ def test_lambda_equals_min_block_dim_full_grid(q):
             continue
         lam = lambda_n(n, q)  # asserts agreement with coset sizes internally
         s = idem_set(q, n)
-        assert lam == min(s.dims[1:])
+        assert lam == min(degrees(s)[1:])
 
 
 # -- the set's fields and its pairing ---------------------------------------------------------

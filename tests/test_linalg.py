@@ -1,15 +1,12 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from oracles import dual, first_nonzero_weight, span_weights
 
 from cdcodes import linalg
@@ -405,9 +402,7 @@ def test_characteristic_2_addition_is_xor_of_codes():
         "    m += 1\n"
         "print(m - 1)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, timeout=120, env=env)
+    proc = run_python(check, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "12\n"  # q = 2 .. 4096
 
