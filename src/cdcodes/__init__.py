@@ -16,7 +16,7 @@ from .codes import (
     kt_fields,
 )
 from .cyclic import CyclicElem, IdempotentSet, conj_pairing, lambda_n, primitive_idempotents
-from .dihedral import count_Cab_codes, counterexample_check, dihedral_algebra, f_ab
+from .dihedral import count_Cab_codes, counterexample_check, f_ab
 from .field import (
     ExtField,
     Field,
@@ -24,7 +24,6 @@ from .field import (
     PrimeField,
     cyclotomic_cosets,
     field_from_order,
-    field_make,
     mult_order,
     sqrt_minus_one,
 )

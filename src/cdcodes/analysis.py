@@ -303,7 +303,7 @@ class CensusResult:
     k_star_size: int
     count: int
     hypothesis_ok: bool
-    exponent: float
+    exponent: Optional[float]  # None when delta > 1 - 1/q
     bound: Optional[float]
     rows: list[tuple[int, tuple[int, ...], int, float]]  # (index, beta codes, min weight, Delta)
     distinct_codes: int  # the prod(|F_t| + 1) twist classes, checked to give distinct codes; not exported
@@ -414,7 +414,7 @@ def census_K_le_delta(
     assert np.array_equal(gens[class_of[0]], first.gen), "the stacked RREF of the first twist class differs from rref"
     assert len({gen.tobytes() for gen in gens}) == classes, "two twist classes gave the same code"
     keys = zip(*[c.tolist() for c in lines_of_class])
-    memo = {key: LinearCode(alg.field, first.n_len, first.k_dim, gen) for key, gen in zip(keys, gens)}
+    memo = {key: LinearCode(alg.field, gen) for key, gen in zip(keys, gens)}
     for codes in itertools.islice(beta_tuples, 1, None):
         assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, codes), memo=memo)
     assert len(memo) == classes, f"{len(memo)} twist classes after the per-beta calls, expected {classes}"
@@ -430,7 +430,7 @@ def census_K_le_delta(
     if h_delta_ok:
         hypothesis, exponent, bound = census_bound(q, alg.n, lam, delta, size, hatted=include_C0)
     else:
-        hypothesis, exponent, bound = False, float("nan"), None
+        hypothesis, exponent, bound = False, None, None  # H_q(delta) is undefined
     assert count <= size
     if hypothesis:
         assert count <= bound + FLOAT_SLACK, f"census count {count} exceeds bound {bound}"

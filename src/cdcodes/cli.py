@@ -176,15 +176,13 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     try:
         with open(ns.infile) as fh:
             text = fh.read()
-        q = int(text.split()[0])
-    except (IndexError, ValueError):  # UnicodeDecodeError is a ValueError
+    except UnicodeDecodeError:
         raise DimensionMismatch("malformed generator matrix file") from None
-    field = field_from_order(q)
-    code = LinearCode.from_text(field, text)
+    code = LinearCode.from_text(text)
     n = code.n_len // 2
     if ns.budget < 1:
         raise DomainError(f"--budget must be at least 1, got {ns.budget}")
-    report: dict = {"q": q, "n_len": code.n_len, "k_dim": code.k_dim}
+    report: dict = {"q": code.field.q, "n_len": code.n_len, "k_dim": code.k_dim}
     if "min-weight" in checks:
         rep = analysis.min_weight(code, budget=ns.budget)
         report["min_weight"] = {
@@ -202,7 +200,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         report["self_orthogonal"] = hull == code.k_dim
         report["self_dual"] = hull == code.k_dim and 2 * code.k_dim == code.n_len
     if "balance" in checks:
-        alg = TwistedDihedralAlgebra(field, n, ns.v_squared)
+        alg = TwistedDihedralAlgebra(code.field, n, ns.v_squared)
         deltas = (ns.delta,) if ns.delta is not None else ()
         bal = analysis.balanced_check(alg, code, deltas=deltas, budget=ns.budget)
         report["balance"] = {
@@ -231,7 +229,7 @@ def _paper_checks() -> list[tuple[str, bool, str]]:
         )
     )
 
-    alg37 = dihedral.dihedral_algebra(field_from_order(7), 3)
+    alg37 = TwistedDihedralAlgebra(field_from_order(7), 3, 1)
     count = dihedral.count_Cab_codes(alg37)
     results.append(
         (
@@ -242,15 +240,20 @@ def _paper_checks() -> list[tuple[str, bool, str]]:
     )
 
     # the inner-product dichotomy on self-conjugate blocks, as stated:
-    # <C_t b, C_t b> = 0 iff q even or 4 | (q^k - 1)
+    # <C_t b, C_t b> = 0 iff q even or 4 | (q^k - 1); decompose() runs
+    # conj_pairing, which asserts both conjugation criteria on the same grid
     dichotomy_ok = True
     dichotomy_notes = []
+    conj_ok = True
     for q in PAPER_QS:
         for n in range(3, 16, 2):
             try:
                 alg = TwistedDihedralAlgebra(field_from_order(q), n, -1)
                 comps = alg.decompose()
             except GcdViolation:
+                continue
+            except AssertionError:
+                conj_ok = False
                 continue
             for comp in comps[1:]:
                 if comp.kind != SELF_CONJ or q**comp.k > 81:
@@ -297,20 +300,6 @@ def _paper_checks() -> list[tuple[str, bool, str]]:
         )
     )
 
-    # conjugation criteria both directions on a small grid
-    from .cyclic import conj_pairing, primitive_idempotents
-
-    conj_ok = True
-    for q in PAPER_QS:
-        F = field_from_order(q)
-        for n in range(3, 16, 2):
-            try:
-                idem = primitive_idempotents(n, F)
-                conj_pairing(idem)  # asserts both criteria internally
-            except GcdViolation:
-                continue
-            except AssertionError:
-                conj_ok = False
     results.append(("conjugation-criteria", conj_ok, "Kronecker and odd-order checks"))
 
     return results

@@ -39,16 +39,15 @@ from .errors import (
     InvalidBeta,
     NotInComponent,
 )
-from .field import Field
+from .field import Field, field_from_order
 
 
 @dataclass
 class LinearCode:
-    """A linear code given by a canonical (RREF) generator matrix."""
+    """A linear code given by a canonical (RREF) generator matrix; its length
+    and dimension are the generator's shape."""
 
     field: Field
-    n_len: int
-    k_dim: int
     gen: np.ndarray
     origin: dict = dc_field(default_factory=dict)
 
@@ -58,16 +57,19 @@ class LinearCode:
         if rows.size == 0:
             if n_len is None:
                 raise DimensionMismatch("zero code needs an explicit length")
-            gen = np.zeros((0, n_len), dtype=np.int64)
-            return cls(field, n_len, 0, gen, origin or {})
+            return cls(field, np.zeros((0, n_len), dtype=np.int64), origin or {})
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
         R, _ = linalg.rref(field, rows)
-        return cls(field, rows.shape[1], R.shape[0], R, origin or {})
+        return cls(field, R, origin or {})
 
-    def __post_init__(self):
-        if self.gen.shape != (self.k_dim, self.n_len):
-            raise DimensionMismatch("generator shape does not match (k, n)")
+    @property
+    def n_len(self) -> int:
+        return self.gen.shape[1]
+
+    @property
+    def k_dim(self) -> int:
+        return self.gen.shape[0]
 
     @property
     def pivots(self) -> tuple[int, ...]:
@@ -98,15 +100,18 @@ class LinearCode:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, field: Field, text: str) -> "LinearCode":
+    def from_text(cls, text: str) -> "LinearCode":
+        """Parse to_text's format: a header line "q n k", then k rows of n
+        codes.  The header's q picks the field (field_from_order); it is checked
+        before the rest of the file, so GF(6) is refused as not a prime power
+        whatever follows it."""
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         try:
+            field = field_from_order(int(lines[0].split()[0]))  # its errors pass through
             q, n_len, k_dim = (int(x) for x in lines[0].split())
             rows = [[int(x) for x in ln.split()] for ln in lines[1 : 1 + k_dim]]
         except (IndexError, ValueError):
             raise DimensionMismatch("malformed generator matrix file") from None
-        if q != field.q:
-            raise DimensionMismatch(f"file is over GF({q}), expected GF({field.q})")
         if n_len < 0 or k_dim < 0:
             raise DimensionMismatch(f"malformed generator matrix file: negative size {k_dim} x {n_len}")
         if any(len(r) != n_len for r in rows) or len(lines) != 1 + k_dim:

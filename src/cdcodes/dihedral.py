@@ -21,11 +21,7 @@ from .algebra import PAIRED, AlgElem, Component, Mat2, TwistedDihedralAlgebra
 from .codes import assemble_code, hull_dimension
 from .cyclic import CyclicElem
 from .errors import HypothesisUnmet, NotPaired
-from .field import Field, field_from_order, mult_order
-
-
-def dihedral_algebra(field: Field, n: int) -> TwistedDihedralAlgebra:
-    return TwistedDihedralAlgebra(field, n, 1)
+from .field import field_from_order, mult_order
 
 
 # -- the counterexample -------------------------------------------------------
@@ -58,7 +54,7 @@ def counterexample_check() -> CounterexampleReport:
     ebar v != 0, exhibited via ebar (ebar v) e = ebar v.
     """
     F = field_from_order(7)
-    alg = dihedral_algebra(F, 3)
+    alg = TwistedDihedralAlgebra(F, 3, 1)
     comp = alg.decompose()[1]
     e, ebar = comp.e, comp.ebar
     gen = alg.embed_fh(e)

@@ -9,7 +9,7 @@ here is deterministic.
 The lookup tables (`Tables`) are the one definition of the arithmetic: they
 are built vectorised, addition from the base-p digits and multiplication,
 inversion and negation from one log/antilog pair, so fields are limited to
-q <= MAX_TABLE_SIZE, which `field_make` enforces.  Vectors and polynomials
+q <= MAX_TABLE_SIZE, which `field_from_order` enforces.  Vectors and polynomials
 are added and scaled by table gathers; products of matrices go through
 `Field.matmul`: integers mod p for prime fields, and for GF(p^m) the m x m
 multiplication matrices over GF(p), again one integer product mod p.
@@ -94,7 +94,7 @@ class Tables:
     (the modulus need not be primitive).  neg is the row of -1 = p - 1 in
     mul.  digits[a] are the m base-p digits of a, and mat[a] is the m x m
     matrix over GF(p) of multiplication by a, for `ExtField.matmul`.  Every
-    build is O(q^2) numpy work; field_make bounds q by MAX_TABLE_SIZE.
+    build is O(q^2) numpy work; field_from_order bounds q by MAX_TABLE_SIZE.
     """
 
     def __init__(self, field: "Field"):
@@ -432,30 +432,9 @@ def smallest_irreducible(field: Field, degree: int) -> Poly:
     raise AssertionError("no irreducible polynomial found (impossible)")
 
 
-def field_make(p: int, m: int = 1) -> Field:
-    """Construct GF(p^m) with the canonical modulus (smallest_irreducible)."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if m < 1:
-        raise ReducibleModulus("extension degree must be >= 1")
-    if p**m > MAX_TABLE_SIZE:
-        raise Overflow(f"field of size {p**m} too large for lookup tables")
-    base = PrimeField(p)
-    if m == 1:
-        return base
-    return ExtField(base, smallest_irreducible(base, m))
-
-
-# Canonical fields by (p, m), held weakly: while anything holds a field every
+# Canonical fields by q, held weakly: while anything holds a field every
 # lookup returns that object, and once nothing does its tables are freed.
-_fields: "weakref.WeakValueDictionary[tuple[int, int], Field]" = weakref.WeakValueDictionary()
-
-
-def _field_cached(p: int, m: int) -> Field:
-    field = _fields.get((p, m))
-    if field is None:
-        field = _fields[p, m] = field_make(p, m)
-    return field
+_fields: "weakref.WeakValueDictionary[int, Field]" = weakref.WeakValueDictionary()
 
 
 def prime_power(q: int) -> tuple[int, int]:
@@ -471,8 +450,18 @@ def prime_power(q: int) -> tuple[int, int]:
 
 
 def field_from_order(q: int) -> Field:
-    """GF(q) for a prime power q, with the canonical modulus."""
-    return _field_cached(*prime_power(q))
+    """The cached GF(q) with the canonical modulus (smallest_irreducible).  A
+    q above MAX_TABLE_SIZE is refused before it is factored, at any size."""
+    if q > MAX_TABLE_SIZE:
+        raise Overflow(f"field of size {q} too large for lookup tables")
+    field = _fields.get(q)
+    if field is None:
+        p, m = prime_power(q)
+        field = PrimeField(p)
+        if m > 1:
+            field = ExtField(field, smallest_irreducible(field, m))
+        _fields[q] = field
+    return field
 
 
 def mult_order(q: int, n: int) -> int:

@@ -574,13 +574,13 @@ def test_census_builds_a_linear_code_per_class_not_per_beta(monkeypatch, q, n, i
     census_K_le_delta(A, delta=0.2, include_C0=include_C0)  # caches the class tables
     classes = math.prod(kt.comp.ft.order + 1 for kt in codes.kt_fields(A))
     built = Counter()
-    post_init = codes.LinearCode.__post_init__
+    init = codes.LinearCode.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built["code"] += 1
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(codes.LinearCode, "__post_init__", counting)
+    monkeypatch.setattr(codes.LinearCode, "__init__", counting)
     res = census_K_le_delta(A, delta=0.2, include_C0=include_C0)
     assert res.k_star_size > classes + 1
     assert 0 < built["code"] <= classes + 1

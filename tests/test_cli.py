@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_python
+
 from cdcodes import cli
 from cdcodes.cli import main
 
@@ -66,6 +68,24 @@ def test_decompose_field_above_table_bound_exit2(capsys, q):
     rc, out, err = run(capsys, "decompose", "--q", str(q), "--n", "3")
     assert (rc, out) == (2, "")
     assert err == f"error: field of size {q} too large for lookup tables\n"
+
+
+HUGE_PRIME = 1000000000000000003  # trial division up to its square root would not end
+
+
+@pytest.mark.parametrize("subcommand", ["decompose", "construct", "analyze"])
+def test_huge_q_is_refused_before_factoring(tmp_path, subcommand):
+    # a child interpreter, so a q that is factored before it is bounded fails
+    # this test by timeout instead of hanging the session
+    if subcommand == "analyze":
+        path = tmp_path / "huge.txt"
+        path.write_text(f"{HUGE_PRIME} 4 1\n1 0 0 0\n")
+        argv = ["analyze", str(path)]
+    else:
+        argv = [subcommand, "--q", str(HUGE_PRIME), "--n", "3"]
+    proc = run_python(f"import sys; from cdcodes.cli import main; sys.exit(main({argv!r}))", timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: field of size {HUGE_PRIME} too large for lookup tables\n"
 
 
 def test_decompose_at_table_bound():

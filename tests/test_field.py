@@ -25,7 +25,6 @@ from cdcodes.field import (
     cyclotomic_cosets,
     factor_xn_minus_1_with_cosets,
     field_from_order,
-    field_make,
     mult_order,
     smallest_irreducible,
     sqrt_minus_one,
@@ -80,16 +79,17 @@ def oracle_prime_powers(limit):
 
 
 def test_field_make_prime_field():
-    F = field_make(7, 1)
-    assert (F.p, F.m, F.q) == (7, 1, 7)
-    assert F.modulus.coeffs == (0, 1)  # the X - 0 convention
+    for F in (field_from_order(7), PrimeField(7)):
+        assert type(F) is PrimeField and (F.p, F.m, F.q) == (7, 1, 7)
+        assert F.modulus.coeffs == (0, 1)  # the X - 0 convention
 
 
 def test_field_make_not_prime():
     with pytest.raises(NotPrime):
-        field_make(4, 1)
-    with pytest.raises(NotPrime):
-        field_from_order(12)
+        PrimeField(4)
+    for q in (12, 1, 0, -7):
+        with pytest.raises(NotPrime):
+            field_from_order(q)
 
 
 def test_gf4_modulus_is_unique_irreducible_quadratic():
@@ -108,15 +108,18 @@ def test_reducible_modulus_rejected():
 
 
 def test_field_make_overflow():
-    with pytest.raises(Overflow):
-        field_make(2, 200)
+    # refused before q is factored: trial division of 2^200 would not end
+    for q in (2**200, 4099, 10**4):
+        with pytest.raises(Overflow, match=f"field of size {q} too large"):
+            field_from_order(q)
 
 
 def test_field_cache_returns_the_held_field():
     F = field_from_order(9)
     assert field_from_order(9) is F
     assert TwistedDihedralAlgebra(field_from_order(9), 5, -1).field is F
-    assert field_make(3, 2) is not F  # field_make itself never caches
+    F3 = PrimeField(3)
+    assert ExtField(F3, Poly(F3, F.modulus.coeffs)) is not F  # the constructors never cache
 
 
 def test_field_cache_frees_unheld_fields():
@@ -211,7 +214,8 @@ def test_tables_match_sympy_exhaustive(make):
 
 @pytest.mark.parametrize("p, m", [(2, 10), (3, 7)])
 def test_tables_match_sympy_sampled(p, m):
-    F = field_make(p, m)  # uncached, so the tables go with the test
+    base = PrimeField(p)
+    F = ExtField(base, smallest_irreducible(base, m))  # uncached, so the tables go with the test
     t = F.tables()
     add, mul, neg = sympy_field_ops(F)
     rng = random.Random(p * 1000 + m)

@@ -65,6 +65,28 @@ def test_census_script_unwritable_out_exits_2(tmp_path):
     assert not (tmp_path / "census.json").exists()
 
 
+def test_census_script_refuses_a_huge_q_at_once(tmp_path):
+    # q is bounded before it is factored; trial division of this prime would not end
+    q = 1000000000000000003
+    args = ["--q", str(q), "--n", "7", "--delta", "0.2", "--out", str(tmp_path / "census")]
+    proc = subprocess.run([sys.executable, str(CENSUS_SCRIPT), *args], capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: field of size {q} too large for lookup tables\n"
+
+
+def test_census_summary_is_json_when_entropy_is_undefined(tmp_path):
+    # delta = 0.9 > 1 - 1/2 leaves H_q(delta), and so the exponent, undefined:
+    # null, not the NaN that RFC 8259 parsers reject
+    code, out, err = run_census(tmp_path, "--q", "2", "--n", "7", "--delta", "0.9")
+    assert code == 0, err
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    summary = json.loads((tmp_path / "census.json").read_text(), parse_constant=refuse)
+    assert (summary["hypothesis_ok"], summary["exponent"], summary["bound"]) == (False, None, None)
+
+
 def run_good_n_scan(*args):
     proc = subprocess.run(
         [sys.executable, str(GOOD_N_SCRIPT), *args], capture_output=True, text=True, timeout=120
