@@ -9,7 +9,8 @@ LCD tags n at which the `lcd` block family exists, i.e. q = 3 mod 4 and the
 block of the primitive d-th roots of unity is self-conjugate with odd k_t
 for some divisor d > 1 of n; its computed hull equals its dimension, so
 those codes are self-orthogonal, not LCD (see analysis.good_n_sequence).
-A q that is not a prime power prints an "error:" line on stderr and exits 2,
+A q that is not a prime power, or is above the field table bound 4096 (no
+code can be built over it), prints an "error:" line on stderr and exits 2,
 as the cdcodes CLI does for invalid input.
 
 Example:

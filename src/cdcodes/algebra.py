@@ -336,10 +336,11 @@ class Component:
     """One block A_t of the decomposition, with its isomorphism data.
 
     Built eagerly: e, identity, k, dim, fhe and ft, and on self-conjugate
-    blocks g, s, s_prime, ue and uinv_e.  Only iso_to_mat2 / iso_from_mat2
-    read epsilon, eta, nu, eta_nu, _b_inv and _diff_inv, so those are built
-    on their first use (`_iso_data`) and cached; so is the generator of the
-    chosen simple left ideal C_t (`codes.build_Ct`, in _ct).
+    blocks g, s, s_prime, ue and uinv_e.  Only the isomorphisms and _split_ft
+    (the one F_t split, also read by `codes.KtField.class_ids`) read epsilon,
+    eta, nu, eta_nu, _b_inv and _diff_inv, so those are built on their first
+    use (`_iso_data`) and cached; so is the generator of the chosen simple
+    left ideal C_t (`codes.build_Ct`, in _ct).
     """
 
     def __init__(self, alg: "TwistedDihedralAlgebra", index: int, kind: str, idem_indices: tuple[int, ...]):

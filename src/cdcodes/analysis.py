@@ -322,11 +322,10 @@ class CensusResult:
             "support_bounds_ok": True,
         }
 
-    def csv_lines(self) -> list[str]:
-        out = ["beta_index,beta_codes,min_weight,delta"]
+    def csv_lines(self) -> Iterator[str]:
+        yield "beta_index,beta_codes,min_weight,delta"
         for idx, codes, w, d in self.rows:
-            out.append(f"{idx},{':'.join(str(c) for c in codes)},{w},{d:.6f}")
-        return out
+            yield f"{idx},{':'.join(str(c) for c in codes)},{w},{d:.6f}"
 
 
 def census_bound(q: int, n: int, lam: int, delta: float, k_star: int, hatted: bool) -> tuple[bool, float, Optional[float]]:

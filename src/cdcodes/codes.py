@@ -27,7 +27,6 @@ from .algebra import (
     TRIVIAL_SPLIT,
     AlgElem,
     Component,
-    Mat2,
     SubfieldView,
     TwistedDihedralAlgebra,
 )
@@ -142,7 +141,8 @@ class KtField:
     Self-conjugate blocks take K_t = FHe itself; paired blocks take the
     pullback of F_t[X]/(X^2 + g'X + 1) embedded in the matrix algebra via
     the companion matrix, with g' the first element making the quadratic
-    irreducible.  Either way dim_F K_t = 2 k_t and nonzero codes are units.
+    irreducible.  Either way dim_F K_t = 2 k_t, nonzero codes are units, and
+    a code's element is its base-q digits times the closed-form basis_words.
     """
 
     def __init__(self, comp: Component):
@@ -150,78 +150,49 @@ class KtField:
             raise NotInComponent("K_t exists only on matrix blocks")
         self.comp = comp
         self.alg = comp.alg
-        ft = comp.ft
-        self.order = ft.order**2 if comp.kind == PAIRED else comp.fhe.order
-        if comp.kind == PAIRED:
-            self.g_prime = _first_irreducible_quadratic_g(ft)
-        else:
-            self.g_prime = None
+        self.order = comp.ft.order**2
+        self.g_prime = _first_irreducible_quadratic_g(comp.ft) if comp.kind == PAIRED else None
         self._basis_words: Optional[np.ndarray] = None
         self._class_ids: Optional[list[int]] = None
 
-    def element(self, code: int) -> AlgElem:
-        comp = self.comp
-        if comp.kind == SELF_CONJ:
-            return self.alg.embed_fh(comp.fhe.element(code))
-        ft = comp.ft
-        a = ft.element(code % ft.order)
-        b = ft.element(code // ft.order)
-        gp = self.g_prime
-        M = Mat2(ft, ((a, -b), (b, a - b * gp)))
-        return comp.iso_from_mat2(M)
-
-    @property
-    def identity_code(self) -> int:
-        comp = self.comp
-        if comp.kind == SELF_CONJ:
-            return comp.fhe.code_of(comp.e)
-        return comp.ft.code_of(comp.e)
-
-    def basis(self) -> list[AlgElem]:
-        """2 k_t elements whose coordinate digits realize element(code)."""
-        comp = self.comp
-        if comp.kind == SELF_CONJ:
-            return [self.alg.embed_fh(b) for b in comp.fhe.basis]
-        ft = comp.ft
-        q = ft.field.q
-        out = []
-        for half in range(2):
-            for i in range(ft.dim):
-                out.append(self.element(q**i * ft.order**half))
-        return out
-
     def basis_words(self) -> np.ndarray:
-        """The words of basis(), as rows; built on the first call."""
+        """The 2 k_t words whose digit combinations are the K_t elements, built
+        on the first call.  Self-conjugate: the FHe basis.  Paired: the code
+        a + b |F_t| is ((a, -b), (b, a - b g')), which iso_from_mat2 sends to
+        a + bar(a) - bar(b g') + (bar(b) - tw b) v: row i is b_i + bar(b_i) and
+        row k_t + i is -bar(b_i g') + (bar(b_i) - tw b_i) v, b_i the RREF basis
+        of F_t and tw the sign of v^2."""
         if self._basis_words is None:
-            self._basis_words = np.array([b.word for b in self.basis()])
+            comp, alg = self.comp, self.alg
+            if comp.kind == SELF_CONJ:
+                rows = [alg.embed_fh(b) for b in comp.fhe.basis]
+            else:
+                basis, zero = comp.ft.basis, comp.ft.zero
+                rows = [alg.elem(b + b.bar(), zero) for b in basis]
+                rows += [alg.elem(-(b * self.g_prime).bar(), b.bar() - b.scale(alg.tw_code)) for b in basis]
+            self._basis_words = np.array([r.word for r in rows])
         return self._basis_words
 
     def class_ids(self) -> list[int]:
         """The twist class of each code: entry c is the id of the orbit
-        F_t* . element(c), one of |F_t| + 1 ids (entry 0, the zero code, is -1).
+        F_t* . c, one of |F_t| + 1 ids (entry 0, the zero code, is -1).
 
         K_t = F_t + F_t w, with w the companion matrix (paired; the code is
-        a + b |F_t|) or ue (self-conjugate; y = a + b ue as in
-        Component._split_ft), and lambda in F_t* scales a and b alike.  So the
-        orbit of a + b w is the F_t-line [a : b]: its id is the code of a / b,
-        or |F_t| when b = 0.  Built on first use.
+        a + b |F_t|, its digits a's then b's) or ue (self-conjugate; the split
+        matrix, rows Component._split_ft of the FHe basis, takes the digits to
+        a's and b's), and lambda in F_t* scales a and b alike.  So the orbit of
+        a + b w is the F_t-line [a : b]: its id is the code of a / b, or |F_t|
+        when b = 0.  Built on first use.
         """
         if self._class_ids is None:
             comp, ft, F = self.comp, self.comp.ft, self.alg.field
             k, Q = ft.dim, ft.order
             pw = F.q ** np.arange(k)
-            codes = np.arange(self.order)
-            if comp.kind == PAIRED:
-                a, b = codes % Q, codes // Q
-            else:
-                # the split is F-linear, so its matrix is read off the FHe basis
-                diff_inv = comp.fhe.inv(comp.ue - comp.uinv_e)
-                split = []
-                for y in comp.fhe.basis:
-                    beta = (y - y.bar()) * diff_inv
-                    split.append(np.concatenate((ft.coords((y - beta * comp.ue).coeffs), ft.coords(beta.coeffs))))
-                ab = F.matmul(_digits(codes, F.q, 2 * k), np.array(split))
-                a, b = ab[:, :k] @ pw, ab[:, k:] @ pw
+            ab = _digits(np.arange(self.order), F.q, 2 * k)
+            if comp.kind == SELF_CONJ:
+                split = [np.concatenate([ft.coords(x.coeffs) for x in comp._split_ft(y)]) for y in comp.fhe.basis]
+                ab = F.matmul(ab, np.array(split))
+            a, b = ab[:, :k] @ pw, ab[:, k:] @ pw
             mul = _mul_table(ft)
             inv = np.zeros(Q, dtype=np.int64)
             units, inverses = np.nonzero(mul == ft.code_of(ft.identity))
@@ -233,8 +204,10 @@ class KtField:
 
 
 def _digits(codes: np.ndarray, q: int, width: int) -> np.ndarray:
-    """Base-q digits of each code, least significant first: (len(codes), width)."""
-    return codes[:, None] // q ** np.arange(width) % q
+    """Base-q digits of each code, least significant first: (len(codes), width).
+    Codes in an object array, as Python ints, are split exactly at any size."""
+    powers = np.array([q**i for i in range(width)], dtype=codes.dtype)
+    return (codes[:, None] // powers % q).astype(np.int64, copy=False)
 
 
 def _mul_table(ft: SubfieldView) -> np.ndarray:
@@ -292,10 +265,6 @@ class BetaVector:
         self.codes = tuple(map(int, codes))
 
     @classmethod
-    def identity(cls, kts: Sequence[KtField]) -> "BetaVector":
-        return cls(kts, [kt.identity_code for kt in kts])
-
-    @classmethod
     def random(cls, kts: Sequence[KtField], rng) -> "BetaVector":
         return cls(kts, [rng.randrange(1, kt.order) for kt in kts])
 
@@ -315,15 +284,16 @@ class BetaVector:
 
 
 def unit_words(kts: Sequence[KtField], codes) -> np.ndarray:
-    """Words of the units e_0 + sum_t KtField.element(c_t), one row per row
+    """Words of the units e_0 + sum_t beta_t(c_t), one row per row
     (c_1, ..., c_m) of the (c, m) array codes: BetaVector.unit on a stack.
 
     Each element is linear in its code's base-q digits, whose coefficients
     are KtField.basis_words, so the blocks' digits side by side times their
-    basis words stacked sum every block in one Field.matmul.
+    basis words stacked sum every block in one Field.matmul.  The codes
+    stay Python ints when some |K_t| exceeds int64.
     """
     alg, F = kts[0].alg, kts[0].alg.field
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes, dtype=np.int64 if max(kt.order for kt in kts) <= 2**63 else object)
     bases = [kt.basis_words() for kt in kts]
     digits = np.concatenate([_digits(codes[:, t], F.q, len(B)) for t, B in enumerate(bases)], axis=1)
     return F.tables().add[alg.decompose()[0].identity.word, F.matmul(digits, np.concatenate(bases))]

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from . import codes as codes_mod
 from . import linalg
 from .algebra import PAIRED, AlgElem, Component, Mat2, TwistedDihedralAlgebra
 from .codes import assemble_code, hull_dimension
@@ -125,14 +124,6 @@ class CountReport:
         return self.sampled > 0 and self.sample_agreements == self.sampled
 
 
-def _a0_hat_generator(alg: TwistedDihedralAlgebra) -> AlgElem:
-    """ehat_0 = e_0 + e_0 v, the 1-dimensional ideal generator of A_0."""
-    comp0 = alg.decompose()[0]
-    gen = codes_mod.build_C0(comp0)
-    assert gen is not None  # dihedral: r = 1 always exists
-    return gen
-
-
 def _block_generators(comp: Component) -> list[AlgElem]:
     """One generator per simple left ideal of the block, Eq.-(48)-style."""
     ft = comp.ft
@@ -150,6 +141,8 @@ def count_Cab_codes(
 ) -> CountReport:
     """Count dihedral codes A_0 ehat_0 + sum_t A_t f_(at bt), and the LCD ones.
 
+    ehat_0 = e_0 + e_0 v is the C_0 generator r e_0 + e_0 v at r = 1, which
+    v^2 = +1 always admits, so the codes are assembled with include_C0.
     Requires odd q and odd ord_n(q) (all nontrivial idempotents paired).
     When the formula total does not exceed exhaust_limit, every code is built
     and classified by hull; otherwise `samples` seeded random (a, b) choices
@@ -170,14 +163,13 @@ def count_Cab_codes(
     for k in k_list:
         total_formula *= q**k + 1
         lcd_formula *= q**k - 1
-    hat_gen = _a0_hat_generator(alg)
 
     if total_formula <= exhaust_limit:
         keys = set()
         lcd_count = 0
         for gens in itertools.product(*(_block_generators(c) for c in comps)):
             parts = list(zip(comps, gens))
-            code = assemble_code(alg, parts, extra_generators=[hat_gen], origin={"family": "C_ab"})
+            code = assemble_code(alg, parts, include_C0=True, origin={"family": "C_ab"})
             assert code.k_dim == alg.n
             keys.add(code.key())
             if hull_dimension(code) == 0:
@@ -210,7 +202,7 @@ def count_Cab_codes(
                 expect_lcd = False
             parts.append((c, f_ab(c, a, b)))
         # any (a, b) != 0 has matrix rank 1, so each block contributes 2k_t
-        code = assemble_code(alg, parts, extra_generators=[hat_gen], origin={"family": "C_ab"})
+        code = assemble_code(alg, parts, include_C0=True, origin={"family": "C_ab"})
         actual_lcd = hull_dimension(code) == 0
         if actual_lcd == expect_lcd:
             agreements += 1

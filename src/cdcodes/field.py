@@ -9,7 +9,7 @@ here is deterministic.
 The lookup tables (`Tables`) are the one definition of the arithmetic: they
 are built vectorised, addition from the base-p digits and multiplication,
 inversion and negation from one log/antilog pair, so fields are limited to
-q <= MAX_TABLE_SIZE, which `field_from_order` enforces.  Vectors and polynomials
+q <= MAX_TABLE_SIZE, which `prime_power` enforces.  Vectors and polynomials
 are added and scaled by table gathers; products of matrices go through
 `Field.matmul`: integers mod p for prime fields, and for GF(p^m) the m x m
 multiplication matrices over GF(p), again one integer product mod p.
@@ -438,7 +438,10 @@ _fields: "weakref.WeakValueDictionary[int, Field]" = weakref.WeakValueDictionary
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, m) with q = p^m; NotPrime when q is not a prime power."""
+    """(p, m) with q = p^m; NotPrime when q is not a prime power.  A q above
+    MAX_TABLE_SIZE, of which no field is built, raises Overflow unfactored."""
+    if q > MAX_TABLE_SIZE:
+        raise Overflow(f"field of size {q} too large for lookup tables")
     primes = prime_factors(q)  # [] for q < 2
     if len(primes) != 1:
         raise NotPrime(f"{q} is not a prime power")
@@ -451,9 +454,7 @@ def prime_power(q: int) -> tuple[int, int]:
 
 def field_from_order(q: int) -> Field:
     """The cached GF(q) with the canonical modulus (smallest_irreducible).  A
-    q above MAX_TABLE_SIZE is refused before it is factored, at any size."""
-    if q > MAX_TABLE_SIZE:
-        raise Overflow(f"field of size {q} too large for lookup tables")
+    q above MAX_TABLE_SIZE is refused by prime_power, before it is factored."""
     field = _fields.get(q)
     if field is None:
         p, m = prime_power(q)

@@ -2,9 +2,10 @@
 
 Each one computes by a route the library does not take: the simple left
 ideals of M_2(GF(q)) by exhaustive search, the census order of K* one index
-at a time, the bar map through the paired-block matrix isomorphism, the
-dual code by row-reducing the kernel basis, the weight distribution from
-every word of the span.  None of them is on a path the library runs.
+at a time, the element of a K_t code and the bar map through the
+paired-block matrix isomorphism, the dual code by row-reducing the kernel
+basis, the weight distribution from every word of the span.  None of them
+is on a path the library runs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from cdcodes import linalg
-from cdcodes.algebra import PAIRED, AlgElem, Component, Mat2, TwistedDihedralAlgebra
+from cdcodes.algebra import PAIRED, SELF_CONJ, AlgElem, Component, Mat2, TwistedDihedralAlgebra
 from cdcodes.codes import BetaVector, KtField, LinearCode, k_star_size
 from cdcodes.errors import InvalidBeta, NotPaired
 from cdcodes.field import Field
@@ -116,6 +117,30 @@ def random_elem(alg: TwistedDihedralAlgebra, rng) -> AlgElem:
     """An element with 2n coefficients drawn from rng."""
     q = alg.field.q
     return alg.from_word([rng.randrange(q) for _ in range(2 * alg.n)])
+
+
+def kt_element(kt: KtField, code: int) -> AlgElem:
+    """The element of K_t with the given code, one at a time.
+
+    Self-conjugate: the FHe element of that code.  Paired: the code
+    a + b |F_t| is the companion-matrix combination ((a, -b), (b, a - b g')),
+    sent into the block by the matrix isomorphism.
+    """
+    comp = kt.comp
+    if comp.kind == SELF_CONJ:
+        return kt.alg.embed_fh(comp.fhe.element(code))
+    ft = comp.ft
+    a = ft.element(code % ft.order)
+    b = ft.element(code // ft.order)
+    gp = kt.g_prime
+    M = Mat2(ft, ((a, -b), (b, a - b * gp)))
+    return comp.iso_from_mat2(M)
+
+
+def kt_identity_code(kt: KtField) -> int:
+    """The code of the block identity in K_t: e's FHe code on a self-conjugate
+    block, and a = e, b = 0 on a paired one, where F_t is FHe."""
+    return kt.comp.fhe.code_of(kt.comp.e)
 
 
 def bar_via_matrix(comp: Component, M: Mat2) -> Mat2:

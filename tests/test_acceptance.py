@@ -20,7 +20,7 @@ import time
 import pytest
 
 from conftest import get_algebra
-from oracles import enumerate_beta, mat2_generator_ideals, mat2_simple_left_ideals, random_elem
+from oracles import enumerate_beta, kt_element, mat2_generator_ideals, mat2_simple_left_ideals, random_elem
 
 from cdcodes import analysis, dihedral, linalg
 from cdcodes.algebra import SELF_CONJ
@@ -168,7 +168,7 @@ def _block_self_orthogonal(comp, kt, beta_code) -> bool:
     """<C_t b, C_t b> = 0 via the Gram matrix of spanning rows of A_t f b."""
     alg = comp.alg
     f = build_Ct(comp)
-    g = f * kt.element(beta_code)
+    g = f * kt_element(kt, beta_code)
     rows = alg.left_ideal_rows([g])
     gram = linalg.matmul(alg.field, rows, rows.T)
     return not gram.any()
@@ -276,7 +276,7 @@ def _constructed_family():
     cab = assemble_code(
         D,
         [(comp, dihedral.f_ab(comp, comp.ft.identity, comp.ft.identity))],
-        extra_generators=[dihedral._a0_hat_generator(D)],
+        include_C0=True,
     )
     out.append(("dihedral-C_ab(3,7)", D, cab))
     return out

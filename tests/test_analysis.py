@@ -413,7 +413,7 @@ def test_census_rows_and_csv():
     A = get_algebra(5, 3)
     res = census_K_le_delta(A, delta=0.5)
     assert res.k_star_size == 24
-    lines = res.csv_lines()
+    lines = list(res.csv_lines())
     assert lines[0] == "beta_index,beta_codes,min_weight,delta"
     assert len(lines) == 25
     s = res.summary_json()
@@ -485,7 +485,7 @@ def test_census_distinct_codes_are_twist_classes(q, n, include_C0):
     assert len(seen) == res.distinct_codes
     assert set(seen.values()) == {math.prod(f - 1 for f in f_orders)}
     assert "distinct_codes" not in res.summary_json()
-    assert res.csv_lines()[0] == "beta_index,beta_codes,min_weight,delta"
+    assert next(res.csv_lines()) == "beta_index,beta_codes,min_weight,delta"
 
 
 def _per_beta_census(A, delta, include_C0):
@@ -530,7 +530,7 @@ def test_census_matches_per_beta_oracle(q, n, tw):
     include_C0 = A.decompose()[0].kind == TRIVIAL_SPLIT
     oracle = _per_beta_census(A, 0.2, include_C0)
     res = census_K_le_delta(A, delta=0.2, include_C0=include_C0)
-    assert res.csv_lines() == oracle.csv_lines()
+    assert list(res.csv_lines()) == list(oracle.csv_lines())
     assert json.dumps(res.summary_json()) == json.dumps(oracle.summary_json())
     assert res.distinct_codes == oracle.distinct_codes
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import get_algebra
-from oracles import beta_at, dual, enumerate_beta
+from conftest import get_algebra, odd_coprime_grid
+from oracles import beta_at, dual, enumerate_beta, kt_element, kt_identity_code
 
 from cdcodes import codes, linalg
 from cdcodes.algebra import PAIRED, SELF_CONJ, Mat2, TwistedDihedralAlgebra
@@ -38,7 +38,7 @@ def test_kt_selfconj_order():
     (kt,) = kt_fields(A)
     assert kt.order == 81  # dim FHe = 4
     assert k_star_size([kt]) == 80
-    assert kt.element(kt.identity_code) == kt.comp.identity
+    assert kt_element(kt, kt_identity_code(kt)) == kt.comp.identity
 
 
 def test_kt_paired_order():
@@ -46,26 +46,25 @@ def test_kt_paired_order():
     (kt,) = kt_fields(A)
     assert kt.order == 49
     assert k_star_size([kt]) == 48
-    assert kt.element(kt.identity_code) == kt.comp.identity
+    assert kt_element(kt, kt_identity_code(kt)) == kt.comp.identity
 
 
 def test_kt_basis_spans():
     for q, n in ((7, 3), (3, 5)):
         A = get_algebra(q, n)
         (kt,) = kt_fields(A)
-        basis = kt.basis()
-        assert len(basis) == 2 * kt.comp.k
-        words = np.array([b.to_word() for b in basis], dtype=np.int64)
-        assert linalg.rank(A.field, words) == len(basis)
-        assert all(kt.comp.contains(b) for b in basis)
+        words = kt.basis_words()
+        assert words.shape == (2 * kt.comp.k, 2 * n) and words.dtype == np.int64
+        assert linalg.rank(A.field, words) == len(words)
+        assert all(kt.comp.contains(A.from_word(w)) for w in words)
 
 
 def test_kt_closed_under_multiplication():
     A = get_algebra(4, 3)  # paired block over GF(4), K_t of order 16
     (kt,) = kt_fields(A)
-    elems = {kt.element(c).to_word() for c in range(kt.order)}
+    elems = {kt_element(kt, c).to_word() for c in range(kt.order)}
     assert len(elems) == kt.order
-    sample = [kt.element(c) for c in range(kt.order)]
+    sample = [kt_element(kt, c) for c in range(kt.order)]
     for x in sample:
         for y in sample:
             assert (x * y).to_word() in elems
@@ -309,7 +308,7 @@ def test_twist_identity_is_noop():
     kts = kt_fields(A)
     parts = codes.standard_parts(A)
     base = assemble_code(A, parts)
-    assert assemble_code(A, parts, beta=BetaVector.identity(kts)) == base
+    assert assemble_code(A, parts, beta=BetaVector(kts, [kt_identity_code(kt) for kt in kts])) == base
 
 
 def test_twist_orbit_covers_each_ideal_q_minus_1_times():
@@ -323,15 +322,44 @@ def test_twist_orbit_covers_each_ideal_q_minus_1_times():
     assert set(counter.values()) == {6}  # each appears q - 1 times
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13])
+def test_basis_words_match_the_isomorphism(q):
+    # the closed-form basis words are the isomorphism's elements of the codes
+    # q^i, and the unit words of seeded codes on every block at once are e_0
+    # plus the isomorphism's elements; codes past int64 are drawn too
+    rng = random.Random(q)
+    kinds = set()
+    for n in odd_coprime_grid(q, 21):
+        for tw in (-1, 1):
+            A = get_algebra(q, n, tw)
+            kts = kt_fields(A)
+            for kt in kts:
+                kinds.add(kt.comp.kind)
+                B = kt.basis_words()
+                assert B.shape == (2 * kt.comp.k, 2 * n) and B.dtype == np.int64
+                for i, word in enumerate(B):
+                    assert np.array_equal(word, kt_element(kt, q**i).word), (n, tw, kt.comp.index, i)
+            stack = [[rng.randrange(1, kt.order) for kt in kts] for _ in range(50)]
+            words = codes.unit_words(kts, stack)
+            assert words.shape == (50, 2 * n) and words.dtype == np.int64
+            e0 = A.decompose()[0].identity
+            for row, word in zip(stack, words):
+                want = e0
+                for kt, c in zip(kts, row):
+                    want = want + kt_element(kt, c)
+                assert np.array_equal(word, want.word), (n, tw, row)
+    assert kinds == {PAIRED, SELF_CONJ}
+
+
 def test_kt_word_is_linear_in_digits():
-    # the word of element(code) is the digit combination of the basis words
+    # the oracle's element of a code is the digit combination of the basis words
     for q, n in ((7, 3), (3, 5), (4, 3), (4, 5), (2, 7)):
         A = get_algebra(q, n)
         for kt in kt_fields(A):
             B = kt.basis_words()
             for c in range(kt.order):
                 digits = [c // q**i % q for i in range(len(B))]
-                assert kt.element(c).word.tolist() == linalg.matmul(A.field, digits, B)[0].tolist()
+                assert kt_element(kt, c).word.tolist() == linalg.matmul(A.field, digits, B)[0].tolist()
 
 
 @pytest.mark.parametrize("q, n, kind", [(7, 3, "paired"), (4, 3, "paired"), (3, 5, SELF_CONJ), (4, 5, SELF_CONJ)])
@@ -347,17 +375,17 @@ def test_kt_words_are_the_words_of_each_code(q, n, kind):
     words = codes.unit_words(kts, stack)
     assert words.shape == (kt.order, 2 * n) and words.dtype == np.int64
     e0 = A.decompose()[0].identity
-    assert words.tolist() == [(e0 + kt.element(c)).word.tolist() for c in stack[:, 0].tolist()]
+    assert words.tolist() == [(e0 + kt_element(kt, c)).word.tolist() for c in stack[:, 0].tolist()]
     assert codes.unit_words(kts, stack[:0]).shape == (0, 2 * n)
 
 
 def test_beta_vector_component_is_lazy_oracle():
-    # beta holds only its codes; beta_t is built on demand by KtField.element
+    # beta holds only its codes; beta_t is built on demand from the basis words
     A = get_algebra(7, 3)
     kts = kt_fields(A)
     beta = BetaVector(kts, [5])
     assert vars(beta).keys() == {"kts", "codes"}
-    assert beta.unit() == A.decompose()[0].identity + kts[0].element(5)
+    assert beta.unit() == A.decompose()[0].identity + kt_element(kts[0], 5)
 
 
 def test_beta_unit_is_e0_plus_components(rng):
@@ -365,12 +393,12 @@ def test_beta_unit_is_e0_plus_components(rng):
     for q, n, tw in ((7, 3, -1), (3, 5, -1), (4, 5, -1), (2, 7, -1), (5, 7, 1), (9, 5, 1)):
         A = get_algebra(q, n, tw)
         kts = kt_fields(A)
-        assert BetaVector.identity(kts).unit() == A.one()
+        assert BetaVector(kts, [kt_identity_code(kt) for kt in kts]).unit() == A.one()
         for _ in range(5):
             beta = BetaVector.random(kts, rng)
             total = A.decompose()[0].identity
             for kt, c in zip(beta.kts, beta.codes):
-                total = total + kt.element(c)
+                total = total + kt_element(kt, c)
             assert beta.unit() == total
 
 
@@ -391,7 +419,7 @@ def test_unit_words_are_e0_plus_kt_words(q, ns, tw):
         for row, word in zip(twists.tolist(), words):
             want = A.decompose()[0].identity.word
             for kt, c in zip(kts, row):
-                want = add[want, kt.element(c).word]
+                want = add[want, kt_element(kt, c).word]
             assert np.array_equal(word, want)
             assert np.array_equal(BetaVector(kts, row).unit().word, want)
     assert kinds == {SELF_CONJ, PAIRED}
@@ -410,7 +438,7 @@ def _product_oracle(A, family, beta, include_a0=False):
             return None
     else:
         blocks = comps[1:]
-    beta_t = {kt.comp.index: kt.element(c) for kt, c in zip(beta.kts, beta.codes)}
+    beta_t = {kt.comp.index: kt_element(kt, c) for kt, c in zip(beta.kts, beta.codes)}
     gens = [build_Ct(c) * beta_t[c.index] for c in blocks]
     if family == "self-dual":
         if A.tw == -1 and q % 4 == 3:
@@ -484,7 +512,8 @@ def test_k_row_assembly_matches_translate_path(q, n):
             ("lcd", build_lcd_code, {}, qualifying, False, ()),
             ("lcd+a0", build_lcd_code, {"include_a0": True}, qualifying, False, (comps[0].identity,)),
         ]
-        betas = [BetaVector.identity(kts)] + [BetaVector.random(kts, rng) for _ in range(3)]
+        one = BetaVector(kts, [kt_identity_code(kt) for kt in kts])
+        betas = [one] + [BetaVector.random(kts, rng) for _ in range(3)]
         for family, builder, kw, parts, c0, extra in cases:
             for beta in betas:
                 try:
@@ -506,7 +535,7 @@ def test_k_row_assembly_cache_tells_part_lists_apart():
     A = TwistedDihedralAlgebra(field_from_order(2), 9, -1)
     kts = kt_fields(A)
     c1, c2 = A.decompose()[1:]
-    unit = kts[0].element(1)  # not in F_1*, so it moves the ideal
+    unit = kt_element(kts[0], 1)  # not in F_1*, so it moves the ideal
     lists = [
         [(c1, build_Ct(c1))],
         [(c1, build_Ct(c1) * unit)],
@@ -533,14 +562,14 @@ def test_twist_class_is_beta_modulo_Ft_star(q, n, kind):
     ft = comp.ft
     scalars = [comp.iso_from_mat2(Mat2.identity(ft).scaled(ft.element(c))) for c in range(1, ft.order)]
     assert len(scalars) == ft.order - 1
-    code_of = {kt.element(c).to_word(): c for c in range(1, kt.order)}
-    rest = [k.identity_code for k in kts[1:]]
+    code_of = {kt_element(kt, c).to_word(): c for c in range(1, kt.order)}
+    rest = [kt_identity_code(k) for k in kts[1:]]
     key = {
         c: assemble_code(A, parts, beta=BetaVector(kts, [c] + rest)).key() for c in range(1, kt.order)
     }
     ids = kt.class_ids()
     for c in range(1, kt.order):
-        beta_t = kt.element(c)
+        beta_t = kt_element(kt, c)
         orbit = {code_of[(s * beta_t).to_word()] for s in scalars}
         same_code = {d for d in range(1, kt.order) if key[d] == key[c]}
         assert same_code == orbit == {d for d in range(1, kt.order) if ids[d] == ids[c]}
@@ -565,7 +594,7 @@ def test_class_ids_are_the_twist_classes(q, n, kind, tw):
     kts = kt_fields(A)
     parts = codes.standard_parts(A)
     assert {kt.comp.kind for kt in kts} == {kind}
-    ones = [kt.identity_code for kt in kts]
+    ones = [kt_identity_code(kt) for kt in kts]
     for i, kt in enumerate(kts):
         ids = kt.class_ids()
         assert len(ids) == kt.order and ids[0] == -1

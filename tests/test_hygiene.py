@@ -116,14 +116,34 @@ def _name_reads(tree: ast.AST) -> Counter:
     return reads
 
 
+def _owner_reads(tree: ast.AST, owners: tuple[str, ...]) -> Counter:
+    """Attribute loads owner.name in tree, owner a bare name in owners."""
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in owners
+    )
+
+
+def _is_class_bound(d: ast.AST) -> bool:
+    decorators = getattr(d, "decorator_list", [])
+    return any(isinstance(x, ast.Name) and x.id in ("classmethod", "staticmethod") for x in decorators)
+
+
 def unread_public_names(library: dict[str, str], outside: list[str]) -> list[str]:
     """Public module-level functions and classes, and public methods, of the
     library modules that nothing reads: no library module other than
     `__init__` and no source in outside.  The reads of a definition's own
-    name inside its body do not count."""
+    name inside its body do not count.  A public classmethod or
+    staticmethod counts as read only through Class.name, or cls.name in
+    its class, not through a bare attribute of the same name."""
     trees = {module: ast.parse(source) for module, source in library.items() if module != "__init__"}
+    readers = list(trees.values()) + [ast.parse(source) for source in outside]
     reads: Counter = Counter()
-    for tree in list(trees.values()) + [ast.parse(source) for source in outside]:
+    for tree in readers:
         reads.update(_name_reads(tree))
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unread = []
@@ -135,7 +155,14 @@ def unread_public_names(library: dict[str, str], outside: list[str]) -> list[str
             if isinstance(node, ast.ClassDef):
                 found += [(f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, defs)]
             for key, d in found:
-                if not d.name.startswith("_") and reads[d.name] <= _name_reads(d)[d.name]:
+                if d.name.startswith("_"):
+                    continue
+                if d is not node and _is_class_bound(d):
+                    owned = sum((_owner_reads(t, (node.name,)) for t in readers), _owner_reads(node, ("cls",)))
+                    is_read = owned[d.name] > _owner_reads(d, (node.name, "cls"))[d.name]
+                else:
+                    is_read = reads[d.name] > _name_reads(d)[d.name]
+                if not is_read:
                     unread.append(f"{module}.{key} (line {d.lineno})")
     return unread
 
@@ -154,6 +181,23 @@ def test_hygiene_checker_flags_unread_public():
     }
     outside = ["import a\nSPANS = ['a.g']\n"]
     assert unread_public_names(library, outside) == ["a.f (line 1)", "a.C.m (line 4)", "a.h (line 12)"]
+
+
+def test_hygiene_checker_flags_class_bound_methods_read_by_name_only():
+    library = {
+        "a": (
+            "class K:\n"
+            "    @classmethod\n    def make(cls):\n        return cls.build()\n"
+            "    @classmethod\n    def build(cls):\n        return cls()\n"
+            "    @staticmethod\n    def loose():\n        return K.loose()\n"
+            "    @classmethod\n    def named(cls):\n        pass\n"
+            "    def plain(self):\n        pass\n"
+        ),
+        "b": "from .a import K\nk = K.make()\nk.loose()\nk.named\nk.plain()\n",
+    }
+    # loose is read only by its own body and through an instance, named only as
+    # a bare attribute; plain is an ordinary method, read by its name
+    assert unread_public_names(library, []) == ["a.K.loose (line 9)", "a.K.named (line 12)"]
 
 
 def test_public_names_have_readers():

@@ -101,6 +101,17 @@ def test_good_n_scan_prints_the_table():
     assert [ln.split()[0] for ln in out.splitlines()[2:]] == ["5", "7"]
 
 
+def test_good_n_scan_refuses_a_huge_q_at_once():
+    # q is bounded before it is factored; trial division of this prime would
+    # not end, so a child process fails this test by timeout instead of hanging
+    q = 1000000000000000003
+    proc = subprocess.run(
+        [sys.executable, str(GOOD_N_SCRIPT), "--q", str(q)], capture_output=True, text=True, timeout=30
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: field of size {q} too large for lookup tables\n"
+
+
 @pytest.mark.parametrize("q", ["6", "1"])
 def test_good_n_scan_rejects_a_non_prime_power(q):
     code, out, err = run_good_n_scan("--q", q, "--limit", "15")
