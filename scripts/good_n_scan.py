@@ -11,7 +11,8 @@ for some divisor d > 1 of n; its computed hull equals its dimension, so
 those codes are self-orthogonal, not LCD (see analysis.good_n_sequence).
 A q that is not a prime power, or is above the field table bound 4096 (no
 code can be built over it), prints an "error:" line on stderr and exits 2,
-as the cdcodes CLI does for invalid input.
+as the cdcodes CLI does for invalid input.  A reader that closes the pipe
+early (`| head`) ends the table quietly, with exit 0.
 
 Example:
     python scripts/good_n_scan.py --q 3 --limit 60
@@ -19,6 +20,7 @@ Example:
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -43,15 +45,21 @@ def main():
     except CdcodesError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INVALID
-    print(f"q = {q}")
-    print(f"{'n':>4} {'ord':>5} {'lambda':>7} {'log_q(n)/lambda':>16}  profiles")
-    for n in range(3, args.limit + 1, 2):
-        if math.gcd(n, q) != 1:
-            continue
-        lam = lambda_n(n, q)
-        ratio = math.log(n, q) / lam
-        tags = ",".join(name for name, members in profiles.items() if n in members) or "-"
-        print(f"{n:>4} {mult_order(q, n):>5} {lam:>7} {ratio:>16.4f}  {tags}")
+    try:
+        print(f"q = {q}")
+        print(f"{'n':>4} {'ord':>5} {'lambda':>7} {'log_q(n)/lambda':>16}  profiles")
+        for n in range(3, args.limit + 1, 2):
+            if math.gcd(n, q) != 1:
+                continue
+            lam = lambda_n(n, q)
+            ratio = math.log(n, q) / lam
+            tags = ",".join(name for name, members in profiles.items() if n in members) or "-"
+            print(f"{n:>4} {mult_order(q, n):>5} {lam:>7} {ratio:>16.4f}  {tags}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has all it wanted (say `| head`); stdout goes to devnull
+        # so that the interpreter's last flush does not fail on the pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -94,9 +94,6 @@ class AlgElem:
         self._check(other)
         return int(linalg.matmul(self.alg.field, self.word, other.word[:, None])[0, 0])
 
-    def scale(self, c: int) -> "AlgElem":
-        return AlgElem(self.alg, self.alg.field.tables().mul[c, self.word])
-
     def to_word(self) -> tuple[int, ...]:
         return tuple(self.word.tolist())
 
@@ -123,7 +120,8 @@ class SubfieldView:
 
     Elements are CyclicElems; the view supplies identity-aware inversion,
     membership, and the canonical integer encoding of coordinates.  span is
-    a 2-D array of coefficient rows that spans the subfield.
+    a 2-D array of coefficient rows that spans the subfield; rows is its
+    RREF, the basis as one (dim, n) array.
     """
 
     def __init__(self, field: Field, n: int, identity: CyclicElem, span: np.ndarray, label: str = ""):
@@ -132,7 +130,8 @@ class SubfieldView:
         self.identity = identity
         R, pivots = linalg.rref(field, span)
         self.basis = tuple(CyclicElem(field, row) for row in R)
-        self._R = R
+        R.setflags(write=False)
+        self.rows = R
         self._pivots = pivots
         self.dim = len(self.basis)
         self.order = field.q**self.dim
@@ -143,7 +142,7 @@ class SubfieldView:
         return CyclicElem.zero(self.field, self.n)
 
     def contains(self, y: CyclicElem) -> bool:
-        return linalg.in_row_space(self.field, self._R, self._pivots, y.coeffs)
+        return linalg.in_row_space(self.field, self.rows, self._pivots, y.coeffs)
 
     def code_of(self, y: CyclicElem) -> int:
         """Coordinate encoding of y, assumed in the subfield."""
@@ -162,7 +161,7 @@ class SubfieldView:
         """The element whose coordinates are the base-q digits of code."""
         q = self.field.q
         digits = [code // q**i % q for i in range(self.dim)]
-        return CyclicElem(self.field, linalg.matmul(self.field, digits, self._R)[0])
+        return CyclicElem(self.field, linalg.matmul(self.field, digits, self.rows)[0])
 
     def inv(self, y: CyclicElem) -> CyclicElem:
         if y.is_zero():
@@ -452,8 +451,8 @@ class Component:
             a12 = (x.b * e).scale(sign)
             a21 = x.b.bar() * e
             return Mat2(self.ft, ((a11, a12), (a21, a22)))
-        a, b = self._split_ft(x.a)
-        c, d = self._split_ft(x.b)
+        F = self.alg.field
+        (a, c), (b, d) = ([CyclicElem(F, y) for y in part] for part in self._split_ft(x.word.reshape(2, -1)))
         M = self.epsilon.scaled(a) + self.eta.scaled(b) + self.nu.scaled(c) + self.eta_nu.scaled(d)
         return M
 
@@ -475,10 +474,18 @@ class Component:
         a, b, c, d = coeffs
         return self.alg.elem(a + b * self.ue, c + d * self.ue)
 
-    def _split_ft(self, y: CyclicElem) -> tuple[CyclicElem, CyclicElem]:
-        """Write y in FHe as alpha + beta * ue with alpha, beta in F_t."""
-        beta = (y - y.bar()) * self._diff_inv
-        alpha = y - beta * self.ue
+    def _split_ft(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write each row y of ys, an element of FHe, as alpha + beta * ue with
+        alpha, beta in F_t; returns the rows of alpha and those of beta.
+
+        beta = (y - bar(y)) * _diff_inv and alpha = y - beta * ue, each product
+        one Field.matmul with a circulant (`field._rot_index`) for all rows.
+        """
+        F, n = self.alg.field, self.alg.n
+        t = F.tables()
+        rot = _rot_index(n)
+        beta = F.matmul(t.add[ys, t.neg[ys[:, -np.arange(n) % n]]], self._diff_inv.coeffs[rot])
+        alpha = t.add[ys, t.neg[F.matmul(beta, self.ue.coeffs[rot])]]
         return alpha, beta
 
     def __repr__(self):
@@ -518,9 +525,6 @@ class TwistedDihedralAlgebra:
 
     def u(self, k: int = 1) -> AlgElem:
         return self.embed_fh(CyclicElem.u_power(self.field, self.n, k))
-
-    def v(self) -> AlgElem:
-        return self.elem(CyclicElem.zero(self.field, self.n), CyclicElem.one(self.field, self.n))
 
     def from_word(self, word: Sequence[int] | np.ndarray) -> AlgElem:
         if len(word) != 2 * self.n:
@@ -588,13 +592,18 @@ class TwistedDihedralAlgebra:
     def _check_orthogonal_idempotents(self, words: np.ndarray):
         """Assert w_i w_j = w_i if i == j, else 0, for the rows w_i of words.
 
-        One product W . [L(w_0) ... L(w_m)] holds every w_i w_j, in block (i, j).
+        The block identities lie in FH: their b-halves are asserted zero, and
+        one product of the a-halves A with their circulants
+        [C(a_0) ... C(a_m)] holds every a_i a_j, in block (i, j).
         """
-        r, n2 = words.shape
-        L = self.translates(words).reshape(r, n2, n2).transpose(1, 0, 2).reshape(n2, r * n2)
-        expect = np.zeros((r, r, n2), dtype=np.int64)
-        expect[np.arange(r), np.arange(r)] = words
-        assert np.array_equal(self.field.matmul(words, L).reshape(r, r, n2), expect), "block identities"
+        n = self.n
+        A, B = words[:, :n], words[:, n:]
+        assert not B.any(), "block identities outside FH"
+        r = len(A)
+        C = A[:, _rot_index(n)].transpose(1, 0, 2).reshape(n, r * n)
+        expect = np.zeros((r, r, n), dtype=np.int64)
+        expect[np.arange(r), np.arange(r)] = A
+        assert np.array_equal(self.field.matmul(A, C).reshape(r, r, n), expect), "block identities"
 
     def group_action(self) -> tuple[np.ndarray, np.ndarray]:
         """Signed coordinate permutations (perm, sign) of all 2n group elements.

@@ -369,8 +369,9 @@ def census_K_le_delta(
     generator for the first beta's class must equal the first code's.  The
     pass fills the class memo, keyed by twist class, so the census's one
     assemble_code call per beta is a lookup.  The census asserts
-    prod(|F_t| + 1) classes with pairwise distinct codes, weighs every class
-    in one call of linalg.weight_distribution on their stacked generators,
+    prod(|F_t| + 1) classes with pairwise distinct codes, takes every
+    class's minimum weight from one call of linalg.min_nonzero_weight on
+    their stacked generators (no class's weight distribution is computed),
     and reads each beta's weight off its class number.
     """
     q = alg.field.q
@@ -417,9 +418,7 @@ def census_K_le_delta(
     for codes in itertools.islice(beta_tuples, 1, None):
         assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, codes), memo=memo)
     assert len(memo) == classes, f"{len(memo)} twist classes after the per-beta calls, expected {classes}"
-    counts = linalg.weight_distribution(alg.field, gens)
-    class_weights = np.argmax(counts[:, 1:] > 0, axis=1) + 1
-    weights = class_weights[class_of]
+    weights = linalg.min_nonzero_weight(alg.field, gens)[class_of]
     deltas = np.arange(first.n_len + 1) / first.n_len
     count = int(np.count_nonzero(deltas[weights] <= delta + FLOAT_SLACK))
     weights, deltas = weights.tolist(), deltas.tolist()  # one float per weight, shared by its rows

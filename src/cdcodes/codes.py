@@ -38,7 +38,7 @@ from .errors import (
     InvalidBeta,
     NotInComponent,
 )
-from .field import Field, field_from_order
+from .field import Field, _rot_index, field_from_order
 
 
 @dataclass
@@ -161,16 +161,21 @@ class KtField:
         a + b |F_t| is ((a, -b), (b, a - b g')), which iso_from_mat2 sends to
         a + bar(a) - bar(b g') + (bar(b) - tw b) v: row i is b_i + bar(b_i) and
         row k_t + i is -bar(b_i g') + (bar(b_i) - tw b_i) v, b_i the RREF basis
-        of F_t and tw the sign of v^2."""
+        of F_t and tw the sign of v^2.  The products b_i g' are one matmul of
+        the basis with the circulant of g'."""
         if self._basis_words is None:
-            comp, alg = self.comp, self.alg
+            comp, F, n = self.comp, self.alg.field, self.alg.n
+            t = F.tables()
             if comp.kind == SELF_CONJ:
-                rows = [alg.embed_fh(b) for b in comp.fhe.basis]
+                Y = comp.fhe.rows
+                self._basis_words = np.concatenate([Y, np.zeros_like(Y)], axis=1)
             else:
-                basis, zero = comp.ft.basis, comp.ft.zero
-                rows = [alg.elem(b + b.bar(), zero) for b in basis]
-                rows += [alg.elem(-(b * self.g_prime).bar(), b.bar() - b.scale(alg.tw_code)) for b in basis]
-            self._basis_words = np.array([r.word for r in rows])
+                B = comp.ft.rows
+                bar = -np.arange(n) % n
+                Bg = F.matmul(B, self.g_prime.coeffs[_rot_index(n)])  # rows b_i g'
+                a = np.concatenate([t.add[B, B[:, bar]], t.neg[Bg[:, bar]]])
+                b = np.concatenate([np.zeros_like(B), t.add[B[:, bar], t.neg[t.mul[self.alg.tw_code, B]]]])
+                self._basis_words = np.concatenate([a, b], axis=1)
         return self._basis_words
 
     def class_ids(self) -> list[int]:
@@ -178,21 +183,23 @@ class KtField:
         F_t* . c, one of |F_t| + 1 ids (entry 0, the zero code, is -1).
 
         K_t = F_t + F_t w, with w the companion matrix (paired; the code is
-        a + b |F_t|, its digits a's then b's) or ue (self-conjugate; the split
-        matrix, rows Component._split_ft of the FHe basis, takes the digits to
-        a's and b's), and lambda in F_t* scales a and b alike.  So the orbit of
-        a + b w is the F_t-line [a : b]: its id is the code of a / b, or |F_t|
-        when b = 0.  Built on first use.
+        a + b |F_t|) or ue (self-conjugate; the split matrix, rows
+        Component._split_ft of the whole FHe basis at once, takes the digits
+        to a's and b's), and lambda in F_t* scales a and b alike.  So the
+        orbit of a + b w is the F_t-line [a : b]: its id is the code of a / b
+        read off _mul_table, or |F_t| when b = 0.  Built on first use.
         """
         if self._class_ids is None:
             comp, ft, F = self.comp, self.comp.ft, self.alg.field
             k, Q = ft.dim, ft.order
-            pw = F.q ** np.arange(k)
-            ab = _digits(np.arange(self.order), F.q, 2 * k)
+            codes = np.arange(self.order)
             if comp.kind == SELF_CONJ:
-                split = [np.concatenate([ft.coords(x.coeffs) for x in comp._split_ft(y)]) for y in comp.fhe.basis]
-                ab = F.matmul(ab, np.array(split))
-            a, b = ab[:, :k] @ pw, ab[:, k:] @ pw
+                alpha, beta = comp._split_ft(comp.fhe.rows)
+                split = np.concatenate([ft.coords(alpha), ft.coords(beta)], axis=1)
+                ab = F.matmul(_digits(codes, F.q, 2 * k), split)
+                a, b = (ab.reshape(-1, 2, k) @ F.q ** np.arange(k)).T
+            else:
+                b, a = np.divmod(codes, Q)
             mul = _mul_table(ft)
             inv = np.zeros(Q, dtype=np.int64)
             units, inverses = np.nonzero(mul == ft.code_of(ft.identity))
@@ -213,19 +220,28 @@ def _digits(codes: np.ndarray, q: int, width: int) -> np.ndarray:
 def _mul_table(ft: SubfieldView) -> np.ndarray:
     """(|F_t|, |F_t|) array of the codes of x * y, indexed by the codes of x and y.
 
-    From the coordinates S[i, j] of b_i b_j, b the basis: row y of M holds
-    the coordinates of every b_i y, and x * y = sum_i x_i (b_i y).
+    From the coordinates S[i, j] of b_i b_j, b the basis: the basis times
+    the circulant of each row b_i, at the pivot columns only (its
+    coordinates), gives them all in one product.  Row y of M holds the
+    coordinates of every b_i y, and x * y = sum_i x_i (b_i y).
     """
-    F, k, Q = ft.field, ft.dim, ft.order
-    S = np.array([[ft.coords((bi * bj).coeffs) for bj in ft.basis] for bi in ft.basis])
+    F, k, Q, n = ft.field, ft.dim, ft.order, ft.n
+    B = ft.rows
+    circ = B[:, ft.coords(_rot_index(n))]  # (k, n, k): circ[i] the pivot columns of b_i's circulant
+    S = F.matmul(B, circ.transpose(1, 0, 2).reshape(n, k * k)).reshape(k, k, k)  # S[j, i] = coords(b_j b_i)
     D = _digits(np.arange(Q), F.q, k)
-    M = F.matmul(D, S.transpose(1, 0, 2).reshape(k, k * k)).reshape(Q, k, k)
+    M = F.matmul(D, S.reshape(k, k * k)).reshape(Q, k, k)
     P = F.matmul(D, M.transpose(1, 0, 2).reshape(k, Q * k)).reshape(Q, Q, k)
     return P @ F.q ** np.arange(k)
 
 
 def _first_irreducible_quadratic_g(ft: SubfieldView) -> CyclicElem:
-    """First g' in canonical order with X^2 + g'X + 1 irreducible over ft."""
+    """First g' in canonical order with X^2 + g'X + 1 irreducible over ft.
+
+    A scan with one trace (characteristic 2) or Euler test per candidate.  It
+    stops at the first hit, a few codes in, where reading g' off _mul_table
+    would build |F_t|^2 products first: 2^20 at (4, 11), in the hull
+    benchmark's set-up, and 2^46 on the paired blocks of (2, 47)."""
     e = ft.identity
     if ft.field.p == 2:
         bits = ft.order.bit_length() - 1

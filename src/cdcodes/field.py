@@ -316,6 +316,8 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly.zero(F)
         a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a  # one row per coefficient of the shorter factor
         # row i holds b shifted by i, so a times these rows is a * b
         shifted = np.zeros((len(a), len(a) + len(b) - 1), dtype=np.int64)
         i = np.arange(len(a))[:, None]

@@ -309,24 +309,49 @@ def _batch_counts(field: Field, stack: np.ndarray, j: int) -> np.ndarray:
     return ((field.q - 1) * counts - (field.q - 2) * zero).reshape(c, n + 1)
 
 
-def min_nonzero_weight(field: Field, basis: np.ndarray) -> int:
-    """The least weight of a nonzero word of the row space of one (k, n) basis.
+def min_nonzero_weight(field: Field, basis: np.ndarray):
+    """The least weight of a nonzero word of the row space, per code.
 
-    It walks the shifts weight_distribution walks, so it weighs about
-    q^k/(q - 1) words in O(SPAN_CHUNK n) memory, but keeps only their
-    minimum.  Every zero word (offset 0 against the held zero word and,
-    when rows are dependent, any offset that lies in the held span) wraps
-    under w - 1 to the largest value of the weights' unsigned type, so it
-    never wins.  A row space without a nonzero word raises NoNonzeroWords.
+    basis is one (k, n) basis, giving an int, or a stack of c of them,
+    (c, k, n), giving the (c,) int64 array of their minima; one basis is
+    the c = 1 case.  It walks the shifts weight_distribution walks, about
+    q^k/(q - 1) words a code, in O(SPAN_CHUNK n) memory for one code, but
+    keeps only their minimum: no weight distribution is counted.  Every
+    zero word (offset 0 against the held zero word and, when rows are
+    dependent, any offset that lies in the held span) wraps under w - 1 to
+    the largest value of the weights' unsigned type, so it never wins.  A
+    code without a nonzero word raises NoNonzeroWords.
+
+    Codes are weighed in batches side by side, as in weight_distribution.
+    With no bincount to keep small, a batch holds up to 4 SPAN_CHUNK words
+    of low spans, as many as one XOR pass takes (but at least one code).
+    That puts a census's small classes in one batch and 16-22 of its large
+    ones in each.  Measured on the stacked class generators of two
+    censuses, in seconds, the median of 4 runs:
+
+        codes of (q, n), low span    1 a batch    4-5    16-22    64-89
+        1755 of (2, 21), 1024 words     4.95      5.03    4.27     7.96
+        784 of (3, 13), 729 words       1.24      1.24    1.14     1.10
+
+    The nine class stacks of the criterion-8 grid (at most 50 codes, low
+    spans of at most 169 words) took 2.7 ms in all with 4096 or more words
+    a batch, 6.2 ms with 256 and 6.5 ms as weight distributions.
     """
-    basis = as_matrix(basis)
-    k, n = basis.shape
+    stack = np.asarray(basis, dtype=np.int64)
+    single = stack.ndim < 3
+    if single:
+        stack = stack.reshape(1, -1, stack.shape[-1])
+    c, k, n = stack.shape
     j = min(_low_rows(field.q, k), -(-k // 2))
-    blocks = _weighed_blocks(field, basis[None], j)
-    least = min(int((w.view(f"u{w.itemsize}") - 1).min()) for w in blocks)
-    if least >= n:
+    batch = max(1, 4 * SPAN_CHUNK // field.q**j)
+    least = []  # each code's least weight - 1, or a wrapped zero weight
+    for s in range(0, c, batch):
+        blocks = _weighed_blocks(field, stack[s : s + batch], j)
+        minima = [(w.view(f"u{w.itemsize}") - 1).min(axis=(0, 2)).tolist() for w in blocks]
+        least += map(min, zip(*minima))
+    if max(least, default=0) >= n:
         raise NoNonzeroWords("the row space has no nonzero word")
-    return least + 1
+    return least[0] + 1 if single else np.array(least, dtype=np.int64) + 1
 
 
 def _weighed_blocks(field: Field, stack: np.ndarray, j: int):

@@ -3,8 +3,9 @@
 Each one computes by a route the library does not take: the simple left
 ideals of M_2(GF(q)) by exhaustive search, the census order of K* one index
 at a time, the element of a K_t code and the bar map through the
-paired-block matrix isomorphism, the dual code by row-reducing the kernel
-basis, the weight distribution from every word of the span.  None of them
+paired-block matrix isomorphism, the K_t tables one element product at a
+time, the dual code by row-reducing the kernel basis, the weight
+distribution from every word of the span.  None of them
 is on a path the library runs.
 """
 
@@ -16,8 +17,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from cdcodes import linalg
-from cdcodes.algebra import PAIRED, SELF_CONJ, AlgElem, Component, Mat2, TwistedDihedralAlgebra
+from cdcodes.algebra import PAIRED, SELF_CONJ, AlgElem, Component, Mat2, SubfieldView, TwistedDihedralAlgebra
 from cdcodes.codes import BetaVector, KtField, LinearCode, k_star_size
+from cdcodes.cyclic import CyclicElem
 from cdcodes.errors import InvalidBeta, NotPaired
 from cdcodes.field import Field
 
@@ -135,6 +137,84 @@ def kt_element(kt: KtField, code: int) -> AlgElem:
     gp = kt.g_prime
     M = Mat2(ft, ((a, -b), (b, a - b * gp)))
     return comp.iso_from_mat2(M)
+
+
+def v_elem(alg: TwistedDihedralAlgebra) -> AlgElem:
+    """The group element v: a = 0, b = 1."""
+    return alg.elem(CyclicElem.zero(alg.field, alg.n), CyclicElem.one(alg.field, alg.n))
+
+
+def scaled(x: AlgElem, c: int) -> AlgElem:
+    """The scalar multiple c x, entry by entry."""
+    return AlgElem(x.alg, x.alg.field.tables().mul[c, x.word])
+
+
+# -- K_t tables, one element at a time ------------------------------------------------
+
+
+def kt_basis_words(kt: KtField) -> np.ndarray:
+    """KtField.basis_words with one CyclicElem product a row.  Self-conjugate:
+    the FHe basis.  Paired: b_i + bar(b_i), then -bar(b_i g') + (bar(b_i) -
+    tw b_i) v, over the RREF basis b_i of F_t."""
+    comp, alg = kt.comp, kt.alg
+    if comp.kind == SELF_CONJ:
+        rows = [alg.embed_fh(b) for b in comp.fhe.basis]
+    else:
+        basis, zero = comp.ft.basis, comp.ft.zero
+        rows = [alg.elem(b + b.bar(), zero) for b in basis]
+        rows += [alg.elem(-(b * kt.g_prime).bar(), b.bar() - b.scale(alg.tw_code)) for b in basis]
+    return np.array([r.word for r in rows])
+
+
+def _digit_rows(codes: np.ndarray, q: int, width: int) -> np.ndarray:
+    return codes[:, None] // q ** np.arange(width) % q
+
+
+def ft_mul_table(ft: SubfieldView) -> np.ndarray:
+    """The (|F_t|, |F_t|) table of product codes, from the coordinates of
+    every basis product b_i b_j, one CyclicElem product each."""
+    F, k, Q = ft.field, ft.dim, ft.order
+    S = np.array([[ft.coords((bi * bj).coeffs) for bj in ft.basis] for bi in ft.basis])
+    D = _digit_rows(np.arange(Q), F.q, k)
+    M = F.matmul(D, S.transpose(1, 0, 2).reshape(k, k * k)).reshape(Q, k, k)
+    P = F.matmul(D, M.transpose(1, 0, 2).reshape(k, Q * k)).reshape(Q, Q, k)
+    return P @ F.q ** np.arange(k)
+
+
+def kt_class_ids(kt: KtField) -> list[int]:
+    """KtField.class_ids from ft_mul_table and, on a self-conjugate block,
+    the F_t split y = alpha + beta ue of each FHe basis element one element
+    at a time: beta = (y - bar(y)) / (ue - u^-1 e) and alpha = y - beta ue."""
+    comp, ft, F = kt.comp, kt.comp.ft, kt.alg.field
+    k, Q = ft.dim, ft.order
+    ab = _digit_rows(np.arange(kt.order), F.q, 2 * k)
+    if comp.kind == SELF_CONJ:
+        split = []
+        for y in comp.fhe.basis:
+            beta = (y - y.bar()) * comp.fhe.inv(comp.ue - comp.uinv_e)
+            split.append(np.concatenate([ft.coords((y - beta * comp.ue).coeffs), ft.coords(beta.coeffs)]))
+        ab = F.matmul(ab, np.array(split))
+    pw = F.q ** np.arange(k)
+    a, b = ab[:, :k] @ pw, ab[:, k:] @ pw
+    mul = ft_mul_table(ft)
+    inv = np.zeros(Q, dtype=np.int64)
+    units, inverses = np.nonzero(mul == ft.code_of(ft.identity))
+    inv[units] = inverses
+    ids = np.where(b == 0, Q, mul[a, inv[b]])
+    ids[0] = -1
+    return ids.tolist()
+
+
+def first_irreducible_g(ft: SubfieldView) -> CyclicElem:
+    """The first g' in code order for which X^2 + g'X + 1 has no root in ft,
+    every x of ft tried: the paired-block g' by a criterion the library's
+    trace and Euler tests do not use."""
+    elems = [ft.element(c) for c in range(ft.order)]
+    shifted_squares = [x * x + ft.identity for x in elems]  # x^2 + 1
+    for gp in elems:
+        if all(not (s + gp * x).is_zero() for x, s in zip(elems, shifted_squares)):
+            return gp
+    raise AssertionError("every X^2 + g'X + 1 has a root")
 
 
 def kt_identity_code(kt: KtField) -> int:

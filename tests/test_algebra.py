@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import get_algebra
-from oracles import bar_via_matrix, random_elem
+from oracles import bar_via_matrix, random_elem, scaled, v_elem
 
 from cdcodes import algebra
 from cdcodes.algebra import (
@@ -35,15 +35,15 @@ def scalar_view(q):
 
 def test_consta_relations():
     A = get_algebra(7, 3)
-    v, u = A.v(), A.u()
-    assert v * v == A.one().scale(A.field.neg(1))
+    v, u = v_elem(A), A.u()
+    assert v * v == scaled(A.one(), A.field.neg(1))
     assert v * u == A.u(-1) * v
     assert A.u(3) == A.one()
 
 
 def test_dihedral_relations():
     D = get_algebra(7, 3, 1)
-    v, u = D.v(), D.u()
+    v, u = v_elem(D), D.u()
     assert v * v == D.one()
     assert v * u == D.u(-1) * v
 
@@ -62,9 +62,9 @@ def test_associativity_distributivity(rng):
 
 def test_bar_of_v():
     A = get_algebra(7, 3)
-    assert A.v().bar() == -A.v()
+    assert v_elem(A).bar() == -v_elem(A)
     D = get_algebra(7, 3, 1)
-    assert D.v().bar() == D.v()
+    assert v_elem(D).bar() == v_elem(D)
 
 
 def test_bar_involution_and_antihom(rng):
@@ -81,7 +81,7 @@ def test_bar_involution_and_antihom(rng):
 def test_sigma_examples():
     A = get_algebra(5, 3)
     assert A.one().word[0] == 1
-    assert A.v().word[0] == 0
+    assert v_elem(A).word[0] == 0
 
 
 def test_inner_examples(rng):
@@ -91,7 +91,7 @@ def test_inner_examples(rng):
         w = sum(1 for c in x.to_word() if c) % 2
         assert x.inner(x) == w
     A = get_algebra(5, 3)
-    assert A.v().inner(A.v()) == 1
+    assert v_elem(A).inner(v_elem(A)) == 1
 
 
 def test_inner_equals_sigma_bar(rng):
@@ -175,7 +175,9 @@ def test_block_identity_check_rejects_bad_sets():
     not_orthogonal[1] = t.add[W[1], W[2]]  # e_1 + e_2 is idempotent, but meets e_2
     not_idempotent = W.copy()
     not_idempotent[1] = (A.u(1) * A.from_word(W[1])).word  # orthogonal to the rest, u e_1 != (u e_1)^2
-    for bad in (not_orthogonal, not_idempotent):
+    outside_fh = W.copy()
+    outside_fh[0] = t.add[W[0], (v_elem(A) * A.from_word(W[0])).word]  # e_0 + v e_0, its b-half nonzero
+    for bad in (not_orthogonal, not_idempotent, outside_fh):
         assert not _orthogonal_idempotents_by_products(A, bad)
         with pytest.raises(AssertionError):
             A._check_orthogonal_idempotents(bad)
@@ -263,7 +265,7 @@ def test_group_action_matches_multiplication(tw, rng):
         A = get_algebra(q, n, tw)
         perm, sign = A.group_action()
         assert perm.shape == sign.shape == (2 * n, 2 * n)
-        group = [A.u(a) for a in range(n)] + [pair_product(A.u(a), A.v()) for a in range(n)]
+        group = [A.u(a) for a in range(n)] + [pair_product(A.u(a), v_elem(A)) for a in range(n)]
         mul = A.field.tables().mul
         for _ in range(20):
             x, y = random_elem(A, rng), random_elem(A, rng)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import get_algebra, odd_coprime_grid
-from oracles import beta_at, dual, enumerate_beta, kt_element, kt_identity_code
+from oracles import beta_at, dual, enumerate_beta, kt_element, kt_identity_code, scaled, v_elem
 
 from cdcodes import codes, linalg
 from cdcodes.algebra import PAIRED, SELF_CONJ, Mat2, TwistedDihedralAlgebra
@@ -81,7 +82,7 @@ def test_build_C0_gf5():
     assert gen == A.elem(e0.scale(2), e0)  # r = 2
     assert gen.inner(gen) == 0
     # one-dimensional ideal: v gen is a scalar multiple of gen
-    assert A.v() * gen == gen.scale(2)
+    assert v_elem(A) * gen == scaled(gen, 2)
 
 
 def test_build_C0_absent_for_q7():
@@ -349,6 +350,26 @@ def test_basis_words_match_the_isomorphism(q):
                     want = want + kt_element(kt, c)
                 assert np.array_equal(word, want.word), (n, tw, row)
     assert kinds == {PAIRED, SELF_CONJ}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13])
+def test_kt_tables_match_the_element_wise_construction(q):
+    # basis_words, g' and class_ids (where |K_t| <= 200,000) against their
+    # construction one element product at a time, on every block of odd
+    # n <= 21, v^2 = +-1; g' against the root criterion where |F_t| <= 4096
+    blocks = Counter()
+    for n in odd_coprime_grid(q, 21):
+        for tw in (-1, 1):
+            for kt in kt_fields(get_algebra(q, n, tw)):
+                where = (n, tw, kt.comp.index)
+                assert np.array_equal(kt.basis_words(), oracles.kt_basis_words(kt)), where
+                if kt.order <= 200_000:
+                    assert kt.class_ids() == oracles.kt_class_ids(kt), where
+                    blocks["class_ids"] += 1
+                if kt.comp.kind == PAIRED and kt.comp.ft.order <= 4096:
+                    assert kt.g_prime == oracles.first_irreducible_g(kt.comp.ft), where
+                    blocks["g_prime"] += 1
+    assert blocks["class_ids"] and blocks["g_prime"], blocks
 
 
 def test_kt_word_is_linear_in_digits():

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import get_algebra
-from oracles import bar_via_matrix, mat2_generator_ideals, mat2_simple_left_ideals, random_elem
+from oracles import bar_via_matrix, mat2_generator_ideals, mat2_simple_left_ideals, random_elem, v_elem
 
 from cdcodes import dihedral as dih
 from cdcodes.algebra import Mat2
@@ -15,8 +15,8 @@ from cdcodes.field import field_from_order
 
 def test_dihedral_v_relations():
     D = get_algebra(7, 3, 1)
-    assert D.v() * D.v() == D.one()
-    assert D.v().bar() == D.v()
+    assert v_elem(D) * v_elem(D) == D.one()
+    assert v_elem(D).bar() == v_elem(D)
 
 
 def test_char2_consta_equals_dihedral(rng):

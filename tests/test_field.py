@@ -2,6 +2,7 @@ import functools
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from itertools import product
@@ -528,6 +529,26 @@ def test_poly_arithmetic_matches_scalar_loops(q):
         assert (A * B).coeffs == _trim(prod)
         quo, rem = A.divmod(B)
         assert (quo.coeffs, rem.coeffs) == _loop_divmod(F, a, b)
+
+
+@pytest.mark.parametrize("q", [2, 9])
+def test_poly_product_of_long_and_short_factors(q):
+    # the product matrix has one row per coefficient of the shorter factor,
+    # whichever side it is on: 12 rows, not 2001 (a 32 MB matrix)
+    F = field_from_order(q)
+    rng = random.Random(q)
+    long = Poly(F, [rng.randrange(q) for _ in range(2000)] + [1])
+    short = Poly(F, [rng.randrange(q) for _ in range(11)] + [1])
+    tracemalloc.start()
+    try:
+        products = (long * short, short * long)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert products[0] == products[1]
+    assert products[0].degree == 2011
+    assert products[0].divmod(short) == (long, Poly.zero(F))
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_extfield_tower_arithmetic():

@@ -559,6 +559,54 @@ def test_min_nonzero_weight_many_offset_blocks(monkeypatch, q, k):
     assert_min_matches(F, basis)
 
 
+@given(data=st.data(), q=st.sampled_from([2, 3, 4, 5, 7, 9, 13]), chunk=st.sampled_from([16, linalg.SPAN_CHUNK]))
+@settings(max_examples=80, deadline=None)
+def test_min_nonzero_weight_stack_matches_distributions(data, q, chunk):
+    # code by code, the stacked minima are the first nonzero weights of the
+    # stack's weight distributions; at chunk 16 a batch holds 64 words of
+    # low spans, so the stack crosses batch boundaries; codes may take more
+    # than one lane, repeat a row, or have no nonzero word (then it raises)
+    F = field_from_order(q)
+    per = 64 // (q - 1).bit_length()
+    k = data.draw(st.integers(1, max(1, int(math.log(512, q)))))
+    n = data.draw(st.integers(1, 2 * per + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "SPAN_CHUNK", chunk)
+        j = min(linalg._low_rows(q, k), -(-k // 2))
+        batch = max(1, 4 * chunk // q**j)
+        c = data.draw(st.integers(1, min(3 * batch + 1, 40)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        stack = rng.integers(0, q, (c, k, n))
+        if k > 1:
+            repeat = rng.random(c) < 0.5
+            stack[repeat, -1] = stack[repeat, 0]
+        counts = linalg.weight_distribution(F, stack)
+        if counts[:, 1:].any(axis=1).all():
+            got = linalg.min_nonzero_weight(F, stack)
+            assert got.dtype == np.int64
+            assert got.tolist() == [first_nonzero_weight(row) for row in counts]
+        else:
+            with pytest.raises(NoNonzeroWords):
+                linalg.min_nonzero_weight(F, stack)
+
+
+@pytest.mark.parametrize("chunk", [16, linalg.SPAN_CHUNK])
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_min_nonzero_weight_stack_with_a_zero_code_raises(monkeypatch, chunk, q):
+    # one zero code raises, first in the stack or in its last batch; without
+    # it the stack gives each code's minimum, as one basis at a time does
+    monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
+    F = field_from_order(q)
+    stack = np.random.default_rng(q).integers(0, q, (30, 3, 8))
+    want = [linalg.min_nonzero_weight(F, basis) for basis in stack]
+    assert linalg.min_nonzero_weight(F, stack).tolist() == want
+    for i in (0, len(stack) - 1):
+        zeroed = stack.copy()
+        zeroed[i] = 0
+        with pytest.raises(NoNonzeroWords):
+            linalg.min_nonzero_weight(F, zeroed)
+
+
 def test_in_row_space():
     F = field_from_order(5)
     M = np.array([[1, 2, 3], [0, 1, 4]], dtype=np.int64)

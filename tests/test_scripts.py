@@ -118,3 +118,24 @@ def test_good_n_scan_rejects_a_non_prime_power(q):
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert out == ""
+
+
+def test_good_n_scan_stops_quietly_when_the_reader_closes_the_pipe():
+    # like `| head -3`: the table (about 120 kB) outgrows the pipe, so the
+    # script is still writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, str(GOOD_N_SCRIPT), "--q", "2", "--limit", "4001"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        lines = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert lines[0] == "q = 2\n" and lines[2].split()[0] == "3"
+    assert err == ""
