@@ -1,6 +1,6 @@
 """Consta-dihedral and dihedral codes over finite fields."""
 
-from .algebra import AlgElem, Component, Mat2, SubfieldView, TwistedDihedralAlgebra, solve_norm_equation
+from .algebra import AlgElem, Component, SubfieldView, TwistedDihedralAlgebra, solve_norm_equation
 from .codes import (
     BetaVector,
     KtField,

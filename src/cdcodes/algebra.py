@@ -14,7 +14,9 @@ L(y) being word(h*y).  The decomposition splits the algebra into the
 2-dimensional block on the trivial idempotent e_0 plus one 4k-dimensional
 block per conjugate idempotent pair (matrix algebra over F_t = FHe) or per
 self-conjugate idempotent (matrix algebra over the bar-fixed index-2
-subfield of FHe), together with explicit isomorphisms to 2x2 matrices.
+subfield of FHe).  Block elements stay words: the isomorphisms to 2x2
+matrices over F_t are test oracles (tests/oracles.py), and the library
+reads only their closed forms (`dihedral.f_ab`, `codes.KtField`).
 
 Canonical element order inside a subfield of FH: coordinates over the RREF
 basis of the subfield, encoded as sum(code_i * q^i) with basis vector 0 least
@@ -30,13 +32,7 @@ import numpy as np
 
 from . import linalg
 from .cyclic import CyclicElem, IdempotentSet, conj_pairing, lambda_n, primitive_idempotents
-from .errors import (
-    DegenerateG,
-    DimensionMismatch,
-    GcdViolation,
-    NotInComponent,
-    NotPaired,
-)
+from .errors import DegenerateG, DimensionMismatch, GcdViolation
 from .field import Field, _rot_index, sqrt_minus_one
 
 TRIVIAL_FIELD = "trivial_field"
@@ -174,82 +170,6 @@ class SubfieldView:
         return f"SubfieldView({self.label or 'dim %d' % self.dim}, |F|={self.order})"
 
 
-class Mat2:
-    """2x2 matrix with entries constrained to a SubfieldView of FH."""
-
-    __slots__ = ("ft", "entries")
-
-    def __init__(self, ft: SubfieldView, entries):
-        self.ft = ft
-        (a, b), (c, d) = entries
-        self.entries = ((a, b), (c, d))
-
-    @classmethod
-    def identity(cls, ft: SubfieldView):
-        z = ft.zero
-        return cls(ft, ((ft.identity, z), (z, ft.identity)))
-
-    def __add__(self, other):
-        (a, b), (c, d) = self.entries
-        (e, f), (g, h) = other.entries
-        return Mat2(self.ft, ((a + e, b + f), (c + g, d + h)))
-
-    def __neg__(self):
-        (a, b), (c, d) = self.entries
-        return Mat2(self.ft, ((-a, -b), (-c, -d)))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        (a, b), (c, d) = self.entries
-        (e, f), (g, h) = other.entries
-        return Mat2(
-            self.ft,
-            (
-                (a * e + b * g, a * f + b * h),
-                (c * e + d * g, c * f + d * h),
-            ),
-        )
-
-    def scaled(self, s: CyclicElem) -> "Mat2":
-        (a, b), (c, d) = self.entries
-        return Mat2(self.ft, ((s * a, s * b), (s * c, s * d)))
-
-    def __eq__(self, other):
-        return isinstance(other, Mat2) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def is_zero(self) -> bool:
-        (a, b), (c, d) = self.entries
-        return a.is_zero() and b.is_zero() and c.is_zero() and d.is_zero()
-
-    def vec(self):
-        (a, b), (c, d) = self.entries
-        return [a, b, c, d]
-
-    def __repr__(self):
-        return f"Mat2({self.entries!r})"
-
-
-def _ft_mat_inv(ft: SubfieldView, rows: list[list[CyclicElem]]) -> list[list[CyclicElem]]:
-    """Gauss-Jordan inverse of a small matrix with entries in a subfield."""
-    k = len(rows)
-    aug = [list(r) + [ft.identity if i == j else ft.zero for j in range(k)] for i, r in enumerate(rows)]
-    for c in range(k):
-        piv = next(i for i in range(c, k) if not aug[i][c].is_zero())
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = ft.inv(aug[c][c])
-        aug[c] = [inv * x for x in aug[c]]
-        for i in range(k):
-            if i != c and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [r[k:] for r in aug]
-
-
 def sqrt_min(ft: SubfieldView, a: CyclicElem) -> Optional[CyclicElem]:
     """Smallest square root of a in the subfield, or None for non-squares.
 
@@ -332,14 +252,14 @@ def solve_norm_equation(
 
 
 class Component:
-    """One block A_t of the decomposition, with its isomorphism data.
+    """One block A_t of the decomposition.
 
-    Built eagerly: e, identity, k, dim, fhe and ft, and on self-conjugate
-    blocks g, s, s_prime, ue and uinv_e.  Only the isomorphisms and _split_ft
-    (the one F_t split, also read by `codes.KtField.class_ids`) read epsilon,
-    eta, nu, eta_nu, _b_inv and _diff_inv, so those are built on their first
-    use (`_iso_data`) and cached; so is the generator of the chosen simple
-    left ideal C_t (`codes.build_Ct`, in _ct).
+    Built eagerly: e, identity, k, dim, and on matrix blocks fhe, ft, ue and
+    uinv_e, with ebar on paired blocks and g, s, s_prime on self-conjugate
+    ones.  Built on first use and cached: _diff_inv, the one inverse the F_t
+    split (_split_ft, read by `codes.KtField.class_ids`) needs; the
+    generator of the chosen simple left ideal C_t (`codes.build_Ct`, in
+    _ct); and the block's K_t (`codes.kt_fields`, in _kt).
     """
 
     def __init__(self, alg: "TwistedDihedralAlgebra", index: int, kind: str, idem_indices: tuple[int, ...]):
@@ -354,8 +274,9 @@ class Component:
         self.g = self.s = self.s_prime = None
         self.ft: Optional[SubfieldView] = None
         self.ebar: Optional[CyclicElem] = None
-        self._iso: Optional[tuple] = None  # _iso_data(), on first use
+        self._diff_inv: Optional[CyclicElem] = None  # (ue - u^-1 e)^-1, by _split_ft on first use
         self._ct: Optional[AlgElem] = None  # codes.build_Ct(self), on first use
+        self._kt = None  # the block's codes.KtField, by codes.kt_fields on first use
 
         if kind in (TRIVIAL_FIELD, TRIVIAL_SPLIT):
             self.e = idems[0]
@@ -404,83 +325,16 @@ class Component:
         assert ftv.contains(self.g)
         self.s, self.s_prime = solve_norm_equation(ftv, self.g, rhs=self.e.scale(alg.tw_code))
 
-    def _iso_data(self) -> tuple:
-        """(epsilon, eta, nu, eta_nu, _b_inv, _diff_inv) of a self-conjugate block, cached."""
-        if self._iso is None:
-            self._require((SELF_CONJ,))
-            ftv, e = self.ft, self.e
-            eta = Mat2(ftv, ((-self.g, e), (-e, ftv.zero)))
-            nu = Mat2(ftv, ((self.s, self.s_prime), (self.s * self.g + self.s_prime, -self.s)))
-            basis = (Mat2.identity(ftv), eta, nu, eta * nu)
-            cols = [m.vec() for m in basis]
-            b_inv = _ft_mat_inv(ftv, [[cols[j][i] for j in range(4)] for i in range(4)])
-            self._iso = basis + (b_inv, self.fhe.inv(self.ue - self.uinv_e))
-        return self._iso
-
-    epsilon = property(lambda self: self._iso_data()[0])
-    eta = property(lambda self: self._iso_data()[1])
-    nu = property(lambda self: self._iso_data()[2])
-    eta_nu = property(lambda self: self._iso_data()[3])
-    _b_inv = property(lambda self: self._iso_data()[4])
-    _diff_inv = property(lambda self: self._iso_data()[5])
-
-    # -- membership ---------------------------------------------------------
-
-    def contains(self, x: AlgElem) -> bool:
-        return self.identity * x == x
-
-    # -- matrix isomorphisms -------------------------------------------------
-
-    def _require(self, kinds):
-        if self.kind not in kinds:
-            if kinds == (PAIRED,):
-                raise NotPaired(f"block {self.index} is {self.kind}")
-            raise NotInComponent(f"block {self.index} is {self.kind}")
-
-    def iso_to_mat2(self, x: AlgElem) -> Mat2:
-        self._require((PAIRED, SELF_CONJ))
-        if not self.contains(x):
-            raise NotInComponent("element not in this block")
-        if self.kind == PAIRED:
-            # matrix (a11 a12; a21 a22) <-> a11 e + sign a12 e v + bar(a21) ebar v + bar(a22) ebar
-            sign = self.alg.tw_code
-            e = self.e
-            eb = self.ebar
-            a11 = x.a * e
-            a22 = x.a.bar() * e
-            a12 = (x.b * e).scale(sign)
-            a21 = x.b.bar() * e
-            return Mat2(self.ft, ((a11, a12), (a21, a22)))
-        F = self.alg.field
-        (a, c), (b, d) = ([CyclicElem(F, y) for y in part] for part in self._split_ft(x.word.reshape(2, -1)))
-        M = self.epsilon.scaled(a) + self.eta.scaled(b) + self.nu.scaled(c) + self.eta_nu.scaled(d)
-        return M
-
-    def iso_from_mat2(self, M: Mat2) -> AlgElem:
-        self._require((PAIRED, SELF_CONJ))
-        if self.kind == PAIRED:
-            sign = self.alg.tw_code
-            (a11, a12), (a21, a22) = M.entries
-            part_a = a11 + a22.bar()
-            part_b = a12.scale(sign) + a21.bar()
-            return self.alg.elem(part_a, part_b)
-        v = M.vec()
-        coeffs = []
-        for row in self._b_inv:
-            acc = self.ft.zero
-            for r, x in zip(row, v):
-                acc = acc + r * x
-            coeffs.append(acc)
-        a, b, c, d = coeffs
-        return self.alg.elem(a + b * self.ue, c + d * self.ue)
-
     def _split_ft(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write each row y of ys, an element of FHe, as alpha + beta * ue with
         alpha, beta in F_t; returns the rows of alpha and those of beta.
 
         beta = (y - bar(y)) * _diff_inv and alpha = y - beta * ue, each product
         one Field.matmul with a circulant (`field._rot_index`) for all rows.
+        _diff_inv = (ue - u^-1 e)^-1 in FHe is computed on the first call.
         """
+        if self._diff_inv is None:
+            self._diff_inv = self.fhe.inv(self.ue - self.uinv_e)
         F, n = self.alg.field, self.alg.n
         t = F.tables()
         rot = _rot_index(n)

@@ -156,9 +156,10 @@ class KtField:
         self._class_ids: Optional[list[int]] = None
 
     def basis_words(self) -> np.ndarray:
-        """The 2 k_t words whose digit combinations are the K_t elements, built
-        on the first call.  Self-conjugate: the FHe basis.  Paired: the code
-        a + b |F_t| is ((a, -b), (b, a - b g')), which iso_from_mat2 sends to
+        """The 2 k_t words whose digit combinations are the K_t elements, one
+        read-only array built on the first call.  Self-conjugate: the FHe
+        basis.  Paired: the code a + b |F_t| is ((a, -b), (b, a - b g')), which
+        the matrix isomorphism of the block sends to
         a + bar(a) - bar(b g') + (bar(b) - tw b) v: row i is b_i + bar(b_i) and
         row k_t + i is -bar(b_i g') + (bar(b_i) - tw b_i) v, b_i the RREF basis
         of F_t and tw the sign of v^2.  The products b_i g' are one matmul of
@@ -176,6 +177,7 @@ class KtField:
                 a = np.concatenate([t.add[B, B[:, bar]], t.neg[Bg[:, bar]]])
                 b = np.concatenate([np.zeros_like(B), t.add[B[:, bar], t.neg[t.mul[self.alg.tw_code, B]]]])
                 self._basis_words = np.concatenate([a, b], axis=1)
+            self._basis_words.setflags(write=False)
         return self._basis_words
 
     def class_ids(self) -> list[int]:
@@ -316,7 +318,13 @@ def unit_words(kts: Sequence[KtField], codes) -> np.ndarray:
 
 
 def kt_fields(alg: TwistedDihedralAlgebra) -> list[KtField]:
-    return [KtField(c) for c in alg.decompose()[1:]]
+    """The K_t of every nontrivial block, each built on the first call and
+    cached on its block, so its tables are built once per block."""
+    comps = alg.decompose()[1:]
+    for c in comps:
+        if c._kt is None:
+            c._kt = KtField(c)
+    return [c._kt for c in comps]
 
 
 def k_star_size(kts: Sequence[KtField]) -> int:

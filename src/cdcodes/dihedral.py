@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg
-from .algebra import PAIRED, AlgElem, Component, Mat2, TwistedDihedralAlgebra
+from .algebra import PAIRED, AlgElem, Component, TwistedDihedralAlgebra
 from .codes import assemble_code, hull_dimension
 from .cyclic import CyclicElem
 from .errors import HypothesisUnmet, NotPaired
@@ -90,11 +90,11 @@ def counterexample_check() -> CounterexampleReport:
 
 
 def f_ab(comp: Component, a: CyclicElem, b: CyclicElem) -> AlgElem:
-    """Element of a paired block corresponding to the matrix (a b; 0 0)."""
+    """Element of a paired block corresponding to the matrix (a b; 0 0), a and
+    b in F_t = FHe: the isomorphism sends it to a + tw b v, tw the sign of v^2."""
     if comp.kind != PAIRED:
         raise NotPaired("f_ab lives on a paired block")
-    z = comp.ft.zero
-    return comp.iso_from_mat2(Mat2(comp.ft, ((a, b), (z, z))))
+    return comp.alg.elem(a, b.scale(comp.alg.tw_code))
 
 
 # -- counting the C_ab codes ---------------------------------------------------

@@ -389,7 +389,14 @@ def _lane_weights(z: np.ndarray, b: int, c: int) -> np.ndarray:
     if b > 1:
         ones = ((1 << (64 // b * b)) - 1) // ((1 << b) - 1)  # a 1 in the low bit of every field of a lane
         H, M = np.uint64(ones << (b - 1)), np.uint64(ones * ((1 << (b - 1)) - 1))  # padding fields stay 0
-        z = (((z & M) + M) | z) & H
+        # in place on one new array: two block-sized arrays live, not three,
+        # so a block's temporaries fit the heap's free space instead of
+        # growing it and faulting its pages in again on every block
+        t = z & M
+        t += M
+        t |= z
+        t &= H
+        z = t
     weights = np.bitwise_count(z)
     if z.shape[1] > c:  # a code takes more than one lane
         weights = weights.reshape(len(z), c, z.shape[1] // c, -1).sum(axis=2, dtype=np.intp)

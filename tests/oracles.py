@@ -2,25 +2,27 @@
 
 Each one computes by a route the library does not take: the simple left
 ideals of M_2(GF(q)) by exhaustive search, the census order of K* one index
-at a time, the element of a K_t code and the bar map through the
-paired-block matrix isomorphism, the K_t tables one element product at a
-time, the dual code by row-reducing the kernel basis, the weight
-distribution from every word of the span.  None of them
-is on a path the library runs.
+at a time, the M_2(F_t) isomorphisms of the matrix blocks (with the 2 x 2
+matrices over F_t, Mat2, and the F_t split one element at a time), the
+element of a K_t code and the bar map through them, the K_t tables one
+element product at a time, the dual code by row-reducing the kernel basis,
+the weight distribution from every word of the span.  None of them is on a
+path the library runs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from cdcodes import linalg
-from cdcodes.algebra import PAIRED, SELF_CONJ, AlgElem, Component, Mat2, SubfieldView, TwistedDihedralAlgebra
+from cdcodes.algebra import PAIRED, SELF_CONJ, AlgElem, Component, SubfieldView, TwistedDihedralAlgebra
 from cdcodes.codes import BetaVector, KtField, LinearCode, k_star_size
 from cdcodes.cyclic import CyclicElem
-from cdcodes.errors import InvalidBeta, NotPaired
+from cdcodes.errors import InvalidBeta, NotInComponent, NotPaired
 from cdcodes.field import Field
 
 
@@ -112,6 +114,171 @@ def enumerate_beta(kts: Sequence[KtField]) -> Iterator[BetaVector]:
     return (beta_at(kts, i) for i in range(k_star_size(kts)))
 
 
+# -- the M_2(F_t) isomorphisms of the matrix blocks ---------------------------------
+
+
+class Mat2:
+    """2x2 matrix with entries constrained to a SubfieldView of FH."""
+
+    __slots__ = ("ft", "entries")
+
+    def __init__(self, ft: SubfieldView, entries):
+        self.ft = ft
+        (a, b), (c, d) = entries
+        self.entries = ((a, b), (c, d))
+
+    @classmethod
+    def identity(cls, ft: SubfieldView):
+        z = ft.zero
+        return cls(ft, ((ft.identity, z), (z, ft.identity)))
+
+    def __add__(self, other):
+        (a, b), (c, d) = self.entries
+        (e, f), (g, h) = other.entries
+        return Mat2(self.ft, ((a + e, b + f), (c + g, d + h)))
+
+    def __neg__(self):
+        (a, b), (c, d) = self.entries
+        return Mat2(self.ft, ((-a, -b), (-c, -d)))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        (a, b), (c, d) = self.entries
+        (e, f), (g, h) = other.entries
+        return Mat2(
+            self.ft,
+            (
+                (a * e + b * g, a * f + b * h),
+                (c * e + d * g, c * f + d * h),
+            ),
+        )
+
+    def scaled(self, s: CyclicElem) -> "Mat2":
+        (a, b), (c, d) = self.entries
+        return Mat2(self.ft, ((s * a, s * b), (s * c, s * d)))
+
+    def __eq__(self, other):
+        return isinstance(other, Mat2) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def is_zero(self) -> bool:
+        (a, b), (c, d) = self.entries
+        return a.is_zero() and b.is_zero() and c.is_zero() and d.is_zero()
+
+    def vec(self):
+        (a, b), (c, d) = self.entries
+        return [a, b, c, d]
+
+    def __repr__(self):
+        return f"Mat2({self.entries!r})"
+
+
+def _ft_mat_inv(ft: SubfieldView, rows: list[list[CyclicElem]]) -> list[list[CyclicElem]]:
+    """Gauss-Jordan inverse of a small matrix with entries in a subfield."""
+    k = len(rows)
+    aug = [list(r) + [ft.identity if i == j else ft.zero for j in range(k)] for i, r in enumerate(rows)]
+    for c in range(k):
+        piv = next(i for i in range(c, k) if not aug[i][c].is_zero())
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = ft.inv(aug[c][c])
+        aug[c] = [inv * x for x in aug[c]]
+        for i in range(k):
+            if i != c and not aug[i][c].is_zero():
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [r[k:] for r in aug]
+
+
+def _require(comp: Component, kinds):
+    if comp.kind not in kinds:
+        if kinds == (PAIRED,):
+            raise NotPaired(f"block {comp.index} is {comp.kind}")
+        raise NotInComponent(f"block {comp.index} is {comp.kind}")
+
+
+def contains(comp: Component, x: AlgElem) -> bool:
+    """Whether x lies in the block: 1_t x = x."""
+    return comp.identity * x == x
+
+
+def ft_split(comp: Component, y: CyclicElem) -> tuple[CyclicElem, CyclicElem]:
+    """y in FHe of a self-conjugate block as alpha + beta ue, alpha and beta in
+    F_t, one element at a time: beta = (y - bar(y)) / (ue - u^-1 e) and
+    alpha = y - beta ue."""
+    beta = (y - y.bar()) * comp.fhe.inv(comp.ue - comp.uinv_e)
+    return y - beta * comp.ue, beta
+
+
+@functools.cache
+def matrix_basis(comp: Component) -> tuple:
+    """(epsilon, eta, nu, eta_nu, b_inv) of a self-conjugate block: the
+    matrices of e, ue, ev and ue v, and the inverse of the 4x4 matrix whose
+    columns are their entries; cached per block."""
+    _require(comp, (SELF_CONJ,))
+    ftv, e = comp.ft, comp.e
+    eta = Mat2(ftv, ((-comp.g, e), (-e, ftv.zero)))
+    nu = Mat2(ftv, ((comp.s, comp.s_prime), (comp.s * comp.g + comp.s_prime, -comp.s)))
+    basis = (Mat2.identity(ftv), eta, nu, eta * nu)
+    cols = [m.vec() for m in basis]
+    b_inv = _ft_mat_inv(ftv, [[cols[j][i] for j in range(4)] for i in range(4)])
+    return basis + (b_inv,)
+
+
+def iso_to_mat2(comp: Component, x: AlgElem) -> Mat2:
+    """The matrix of x, an element of a matrix block."""
+    _require(comp, (PAIRED, SELF_CONJ))
+    if not contains(comp, x):
+        raise NotInComponent("element not in this block")
+    if comp.kind == PAIRED:
+        # matrix (a11 a12; a21 a22) <-> a11 e + sign a12 e v + bar(a21) ebar v + bar(a22) ebar
+        sign = comp.alg.tw_code
+        e = comp.e
+        a11 = x.a * e
+        a22 = x.a.bar() * e
+        a12 = (x.b * e).scale(sign)
+        a21 = x.b.bar() * e
+        return Mat2(comp.ft, ((a11, a12), (a21, a22)))
+    epsilon, eta, nu, eta_nu, _ = matrix_basis(comp)
+    (a, b), (c, d) = ft_split(comp, x.a), ft_split(comp, x.b)
+    return epsilon.scaled(a) + eta.scaled(b) + nu.scaled(c) + eta_nu.scaled(d)
+
+
+def iso_from_mat2(comp: Component, M: Mat2) -> AlgElem:
+    """The element of a matrix block whose matrix is M."""
+    _require(comp, (PAIRED, SELF_CONJ))
+    if comp.kind == PAIRED:
+        sign = comp.alg.tw_code
+        (a11, a12), (a21, a22) = M.entries
+        part_a = a11 + a22.bar()
+        part_b = a12.scale(sign) + a21.bar()
+        return comp.alg.elem(part_a, part_b)
+    v = M.vec()
+    coeffs = []
+    for row in matrix_basis(comp)[4]:
+        acc = comp.ft.zero
+        for r, x in zip(row, v):
+            acc = acc + r * x
+        coeffs.append(acc)
+    a, b, c, d = coeffs
+    return comp.alg.elem(a + b * comp.ue, c + d * comp.ue)
+
+
+def bar_via_matrix(comp: Component, M: Mat2) -> Mat2:
+    """Matrix form of the bar map on a paired block.
+
+    Consta case: (a11 a12; a21 a22) -> (a22 -a12; -a21 a11); the dihedral
+    analogue keeps the off-diagonal signs.
+    """
+    _require(comp, (PAIRED,))
+    sign = comp.alg.tw_code
+    (a11, a12), (a21, a22) = M.entries
+    return Mat2(comp.ft, ((a22, a12.scale(sign)), (a21.scale(sign), a11)))
+
+
 # -- elements, bar and duals --------------------------------------------------------
 
 
@@ -136,7 +303,7 @@ def kt_element(kt: KtField, code: int) -> AlgElem:
     b = ft.element(code // ft.order)
     gp = kt.g_prime
     M = Mat2(ft, ((a, -b), (b, a - b * gp)))
-    return comp.iso_from_mat2(M)
+    return iso_from_mat2(comp, M)
 
 
 def v_elem(alg: TwistedDihedralAlgebra) -> AlgElem:
@@ -183,16 +350,12 @@ def ft_mul_table(ft: SubfieldView) -> np.ndarray:
 
 def kt_class_ids(kt: KtField) -> list[int]:
     """KtField.class_ids from ft_mul_table and, on a self-conjugate block,
-    the F_t split y = alpha + beta ue of each FHe basis element one element
-    at a time: beta = (y - bar(y)) / (ue - u^-1 e) and alpha = y - beta ue."""
+    the F_t split y = alpha + beta ue (ft_split) of each FHe basis element."""
     comp, ft, F = kt.comp, kt.comp.ft, kt.alg.field
     k, Q = ft.dim, ft.order
     ab = _digit_rows(np.arange(kt.order), F.q, 2 * k)
     if comp.kind == SELF_CONJ:
-        split = []
-        for y in comp.fhe.basis:
-            beta = (y - y.bar()) * comp.fhe.inv(comp.ue - comp.uinv_e)
-            split.append(np.concatenate([ft.coords((y - beta * comp.ue).coeffs), ft.coords(beta.coeffs)]))
+        split = [np.concatenate([ft.coords(part.coeffs) for part in ft_split(comp, y)]) for y in comp.fhe.basis]
         ab = F.matmul(ab, np.array(split))
     pw = F.q ** np.arange(k)
     a, b = ab[:, :k] @ pw, ab[:, k:] @ pw
@@ -221,19 +384,6 @@ def kt_identity_code(kt: KtField) -> int:
     """The code of the block identity in K_t: e's FHe code on a self-conjugate
     block, and a = e, b = 0 on a paired one, where F_t is FHe."""
     return kt.comp.fhe.code_of(kt.comp.e)
-
-
-def bar_via_matrix(comp: Component, M: Mat2) -> Mat2:
-    """Matrix form of the bar map on a paired block.
-
-    Consta case: (a11 a12; a21 a22) -> (a22 -a12; -a21 a11); the dihedral
-    analogue keeps the off-diagonal signs.
-    """
-    if comp.kind != PAIRED:
-        raise NotPaired(f"block {comp.index} is {comp.kind}")
-    sign = comp.alg.tw_code
-    (a11, a12), (a21, a22) = M.entries
-    return Mat2(comp.ft, ((a22, a12.scale(sign)), (a21.scale(sign), a11)))
 
 
 def dual(code: LinearCode) -> LinearCode:

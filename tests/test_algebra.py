@@ -3,19 +3,18 @@ import math
 import pytest
 
 from conftest import get_algebra
-from oracles import bar_via_matrix, random_elem, scaled, v_elem
+from oracles import Mat2, bar_via_matrix, iso_from_mat2, iso_to_mat2, matrix_basis, random_elem, scaled, v_elem
 
-from cdcodes import algebra
 from cdcodes.algebra import (
     PAIRED,
     SELF_CONJ,
     TRIVIAL_FIELD,
     TRIVIAL_SPLIT,
-    Mat2,
     SubfieldView,
     TwistedDihedralAlgebra,
     solve_norm_equation,
 )
+from cdcodes.codes import kt_fields
 from cdcodes.cyclic import CyclicElem
 from cdcodes.errors import DegenerateG, GcdViolation, NotInComponent, NotPaired
 from cdcodes.field import field_from_order
@@ -205,26 +204,24 @@ def test_block_identity_check_matches_pairwise_products(rng):
 
 @pytest.mark.parametrize("tw", [-1, 1])
 @pytest.mark.parametrize("q, n", [(3, 7), (5, 13), (7, 5)])
-def test_decompose_builds_no_iso_data(monkeypatch, rng, q, n, tw):
-    # the 4x4 inverse and the matrix basis serve only the isomorphisms
-    def fail(*args):
-        raise AssertionError("_ft_mat_inv called")
-
-    with monkeypatch.context() as m:
-        m.setattr(algebra, "_ft_mat_inv", fail)
-        A = TwistedDihedralAlgebra(field_from_order(q), n, tw)
-        A.decompose()
-        A.decomposition_report()
-        selfconj = [c for c in A.decompose() if c.kind == SELF_CONJ]
-        assert selfconj and all(c._iso is None for c in selfconj)
+def test_decompose_leaves_diff_inv_unset(rng, q, n, tw):
+    # (ue - u^-1 e)^-1 serves only the F_t split of the K_t class tables
+    A = TwistedDihedralAlgebra(field_from_order(q), n, tw)
+    A.decompose()
+    A.decomposition_report()
+    selfconj = [c for c in A.decompose() if c.kind == SELF_CONJ]
+    assert selfconj and all(c._diff_inv is None for c in selfconj)
+    for kt in kt_fields(A):
+        kt.class_ids()
+    assert all(c._diff_inv is not None for c in selfconj)
     for comp in selfconj:
-        assert comp.iso_to_mat2(comp.identity) == Mat2.identity(comp.ft)
+        assert iso_to_mat2(comp, comp.identity) == Mat2.identity(comp.ft)
         for _ in range(10):
             x = comp.identity * random_elem(A, rng)
             y = comp.identity * random_elem(A, rng)
-            M = comp.iso_to_mat2(x)
-            assert comp.iso_from_mat2(M) == x
-            assert comp.iso_to_mat2(x * y) == M * comp.iso_to_mat2(y)
+            M = iso_to_mat2(comp, x)
+            assert iso_from_mat2(comp, M) == x
+            assert iso_to_mat2(comp, x * y) == M * iso_to_mat2(comp, y)
 
 
 def test_component_split_of_random_ideals(rng):
@@ -349,36 +346,37 @@ def test_norm_solution_sprime_zero_iff(q):
 def test_paired_iso_identity_and_roundtrip(rng):
     A = get_algebra(7, 3)
     comp = A.decompose()[1]
-    ident = comp.iso_to_mat2(comp.identity)
+    ident = iso_to_mat2(comp, comp.identity)
     assert ident == Mat2.identity(comp.ft)
     for _ in range(100):
         x = comp.identity * random_elem(A, rng)
         y = comp.identity * random_elem(A, rng)
-        M = comp.iso_to_mat2(x)
-        assert comp.iso_from_mat2(M) == x
-        assert comp.iso_to_mat2(x * y) == M * comp.iso_to_mat2(y)
+        M = iso_to_mat2(comp, x)
+        assert iso_from_mat2(comp, M) == x
+        assert iso_to_mat2(comp, x * y) == M * iso_to_mat2(comp, y)
 
 
 def test_selfconj_iso_roundtrip_and_eta(rng):
     A = get_algebra(3, 5)
     comp = A.decompose()[1]
     # eta satisfies its characteristic polynomial X^2 + gX + 1
-    ch = comp.eta * comp.eta + comp.eta.scaled(comp.g) + comp.epsilon
+    epsilon, eta = matrix_basis(comp)[:2]
+    ch = eta * eta + eta.scaled(comp.g) + epsilon
     assert ch.is_zero()
-    assert comp.iso_to_mat2(comp.identity) == Mat2.identity(comp.ft)
+    assert iso_to_mat2(comp, comp.identity) == Mat2.identity(comp.ft)
     for _ in range(100):
         x = comp.identity * random_elem(A, rng)
         y = comp.identity * random_elem(A, rng)
-        M = comp.iso_to_mat2(x)
-        assert comp.iso_from_mat2(M) == x
-        assert comp.iso_to_mat2(x * y) == M * comp.iso_to_mat2(y)
+        M = iso_to_mat2(comp, x)
+        assert iso_from_mat2(comp, M) == x
+        assert iso_to_mat2(comp, x * y) == M * iso_to_mat2(comp, y)
 
 
 def test_iso_requires_membership():
     A = get_algebra(7, 3)
     comp = A.decompose()[1]
     with pytest.raises(NotInComponent):
-        comp.iso_to_mat2(A.one())  # 1 is not in the block
+        iso_to_mat2(comp, A.one())  # 1 is not in the block
 
 
 def test_bar_via_matrix():
@@ -397,7 +395,7 @@ def test_bar_via_matrix_matches_bar(rng):
     comp = A.decompose()[1]
     for _ in range(100):
         x = comp.identity * random_elem(A, rng)
-        assert comp.iso_to_mat2(x.bar()) == bar_via_matrix(comp, comp.iso_to_mat2(x))
+        assert iso_to_mat2(comp, x.bar()) == bar_via_matrix(comp, iso_to_mat2(comp, x))
 
 
 def test_bar_via_matrix_requires_paired():
@@ -415,10 +413,10 @@ def test_bar_is_adjugate_on_all_matrix_blocks(rng):
         for comp in A.decompose()[1:]:
             for _ in range(25):
                 x = comp.identity * random_elem(A, rng)
-                M = comp.iso_to_mat2(x)
+                M = iso_to_mat2(comp, x)
                 (a, b), (c, d) = M.entries
                 adj = Mat2(comp.ft, ((d, -b), (-c, a)))
-                assert comp.iso_to_mat2(x.bar()) == adj
+                assert iso_to_mat2(comp, x.bar()) == adj
 
 
 def test_selfconj_f_barf_vanishes():

@@ -9,10 +9,21 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import get_algebra, odd_coprime_grid
-from oracles import beta_at, dual, enumerate_beta, kt_element, kt_identity_code, scaled, v_elem
+from oracles import (
+    Mat2,
+    beta_at,
+    contains,
+    dual,
+    enumerate_beta,
+    iso_from_mat2,
+    kt_element,
+    kt_identity_code,
+    scaled,
+    v_elem,
+)
 
 from cdcodes import codes, linalg
-from cdcodes.algebra import PAIRED, SELF_CONJ, Mat2, TwistedDihedralAlgebra
+from cdcodes.algebra import PAIRED, SELF_CONJ, TwistedDihedralAlgebra
 from cdcodes.analysis import census_K_le_delta
 from cdcodes.codes import (
     BetaVector,
@@ -57,7 +68,27 @@ def test_kt_basis_spans():
         words = kt.basis_words()
         assert words.shape == (2 * kt.comp.k, 2 * n) and words.dtype == np.int64
         assert linalg.rank(A.field, words) == len(words)
-        assert all(kt.comp.contains(A.from_word(w)) for w in words)
+        assert all(contains(kt.comp, A.from_word(w)) for w in words)
+        assert not words.flags.writeable
+
+
+def test_kt_tables_are_built_once_per_block(monkeypatch):
+    # each block caches its K_t, so a second census rebuilds none of its tables
+    built = Counter()
+    real = codes._mul_table
+
+    def counting(ft):
+        built[ft.label] += 1
+        return real(ft)
+
+    monkeypatch.setattr(codes, "_mul_table", counting)
+    A = TwistedDihedralAlgebra(field_from_order(2), 9, -1)
+    for _ in range(2):
+        census_K_le_delta(A, delta=0.3)
+    comps = A.decompose()[1:]
+    assert len(comps) == 2 and built == Counter(c.ft.label for c in comps)
+    assert set(built.values()) == {1}
+    assert [kt.comp for kt in kt_fields(A)] == comps and kt_fields(A) == kt_fields(A)
 
 
 def test_kt_closed_under_multiplication():
@@ -581,7 +612,7 @@ def test_twist_class_is_beta_modulo_Ft_star(q, n, kind):
     comp = kt.comp
     assert comp.kind == kind
     ft = comp.ft
-    scalars = [comp.iso_from_mat2(Mat2.identity(ft).scaled(ft.element(c))) for c in range(1, ft.order)]
+    scalars = [iso_from_mat2(comp, Mat2.identity(ft).scaled(ft.element(c))) for c in range(1, ft.order)]
     assert len(scalars) == ft.order - 1
     code_of = {kt_element(kt, c).to_word(): c for c in range(1, kt.order)}
     rest = [kt_identity_code(k) for k in kts[1:]]

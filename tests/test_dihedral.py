@@ -1,10 +1,18 @@
 import pytest
 
 from conftest import get_algebra
-from oracles import bar_via_matrix, mat2_generator_ideals, mat2_simple_left_ideals, random_elem, v_elem
+from oracles import (
+    Mat2,
+    bar_via_matrix,
+    iso_from_mat2,
+    iso_to_mat2,
+    mat2_generator_ideals,
+    mat2_simple_left_ideals,
+    random_elem,
+    v_elem,
+)
 
 from cdcodes import dihedral as dih
-from cdcodes.algebra import Mat2
 from cdcodes.codes import LinearCode, hull_dimension
 from cdcodes.errors import HypothesisUnmet, NotPaired
 from cdcodes.field import field_from_order
@@ -73,9 +81,9 @@ def test_dihedral_paired_iso_roundtrip(rng):
     for _ in range(100):
         x = comp.identity * random_elem(D, rng)
         y = comp.identity * random_elem(D, rng)
-        M = comp.iso_to_mat2(x)
-        assert comp.iso_from_mat2(M) == x
-        assert comp.iso_to_mat2(x * y) == M * comp.iso_to_mat2(y)
+        M = iso_to_mat2(comp, x)
+        assert iso_from_mat2(comp, M) == x
+        assert iso_to_mat2(comp, x * y) == M * iso_to_mat2(comp, y)
 
 
 def test_dihedral_bar_matrix_no_sign_flip():
@@ -93,7 +101,7 @@ def test_dihedral_bar_matrix_matches_bar(rng):
     comp = D.decompose()[1]
     for _ in range(100):
         x = comp.identity * random_elem(D, rng)
-        assert comp.iso_to_mat2(x.bar()) == bar_via_matrix(comp, comp.iso_to_mat2(x))
+        assert iso_to_mat2(comp, x.bar()) == bar_via_matrix(comp, iso_to_mat2(comp, x))
 
 
 def block_ideal(comp, gen):
@@ -117,6 +125,22 @@ def test_enumerate_requires_paired():
     comp = D.decompose()[1]
     with pytest.raises(NotPaired):
         dih._block_generators(comp)
+
+
+@pytest.mark.parametrize("tw", [-1, 1])
+@pytest.mark.parametrize("q, n", [(7, 3), (3, 11), (4, 3), (13, 3), (2, 21)])
+def test_f_ab_is_the_image_of_its_matrix(q, n, tw):
+    # the closed form a + tw b v is the isomorphism's image of (a b; 0 0), for
+    # every (a, b) on every paired block
+    A = get_algebra(q, n, tw)
+    paired = [c for c in A.decompose() if c.kind == "paired"]
+    assert paired
+    for comp in paired:
+        ft = comp.ft
+        elems = [ft.element(c) for c in range(ft.order)]
+        for a in elems:
+            for b in elems:
+                assert dih.f_ab(comp, a, b) == iso_from_mat2(comp, Mat2(ft, ((a, b), (ft.zero, ft.zero))))
 
 
 # -- the 2ab = 0 rule --------------------------------------------------------------------------

@@ -17,12 +17,6 @@ TESTS_AND_SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scri
 PACKAGE = {p.stem: p.read_text() for p in SRC.glob("*.py")}
 OUTSIDE_READERS = [p.read_text() for d in ("scripts", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
 
-# Public names that only the tests read, each with the reason it stays.
-PUBLIC_ALLOWLIST = {
-    "algebra.Component.iso_to_mat2": "the README's corrected identities (bar is the adjugate on every "
-    "matrix block) are stated and tested through the matrix isomorphism",
-}
-
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by import statements that the module never loads."""
@@ -201,6 +195,5 @@ def test_hygiene_checker_flags_class_bound_methods_read_by_name_only():
 
 
 def test_public_names_have_readers():
-    unread = [entry.split()[0] for entry in unread_public_names(PACKAGE, OUTSIDE_READERS)]
-    assert len(PUBLIC_ALLOWLIST) <= 1
-    assert sorted(unread) == sorted(PUBLIC_ALLOWLIST)
+    # a name only the tests read belongs in tests/oracles.py
+    assert unread_public_names(PACKAGE, OUTSIDE_READERS) == []
