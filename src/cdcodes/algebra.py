@@ -51,14 +51,6 @@ class AlgElem:
         self.word = np.array(word, dtype=np.int64)
         self.word.setflags(write=False)
 
-    @property
-    def a(self) -> CyclicElem:
-        return CyclicElem(self.alg.field, self.word[: self.alg.n])
-
-    @property
-    def b(self) -> CyclicElem:
-        return CyclicElem(self.alg.field, self.word[self.alg.n :])
-
     def _check(self, other: "AlgElem"):
         if self.alg is not other.alg:
             raise DimensionMismatch("elements of different algebras")
@@ -125,11 +117,10 @@ class SubfieldView:
         self.n = n
         self.identity = identity
         R, pivots = linalg.rref(field, span)
-        self.basis = tuple(CyclicElem(field, row) for row in R)
         R.setflags(write=False)
         self.rows = R
         self._pivots = pivots
-        self.dim = len(self.basis)
+        self.dim = len(R)
         self.order = field.q**self.dim
         self.label = label
 

@@ -1,5 +1,9 @@
 """Metric-side computations: minimum weight, q-entropy, balance, censuses.
 
+min_weight chooses between linalg's two weighings, the exhaustive span walk
+and the pruned layer walk, by q^k against its word budget, and reports the
+result; this module knows nothing of how words are packed or walked.
+
 The census machinery enumerates the twist group K* block by block, measures
 the relative minimum distance of every twisted code, and compares the count
 of bad twists {beta : Delta(C beta) <= delta} against the volume bound
@@ -9,7 +13,6 @@ exponent hypothesis holds (a slack of 1e-9 absorbs float rounding).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,7 +41,7 @@ EXHAUSTIVE = "exhaustive"
 PRUNED = "pruned"
 
 # Words min_weight may weigh (at least 1): it bounds time, not memory, which
-# stays O(linalg.SPAN_CHUNK n) on both paths (packed words on the exhaustive one).
+# linalg bounds on both paths.
 DEFAULT_WORD_BUDGET = 1 << 20
 
 
@@ -72,124 +75,38 @@ class WeightReport:
     lower: int
     upper: int
 
-    @property
-    def exact(self) -> bool:
-        return self.lower == self.upper
-
 
 def min_weight(code: LinearCode, budget: int = DEFAULT_WORD_BUDGET) -> WeightReport:
     """Minimum nonzero weight; exhaustive within budget, bracketed beyond.
 
-    budget (at least 1) caps the words weighed, so it bounds time; memory is
-    O(SPAN_CHUNK n) on both paths.  Both weigh one word of each scalar class
-    {a c : a in F_q*}, as its q - 1 words share one weight, in packed lanes
-    by one popcount kernel.  When q^k <= budget the exhaustive path weighs
-    about q^k/(q - 1) words and keeps their minimum (min_nonzero_weight).
-    Otherwise the pruned path sums the row multiples of every message of
-    weight <= w on an information set while whole weight layers fit the
-    budget, giving the bracket [w+1, best], exact once w reaches k; best
-    starts at the lightest generator row.  The budget counts all the words
-    of a layer, not the classes weighed, so its bracket and method do not
-    depend on the folding.  A caller that needs an exact weight compares
-    q^k with its budget first (census_K_le_delta does).
+    budget (at least 1) caps the words weighed, so it bounds time; memory
+    stays bounded on both paths, and both weigh one word of each scalar
+    class {a c : a in F_q*}, as its q - 1 words share one weight.  When
+    q^k <= budget the exhaustive path weighs about q^k/(q - 1) words and
+    keeps their minimum (linalg.min_nonzero_weight).  Otherwise the pruned
+    path (linalg.pruned_min_weight) expands every message of weight <= w on
+    an information set while whole weight layers fit the budget, giving the
+    bracket [w+1, best], exact once w reaches k; best starts at the
+    lightest generator row.  The budget counts all the words of a layer,
+    not the classes weighed, so its bracket and method do not depend on the
+    folding.  A caller that needs an exact weight compares q^k with its
+    budget first (census_K_le_delta does).
     """
     _check_budget(budget)
     if code.k_dim == 0:
         raise NoNonzeroWords("the zero code has no nonzero codeword")
     if code.field.q**code.k_dim > budget:
-        return _pruned_min_weight(code, budget)
-    m = linalg.min_nonzero_weight(code.field, code.gen)
-    return _report(code, EXHAUSTIVE, m, m)
-
-
-def _report(code: LinearCode, method: str, lower: int, best: int) -> WeightReport:
-    return WeightReport(best, Fraction(best, code.n_len), Fraction(code.k_dim, code.n_len), method, lower, best)
+        method = PRUNED
+        lower, upper = linalg.pruned_min_weight(code.field, code.gen, code.pivots, budget)
+    else:
+        method = EXHAUSTIVE
+        lower = upper = linalg.min_nonzero_weight(code.field, code.gen)
+    return WeightReport(upper, Fraction(upper, code.n_len), Fraction(code.k_dim, code.n_len), method, lower, upper)
 
 
 def _check_budget(budget: int) -> None:
     if budget < 1:
         raise DomainError(f"the word budget must be at least 1, got {budget}")
-
-
-def _layer_runs(k: int, q: int, w: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """One message of each scalar class of Hamming weight w, the one whose
-    first nonzero value is 1: C(k, w) (q - 1)^(w - 1) messages, as runs
-    (supports, values) of at most SPAN_CHUNK messages: every support of a
-    run (from _support_blocks, in combinations order) with every value tuple
-    (a 1 followed by w - 1 digits in base q - 1, plus one).
-    """
-    per_support = (q - 1) ** (w - 1)
-    runs = max(1, linalg.SPAN_CHUNK // per_support)
-    powers = (q - 1) ** np.arange(w - 1, dtype=np.int64)
-    for block in _support_blocks(0, k, w):
-        for r in range(0, len(block), runs):
-            for start in range(0, per_support, linalg.SPAN_CHUNK):
-                idx = np.arange(start, min(per_support, start + linalg.SPAN_CHUNK), dtype=np.int64)
-                vals = np.ones((len(idx), w), dtype=np.int64)
-                vals[:, 1:] += idx[:, None] // powers % (q - 1)
-                yield block[r : r + runs], vals
-
-
-def _support_blocks(lo: int, k: int, w: int) -> Iterator[np.ndarray]:
-    """The w-subsets of range(lo, k) in itertools.combinations order, as
-    blocks of at most SPAN_CHUNK rows (at least one block).
-
-    While C(k - lo, w) exceeds SPAN_CHUNK the first index is expanded: each
-    i in turn heads the blocks of the (w - 1)-subsets of range(i + 1, k).
-    """
-    if math.comb(k - lo, w) <= linalg.SPAN_CHUNK:
-        yield lo + _combinations(k - lo, w)
-        return
-    for i in range(lo, k - w + 1):
-        for block in _support_blocks(i + 1, k, w - 1):
-            yield np.concatenate([np.full((len(block), 1), i, dtype=np.int64), block], axis=1)
-
-
-@functools.lru_cache(maxsize=256)  # _support_blocks asks for each (m, w) under many prefixes
-def _combinations(m: int, w: int) -> np.ndarray:
-    """All w-subsets of range(m) in itertools.combinations order, (C(m, w), w)."""
-    count = math.comb(m, w)
-    subsets = itertools.chain.from_iterable(itertools.combinations(range(m), w))
-    table = np.fromiter(subsets, dtype=np.int64, count=count * w).reshape(count, w)
-    table.setflags(write=False)  # cached
-    return table
-
-
-def _pruned_min_weight(code: LinearCode, budget: int) -> WeightReport:
-    """Information-set bracketing: all messages of weight <= w are expanded;
-    any unseen codeword then has weight >= w + 1 on the information set.  At
-    w = k no nonzero codeword is unseen, and the bracket closes on best.
-
-    A message's multiples give words of one weight, so each layer expands
-    only _layer_runs' one message per scalar class.  As code.gen is RREF, a
-    message m of weight w gives m on the pivot columns, so its weight is
-    w + wt(m R[:, free]): a sum of its support's row multiples from
-    linalg._walk_rows (XOR of packed lanes in characteristic 2), weighed by
-    linalg._lane_weights.  The budget still counts whole layers, C(k, w)
-    (q - 1)^w words each, so the bracket does not depend on the folding; it
-    closes early once best <= w + 1, which no later layer can undercut.
-    """
-    q, R = code.field.q, code.gen
-    k, n = R.shape
-    piv = list(code.pivots)
-    assert np.array_equal(R[:, piv], np.eye(k, dtype=np.int64)), "the generator is not in RREF"
-    b = (q - 1).bit_length()
-    rows, add, pack = linalg._walk_rows(code.field, np.delete(R, piv, axis=1), b, n - k)
-    flat = rows.reshape(k * q, -1)
-    best = int(np.count_nonzero(R, axis=1).min())  # every row is a codeword
-    spent = w = 0
-    while w < k and best > w + 1:
-        w += 1
-        layer = math.comb(k, w) * (q - 1) ** w
-        if spent + layer > budget:
-            w -= 1
-            break
-        for sup, vals in _layer_runs(k, q, w):
-            terms = (sup[:, None] * q + vals).reshape(-1, w).T  # the rows of flat that each word sums
-            words = functools.reduce(add, (flat.take(i, axis=0) for i in terms))
-            best = min(best, w + int(linalg._lane_weights(pack(words), b, 1).min()))
-        spent += layer
-    return _report(code, PRUNED, best if w == k else min(best, w + 1), best)
 
 
 # -- balance -----------------------------------------------------------------------
@@ -365,7 +282,7 @@ def census_K_le_delta(
     class s has the twist class of its digits, and its representative takes
     the first unit on its line in every block, the least beta of the class.
     The first beta is assembled by assemble_code alone; then the
-    representatives are assembled in a stacked pass (_twisted_gens), whose
+    representatives are assembled in a stacked pass (codes.assemble_stack), whose
     generator for the first beta's class must equal the first code's.  The
     pass fills the class memo, keyed by twist class, so the census's one
     assemble_code call per beta is a lookup.  The census asserts
@@ -407,7 +324,7 @@ def census_K_le_delta(
         raise BudgetExceeded(f"q^k = {q**first.k_dim} exceeds the budget {DEFAULT_WORD_BUDGET}")
     rep_codes = np.stack([units[c] for units, c in zip(first_unit, lines_of_class)], axis=1)
     gens = np.empty((classes, first.k_dim, first.n_len), dtype=np.int64)
-    for s, R in _twisted_gens(alg, parts, include_C0, kts, rep_codes):
+    for s, R in codes_mod.assemble_stack(alg, parts, include_C0, kts, rep_codes):
         assert R.shape[1] == first.k_dim, f"assembled dim {R.shape[1]}, expected {first.k_dim}"
         gens[s : s + len(R)] = R
     gens.setflags(write=False)  # shared by every beta of a class
@@ -445,39 +362,6 @@ def census_K_le_delta(
         rows=rows,
         distinct_codes=classes,
     )
-
-
-def _twisted_gens(
-    alg: TwistedDihedralAlgebra,
-    parts: Sequence,
-    include_C0: bool,
-    kts: Sequence[codes_mod.KtField],
-    beta_codes: np.ndarray,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The RREF generators of C beta for every row of beta codes, as
-    (start, R) chunks, R of shape (c, k, 2n): assemble_code on a stack.
-
-    Each chunk takes the unit words of its betas from one codes.unit_words
-    call, their L(beta) from one translates call and G . L(beta) for all of
-    them from one Field.matmul (G the cached RREF of the untwisted parts),
-    appends the cached RREF of C_0 and reduces the stack with one
-    linalg.rref_stack.  A chunk holds at most SPAN_CHUNK // 2n betas, so its
-    L stack holds at most SPAN_CHUNK 2n entries whatever the number of rows.
-    """
-    F = alg.field
-    n2 = 2 * alg.n
-    trivial = alg.decompose()[0]
-    G = alg.ideal_rref([g for _, g in parts])
-    fixed = alg.ideal_rref([codes_mod.build_C0(trivial)] if include_C0 else [])
-    step = max(1, linalg.SPAN_CHUNK // n2)
-    for s in range(0, len(beta_codes), step):
-        chunk = beta_codes[s : s + step]
-        c = len(chunk)
-        L = alg.translates(codes_mod.unit_words(kts, chunk))
-        L = L.reshape(c, n2, n2).transpose(1, 0, 2).reshape(n2, c * n2)  # [L_1 | ... | L_c]
-        twisted = F.matmul(G, L).reshape(len(G), c, n2).transpose(1, 0, 2)
-        stack = np.concatenate([twisted, np.broadcast_to(fixed, (c, *fixed.shape))], axis=1)
-        yield s, linalg.rref_stack(F, stack)[0]
 
 
 # -- good-n predicates ---------------------------------------------------------------------

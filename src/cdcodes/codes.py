@@ -16,7 +16,7 @@ methods that must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -383,8 +383,8 @@ def assemble_code(
     finer key that is still correct.  A hit is a lookup: it returns the
     memo's LinearCode itself, origin included, and builds no origin, unit,
     product or rref.  One memo serves calls that differ only in beta;
-    census_K_le_delta fills it for every class from one stacked pass, so its
-    per-beta calls all hit.
+    census_K_le_delta fills it for every class from one stacked pass
+    (assemble_stack), so its per-beta calls all hit.
     """
     if not parts and not include_C0 and not extra_generators:
         raise BlockCollision("no parts to assemble")
@@ -430,6 +430,38 @@ def assemble_code(
         code.gen.setflags(write=False)  # shared by every beta of the class
         memo[cls] = code
     return code
+
+
+def assemble_stack(
+    alg: TwistedDihedralAlgebra,
+    parts: Sequence[tuple[Component, AlgElem]],
+    include_C0: bool,
+    kts: Sequence[KtField],
+    beta_codes: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The RREF generators of C beta for every row of beta codes, as
+    (start, R) chunks, R of shape (c, k, 2n): assemble_code on a stack.
+
+    Each chunk takes the unit words of its betas from one unit_words call,
+    their L(beta) from one translates call and G . L(beta) for all of them
+    from one Field.matmul (G the cached RREF of the untwisted parts),
+    appends the cached RREF of C_0 and reduces the stack with one
+    linalg.rref_stack.  A chunk holds at most SPAN_CHUNK // 2n betas, so its
+    L stack holds at most SPAN_CHUNK 2n entries whatever the number of rows.
+    """
+    F = alg.field
+    n2 = 2 * alg.n
+    G = alg.ideal_rref([g for _, g in parts])
+    fixed = alg.ideal_rref([build_C0(alg.decompose()[0])] if include_C0 else [])
+    step = max(1, linalg.SPAN_CHUNK // n2)
+    for s in range(0, len(beta_codes), step):
+        chunk = beta_codes[s : s + step]
+        c = len(chunk)
+        L = alg.translates(unit_words(kts, chunk))
+        L = L.reshape(c, n2, n2).transpose(1, 0, 2).reshape(n2, c * n2)  # [L_1 | ... | L_c]
+        twisted = F.matmul(G, L).reshape(len(G), c, n2).transpose(1, 0, 2)
+        stack = np.concatenate([twisted, np.broadcast_to(fixed, (c, *fixed.shape))], axis=1)
+        yield s, linalg.rref_stack(F, stack)[0]
 
 
 def hull_dimension(code: LinearCode) -> int:

@@ -5,9 +5,22 @@ the field's lookup tables and products through `Field.matmul`, so they work
 uniformly for prime fields and small extensions; canonical output (reduced
 row echelon form with ascending pivot columns) makes row spaces directly
 comparable.
+
+This is also the one module that weighs codewords.  Every weight is a
+popcount of words packed into uint64 lanes (_pack, _lane_weights), and two
+walks build those words from the row multiples of _walk_rows: the span walk
+of weight_distribution and min_nonzero_weight, which weighs one word of each
+scalar class of the whole row space, and the layer walk of
+pruned_min_weight, which weighs the messages of whole weight layers on an
+information set.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import math
+from typing import Iterator
 
 import numpy as np
 
@@ -241,10 +254,7 @@ def _pack(words: np.ndarray, b: int, n: int) -> np.ndarray:
 
 
 def weight_distribution(field: Field, basis: np.ndarray) -> np.ndarray:
-    """Counts A_0..A_n of the row space's words by Hamming weight, per code.
-
-    basis is one (k, n) basis, giving counts of shape (n + 1,), or a stack of
-    c of them, (c, k, n), giving (c, n + 1); one basis is the c = 1 case.
+    """Counts A_0..A_n of the row space's words by Hamming weight, shape (n + 1,).
 
     The span of the last j = min(_low_rows, ceil(k/2)) rows is held once, and
     a word o of the other h = k - j rows' span (both ~sqrt(q^k) words) shifts
@@ -260,53 +270,25 @@ def weight_distribution(field: Field, basis: np.ndarray) -> np.ndarray:
     weighs x - o, not x + o: as the held span is a subspace, x -> -x
     permutes it, so both give one multiset of weights.
 
-    Codes are weighed in batches side by side: a batch's bases are joined
-    column-wise into [G_1 | G_2 | ...], whose span holds its codes' words
-    under the same messages, so one walk of the span serves the batch, each
-    code packed into lanes of its own; one bincount with an offset per code
-    counts them.  A batch holds at most SPAN_CHUNK / 16 words of low spans
-    (but at least one code), so its joined blocks stay as small as those of
-    one code with a 256-word low span: larger blocks leave the cache, and 16
-    codes with 256-word low spans took 1.35-1.4 times as long in one batch
-    as one at a time.  An XOR pass holds at most 4 SPAN_CHUNK packed lanes
-    (but at least one offset), and an offset block at most SPAN_CHUNK
-    offsets.  As q^(k - j) <= q^j unless q^j > SPAN_CHUNK / q, memory is
-    O(SPAN_CHUNK n) whatever c and q^k are.
-    """
-    stack = np.asarray(basis, dtype=np.int64)
-    single = stack.ndim < 3
-    if single:
-        stack = as_matrix(stack)[None]
-    c, k, n = stack.shape
-    j = min(_low_rows(field.q, k), -(-k // 2))
-    batch = max(1, SPAN_CHUNK // (16 * field.q**j))
-    counts = np.zeros((c, n + 1), dtype=np.int64)
-    for s in range(0, c, batch):
-        counts[s : s + batch] = _batch_counts(field, stack[s : s + batch], j)
-    return counts[0] if single else counts
-
-
-def _batch_counts(field: Field, stack: np.ndarray, j: int) -> np.ndarray:
-    """weight_distribution of a (c, k, n) stack, every code in one span walk.
-
     The first row of the first block is offset 0, and every other row one
     shift of a scalar class, so A = A(offset 0) + (q - 1) A(the other
     shifts).  That holds for dependent rows too: it counts messages, not
-    distinct words.
+    distinct words.  An XOR pass holds at most 4 SPAN_CHUNK packed lanes
+    (but at least one offset), and an offset block at most SPAN_CHUNK
+    offsets.  As q^(k - j) <= q^j unless q^j > SPAN_CHUNK / q, memory is
+    O(SPAN_CHUNK n) whatever q^k is.
     """
-    c, _, n = stack.shape
-    size = c * (n + 1)
-    bins = np.arange(c)[:, None] * (n + 1)  # code i counts weight w in bin i (n + 1) + w
-    counts = np.zeros(size, dtype=np.int64)
+    basis = as_matrix(basis)
+    k, n = basis.shape
+    j = min(_low_rows(field.q, k), -(-k // 2))
+    counts = np.zeros(n + 1, dtype=np.int64)
     zero = None  # offset 0's counts
-    for weights in _weighed_blocks(field, stack, j):
-        if c > 1:
-            weights = weights + bins
+    for weights in _weighed_blocks(field, basis[None], j):
         if zero is None:
-            zero = np.bincount(weights[0].ravel(), minlength=size)
-        counts += np.bincount(weights.ravel(), minlength=size)
+            zero = np.bincount(weights[0].ravel(), minlength=n + 1)
+        counts += np.bincount(weights.ravel(), minlength=n + 1)
     # offset 0 stands for itself and every other offset for its q - 1 multiples
-    return ((field.q - 1) * counts - (field.q - 2) * zero).reshape(c, n + 1)
+    return (field.q - 1) * counts - (field.q - 2) * zero
 
 
 def min_nonzero_weight(field: Field, basis: np.ndarray):
@@ -322,11 +304,13 @@ def min_nonzero_weight(field: Field, basis: np.ndarray):
     the largest value of the weights' unsigned type, so it never wins.  A
     code without a nonzero word raises NoNonzeroWords.
 
-    Codes are weighed in batches side by side, as in weight_distribution.
-    With no bincount to keep small, a batch holds up to 4 SPAN_CHUNK words
-    of low spans, as many as one XOR pass takes (but at least one code).
-    That puts a census's small classes in one batch and 16-22 of its large
-    ones in each.  Measured on the stacked class generators of two
+    Codes are weighed in batches side by side: a batch's bases are joined
+    column-wise into [G_1 | G_2 | ...], whose span holds its codes' words
+    under the same messages, so one walk of the span serves the batch, each
+    code packed into lanes of its own.  A batch holds up to 4 SPAN_CHUNK
+    words of low spans, as many as one XOR pass takes (but at least one
+    code).  That puts a census's small classes in one batch and 16-22 of its
+    large ones in each.  Measured on the stacked class generators of two
     censuses, in seconds, the median of 4 runs:
 
         codes of (q, n), low span    1 a batch    4-5    16-22    64-89
@@ -335,7 +319,7 @@ def min_nonzero_weight(field: Field, basis: np.ndarray):
 
     The nine class stacks of the criterion-8 grid (at most 50 codes, low
     spans of at most 169 words) took 2.7 ms in all with 4096 or more words
-    a batch, 6.2 ms with 256 and 6.5 ms as weight distributions.
+    a batch, 6.2 ms with 256 and 6.5 ms as stacked weight distributions.
     """
     stack = np.asarray(basis, dtype=np.int64)
     single = stack.ndim < 3
@@ -401,3 +385,89 @@ def _lane_weights(z: np.ndarray, b: int, c: int) -> np.ndarray:
     if z.shape[1] > c:  # a code takes more than one lane
         weights = weights.reshape(len(z), c, z.shape[1] // c, -1).sum(axis=2, dtype=np.intp)
     return weights
+
+
+def pruned_min_weight(field: Field, R: np.ndarray, pivots: tuple[int, ...], budget: int) -> tuple[int, int]:
+    """A bracket (lower, upper) on the least weight of a nonzero word of the
+    row space of (R, pivots), an RREF with at least one row as rref returns
+    it, from the messages of whole weight layers within budget words.
+
+    Information-set bracketing: all messages of weight <= w are expanded;
+    any unseen codeword then has weight >= w + 1 on the information set.  At
+    w = k no nonzero codeword is unseen, and the bracket closes on upper,
+    which starts at the lightest row of R (every row is a codeword).
+
+    A message's multiples give words of one weight, so each layer expands
+    only _layer_runs' one message per scalar class.  As R is RREF, a
+    message m of weight w gives m on the pivot columns, so its weight is
+    w + wt(m R[:, free]): a sum of its support's row multiples from
+    _walk_rows (XOR of packed lanes in characteristic 2), weighed by
+    _lane_weights.  The budget still counts whole layers, C(k, w)
+    (q - 1)^w words each, so the bracket does not depend on the folding; it
+    closes early once upper <= w + 1, which no later layer can undercut.
+    """
+    q = field.q
+    k, n = R.shape
+    piv = list(pivots)
+    assert np.array_equal(R[:, piv], np.eye(k, dtype=np.int64)), "the generator is not in RREF"
+    b = (q - 1).bit_length()
+    rows, add, pack = _walk_rows(field, np.delete(R, piv, axis=1), b, n - k)
+    flat = rows.reshape(k * q, -1)
+    upper = int(np.count_nonzero(R, axis=1).min())
+    spent = w = 0
+    while w < k and upper > w + 1:
+        w += 1
+        layer = math.comb(k, w) * (q - 1) ** w
+        if spent + layer > budget:
+            w -= 1
+            break
+        for sup, vals in _layer_runs(k, q, w):
+            terms = (sup[:, None] * q + vals).reshape(-1, w).T  # the rows of flat that each word sums
+            words = functools.reduce(add, (flat.take(i, axis=0) for i in terms))
+            upper = min(upper, w + int(_lane_weights(pack(words), b, 1).min()))
+        spent += layer
+    return (upper if w == k else min(upper, w + 1)), upper
+
+
+def _layer_runs(k: int, q: int, w: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """One message of each scalar class of Hamming weight w, the one whose
+    first nonzero value is 1: C(k, w) (q - 1)^(w - 1) messages, as runs
+    (supports, values) of at most SPAN_CHUNK messages: every support of a
+    run (from _support_blocks, in combinations order) with every value tuple
+    (a 1 followed by w - 1 digits in base q - 1, plus one).
+    """
+    per_support = (q - 1) ** (w - 1)
+    runs = max(1, SPAN_CHUNK // per_support)
+    powers = (q - 1) ** np.arange(w - 1, dtype=np.int64)
+    for block in _support_blocks(0, k, w):
+        for r in range(0, len(block), runs):
+            for start in range(0, per_support, SPAN_CHUNK):
+                idx = np.arange(start, min(per_support, start + SPAN_CHUNK), dtype=np.int64)
+                vals = np.ones((len(idx), w), dtype=np.int64)
+                vals[:, 1:] += idx[:, None] // powers % (q - 1)
+                yield block[r : r + runs], vals
+
+
+def _support_blocks(lo: int, k: int, w: int) -> Iterator[np.ndarray]:
+    """The w-subsets of range(lo, k) in itertools.combinations order, as
+    blocks of at most SPAN_CHUNK rows (at least one block).
+
+    While C(k - lo, w) exceeds SPAN_CHUNK the first index is expanded: each
+    i in turn heads the blocks of the (w - 1)-subsets of range(i + 1, k).
+    """
+    if math.comb(k - lo, w) <= SPAN_CHUNK:
+        yield lo + _combinations(k - lo, w)
+        return
+    for i in range(lo, k - w + 1):
+        for block in _support_blocks(i + 1, k, w - 1):
+            yield np.concatenate([np.full((len(block), 1), i, dtype=np.int64), block], axis=1)
+
+
+@functools.lru_cache(maxsize=256)  # _support_blocks asks for each (m, w) under many prefixes
+def _combinations(m: int, w: int) -> np.ndarray:
+    """All w-subsets of range(m) in itertools.combinations order, (C(m, w), w)."""
+    count = math.comb(m, w)
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(m), w))
+    table = np.fromiter(subsets, dtype=np.int64, count=count * w).reshape(count, w)
+    table.setflags(write=False)  # cached
+    return table

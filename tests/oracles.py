@@ -228,22 +228,34 @@ def matrix_basis(comp: Component) -> tuple:
     return basis + (b_inv,)
 
 
+def halves(x: AlgElem) -> tuple[CyclicElem, CyclicElem]:
+    """The halves (a, b) of x = a + b v, as CyclicElems."""
+    n = x.alg.n
+    return CyclicElem(x.alg.field, x.word[:n]), CyclicElem(x.alg.field, x.word[n:])
+
+
+def subfield_basis(ft: SubfieldView) -> tuple[CyclicElem, ...]:
+    """The RREF basis of a subfield of FH, one CyclicElem a row of ft.rows."""
+    return tuple(CyclicElem(ft.field, row) for row in ft.rows)
+
+
 def iso_to_mat2(comp: Component, x: AlgElem) -> Mat2:
     """The matrix of x, an element of a matrix block."""
     _require(comp, (PAIRED, SELF_CONJ))
     if not contains(comp, x):
         raise NotInComponent("element not in this block")
+    x_a, x_b = halves(x)
     if comp.kind == PAIRED:
         # matrix (a11 a12; a21 a22) <-> a11 e + sign a12 e v + bar(a21) ebar v + bar(a22) ebar
         sign = comp.alg.tw_code
         e = comp.e
-        a11 = x.a * e
-        a22 = x.a.bar() * e
-        a12 = (x.b * e).scale(sign)
-        a21 = x.b.bar() * e
+        a11 = x_a * e
+        a22 = x_a.bar() * e
+        a12 = (x_b * e).scale(sign)
+        a21 = x_b.bar() * e
         return Mat2(comp.ft, ((a11, a12), (a21, a22)))
     epsilon, eta, nu, eta_nu, _ = matrix_basis(comp)
-    (a, b), (c, d) = ft_split(comp, x.a), ft_split(comp, x.b)
+    (a, b), (c, d) = ft_split(comp, x_a), ft_split(comp, x_b)
     return epsilon.scaled(a) + eta.scaled(b) + nu.scaled(c) + eta_nu.scaled(d)
 
 
@@ -325,9 +337,9 @@ def kt_basis_words(kt: KtField) -> np.ndarray:
     tw b_i) v, over the RREF basis b_i of F_t."""
     comp, alg = kt.comp, kt.alg
     if comp.kind == SELF_CONJ:
-        rows = [alg.embed_fh(b) for b in comp.fhe.basis]
+        rows = [alg.embed_fh(b) for b in subfield_basis(comp.fhe)]
     else:
-        basis, zero = comp.ft.basis, comp.ft.zero
+        basis, zero = subfield_basis(comp.ft), comp.ft.zero
         rows = [alg.elem(b + b.bar(), zero) for b in basis]
         rows += [alg.elem(-(b * kt.g_prime).bar(), b.bar() - b.scale(alg.tw_code)) for b in basis]
     return np.array([r.word for r in rows])
@@ -341,7 +353,8 @@ def ft_mul_table(ft: SubfieldView) -> np.ndarray:
     """The (|F_t|, |F_t|) table of product codes, from the coordinates of
     every basis product b_i b_j, one CyclicElem product each."""
     F, k, Q = ft.field, ft.dim, ft.order
-    S = np.array([[ft.coords((bi * bj).coeffs) for bj in ft.basis] for bi in ft.basis])
+    basis = subfield_basis(ft)
+    S = np.array([[ft.coords((bi * bj).coeffs) for bj in basis] for bi in basis])
     D = _digit_rows(np.arange(Q), F.q, k)
     M = F.matmul(D, S.transpose(1, 0, 2).reshape(k, k * k)).reshape(Q, k, k)
     P = F.matmul(D, M.transpose(1, 0, 2).reshape(k, Q * k)).reshape(Q, Q, k)
@@ -355,7 +368,7 @@ def kt_class_ids(kt: KtField) -> list[int]:
     k, Q = ft.dim, ft.order
     ab = _digit_rows(np.arange(kt.order), F.q, 2 * k)
     if comp.kind == SELF_CONJ:
-        split = [np.concatenate([ft.coords(part.coeffs) for part in ft_split(comp, y)]) for y in comp.fhe.basis]
+        split = [np.concatenate([ft.coords(part.coeffs) for part in ft_split(comp, y)]) for y in subfield_basis(comp.fhe)]
         ab = F.matmul(ab, np.array(split))
     pw = F.q ** np.arange(k)
     a, b = ab[:, :k] @ pw, ab[:, k:] @ pw

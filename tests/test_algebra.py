@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import get_algebra
-from oracles import Mat2, bar_via_matrix, iso_from_mat2, iso_to_mat2, matrix_basis, random_elem, scaled, v_elem
+from oracles import Mat2, bar_via_matrix, halves, iso_from_mat2, iso_to_mat2, matrix_basis, random_elem, scaled, v_elem
 
 from cdcodes.algebra import (
     PAIRED,
@@ -251,7 +251,7 @@ def pair_product(x, y):
     on CyclicElem halves: a reference for AlgElem products that shares
     nothing with group_action."""
     A = x.alg
-    a, b, c, d = x.a, x.b, y.a, y.b
+    (a, b), (c, d) = halves(x), halves(y)
     return A.elem(a * c + (b * d.bar()).scale(A.tw_code), a * d + b * c.bar())
 
 

@@ -68,7 +68,7 @@ def test_min_weight_repetition_code():
     F = field_from_order(2)
     code = LinearCode.from_rows(F, np.ones((1, 6), dtype=np.int64))
     rep = min_weight(code)
-    assert rep.min_weight == 6 and rep.exact
+    assert rep.min_weight == 6 and rep.lower == rep.upper
     assert rep.relative_distance == Fraction(1, 1)
 
 
@@ -108,7 +108,7 @@ def test_min_weight_budget_and_pruned():
     # q^k - 1 words cover every nonzero message: the pruned path is exact
     full_pruned = min_weight(code, budget=3**6 - 1)
     assert full_pruned.method == analysis.PRUNED
-    assert full_pruned.exact and full_pruned.min_weight == exact.min_weight
+    assert full_pruned.lower == full_pruned.upper and full_pruned.min_weight == exact.min_weight
 
 
 @pytest.mark.parametrize("budget", [0, -5])
@@ -146,7 +146,7 @@ def test_exhaustive_min_weight_memory_is_bounded(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.method == analysis.EXHAUSTIVE and rep.exact and rep.min_weight == want
+        assert rep.method == analysis.EXHAUSTIVE and rep.lower == rep.upper and rep.min_weight == want
         assert peak <= 16 * 2**20, f"q = {code.field.q}: peak {peak / 2**20:.1f} MiB"
 
 
@@ -218,7 +218,7 @@ def test_pruned_brackets_match_per_word_loop(q, n, family):
         assert (rep.lower, rep.upper) == reference_pruned_bracket(code, budget), budget
     exact = min_weight(code)
     assert exact.method == analysis.EXHAUSTIVE
-    assert rep.exact and rep.min_weight == exact.min_weight
+    assert rep.lower == rep.upper and rep.min_weight == exact.min_weight
 
 
 def test_pruned_brackets_match_per_word_loop_on_two_lanes():
@@ -242,7 +242,7 @@ def test_layer_messages_are_the_weight_layer(monkeypatch, chunk, k, q, w):
     # of the weight-w layer, every support of a run with every value tuple;
     # (4, 13, 4) has 12^3 > chunk value tuples per support at chunk 8
     monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
-    runs = list(analysis._layer_runs(k, q, w))
+    runs = list(linalg._layer_runs(k, q, w))
     assert all(len(sup) * len(vals) <= chunk for sup, vals in runs)
     got = []
     for sup, vals in runs:
@@ -275,9 +275,9 @@ def combinations_table(k, w):
 def test_combinations_match_itertools():
     for m in range(15):
         for w in range(m + 1):
-            assert np.array_equal(analysis._combinations(m, w), combinations_table(m, w)), (m, w)
+            assert np.array_equal(linalg._combinations(m, w), combinations_table(m, w)), (m, w)
     for w in (0, 1, 2, 3, 18, 19, 20, 21):
-        assert np.array_equal(analysis._combinations(21, w), combinations_table(21, w)), w
+        assert np.array_equal(linalg._combinations(21, w), combinations_table(21, w)), w
 
 
 @pytest.mark.parametrize("chunk", [1, 16, linalg.SPAN_CHUNK])
@@ -288,11 +288,11 @@ def test_support_blocks_are_combinations_in_blocks(monkeypatch, chunk):
     monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
     for k in range(13):
         for w in range(k + 1):
-            blocks = list(analysis._support_blocks(0, k, w))
+            blocks = list(linalg._support_blocks(0, k, w))
             assert all(0 < len(b) <= chunk for b in blocks), (k, w)
             assert np.array_equal(np.concatenate(blocks), combinations_table(k, w)), (k, w)
     if chunk == 16:
-        sizes = [len(b) for b in analysis._support_blocks(0, 8, 3)]
+        sizes = [len(b) for b in linalg._support_blocks(0, 8, 3)]
         assert sizes == [6, 5, 4, 3, 2, 1, 15, 10, 6, 3, 1]
 
 
@@ -597,11 +597,11 @@ def test_census_class_pass_memory_is_bounded():
     beta_codes = np.stack([rng.integers(1, kt.order, 2000) for kt in kts], axis=1)
     for kt in kts:
         kt.basis_words()  # built on the first call
-    list(analysis._twisted_gens(A, parts, False, kts, beta_codes[:1]))  # caches the untwisted RREF
+    list(codes.assemble_stack(A, parts, False, kts, beta_codes[:1]))  # caches the untwisted RREF
     tracemalloc.start()
     try:
         sizes = []
-        for s, R in analysis._twisted_gens(A, parts, False, kts, beta_codes):
+        for s, R in codes.assemble_stack(A, parts, False, kts, beta_codes):
             sizes.append(len(R))
             if s == 0:
                 first = R[0].copy()

@@ -110,6 +110,18 @@ def _name_reads(tree: ast.AST) -> Counter:
     return reads
 
 
+def _method_reads(tree: ast.AST) -> Counter:
+    """Reads of each method name in tree: attribute loads, and string
+    constants that are exactly the name or end in .name (getattr,
+    monkeypatch, dotted lookups).  A bare name load is a local or global of
+    the same name and a word of free text a mention, so neither counts."""
+    reads = Counter(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    reads.update(
+        n.value.rsplit(".", 1)[-1] for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    )
+    return reads
+
+
 def _owner_reads(tree: ast.AST, owners: tuple[str, ...]) -> Counter:
     """Attribute loads owner.name in tree, owner a bare name in owners."""
     return Counter(
@@ -131,14 +143,17 @@ def unread_public_names(library: dict[str, str], outside: list[str]) -> list[str
     """Public module-level functions and classes, and public methods, of the
     library modules that nothing reads: no library module other than
     `__init__` and no source in outside.  The reads of a definition's own
-    name inside its body do not count.  A public classmethod or
-    staticmethod counts as read only through Class.name, or cls.name in
-    its class, not through a bare attribute of the same name."""
+    name inside its body do not count.  A public method counts as read only
+    through _method_reads, and a public classmethod or staticmethod only
+    through Class.name, or cls.name in its class, not through a bare
+    attribute of the same name."""
     trees = {module: ast.parse(source) for module, source in library.items() if module != "__init__"}
     readers = list(trees.values()) + [ast.parse(source) for source in outside]
     reads: Counter = Counter()
+    method_reads: Counter = Counter()
     for tree in readers:
         reads.update(_name_reads(tree))
+        method_reads.update(_method_reads(tree))
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unread = []
     for module, tree in sorted(trees.items()):
@@ -154,6 +169,8 @@ def unread_public_names(library: dict[str, str], outside: list[str]) -> list[str
                 if d is not node and _is_class_bound(d):
                     owned = sum((_owner_reads(t, (node.name,)) for t in readers), _owner_reads(node, ("cls",)))
                     is_read = owned[d.name] > _owner_reads(d, (node.name, "cls"))[d.name]
+                elif d is not node:
+                    is_read = method_reads[d.name] > _method_reads(d)[d.name]
                 else:
                     is_read = reads[d.name] > _name_reads(d)[d.name]
                 if not is_read:
@@ -192,6 +209,23 @@ def test_hygiene_checker_flags_class_bound_methods_read_by_name_only():
     # loose is read only by its own body and through an instance, named only as
     # a bare attribute; plain is an ordinary method, read by its name
     assert unread_public_names(library, []) == ["a.K.loose (line 9)", "a.K.named (line 12)"]
+
+
+def test_hygiene_checker_flags_methods_read_only_as_names_or_words():
+    library = {
+        "a": (
+            "class P:\n"
+            "    @property\n    def a(self):\n        return 1\n"
+            "    def size(self):\n        return 2\n"
+            "    def run(self):\n        pass\n"
+            "    def shape(self):\n        pass\n"
+        ),
+        "b": "from .a import P\nP().run()\n",
+    }
+    outside = ["def f(a, shape):\n    'Reads a.'\n    return a + shape\nNAMES = ['a.P.size', 'the shape']\n"]
+    # a and shape are only local names, a docstring word and a word of free
+    # text; size is read by a dotted string and run by an attribute load
+    assert unread_public_names(library, outside) == ["a.P.a (line 3)", "a.P.shape (line 9)"]
 
 
 def test_public_names_have_readers():

@@ -306,20 +306,20 @@ def test_weight_distribution_dependent_rows_and_empty_basis():
     [(2, 9, 14), (3, 6, 10), (4, 5, 10), (5, 4, 6), (7, 3, 6), (8, 3, 10), (9, 3, 10), (13, 2, 22), (13, 3, 22)],
 )
 def test_weight_distribution_stack_matches_single_codes(monkeypatch, chunk, q, k, n):
-    # 40 codes: at the default chunk, batches of 3 to 19 codes and a last
-    # one part full (one code a batch at q = 13, k = 3); chunk 16 weighs one
-    # code a batch and walks several offset blocks.  At q = 13, n = 22 each
-    # code takes two lanes of 16 coordinates
+    # a stack is weighed by min_nonzero_weight: 40 codes, all in one batch
+    # at the default chunk; chunk 16 puts 4 to 12 codes in a batch, the last
+    # one part full at q = 3, 5, 7 and 9, and walks several offset blocks.
+    # At q = 13, n = 22 each code takes two lanes of 16 coordinates
     monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
     F = field_from_order(q)
     c = 40
     stack = np.random.default_rng(q * n).integers(0, q, (c, k, n))
     stack[0, 1] = stack[0, 0]  # a dependent row
-    counts = linalg.weight_distribution(F, stack)
-    assert counts.shape == (c, n + 1) and counts.dtype == np.int64
-    for basis, row in zip(stack, counts):
-        assert np.array_equal(row, linalg.weight_distribution(F, basis))
-        assert np.array_equal(row, span_weights(F, basis))
+    minima = linalg.min_nonzero_weight(F, stack)
+    assert minima.shape == (c,) and minima.dtype == np.int64
+    for basis, m in zip(stack, minima.tolist()):
+        assert m == linalg.min_nonzero_weight(F, basis)
+        assert m == first_nonzero_weight(span_weights(F, basis))
 
 
 @pytest.mark.parametrize("q, k", [(2, 10), (3, 6), (4, 5), (5, 4), (7, 4), (8, 4), (9, 4), (13, 4)])
@@ -335,11 +335,10 @@ def test_weight_distribution_scalar_classes_over_many_blocks(monkeypatch, q, k):
     stack[1, -1] = stack[1, 0]  # a dependent row in the held low span
     j = min(linalg._low_rows(q, k), -(-k // 2))
     assert len(list(linalg._normalised_chunks(*linalg._code_rows(F, stack[0, : k - j])))) > 1
-    counts = linalg.weight_distribution(F, stack)
-    for basis, row in zip(stack, counts):
-        assert np.array_equal(row, span_weights(F, basis))
-    empty = linalg.weight_distribution(F, np.zeros((3, 0, n), dtype=np.int64))
-    assert empty.tolist() == [[1] + [0] * n] * 3
+    for basis in stack:
+        assert np.array_equal(linalg.weight_distribution(F, basis), span_weights(F, basis))
+    empty = [linalg.weight_distribution(F, basis).tolist() for basis in np.zeros((3, 0, n), dtype=np.int64)]
+    assert empty == [[1] + [0] * n] * 3
 
 
 def record_walks(monkeypatch):
@@ -376,15 +375,16 @@ def test_weight_distribution_weighs_one_offset_per_scalar_class(monkeypatch, chu
 
 
 def test_weight_distribution_walks_one_span_per_batch(monkeypatch):
-    # 40 codes with 5-word low spans (q = 5, k = 2) fit one batch: one walk of
-    # the joined bases weighs all of them in one block, which holds offset 0
-    # and the leading row, 1 + (5 - 1)/(5 - 1) shifts
+    # 40 codes with 5-word low spans (q = 5, k = 2) fit one batch of
+    # min_nonzero_weight: one walk of the joined bases weighs all of them in
+    # one block, which holds offset 0 and the leading row, 1 + (5 - 1)/(5 - 1)
+    # shifts
     walks = record_walks(monkeypatch)
     F = field_from_order(5)
     stack = np.random.default_rng(5).integers(0, 5, (40, 2, 6))
-    counts = linalg.weight_distribution(F, stack)
+    minima = linalg.min_nonzero_weight(F, stack)
     assert walks == [[(2, 40, 5)]]
-    assert all(np.array_equal(row, span_weights(F, basis)) for basis, row in zip(stack, counts))
+    assert minima.tolist() == [first_nonzero_weight(span_weights(F, basis)) for basis in stack]
 
 
 def test_characteristic_2_addition_is_xor_of_codes():
@@ -442,9 +442,8 @@ def test_packed_walk_matches_code_walk(monkeypatch, chunk, q, k, n):
         assert len(packed_blocks) == len(code_blocks)
         for packed, words in zip(packed_blocks, code_blocks):
             assert np.array_equal(packed, linalg._pack(words, b, n))
-    counts = linalg.weight_distribution(F, stack)
-    for basis, row in zip(stack, counts):
-        assert np.array_equal(row, span_weights(F, basis))
+    for basis in stack:
+        assert np.array_equal(linalg.weight_distribution(F, basis), span_weights(F, basis))
 
 
 @pytest.mark.parametrize("q", [3, 5, 9, 13, 17, 27, 729])
@@ -465,19 +464,20 @@ def test_odd_walk_adds_by_the_flat_table(q):
 
 
 def test_weight_distribution_stack_memory_is_bounded():
-    # 64 binary codes of dimension 14 and length 42, two to a batch: their
-    # 2^20 words would take 336 MiB as int64, and the batches hold a few MiB
+    # 64 binary codes of dimension 14 and length 42, weighed as a stack by
+    # min_nonzero_weight, all in one batch: their 2^20 words would take
+    # 336 MiB as int64, and the walk holds a few MiB
     F = field_from_order(2)
     stack = np.random.default_rng(1).integers(0, 2, (64, 14, 42))
     F.tables()
     tracemalloc.start()
     try:
-        counts = linalg.weight_distribution(F, stack)
+        minima = linalg.min_nonzero_weight(F, stack)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (counts.sum(axis=1) == 2**14).all()
-    assert np.array_equal(counts[-1], linalg.weight_distribution(F, stack[-1]))
+    assert minima.tolist() == [linalg.min_nonzero_weight(F, basis) for basis in stack]
+    assert minima[-1] == first_nonzero_weight(linalg.weight_distribution(F, stack[-1]))
     assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -563,7 +563,7 @@ def test_min_nonzero_weight_many_offset_blocks(monkeypatch, q, k):
 @settings(max_examples=80, deadline=None)
 def test_min_nonzero_weight_stack_matches_distributions(data, q, chunk):
     # code by code, the stacked minima are the first nonzero weights of the
-    # stack's weight distributions; at chunk 16 a batch holds 64 words of
+    # codes' weight distributions; at chunk 16 a batch holds 64 words of
     # low spans, so the stack crosses batch boundaries; codes may take more
     # than one lane, repeat a row, or have no nonzero word (then it raises)
     F = field_from_order(q)
@@ -580,7 +580,7 @@ def test_min_nonzero_weight_stack_matches_distributions(data, q, chunk):
         if k > 1:
             repeat = rng.random(c) < 0.5
             stack[repeat, -1] = stack[repeat, 0]
-        counts = linalg.weight_distribution(F, stack)
+        counts = np.array([linalg.weight_distribution(F, basis) for basis in stack])
         if counts[:, 1:].any(axis=1).all():
             got = linalg.min_nonzero_weight(F, stack)
             assert got.dtype == np.int64
