@@ -47,8 +47,12 @@ def main():
             k_star_budget=args.k_star_budget,
         )
         with csv_path.open("w") as csv_file:
-            csv_file.writelines(line + "\n" for line in res.csv_lines())
-        json_path.write_text(json.dumps(res.summary_json(), indent=2) + "\n")
+            try:
+                csv_file.writelines(line + "\n" for line in res.csv_lines())
+                json_path.write_text(json.dumps(res.summary_json(), indent=2) + "\n")
+            except OSError:
+                csv_path.unlink()  # no CSV without its summary
+                raise
     except (CdcodesError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         if isinstance(ex, BudgetExceeded):

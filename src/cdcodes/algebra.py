@@ -129,7 +129,7 @@ class SubfieldView:
         return CyclicElem.zero(self.field, self.n)
 
     def contains(self, y: CyclicElem) -> bool:
-        return linalg.in_row_space(self.field, self.rows, self._pivots, y.coeffs)
+        return not linalg.residual(self.field, self.rows, self._pivots, y.coeffs).any()
 
     def code_of(self, y: CyclicElem) -> int:
         """Coordinate encoding of y, assumed in the subfield."""
@@ -249,8 +249,9 @@ class Component:
     uinv_e, with ebar on paired blocks and g, s, s_prime on self-conjugate
     ones.  Built on first use and cached: _diff_inv, the one inverse the F_t
     split (_split_ft, read by `codes.KtField.class_ids`) needs; the
-    generator of the chosen simple left ideal C_t (`codes.build_Ct`, in
-    _ct); and the block's K_t (`codes.kt_fields`, in _kt).
+    generator of the chosen ideal, C_t (`codes.build_Ct`) or on the trivial
+    block C_0 (`codes.build_C0`), in _ct; and the block's K_t
+    (`codes.kt_fields`, in _kt).
     """
 
     def __init__(self, alg: "TwistedDihedralAlgebra", index: int, kind: str, idem_indices: tuple[int, ...]):
@@ -266,7 +267,7 @@ class Component:
         self.ft: Optional[SubfieldView] = None
         self.ebar: Optional[CyclicElem] = None
         self._diff_inv: Optional[CyclicElem] = None  # (ue - u^-1 e)^-1, by _split_ft on first use
-        self._ct: Optional[AlgElem] = None  # codes.build_Ct(self), on first use
+        self._ct: Optional[AlgElem] = None  # codes.build_Ct(self) or build_C0(self), on first use
         self._kt = None  # the block's codes.KtField, by codes.kt_fields on first use
 
         if kind in (TRIVIAL_FIELD, TRIVIAL_SPLIT):
@@ -283,8 +284,7 @@ class Component:
         i = idem_indices[0]
         self.e = idems[i]
         ue = self.e.shift(1)
-        fhe_span = self.e.coeffs[_rot_index(n)]  # row d is u^d e
-        self.fhe = SubfieldView(F, n, self.e, fhe_span, label=f"FHe[{i}]")
+        self.fhe = SubfieldView(F, n, self.e, self.e.coeffs[_rot_index(n)], label=f"FHe[{i}]")  # row d is u^d e
         self.ue = ue
         self.uinv_e = self.e.shift(-1)
 
@@ -297,13 +297,13 @@ class Component:
             self.identity = alg.embed_fh(self.e + self.ebar)
             return
 
-        # self-conjugate: F_t = bar-fixed subfield of FHe, spanned by traces
+        # self-conjugate: F_t = bar-fixed subfield of FHe, spanned by the
+        # traces y + bar(y) of a basis of FHe (the trace onto F_t is onto in
+        # every characteristic)
         assert kind == SELF_CONJ
         assert self.e.bar() == self.e
-        span = F.tables().add[fhe_span, fhe_span[:, -np.arange(n) % n]]  # rows y + bar(y)
-        if F.p == 2:
-            span = np.vstack((span, self.e.coeffs))  # char 2: e itself is bar-fixed, traces may miss it
-        ftv = SubfieldView(F, n, self.e, span, label=f"Fix(FHe[{i}])")
+        Y = self.fhe.rows
+        ftv = SubfieldView(F, n, self.e, F.tables().add[Y, Y[:, -np.arange(n) % n]], label=f"Fix(FHe[{i}])")
         self.ft = ftv
         self.k = ftv.dim
         self.dim = 4 * self.k

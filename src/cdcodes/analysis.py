@@ -128,20 +128,17 @@ class BalanceReport:
 
 
 def is_left_ideal(alg: TwistedDihedralAlgebra, code: LinearCode) -> bool:
-    """Whether u * C and v * C lie in C (rows 1 and n of the group action).
+    """Whether u * C and v * C lie in C (rows 1 and n of the group action):
+    the 2k images of the generator rows, reduced modulo C in one call.
 
     A code whose length is not 2n raises DimensionMismatch.
     """
     if code.n_len != 2 * alg.n:
         raise DimensionMismatch(f"code length {code.n_len} is not 2n = {2 * alg.n}")
     perm, sign = alg.group_action()
-    mul = alg.field.tables().mul
-    piv = code.pivots
-    for h in (1, alg.n):
-        for img in mul[sign[h], code.gen[:, perm[h]]]:
-            if not linalg.in_row_space(alg.field, code.gen, piv, img):
-                return False
-    return True
+    h = [1, alg.n]
+    images = alg.field.tables().mul[sign[h][:, None], code.gen[:, perm[h]].transpose(1, 0, 2)]
+    return not linalg.residual(alg.field, code.gen, code.pivots, images.reshape(-1, code.n_len)).any()
 
 
 def balanced_check(
@@ -284,8 +281,9 @@ def census_K_le_delta(
     The first beta is assembled by assemble_code alone; then the
     representatives are assembled in a stacked pass (codes.assemble_stack), whose
     generator for the first beta's class must equal the first code's.  The
-    pass fills the class memo, keyed by twist class, so the census's one
-    assemble_code call per beta is a lookup.  The census asserts
+    pass gives the class memo, keyed by twist class, so the census's one
+    assemble_code call per beta is a lookup, and a beta whose class the
+    memo lacks raises KeyError there.  The census asserts
     prod(|F_t| + 1) classes with pairwise distinct codes, takes every
     class's minimum weight from one call of linalg.min_nonzero_weight on
     their stacked generators (no class's weight distribution is computed),
@@ -319,12 +317,13 @@ def census_K_le_delta(
     beta_tuples = list(zip(*[(1 + d).tolist() for d in digits]))
     del digits  # K*-long arrays; the rows hold the codes from here on
     lines_of_class = np.unravel_index(np.arange(classes), lines, order="F")  # each class's twist_class()
-    first = assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, beta_tuples[0]))
+    a0 = "C0" if include_C0 else None
+    first = assemble_code(alg, parts, a0=a0, beta=BetaVector(kts, beta_tuples[0]))
     if q**first.k_dim > DEFAULT_WORD_BUDGET:
         raise BudgetExceeded(f"q^k = {q**first.k_dim} exceeds the budget {DEFAULT_WORD_BUDGET}")
     rep_codes = np.stack([units[c] for units, c in zip(first_unit, lines_of_class)], axis=1)
     gens = np.empty((classes, first.k_dim, first.n_len), dtype=np.int64)
-    for s, R in codes_mod.assemble_stack(alg, parts, include_C0, kts, rep_codes):
+    for s, R in codes_mod.assemble_stack(alg, parts, a0, kts, rep_codes):
         assert R.shape[1] == first.k_dim, f"assembled dim {R.shape[1]}, expected {first.k_dim}"
         gens[s : s + len(R)] = R
     gens.setflags(write=False)  # shared by every beta of a class
@@ -333,8 +332,7 @@ def census_K_le_delta(
     keys = zip(*[c.tolist() for c in lines_of_class])
     memo = {key: LinearCode(alg.field, gen) for key, gen in zip(keys, gens)}
     for codes in itertools.islice(beta_tuples, 1, None):
-        assemble_code(alg, parts, include_C0=include_C0, beta=BetaVector(kts, codes), memo=memo)
-    assert len(memo) == classes, f"{len(memo)} twist classes after the per-beta calls, expected {classes}"
+        assemble_code(alg, parts, a0=a0, beta=BetaVector(kts, codes), memo=memo)
     weights = linalg.min_nonzero_weight(alg.field, gens)[class_of]
     deltas = np.arange(first.n_len + 1) / first.n_len
     count = int(np.count_nonzero(deltas[weights] <= delta + FLOAT_SLACK))

@@ -2,11 +2,14 @@
 
 The code families built here follow the block decomposition: one simple left
 ideal C_t per matrix block (C_t = A_t e on paired blocks, C_t = A_t f with
-f = s e - s' u e + v e on self-conjugate blocks), the 1-dimensional ideal C_0
-on the trivial block when r^2 = v^2 is solvable, and twisted variants C_t
-beta_t for beta in the product K* of per-block subfield unit groups.  A
-twist is an ordinary product: beta is one unit of the algebra (e_0 plus the
-beta_t), and each block generator g becomes g * beta = g * beta_t.
+f = s e - s' u e + v e on self-conjugate blocks), plus a choice on the trivial
+block A_0 (nothing, the 1-dimensional ideal C_0 when r^2 = v^2 is solvable,
+or all of A_0), and twisted variants C beta for beta in the product K* of
+per-block subfield unit groups.  A twist is an ordinary product: beta is one
+unit of the algebra, e_0 plus the beta_t, so a code is the left ideal of all
+its generators times that unit.  The block identities are central orthogonal
+idempotents, so g * beta = g * beta_t for g in block t and x * beta = x for
+x in A_0: the twist moves the matrix-block parts and fixes A_0's choice.
 
 Generator matrices are kept in reduced row echelon form, so code equality is
 matrix equality.  The hull dimension is always computed by two independent
@@ -34,6 +37,7 @@ from .cyclic import CyclicElem
 from .errors import (
     BlockCollision,
     DimensionMismatch,
+    DomainError,
     HypothesisUnmet,
     InvalidBeta,
     NotInComponent,
@@ -286,12 +290,6 @@ class BetaVector:
     def random(cls, kts: Sequence[KtField], rng) -> "BetaVector":
         return cls(kts, [rng.randrange(1, kt.order) for kt in kts])
 
-    def unit(self) -> AlgElem:
-        """beta as one unit of the algebra: e_0 plus every beta_t, its word
-        from unit_words.  The blocks are orthogonal two-sided ideals, so
-        g * beta = g * beta_t for g in block t."""
-        return AlgElem(self.kts[0].alg, unit_words(self.kts, [self.codes])[0])
-
     def twist_class(self) -> tuple[int, ...]:
         """Each block's KtField.class_ids entry: C beta = C beta' iff these
         agree on the blocks of C."""
@@ -303,7 +301,7 @@ class BetaVector:
 
 def unit_words(kts: Sequence[KtField], codes) -> np.ndarray:
     """Words of the units e_0 + sum_t beta_t(c_t), one row per row
-    (c_1, ..., c_m) of the (c, m) array codes: BetaVector.unit on a stack.
+    (c_1, ..., c_m) of the (c, m) array codes: the unit of each beta.
 
     Each element is linear in its code's base-q digits, whose coefficients
     are KtField.basis_words, so the blocks' digits side by side times their
@@ -335,13 +333,15 @@ def k_star_size(kts: Sequence[KtField]) -> int:
 
 
 def build_C0(comp: Component) -> Optional[AlgElem]:
-    """Generator r e_0 + e_0 v of the 1-dimensional ideal, when r exists."""
+    """Generator r e_0 + e_0 v of the 1-dimensional ideal, when r exists; built
+    on the first call and cached on the block, like build_Ct."""
     if comp.index != 0:
         raise NotInComponent("C_0 lives on the trivial block")
     if comp.kind != TRIVIAL_SPLIT:
         return None
-    alg = comp.alg
-    return alg.elem(comp.e.scale(comp.r), comp.e)
+    if comp._ct is None:
+        comp._ct = comp.alg.elem(comp.e.scale(comp.r), comp.e)
+    return comp._ct
 
 
 def build_Ct(comp: Component) -> AlgElem:
@@ -357,111 +357,104 @@ def build_Ct(comp: Component) -> AlgElem:
     return comp._ct
 
 
-def assemble_code(
-    alg: TwistedDihedralAlgebra,
-    parts: Sequence[tuple[Component, AlgElem]],
-    include_C0: bool = False,
-    beta: Optional[BetaVector] = None,
-    extra_generators: Sequence[AlgElem] = (),
-    origin: Optional[dict] = None,
-    memo: Optional[dict] = None,
-) -> LinearCode:
-    """Row-reduce the left ideal generated by the given block parts.
-
-    With a beta, each part generator g is replaced by the product
-    g * beta (BetaVector.unit) first; extra_generators (e.g. the whole
-    block A_0) and C_0 are taken verbatim.  As x -> x * beta is the linear
-    map L(beta), the twisted parts span the k rows G . L(beta), G the cached
-    RREF of the untwisted parts (`ideal_rref`); one rref of those rows and
-    the cached RREF of C_0 and the extras gives the generator matrix.  The
-    sum must be direct: the dimension is asserted to be sum 2 k_t over the
-    parts plus the rank of the ideal of C_0 and the extras.
-
-    memo (used with a beta) is a dict that this call reads and fills, keyed
-    by beta's twist class on every block (BetaVector.twist_class).  C beta
-    depends only on the class on the parts' blocks, so the full class is a
-    finer key that is still correct.  A hit is a lookup: it returns the
-    memo's LinearCode itself, origin included, and builds no origin, unit,
-    product or rref.  One memo serves calls that differ only in beta;
-    census_K_le_delta fills it for every class from one stacked pass
-    (assemble_stack), so its per-beta calls all hit.
-    """
-    if not parts and not include_C0 and not extra_generators:
+def _generators(alg: TwistedDihedralAlgebra, parts: Sequence[tuple[Component, AlgElem]], a0: Optional[str]):
+    """The parts' generators then A_0's choice a0 (None: nothing, "C0": C_0,
+    "A0": all of A_0), and the dimension of their left ideal if the sum is
+    direct: sum 2 k_t over the parts plus 0, 1 or 2.  Two parts on one block
+    raise BlockCollision, and "C0" HypothesisUnmet when r^2 = v^2 has no root."""
+    if not parts and a0 is None:
         raise BlockCollision("no parts to assemble")
     seen = set()
-    expected = 0
-    for comp, _ in parts:
+    gens, dim = [], 0
+    for comp, g in parts:
         if comp.index in seen:
             raise BlockCollision(f"two parts for block {comp.index}")
         seen.add(comp.index)
-        expected += 2 * comp.k
-    if include_C0:
-        if alg.decompose()[0].kind != TRIVIAL_SPLIT:
-            raise HypothesisUnmet(
-                f"q = {alg.field.q} admits no r with r^2 = v^2; C_0 does not exist"
-            )
-    cls = None
-    if beta is not None and memo is not None:
-        cls = beta.twist_class()
-        hit = memo.get(cls)
-        if hit is not None:
-            return hit
+        gens.append(g)
+        dim += 2 * comp.k
+    comp0 = alg.decompose()[0]
+    if a0 == "C0":
+        c0 = build_C0(comp0)
+        if c0 is None:
+            raise HypothesisUnmet(f"q = {alg.field.q} admits no r with r^2 = v^2; C_0 does not exist")
+        gens.append(c0)
+        dim += 1
+    elif a0 == "A0":
+        gens.append(comp0.identity)
+        dim += comp0.dim
+    elif a0 is not None:
+        raise DomainError(f"A_0's choice must be None, 'C0' or 'A0', not {a0!r}")
+    return gens, dim
+
+
+def _twist(alg: TwistedDihedralAlgebra, G: np.ndarray, kts: Sequence[KtField], beta_codes) -> np.ndarray:
+    """G . L(beta) for every row of beta codes, shape (c, len(G), 2n): the
+    units from one unit_words call, their L(beta) from one translates call
+    and all the products from one Field.matmul with [L_1 | ... | L_c]."""
+    n2 = 2 * alg.n
+    c = len(beta_codes)
+    L = alg.translates(unit_words(kts, beta_codes))
+    L = L.reshape(c, n2, n2).transpose(1, 0, 2).reshape(n2, c * n2)
+    return alg.field.matmul(G, L).reshape(len(G), c, n2).transpose(1, 0, 2)
+
+
+def assemble_code(
+    alg: TwistedDihedralAlgebra,
+    parts: Sequence[tuple[Component, AlgElem]],
+    a0: Optional[str] = None,
+    beta: Optional[BetaVector] = None,
+    origin: Optional[dict] = None,
+    memo: Optional[dict] = None,
+) -> LinearCode:
+    """The left ideal of the block parts and A_0's choice a0 (_generators),
+    twisted by beta: the RREF of G . L(beta), G the algebra's cached RREF of
+    the untwisted ideal (`ideal_rref`) and L(beta) the matrix of x -> x beta
+    (_twist, shared with assemble_stack); G itself without a beta.  beta fixes
+    A_0, so the rows span the twisted parts plus A_0's choice.  The sum must
+    be direct: the dimension is asserted to be _generators' sum.
+
+    memo (with a beta) is only read: census_K_le_delta's code of each twist
+    class, keyed by BetaVector.twist_class, for the parts and a0 its first
+    call checked.  A call with a memo is that lookup alone: a hit returns the
+    LinearCode itself and builds no origin, unit, product or rref, and a miss
+    raises KeyError.
+    """
+    if memo is not None:
+        return memo[beta.twist_class()]
+    gens, dim = _generators(alg, parts, a0)
     origin = dict(origin or {})
     origin.setdefault("q", alg.field.q)
     origin.setdefault("n", alg.n)
     origin.setdefault("v_squared", alg.tw)
-    origin.setdefault("blocks", sorted(seen))
-    origin.setdefault("include_C0", include_C0)
+    origin.setdefault("blocks", sorted(comp.index for comp, _ in parts))
+    origin.setdefault("include_C0", a0 == "C0")
     if beta is not None:
         origin.setdefault("beta", list(beta.codes))
-    fixed = list(extra_generators)
-    if include_C0:
-        fixed.append(build_C0(alg.decompose()[0]))
-    twisted = alg.ideal_rref([f for _, f in parts])
+    rows = alg.ideal_rref(gens)
     if beta is not None:
-        twisted = linalg.matmul(alg.field, twisted, alg.translates(beta.unit().word[None]))
-    fixed_rows = alg.ideal_rref(fixed)
-    expected += len(fixed_rows)
-    rows = np.vstack([twisted, fixed_rows])
+        rows = _twist(alg, rows, beta.kts, [beta.codes])[0]
     code = LinearCode.from_rows(alg.field, rows, n_len=2 * alg.n, origin=origin)
-    if code.k_dim != expected:
-        raise AssertionError(f"assembled dim {code.k_dim}, expected {expected}")
-    if cls is not None:
-        code.gen.setflags(write=False)  # shared by every beta of the class
-        memo[cls] = code
+    if code.k_dim != dim:
+        raise AssertionError(f"assembled dim {code.k_dim}, expected {dim}")
     return code
 
 
 def assemble_stack(
     alg: TwistedDihedralAlgebra,
     parts: Sequence[tuple[Component, AlgElem]],
-    include_C0: bool,
+    a0: Optional[str],
     kts: Sequence[KtField],
     beta_codes: np.ndarray,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The RREF generators of C beta for every row of beta codes, as
-    (start, R) chunks, R of shape (c, k, 2n): assemble_code on a stack.
-
-    Each chunk takes the unit words of its betas from one unit_words call,
-    their L(beta) from one translates call and G . L(beta) for all of them
-    from one Field.matmul (G the cached RREF of the untwisted parts),
-    appends the cached RREF of C_0 and reduces the stack with one
-    linalg.rref_stack.  A chunk holds at most SPAN_CHUNK // 2n betas, so its
-    L stack holds at most SPAN_CHUNK 2n entries whatever the number of rows.
+    """assemble_code's generators for every row of beta codes, as (start, R)
+    chunks, R of shape (c, k, 2n): one _twist call and one linalg.rref_stack a
+    chunk.  A chunk holds at most SPAN_CHUNK // 2n betas, so its L stack holds
+    at most SPAN_CHUNK 2n entries whatever the number of rows.
     """
-    F = alg.field
-    n2 = 2 * alg.n
-    G = alg.ideal_rref([g for _, g in parts])
-    fixed = alg.ideal_rref([build_C0(alg.decompose()[0])] if include_C0 else [])
-    step = max(1, linalg.SPAN_CHUNK // n2)
+    G = alg.ideal_rref(_generators(alg, parts, a0)[0])
+    step = max(1, linalg.SPAN_CHUNK // (2 * alg.n))
     for s in range(0, len(beta_codes), step):
-        chunk = beta_codes[s : s + step]
-        c = len(chunk)
-        L = alg.translates(unit_words(kts, chunk))
-        L = L.reshape(c, n2, n2).transpose(1, 0, 2).reshape(n2, c * n2)  # [L_1 | ... | L_c]
-        twisted = F.matmul(G, L).reshape(len(G), c, n2).transpose(1, 0, 2)
-        stack = np.concatenate([twisted, np.broadcast_to(fixed, (c, *fixed.shape))], axis=1)
-        yield s, linalg.rref_stack(F, stack)[0]
+        yield s, linalg.rref_stack(alg.field, _twist(alg, G, kts, beta_codes[s : s + step]))[0]
 
 
 def hull_dimension(code: LinearCode) -> int:
@@ -472,15 +465,13 @@ def hull_dimension(code: LinearCode) -> int:
     G is RREF, so G[:, P] = I on its pivots P, and subtracting H[:, P] . G
     from H clears H's pivot columns with row operations by G alone:
     rank [G; H] = k + rank(H - H[:, P] . G), and the hull is n_len - k - the
-    rank of that residual.  Gram: k - rank(G G^T).
+    rank of that residual (linalg.residual).  Gram: k - rank(G G^T).
     """
     if code.k_dim == 0:
         return 0
     field, G, P = code.field, code.gen, code.pivots
-    t = field.tables()
     H = linalg.kernel_basis(field, G, P)
-    residual = t.add[H, t.neg[field.matmul(H[:, list(P)], G)]]
-    by_intersection = len(H) - linalg.rank(field, residual)
+    by_intersection = len(H) - linalg.rank(field, linalg.residual(field, G, P, H))
     gram = linalg.matmul(field, G, G.T)
     by_gram = code.k_dim - linalg.rank(field, gram)
     assert by_intersection == by_gram, "hull methods disagree"
@@ -505,13 +496,22 @@ def build_plain_code(alg: TwistedDihedralAlgebra, beta: Optional[BetaVector] = N
 
 
 def build_self_dual_code(alg: TwistedDihedralAlgebra, beta: Optional[BetaVector] = None) -> LinearCode:
-    """C_0 + C_1 b_1 + ... + C_m b_m; self-dual whenever q != 3 mod 4."""
+    """C_0 + C_1 b_1 + ... + C_m b_m: self-dual for every beta when q is even,
+    or v^2 = -1 and 4 | q - 1; HypothesisUnmet otherwise.
+
+    The blocks are orthogonal, and on the consta algebra (in characteristic 2
+    also the dihedral one) the block part is self-orthogonal
+    (build_plain_code).  C_0 is spanned by c = r e_0 + e_0 v, r^2 = v^2, and
+    <e_0, e_0> = 1/n, so <c, c> = (r^2 + 1)/n: zero on v^2 = -1, where r
+    exists iff q is even or 4 | q - 1, and 2/n != 0 on v^2 = +1 for odd q.
+    A self-orthogonal code of dimension n = 2n/2 is self-dual.
+    """
     q = alg.field.q
-    if alg.tw == -1 and q % 2 == 1 and (q - 1) % 4 != 0:
+    if q % 2 and alg.tw == 1:
+        raise HypothesisUnmet(f"self-dual family on v^2 = +1 needs q even (<C_0, C_0> = 2/n); q = {q}")
+    if q % 4 == 3:
         raise HypothesisUnmet(f"self-dual family needs q even or 4 | (q-1); q = {q}")
-    code = assemble_code(
-        alg, standard_parts(alg), include_C0=True, beta=beta, origin={"family": "self-dual"}
-    )
+    code = assemble_code(alg, standard_parts(alg), a0="C0", beta=beta, origin={"family": "self-dual"})
     assert code.k_dim == alg.n
     return code
 
@@ -541,15 +541,11 @@ def build_lcd_code(
             for c in comps[1:]
         ]
         raise HypothesisUnmet("no qualifying block; " + "; ".join(reasons))
-    parts = [(c, build_Ct(c)) for c in qualifying]
-    extra: list[AlgElem] = []
-    if include_a0:
-        extra = [comps[0].identity]
     return assemble_code(
         alg,
-        parts,
+        [(c, build_Ct(c)) for c in qualifying],
+        a0="A0" if include_a0 else None,
         beta=beta,
-        extra_generators=extra,
         origin={"family": "lcd", "include_a0": include_a0},
     )
 

@@ -145,15 +145,10 @@ def conj_pairing(idem_set: IdempotentSet) -> tuple[int, ...]:
     self-conjugate iff ord_n(q) is odd.
     """
     idems = idem_set.idems
-    pairing = []
-    for i, e in enumerate(idems):
-        eb = e.bar()
-        for j, f in enumerate(idems):
-            if f == eb:
-                pairing.append(j)
-                break
-        else:
-            raise AssertionError("bar image is not a primitive idempotent")
+    index = {e.coeffs.tobytes(): i for i, e in enumerate(idems)}
+    pairing = [index.get(e.bar().coeffs.tobytes()) for e in idems]
+    if None in pairing:
+        raise AssertionError("bar image is not a primitive idempotent")
     assert pairing[0] == 0
     n, q = idem_set.n, idem_set.field.q
     if n > 1:

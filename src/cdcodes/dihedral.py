@@ -142,7 +142,7 @@ def count_Cab_codes(
     """Count dihedral codes A_0 ehat_0 + sum_t A_t f_(at bt), and the LCD ones.
 
     ehat_0 = e_0 + e_0 v is the C_0 generator r e_0 + e_0 v at r = 1, which
-    v^2 = +1 always admits, so the codes are assembled with include_C0.
+    v^2 = +1 always admits, so the codes are assembled with A_0's choice C_0.
     Requires odd q and odd ord_n(q) (all nontrivial idempotents paired).
     When the formula total does not exceed exhaust_limit, every code is built
     and classified by hull; otherwise `samples` seeded random (a, b) choices
@@ -169,7 +169,7 @@ def count_Cab_codes(
         lcd_count = 0
         for gens in itertools.product(*(_block_generators(c) for c in comps)):
             parts = list(zip(comps, gens))
-            code = assemble_code(alg, parts, include_C0=True, origin={"family": "C_ab"})
+            code = assemble_code(alg, parts, a0="C0", origin={"family": "C_ab"})
             assert code.k_dim == alg.n
             keys.add(code.key())
             if hull_dimension(code) == 0:
@@ -202,7 +202,7 @@ def count_Cab_codes(
                 expect_lcd = False
             parts.append((c, f_ab(c, a, b)))
         # any (a, b) != 0 has matrix rank 1, so each block contributes 2k_t
-        code = assemble_code(alg, parts, include_C0=True, origin={"family": "C_ab"})
+        code = assemble_code(alg, parts, a0="C0", origin={"family": "C_ab"})
         actual_lcd = hull_dimension(code) == 0
         if actual_lcd == expect_lcd:
             agreements += 1

@@ -138,14 +138,13 @@ def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return field.matmul(a, b)
 
 
-def in_row_space(field: Field, R: np.ndarray, pivots: tuple[int, ...], v) -> bool:
-    """Whether v reduces to zero modulo the row space of (R, pivots) from rref."""
+def residual(field: Field, R: np.ndarray, pivots: tuple[int, ...], rows) -> np.ndarray:
+    """rows - rows[:, P] . R: each row of rows reduced modulo the row space of
+    (R, pivots), an RREF as rref returns it, so a row lies in the row space
+    iff its residual is zero.  R[:, P] = I, so the residual is zero on P."""
     t = field.tables()
-    v = np.array(v, dtype=np.int64)
-    for j, p in enumerate(pivots):
-        if v[p]:
-            v = t.add[v, t.mul[t.neg[v[p]], R[j]]]
-    return not v.any()
+    rows = as_matrix(rows)
+    return t.add[rows, t.neg[field.matmul(rows[:, list(pivots)], R)]]
 
 
 def enumerate_span(field: Field, basis: np.ndarray) -> np.ndarray:

@@ -4,10 +4,11 @@ Each one computes by a route the library does not take: the simple left
 ideals of M_2(GF(q)) by exhaustive search, the census order of K* one index
 at a time, the M_2(F_t) isomorphisms of the matrix blocks (with the 2 x 2
 matrices over F_t, Mat2, and the F_t split one element at a time), the
-element of a K_t code and the bar map through them, the K_t tables one
-element product at a time, the dual code by row-reducing the kernel basis,
-the weight distribution from every word of the span.  None of them is on a
-path the library runs.
+element of a K_t code and the bar map through them, a twist as one unit of
+the algebra (for twisting one product g * beta at a time), the K_t tables
+one element product at a time, the dual code by row-reducing the kernel
+basis, the weight distribution from every word of the span.  None of them
+is on a path the library runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from cdcodes import linalg
 from cdcodes.algebra import PAIRED, SELF_CONJ, AlgElem, Component, SubfieldView, TwistedDihedralAlgebra
-from cdcodes.codes import BetaVector, KtField, LinearCode, k_star_size
+from cdcodes.codes import BetaVector, KtField, LinearCode, k_star_size, unit_words
 from cdcodes.cyclic import CyclicElem
 from cdcodes.errors import InvalidBeta, NotInComponent, NotPaired
 from cdcodes.field import Field
@@ -70,7 +71,8 @@ def mat2_simple_left_ideals(field: Field) -> list[bytes]:
             R, piv = linalg.rref(field, basis)
             if R.shape[0] != 2 or piv != (c0, c1):
                 continue  # not the canonical form of this pivot pair
-            if all(linalg.in_row_space(field, R, piv, act(E, row)) for E in gens for row in R):
+            images = np.array([act(E, row) for E in gens for row in R])
+            if not linalg.residual(field, R, piv, images).any():
                 found.add(R.tobytes())
     return sorted(found)
 
@@ -316,6 +318,13 @@ def kt_element(kt: KtField, code: int) -> AlgElem:
     gp = kt.g_prime
     M = Mat2(ft, ((a, -b), (b, a - b * gp)))
     return iso_from_mat2(comp, M)
+
+
+def unit(beta: BetaVector) -> AlgElem:
+    """beta as one unit of the algebra, e_0 plus every beta_t: its row of
+    unit_words.  The blocks are orthogonal two-sided ideals, so
+    g * beta = g * beta_t for g in block t."""
+    return AlgElem(beta.kts[0].alg, unit_words(beta.kts, [beta.codes])[0])
 
 
 def v_elem(alg: TwistedDihedralAlgebra) -> AlgElem:

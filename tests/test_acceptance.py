@@ -284,7 +284,7 @@ def _constructed_family():
     cab = assemble_code(
         D,
         [(comp, dihedral.f_ab(comp, comp.ft.identity, comp.ft.identity))],
-        include_C0=True,
+        a0="C0",
     )
     out.append(("dihedral-C_ab(3,7)", D, cab))
     return out

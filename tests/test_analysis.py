@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import get_algebra
-from oracles import enumerate_beta, first_nonzero_weight, random_elem, span_weights
+from oracles import enumerate_beta, first_nonzero_weight, random_elem, span_weights, unit
 
 from cdcodes import analysis, codes, linalg
 from cdcodes.algebra import TRIVIAL_SPLIT
@@ -479,7 +479,7 @@ def test_census_distinct_codes_are_twist_classes(q, n, include_C0):
     assert res.distinct_codes == math.prod(f + 1 for f in f_orders)
     parts = codes.standard_parts(A)
     seen = Counter(
-        codes.assemble_code(A, parts, include_C0=include_C0, beta=beta).key()
+        codes.assemble_code(A, parts, a0="C0" if include_C0 else None, beta=beta).key()
         for beta in enumerate_beta(kts)
     )
     assert len(seen) == res.distinct_codes
@@ -497,7 +497,7 @@ def _per_beta_census(A, delta, include_C0):
     weights = {}
     rows = []
     for idx, beta in enumerate(enumerate_beta(kts)):
-        code = codes.assemble_code(A, parts, include_C0=include_C0, beta=beta)
+        code = codes.assemble_code(A, parts, a0="C0" if include_C0 else None, beta=beta)
         key = code.key()
         if key not in weights:
             rep = min_weight(code)
@@ -597,11 +597,11 @@ def test_census_class_pass_memory_is_bounded():
     beta_codes = np.stack([rng.integers(1, kt.order, 2000) for kt in kts], axis=1)
     for kt in kts:
         kt.basis_words()  # built on the first call
-    list(codes.assemble_stack(A, parts, False, kts, beta_codes[:1]))  # caches the untwisted RREF
+    list(codes.assemble_stack(A, parts, None, kts, beta_codes[:1]))  # caches the untwisted RREF
     tracemalloc.start()
     try:
         sizes = []
-        for s, R in codes.assemble_stack(A, parts, False, kts, beta_codes):
+        for s, R in codes.assemble_stack(A, parts, None, kts, beta_codes):
             sizes.append(len(R))
             if s == 0:
                 first = R[0].copy()
@@ -680,8 +680,7 @@ def test_support_descriptor_bounds(rng):
         words = [random_elem(A, rng) for _ in range(20)]
         for _ in range(10):
             beta = codes.BetaVector.random(kts, rng)
-            unit = beta.unit()
-            words += [f * unit for _, f in codes.standard_parts(A)]
+            words += [f * unit(beta) for _, f in codes.standard_parts(A)]
         for x in words:
             # ell: the k-sum over the blocks where x has a nonzero component
             ell = sum(c.k for c in A.decompose()[1:] if not (c.identity * x).is_zero())

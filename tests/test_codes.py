@@ -19,11 +19,12 @@ from oracles import (
     kt_element,
     kt_identity_code,
     scaled,
+    unit,
     v_elem,
 )
 
 from cdcodes import codes, linalg
-from cdcodes.algebra import PAIRED, SELF_CONJ, TwistedDihedralAlgebra
+from cdcodes.algebra import PAIRED, SELF_CONJ, TRIVIAL_SPLIT, TwistedDihedralAlgebra
 from cdcodes.analysis import census_K_le_delta
 from cdcodes.codes import (
     BetaVector,
@@ -38,7 +39,7 @@ from cdcodes.codes import (
     k_star_size,
     kt_fields,
 )
-from cdcodes.errors import BlockCollision, DimensionMismatch, HypothesisUnmet, InvalidBeta
+from cdcodes.errors import BlockCollision, DimensionMismatch, DomainError, HypothesisUnmet, InvalidBeta
 from cdcodes.field import field_from_order
 
 
@@ -219,20 +220,63 @@ def test_assemble_block_collision():
         assemble_code(A, [(comp, f), (comp, f)])
 
 
-def test_assemble_rejects_extra_generators_that_overlap_a_part():
-    # the extra generator spans the part's own ideal: the sum is not direct,
-    # so the assembled dimension 2 falls short of 2 k_1 + 2 = 4
-    A = get_algebra(7, 3)
-    comp = A.decompose()[1]
-    g = build_Ct(comp)
-    with pytest.raises(AssertionError, match="assembled dim 2, expected 4"):
-        assemble_code(A, [(comp, g)], extra_generators=[g])
+def test_assemble_rejects_parts_that_overlap():
+    # both parts' generators span block 1's ideal: the sum is not direct, so
+    # the assembled dimension 2 k_1 = 2 falls short of 2 k_1 + 2 k_2 = 8
+    A = get_algebra(2, 9)
+    c1, c2 = A.decompose()[1:]
+    assert (c1.k, c2.k) == (1, 3)
+    g = build_Ct(c1)
+    with pytest.raises(AssertionError, match="assembled dim 2, expected 8"):
+        assemble_code(A, [(c1, g), (c2, g)])
 
 
 def test_assemble_c0_unavailable():
     A = get_algebra(7, 3)
     with pytest.raises(HypothesisUnmet):
-        assemble_code(A, codes.standard_parts(A), include_C0=True)
+        assemble_code(A, codes.standard_parts(A), a0="C0")
+
+
+def test_assemble_a0_choices():
+    # A_0's choice adds nothing, C_0 or the whole block to the parts' ideal;
+    # any other choice is refused
+    A = get_algebra(5, 3)
+    parts = codes.standard_parts(A)
+    comp0 = A.decompose()[0]
+    for a0, extra, dim in ((None, [], 2), ("C0", [build_C0(comp0)], 3), ("A0", [comp0.identity], 4)):
+        code = assemble_code(A, parts, a0=a0)
+        want = LinearCode.from_rows(A.field, A.left_ideal_rows([g for _, g in parts] + extra))
+        assert code == want and code.k_dim == dim
+        assert code.origin["include_C0"] == (a0 == "C0")
+    assert assemble_code(A, [], a0="A0").k_dim == 2
+    with pytest.raises(DomainError):
+        assemble_code(A, parts, a0="C_0")
+
+
+@pytest.mark.parametrize("a0", [None, "C0", "A0"])
+@pytest.mark.parametrize("tw", [-1, 1])
+@pytest.mark.parametrize("q, n", [(5, 3), (3, 5)])
+def test_assemble_stack_matches_assemble_code(monkeypatch, q, n, tw, a0):
+    # every beta of K*, in chunks of six, against the one-beta path; C_0 on
+    # v^2 = -1 at q = 3 fails on both paths
+    monkeypatch.setattr(linalg, "SPAN_CHUNK", 12 * n)
+    A = get_algebra(q, n, tw)
+    kts = kt_fields(A)
+    parts = codes.standard_parts(A)
+    betas = list(enumerate_beta(kts))
+    stack = np.array([beta.codes for beta in betas])
+    if a0 == "C0" and A.decompose()[0].kind != TRIVIAL_SPLIT:
+        assert (q, tw) == (3, -1)
+        with pytest.raises(HypothesisUnmet):
+            assemble_code(A, parts, a0=a0)
+        with pytest.raises(HypothesisUnmet):
+            next(codes.assemble_stack(A, parts, a0, kts, stack))
+        return
+    want = np.array([assemble_code(A, parts, a0=a0, beta=beta).gen for beta in betas])
+    chunks = list(codes.assemble_stack(A, parts, a0, kts, stack))
+    assert [s for s, _ in chunks] == list(range(0, len(betas), 6))
+    got = np.concatenate([R for _, R in chunks])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # -- duals and hulls -----------------------------------------------------------------------------
@@ -309,7 +353,7 @@ def test_hull_dimension_explicit_cases(q, rows, hull):
     code = LinearCode.from_rows(F, np.array(rows, dtype=np.int64), n_len=np.shape(rows)[1])
     assert hull_dimension(code) == brute_hull(code) == hull
     if hull == code.n_len - code.k_dim:  # C-perp inside C
-        assert all(linalg.in_row_space(F, code.gen, code.pivots, h) for h in dual(code).gen)
+        assert not linalg.residual(F, code.gen, code.pivots, dual(code).gen).any()
 
 
 def test_hull_dimension_reduces_the_kernel_basis_only(monkeypatch):
@@ -437,7 +481,7 @@ def test_beta_vector_component_is_lazy_oracle():
     kts = kt_fields(A)
     beta = BetaVector(kts, [5])
     assert vars(beta).keys() == {"kts", "codes"}
-    assert beta.unit() == A.decompose()[0].identity + kt_element(kts[0], 5)
+    assert unit(beta) == A.decompose()[0].identity + kt_element(kts[0], 5)
 
 
 def test_beta_unit_is_e0_plus_components(rng):
@@ -445,13 +489,13 @@ def test_beta_unit_is_e0_plus_components(rng):
     for q, n, tw in ((7, 3, -1), (3, 5, -1), (4, 5, -1), (2, 7, -1), (5, 7, 1), (9, 5, 1)):
         A = get_algebra(q, n, tw)
         kts = kt_fields(A)
-        assert BetaVector(kts, [kt_identity_code(kt) for kt in kts]).unit() == A.one()
+        assert unit(BetaVector(kts, [kt_identity_code(kt) for kt in kts])) == A.one()
         for _ in range(5):
             beta = BetaVector.random(kts, rng)
             total = A.decompose()[0].identity
             for kt, c in zip(beta.kts, beta.codes):
                 total = total + kt_element(kt, c)
-            assert beta.unit() == total
+            assert unit(beta) == total
 
 
 @pytest.mark.parametrize("q, ns", [(2, (7, 5, 15)), (3, (13, 5)), (4, (3, 5)), (9, (7, 5))])
@@ -473,7 +517,7 @@ def test_unit_words_are_e0_plus_kt_words(q, ns, tw):
             for kt, c in zip(kts, row):
                 want = add[want, kt_element(kt, c).word]
             assert np.array_equal(word, want)
-            assert np.array_equal(BetaVector(kts, row).unit().word, want)
+            assert np.array_equal(unit(BetaVector(kts, row)).word, want)
     assert kinds == {SELF_CONJ, PAIRED}
 
 
@@ -493,7 +537,7 @@ def _product_oracle(A, family, beta, include_a0=False):
     beta_t = {kt.comp.index: kt_element(kt, c) for kt, c in zip(beta.kts, beta.codes)}
     gens = [build_Ct(c) * beta_t[c.index] for c in blocks]
     if family == "self-dual":
-        if A.tw == -1 and q % 4 == 3:
+        if q % 2 and (A.tw == 1 or q % 4 == 3):
             return None
         gens.append(build_C0(comps[0]))
     if include_a0:
@@ -528,15 +572,16 @@ def test_linear_twist_matches_product_oracle(q):
                     assert got.gen.shape == want.gen.shape
                     assert np.array_equal(got.gen, want.gen), (q, n, tw, family, kw, beta)
                     built[family, bool(kw)] += 1
-    assert built["plain", False] and built["self-dual", False]
+    assert built["plain", False] and bool(built["self-dual", False]) == (q not in (3, 7))
     if q in (3, 7):
         assert built["lcd", False] and built["lcd", True]
 
 
 def _translate_path(A, parts, beta=None, include_C0=False, extra=()):
     """assemble_code's generator matrix the direct way: the rref of the
-    translates of every g * beta, with C_0 and the extras taken verbatim."""
-    gens = [f if beta is None else f * beta.unit() for _, f in parts]
+    translates of every part's g * beta, with C_0 and the extras taken
+    verbatim (beta fixes A_0)."""
+    gens = [f if beta is None else f * unit(beta) for _, f in parts]
     if include_C0:
         gens.append(build_C0(A.decompose()[0]))
     gens.extend(extra)
@@ -576,7 +621,8 @@ def test_k_row_assembly_matches_translate_path(q, n):
                 assert got.gen.dtype == want.dtype and got.gen.tobytes() == want.tobytes(), (tw, family, beta)
                 built[family] += 1
     assert built["plain"] == 8
-    assert built["self-dual"] >= 4
+    # v^2 = -1 for q even or 4 | q - 1, and v^2 = +1 for q even only
+    assert built["self-dual"] == (8 if q % 2 == 0 else 4 if q % 4 == 1 else 0)
     if (q, n) == (3, 7):
         assert built["lcd"] == built["lcd+a0"] == 8
 
@@ -660,31 +706,35 @@ def test_class_ids_are_the_twist_classes(q, n, kind, tw):
 
 
 def test_assemble_code_memo_serves_a_class_without_rref(monkeypatch):
-    # a miss assembles and stamps its origin; a hit returns the memo's code
-    # itself and builds no unit, product or rref
+    # the memo is read, never filled: a hit returns the memo's code itself and
+    # builds no unit, product or rref, and a miss is an error, not an assembly
     A = get_algebra(3, 5)
     kts = kt_fields(A)
     parts = codes.standard_parts(A)
-    memo = {}
     betas = list(enumerate_beta(kts))
+    memo = {}
     for beta in betas:
-        missed = beta.twist_class() not in memo
-        got = assemble_code(A, parts, include_C0=False, beta=beta, memo=memo, origin={"family": "plain"})
-        assert got == assemble_code(A, parts, include_C0=False, beta=beta)
-        assert got is memo[beta.twist_class()]
-        if missed:
-            assert got.origin["beta"] == list(beta.codes) and got.origin["family"] == "plain"
-    assert set(memo) == {beta.twist_class() for beta in betas} and len(memo) == 10
+        memo.setdefault(beta.twist_class(), assemble_code(A, parts, beta=beta, origin={"family": "plain"}))
+    assert len(memo) == 10
+    missing = betas[-1].twist_class()
+    partial = {cls: code for cls, code in memo.items() if cls != missing}
 
     def boom(*args, **kwargs):
         raise AssertionError("computed on a hit")
 
     monkeypatch.setattr(linalg, "rref", boom)
-    monkeypatch.setattr(BetaVector, "unit", boom)
+    monkeypatch.setattr(codes, "unit_words", boom)
     monkeypatch.setattr(A, "translates", boom)
+    monkeypatch.setattr(A, "ideal_rref", boom)
     for beta in betas:
         code = assemble_code(A, parts, beta=beta, memo=memo, origin={"family": "other"})
         assert code is memo[beta.twist_class()] and code.origin["family"] == "plain"
+        if beta.twist_class() == missing:
+            with pytest.raises(KeyError):
+                assemble_code(A, parts, beta=beta, memo=partial)
+        else:
+            assert assemble_code(A, parts, beta=beta, memo=partial) is code
+    assert len(memo) == 10 and len(partial) == 9
 
 
 def test_twist_preserves_dimension(rng):
@@ -762,6 +812,50 @@ def test_lcd_family_rejections():
 def test_self_dual_family_rejects_q3mod4():
     with pytest.raises(HypothesisUnmet):
         build_self_dual_code(get_algebra(7, 3))
+
+
+# hull of the code C_0 + C_1 + ... + C_m on v^2 = +1, which is never self-dual for odd q
+PLUS_ONE_HULLS = {(5, 7): 0, (3, 7): 0, (9, 5): 0, (5, 3): 0, (13, 3): 2, (7, 3): 2}
+
+
+@pytest.mark.parametrize("q, n", list(PLUS_ONE_HULLS))
+def test_self_dual_family_rejects_odd_q_on_v2_plus_1(q, n):
+    # <C_0, C_0> = (r^2 + 1)/n = 2/n != 0 for odd q: the code would not be self-dual
+    A = get_algebra(q, n, 1)
+    with pytest.raises(HypothesisUnmet, match=r"v\^2 = \+1"):
+        build_self_dual_code(A)
+    code = assemble_code(A, codes.standard_parts(A), a0="C0")
+    assert code.k_dim == n and hull_dimension(code) == PLUS_ONE_HULLS[q, n]
+
+
+@pytest.mark.parametrize("q, n", [(2, 7), (4, 5)])
+def test_self_dual_family_on_v2_plus_1_for_even_q(q, n, rng):
+    # in characteristic 2 the algebras coincide and the family is self-dual
+    A = get_algebra(q, n, 1)
+    for beta in (None, BetaVector.random(kt_fields(A), rng)):
+        code = build_self_dual_code(A, beta)
+        assert code.k_dim == n and hull_dimension(code) == n
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16])
+def test_characteristic_2_algebras_coincide(q):
+    # -1 = +1 in characteristic 2, so v^2 = -1 and v^2 = +1 give one algebra:
+    # equal decompositions and, for the same beta codes, equal codes
+    rng = random.Random(q)
+    pairs = 0
+    for n in odd_coprime_grid(q, 29):
+        algs = [get_algebra(q, n, tw) for tw in (-1, 1)]
+        reports = [A.decomposition_report() for A in algs]
+        assert [r.pop("v_squared") for r in reports] == [-1, 1]
+        assert reports[0] == reports[1], n
+        kts = [kt_fields(A) for A in algs]
+        for _ in range(3):
+            twist = [rng.randrange(1, kt.order) for kt in kts[0]]
+            for builder in (build_plain_code, build_self_dual_code):
+                consta, dihedral = (builder(A, BetaVector(k, twist)) for A, k in zip(algs, kts))
+                assert np.array_equal(consta.gen, dihedral.gen), (n, twist, builder.__name__)
+                pairs += 1
+    assert pairs == 6 * 14
 
 
 def test_self_orthogonal_family():

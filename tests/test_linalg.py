@@ -607,9 +607,14 @@ def test_min_nonzero_weight_stack_with_a_zero_code_raises(monkeypatch, chunk, q)
             linalg.min_nonzero_weight(F, zeroed)
 
 
-def test_in_row_space():
+def test_residual():
+    # rows of the row space reduce to zero, and every residual vanishes on the pivots
     F = field_from_order(5)
     M = np.array([[1, 2, 3], [0, 1, 4]], dtype=np.int64)
     R, piv = linalg.rref(F, M)
-    assert linalg.in_row_space(F, R, piv, (2, 4, 6 % 5))
-    assert not linalg.in_row_space(F, R, piv, (0, 0, 1))
+    res = linalg.residual(F, R, piv, [(2, 4, 6 % 5), (0, 0, 1), (1, 1, 1)])
+    assert res.shape == (3, 3) and not res[:, list(piv)].any()
+    assert [bool(r.any()) for r in res] == [False, True, True]
+    assert linalg.residual(F, R, piv, (0, 0, 1)).tolist() == [[0, 0, 1]]
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert linalg.residual(F, empty, (), (3, 0, 1)).tolist() == [[3, 0, 1]]

@@ -40,13 +40,15 @@ def test_census_script_writes_csv_and_summary(tmp_path):
         (("--q", "7", "--n", "3", "--delta", "1.5"), 2),
         (("--q", "7", "--n", "3", "--delta", "0.2", "--out", "missing/census"), 2),
         (("--q", "7", "--n", "3", "--delta", "0.2", "--k-star-budget", "-1"), 2),
+        (("--q", "7", "--n", "3", "--delta", "0.2", "--out", "taken/census"), 2),
     ],
 )
 def test_census_script_exit_codes(tmp_path, args, exit_code):
+    (tmp_path / "taken" / "census.json").mkdir(parents=True)  # a summary path that cannot be written
     code, out, err = run_census(tmp_path, *args)
     assert code == exit_code
     assert err.startswith("error: ") and "Traceback" not in err
-    assert not (tmp_path / "census.csv").exists()
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_census_script_refuses_jobs(tmp_path):
