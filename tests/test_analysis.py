@@ -20,6 +20,7 @@ from cdcodes.analysis import (
     entropy_q,
     good_n_predicates,
     good_n_sequence,
+    is_left_ideal,
     min_weight,
 )
 from cdcodes.codes import LinearCode, build_plain_code, build_self_dual_code
@@ -533,6 +534,44 @@ def test_census_matches_per_beta_oracle(q, n, tw):
     assert list(res.csv_lines()) == list(oracle.csv_lines())
     assert json.dumps(res.summary_json()) == json.dumps(oracle.summary_json())
     assert res.distinct_codes == oracle.distinct_codes
+
+
+def _class_codes(A, a0):
+    """The code of every twist class, one per line [a : b] in each block:
+    assembled from the first unit code on each line (KtField.class_ids)."""
+    kts = codes.kt_fields(A)
+    firsts = [1 + np.unique(kt.class_ids()[1:], return_index=True)[1] for kt in kts]
+    parts = codes.standard_parts(A)
+    return [
+        codes.assemble_code(A, parts, a0=a0, beta=codes.BetaVector(kts, rep))
+        for rep in itertools.product(*[f.tolist() for f in firsts])
+    ]
+
+
+@pytest.mark.parametrize("q, n", [(5, 3), (5, 7), (9, 5), (13, 3), (13, 5), (17, 3)])
+def test_root_of_minus_1_maps_the_dihedral_census_onto_the_consta_census(q, n):
+    # i = -r, r^2 = -1 the root of build_C0 on v^2 = -1: w = i v has w^2 = 1
+    # and w u = u^-1 w, so a + b v -> a + (i b) v, on words diag(1, i), is an
+    # isomorphism of v^2 = +1 onto v^2 = -1 that keeps Hamming weights
+    minus, plus = get_algebra(q, n, -1), get_algebra(q, n, 1)
+    F = minus.field
+    i = F.neg(minus.decompose()[0].r)
+    assert F.mul(i, i) == F.neg(1)
+
+    def mapped(words):
+        words = np.array(words, dtype=np.int64)
+        words[:, n:] = F.tables().mul[i, words[:, n:]]
+        return LinearCode.from_rows(F, words)
+
+    c0_plus, c0_minus = (codes.build_C0(A.decompose()[0]) for A in (plus, minus))
+    assert mapped([c0_plus.word]) == LinearCode.from_rows(F, c0_minus.word)
+    for a0 in (None, "C0"):
+        images = [mapped(code.gen) for code in _class_codes(plus, a0)]
+        assert all(is_left_ideal(minus, code) for code in images)
+        assert {c.key() for c in images} == {c.key() for c in _class_codes(minus, a0)}
+        censuses = [census_K_le_delta(A, 0.3, include_C0=a0 == "C0") for A in (plus, minus)]
+        assert censuses[0].count == censuses[1].count
+        assert Counter(r[2] for r in censuses[0].rows) == Counter(r[2] for r in censuses[1].rows)
 
 
 @pytest.mark.parametrize("q, n, include_C0", [(3, 7, False), (2, 9, True), (4, 7, False)])

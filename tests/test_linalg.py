@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_python
+from conftest import get_algebra, run_python
 from oracles import dual, first_nonzero_weight, span_weights
 
-from cdcodes import linalg
+from cdcodes import codes, linalg
 from cdcodes.codes import LinearCode
 from cdcodes.errors import NoNonzeroWords
 from cdcodes.field import field_from_order
@@ -102,7 +103,7 @@ def reference_rref(field, M):
 
 @st.composite
 def rref_inputs(draw):
-    q = draw(st.sampled_from([2, 3, 4, 5, 9, 13]))
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 13, 16]))
     shape = draw(st.sampled_from(["random", "zero", "zero rows", "deficient", "zero columns", "low rank wide"]))
     rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 14 if shape == "low rank wide" else 7))
     entry = st.integers(0, q - 1)
@@ -152,6 +153,29 @@ def test_rank_matches_reference_elimination(case):
     assert linalg.rank(F, M) == len(reference_rref(F, M)[1])
 
 
+@pytest.mark.parametrize("q, n", [(2, 21), (4, 11), (8, 7), (3, 13)])
+def test_rref_matches_reference_on_twisted_generators(q, n):
+    # the full-rank G . L(beta) that a family builder reduces before its hull:
+    # plain, and self-dual where C_0 exists (q even or 4 | q - 1)
+    A = get_algebra(q, n)
+    kts = codes.kt_fields(A)
+    rng = random.Random(q * 100 + n)
+    betas = [tuple(rng.randrange(1, kt.order) for kt in kts) for _ in range(4)]
+    L = A.translates(codes.unit_words(kts, betas)).reshape(len(betas), 2 * n, 2 * n)
+    families = [(codes.build_plain_code, [])]
+    if q % 4 != 3:
+        families.append((codes.build_self_dual_code, [codes.build_C0(A.decompose()[0])]))
+    for build, c0 in families:
+        G = A.ideal_rref([g for _, g in codes.standard_parts(A)] + c0)
+        for beta, Lb in zip(betas, L):
+            M = A.field.matmul(G, Lb)
+            R, piv = linalg.rref(A.field, M)
+            want, want_piv = reference_rref(A.field, M)
+            assert len(piv) == len(G)  # full rank
+            assert piv == want_piv and R.tolist() == want
+            assert np.array_equal(R, build(A, codes.BetaVector(kts, beta)).gen)
+
+
 def equal_rank_stack(F, rng, c, rows, cols, k):
     """c random (rows, cols) matrices of rank k: random rank-k products whose
     first i % (cols - k + 1) columns are zero in matrix i, so when k < cols
@@ -166,7 +190,7 @@ def equal_rank_stack(F, rng, c, rows, cols, k):
     return stack
 
 
-@pytest.mark.parametrize("q", [2, 7, 4, 9])
+@pytest.mark.parametrize("q", [2, 7, 4, 9, 8, 16])
 def test_rref_stack_matches_rref(q):
     # full-rank, rank-deficient (more rows than the rank) and wide stacks;
     # every matrix must equal its own rref, pivots included
