@@ -33,7 +33,7 @@ import numpy as np
 from . import linalg
 from .cyclic import CyclicElem, IdempotentSet, conj_pairing, lambda_n, primitive_idempotents
 from .errors import DegenerateG, DimensionMismatch, GcdViolation
-from .field import Field, _rot_index, sqrt_minus_one
+from .field import Field, _rot_index, _unit_index, sqrt_minus_one
 
 TRIVIAL_FIELD = "trivial_field"
 TRIVIAL_SPLIT = "trivial_split"
@@ -74,9 +74,8 @@ class AlgElem:
     def bar(self) -> "AlgElem":
         """u^d -> u^-d on the first half, tw times the second half."""
         n = self.alg.n
-        a = self.word[:n]
         b = self.alg.field.tables().mul[self.alg.tw_code, self.word[n:]]
-        return AlgElem(self.alg, np.concatenate((a[:1], a[:0:-1], b)))
+        return AlgElem(self.alg, np.concatenate((self.word[_unit_index(n, -1)], b)))
 
     def inner(self, other: "AlgElem") -> int:
         self._check(other)
@@ -303,7 +302,7 @@ class Component:
         assert kind == SELF_CONJ
         assert self.e.bar() == self.e
         Y = self.fhe.rows
-        ftv = SubfieldView(F, n, self.e, F.tables().add[Y, Y[:, -np.arange(n) % n]], label=f"Fix(FHe[{i}])")
+        ftv = SubfieldView(F, n, self.e, F.tables().add[Y, Y[:, _unit_index(n, -1)]], label=f"Fix(FHe[{i}])")
         self.ft = ftv
         self.k = ftv.dim
         self.dim = 4 * self.k
@@ -329,7 +328,7 @@ class Component:
         F, n = self.alg.field, self.alg.n
         t = F.tables()
         rot = _rot_index(n)
-        beta = F.matmul(t.add[ys, t.neg[ys[:, -np.arange(n) % n]]], self._diff_inv.coeffs[rot])
+        beta = F.matmul(t.add[ys, t.neg[ys[:, _unit_index(n, -1)]]], self._diff_inv.coeffs[rot])
         alpha = t.add[ys, t.neg[F.matmul(beta, self.ue.coeffs[rot])]]
         return alpha, beta
 

@@ -42,7 +42,7 @@ from .errors import (
     InvalidBeta,
     NotInComponent,
 )
-from .field import Field, _rot_index, field_from_order
+from .field import Field, _rot_index, _unit_index, field_from_order
 
 
 @dataclass
@@ -176,7 +176,7 @@ class KtField:
                 self._basis_words = np.concatenate([Y, np.zeros_like(Y)], axis=1)
             else:
                 B = comp.ft.rows
-                bar = -np.arange(n) % n
+                bar = _unit_index(n, -1)
                 Bg = F.matmul(B, self.g_prime.coeffs[_rot_index(n)])  # rows b_i g'
                 a = np.concatenate([t.add[B, B[:, bar]], t.neg[Bg[:, bar]]])
                 b = np.concatenate([np.zeros_like(B), t.add[B[:, bar], t.neg[t.mul[self.alg.tw_code, B]]]])
@@ -258,7 +258,7 @@ def _first_irreducible_quadratic_g(ft: SubfieldView) -> CyclicElem:
             x = c
             for _ in range(bits):
                 tr = tr + x
-                x = x * x
+                x = x.pow(2)
             if tr == e:  # Y^2 + Y = 1/g'^2 unsolvable -> irreducible
                 return gp
     else:

@@ -2,8 +2,10 @@
 
 Elements are length-n coefficient vectors over GF(q) with multiplication by
 convolution mod x^n - 1; an element holds one read-only int64 vector of
-element codes, which goes straight to the field's lookup tables.  When
-gcd(n, q) = 1 the algebra is semisimple.
+element codes, which goes straight to the field's lookup tables.  Shift and
+bar are index gathers (`field._rot_index`, `field._unit_index`), and so is
+the Frobenius a -> a^q that `pow` exponentiates by.  When gcd(n, q) = 1 the
+algebra is semisimple.
 `field.factor_xn_minus_1_with_cosets` splits the primitive idempotents out
 of the algebra and derives the irreducible factors of x^n - 1 from them;
 this module takes the (factor, idempotent) pairs as they come, in the
@@ -26,6 +28,8 @@ from .field import (
     Poly,
     _convolve,
     _power,
+    _rot_index,
+    _unit_index,
     cyclotomic_cosets,
     factor_xn_minus_1_with_cosets,
     mult_order,
@@ -85,18 +89,17 @@ class CyclicElem:
 
     def shift(self, k: int) -> "CyclicElem":
         """Multiplication by u^k."""
-        return CyclicElem(self.field, np.roll(self.coeffs, k))
+        return CyclicElem(self.field, self.coeffs[_rot_index(self.n)[k % self.n]])
 
     def bar(self) -> "CyclicElem":
         """The map u^i -> u^(n-i); an involutive algebra automorphism."""
-        return CyclicElem(self.field, np.roll(self.coeffs[::-1], 1))
+        return CyclicElem(self.field, self.coeffs[_unit_index(self.n, -1)])
 
     def pow(self, e: int) -> "CyclicElem":
-        """self^e for e >= 0; self^0 is the algebra's one."""
+        """self^e for e >= 0 by `field._power`, whose Frobenius is free; self^0 is one."""
         if e < 0:
             raise DomainError(f"exponent {e} is negative")
-        one = CyclicElem.one(self.field, self.n)
-        return CyclicElem(self.field, _power(self.field, self.coeffs, e, one.coeffs)) if e else one
+        return CyclicElem(self.field, _power(self.field, self.coeffs, e)) if e else CyclicElem.one(self.field, self.n)
 
     def __eq__(self, other):
         return (

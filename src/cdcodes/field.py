@@ -51,7 +51,7 @@ MAX_TABLE_SIZE = 4096
 # within 128 MiB.
 MAX_N = 4096
 
-_rot_cache: dict[int, np.ndarray] = {}
+_rot_cache: dict = {}  # n -> _rot_index(n), (n, s) -> _unit_index(n, s)
 
 
 def is_prime(p: int) -> bool:
@@ -507,27 +507,33 @@ def _poly_sort_key(f: Poly):
 
 def _rot_index(n: int) -> np.ndarray:
     """(n, n) table with row i, column k holding (k - i) mod n."""
-    idx = _rot_cache.get(n)
-    if idx is None:
+    if n not in _rot_cache:
         k = np.arange(n)
-        idx = (k[None, :] - k[:, None]) % n
-        _rot_cache[n] = idx
-    return idx
+        _rot_cache[n] = (k[None, :] - k[:, None]) % n
+    return _rot_cache[n]
+
+
+def _unit_index(n: int, s: int) -> np.ndarray:
+    """a[_unit_index(n, s)] is a(x^s) mod x^n - 1 for a unit s: s = -1 is bar, s = q Frobenius."""
+    if (n, s) not in _rot_cache:
+        _rot_cache[n, s] = np.arange(n) * pow(s, -1, n) % n
+    return _rot_cache[n, s]
 
 
 def _convolve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of coefficient vectors a, b in GF(q)[x]/(x^n - 1): a times the
-    circulant of b.
-
-    GF(p^m) skips the m x m expansion of `ExtField.matmul`, which is slower on
-    a single row: it gathers the products from the mul table and adds the rows
-    pairwise through the add table, about log2(n) lookups.
-    """
-    circulant = b[_rot_index(len(a))]
+    """Product of coefficient vectors a, b in GF(q)[x]/(x^n - 1).  Prime fields
+    fold `np.convolve(a, b)` mod x^n - 1 and reduce mod p; its int64 sums are
+    exact, as n (p - 1)^2 <= MAX_N (MAX_TABLE_SIZE - 1)^2 < 2^63.  GF(p^m),
+    where the m x m expansion of `ExtField.matmul` is slower on one row,
+    gathers the products from the mul table along the circulant of b and adds
+    the rows pairwise through the add table, about log2(n) lookups."""
+    n = len(a)
     if field.m == 1:
-        return field.matmul(a[None], circulant)[0]
+        c = np.convolve(a, b)
+        c[: n - 1] += c[n:]
+        return c[:n] % field.p
     t = field.tables()
-    rows = t.mul[a[:, None], circulant]
+    rows = t.mul[a[:, None], b[_rot_index(n)]]
     k = len(rows)
     while k > 1:
         h = k // 2
@@ -536,16 +542,24 @@ def _convolve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rows[0]
 
 
-def _power(field: Field, a: np.ndarray, e: int, one: np.ndarray) -> np.ndarray:
-    """one * a^e for e >= 1, by square-and-multiply convolutions."""
-    result = one
-    while True:
-        if e & 1:
-            result = _convolve(field, result, a)
-        e >>= 1
-        if not e:
-            return result
-        a = _convolve(field, a, a)
+def _power(field: Field, a: np.ndarray, e: int) -> np.ndarray:
+    """a^e for e >= 1 in GF(q)[x]/(x^n - 1), by Horner over the base-b digits
+    d of e: r <- r^b a^d.  When e >= q and gcd(n, q) = 1, b = q and r^q =
+    r(x^q) is the free gather `_unit_index(n, q)` (Itoh and Tsujii 1988),
+    each distinct a^d built once; otherwise b = 2, square-and-multiply."""
+    frobenius = e >= field.q and math.gcd(len(a), field.q) == 1
+    b = field.q if frobenius else 2
+    digits = []
+    while e:
+        e, d = divmod(e, b)
+        digits.append(d)
+    powers = {d: _power(field, a, d) if d > 1 else a for d in set(digits) - {0}}
+    result = powers[digits.pop()]
+    for d in reversed(digits):
+        result = result[_unit_index(len(a), b)] if frobenius else _convolve(field, result, result)
+        if d:
+            result = _convolve(field, result, powers[d])
+    return result
 
 
 def _split_by(field: Field, e: np.ndarray, b: np.ndarray, bound: int) -> list[np.ndarray]:
@@ -554,7 +568,7 @@ def _split_by(field: Field, e: np.ndarray, b: np.ndarray, bound: int) -> list[np
     b e lies in eB, a product of copies of GF(q) with identity e, so its
     minimal polynomial there has distinct roots in GF(q) (at most `bound` of
     them): the values b takes on the components of e.  The idempotent of the
-    components where b takes the value lam is e - e (b e - lam e)^(q-1).
+    components where b takes the value lam is e - (b e - lam e)^(q-1).
     """
     from . import linalg  # linalg imports this module
 
@@ -580,7 +594,7 @@ def _split_by(field: Field, e: np.ndarray, b: np.ndarray, bound: int) -> list[np
     parts = []
     for lam in roots:
         shifted = t.add[be, t.mul[t.neg[lam], e]]  # b e - lam e
-        parts.append(t.add[e, t.neg[_power(field, shifted, field.q - 1, e)]])
+        parts.append(t.add[e, t.neg[_power(field, shifted, field.q - 1)]])
     return parts
 
 

@@ -7,8 +7,10 @@ matrices over F_t, Mat2, and the F_t split one element at a time), the
 element of a K_t code and the bar map through them, a twist as one unit of
 the algebra (for twisting one product g * beta at a time), the K_t tables
 one element product at a time, the dual code by row-reducing the kernel
-basis, the weight distribution from every word of the span.  None of them
-is on a path the library runs.
+basis, the weight distribution from every word of the span, cyclic
+products by an explicit circulant or one shifted row at a time, and powers
+in FH by plain square-and-multiply.  None of them is on a path the library
+runs.
 """
 
 from __future__ import annotations
@@ -423,3 +425,31 @@ def span_weights(field: Field, basis: np.ndarray) -> np.ndarray:
 def first_nonzero_weight(counts: np.ndarray) -> int:
     """The minimum weight read off a weight distribution A_0..A_n."""
     return int(np.flatnonzero(counts[1:])[0]) + 1
+
+
+def circulant_product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b in GF(p)[x]/(x^n - 1) as a times the explicit circulant of b, row
+    i holding b shifted by i, in int64 and then mod p (prime fields only)."""
+    i = np.arange(len(a))
+    return np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)[(i - i[:, None]) % len(a)] % field.p
+
+
+def _shifted_rows_product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b in GF(q)[x]/(x^n - 1): the sum over i of a_i times b shifted by i."""
+    t = field.tables()
+    out = np.zeros(len(a), dtype=np.int64)
+    for i, c in enumerate(a.tolist()):
+        out = t.add[out, t.mul[c, np.roll(b, i)]]
+    return out
+
+
+def power_by_squaring(a: CyclicElem, e: int) -> CyclicElem:
+    """a^e for e >= 0 by binary square-and-multiply from 1, with no Frobenius."""
+    result = CyclicElem.one(a.field, a.n).coeffs
+    base = a.coeffs
+    while e:
+        if e & 1:
+            result = _shifted_rows_product(a.field, result, base)
+        base = _shifted_rows_product(a.field, base, base)
+        e >>= 1
+    return CyclicElem(a.field, result)

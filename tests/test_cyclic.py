@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python
+from oracles import power_by_squaring
 
 from cdcodes.cyclic import CyclicElem, conj_pairing, lambda_n, primitive_idempotents
 from cdcodes.errors import GcdViolation
-from cdcodes.field import Poly, cyclotomic_cosets, field_from_order, mult_order
+from cdcodes.field import Poly, _unit_index, cyclotomic_cosets, field_from_order, mult_order
 
 GRID_QS = (2, 3, 4, 5, 7, 9, 13)
 
@@ -65,8 +66,11 @@ def test_arithmetic_matches_scalar_loops(q, n, rng):
         assert (A * B).coeffs.tolist() == prod
 
 
-@pytest.mark.parametrize("q, n", [(2, 9), (4, 7), (9, 5), (13, 3)])
+@pytest.mark.parametrize("q, n", [(2, 9), (4, 7), (9, 5), (13, 3), (3, 9)])
 def test_shift_bar_pow_match_index_loops(q, n, rng):
+    """(3, 9) has gcd(n, q) > 1, where pow never takes the Frobenius; the
+    large exponents reach its base-q Horner everywhere else.  q^n - 2 and
+    (q^n - 1) / 2 have the form of the inverse and Euler-test exponents."""
     F = field_from_order(q)
     for _ in range(10):
         a = [rng.randrange(q) for _ in range(n)]
@@ -78,6 +82,22 @@ def test_shift_bar_pow_match_index_loops(q, n, rng):
         for e in range(6):
             assert A.pow(e) == power
             power = power * A
+    for _ in range(3):
+        A = CyclicElem(F, [rng.randrange(q) for _ in range(n)])
+        for e in (q, q + 1, q**2, q**n - 2, (q**n - 1) // 2, rng.randrange(q**40)):
+            assert A.pow(e) == power_by_squaring(A, e), e
+
+
+@pytest.mark.parametrize("q, n", [(2, 9), (4, 7), (9, 5), (13, 3), (13, 5), (3, 7)])
+def test_frobenius_gather_is_the_q_th_power(q, n, rng):
+    """a[_unit_index(n, q)] = a^q, and it fixes every primitive idempotent."""
+    F = field_from_order(q)
+    frob = _unit_index(n, q)
+    for _ in range(10):
+        A = CyclicElem(F, [rng.randrange(q) for _ in range(n)])
+        assert CyclicElem(F, A.coeffs[frob]) == power_by_squaring(A, q)
+    for e in idem_set(q, n).idems:
+        assert e.coeffs[frob].tolist() == e.coeffs.tolist()
 
 
 def test_negative_power_raises():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python
+from oracles import circulant_product
 
 from cdcodes.algebra import TwistedDihedralAlgebra
 from cdcodes.codes import BetaVector, build_plain_code, hull_dimension, kt_fields
@@ -20,12 +21,15 @@ from cdcodes.cyclic import primitive_idempotents
 from cdcodes.errors import GcdViolation, NotPrime, Overflow, ReducibleModulus
 from cdcodes.field import (
     MAX_N,
+    MAX_TABLE_SIZE,
     ExtField,
     Poly,
     PrimeField,
+    _convolve,
     cyclotomic_cosets,
     factor_xn_minus_1_with_cosets,
     field_from_order,
+    is_prime,
     mult_order,
     smallest_irreducible,
     sqrt_minus_one,
@@ -376,6 +380,29 @@ def test_factor_n101_over_gf3():
 def test_factor_length_bound():
     with pytest.raises(Overflow):
         factor_xn_minus_1_with_cosets(MAX_N + 1 + MAX_N % 2, field_from_order(2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 4093])
+@pytest.mark.parametrize("n", [1, 3, 23, 1023])
+def test_prime_convolution_matches_circulant(p, n):
+    F = field_from_order(p)
+    rng = np.random.default_rng(p * n)
+    for _ in range(3):
+        a, b = rng.integers(0, p, n), rng.integers(0, p, n)
+        assert _convolve(F, a, b).tolist() == circulant_product(F, a, b).tolist()
+
+
+def test_prime_convolution_at_its_largest_sums():
+    # all n products in each coefficient are (p - 1)^2, near the largest p and n
+    p, n = 4093, 4095
+    full = np.full(n, p - 1, dtype=np.int64)
+    assert _convolve(field_from_order(p), full, full).tolist() == [n * (p - 1) ** 2 % p] * n
+
+
+def test_prime_convolution_sums_fit_int64():
+    # `_convolve` sums n products below p^2 in int64 before reducing mod p
+    p_max = max(p for p in range(MAX_TABLE_SIZE + 1) if is_prime(p))
+    assert MAX_N * (p_max - 1) ** 2 < 2**63
 
 
 def test_negative_exponent_raises():
