@@ -352,6 +352,7 @@ class TwistedDihedralAlgebra:
         self._components: Optional[list[Component]] = None
         self._action: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._ideal_rrefs: dict[bytes, np.ndarray] = {}
+        self._census_tables: dict = {}  # analysis._class_table's, by A_0's choice
 
     # -- element constructors -------------------------------------------------
 

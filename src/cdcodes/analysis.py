@@ -198,11 +198,12 @@ def balanced_check(
 
 @dataclass
 class CensusResult:
-    """One census of K*: a row per beta, computed from one assembly and one
-    exact weight per twist class.
+    """One census of K*: a row per beta, read off its algebra's cached class
+    table (one assembly and one exact weight per twist class).
 
-    distinct_codes is the number of classes, prod(|F_t| + 1); the census
-    asserts that their generator matrices are pairwise distinct.
+    distinct_codes is the number of classes, prod(|F_t| + 1); the table was
+    checked to give pairwise distinct generator matrices.  rows is the only
+    |K*|-long data: the result owns it and the algebra keeps none of it.
 
     summary_json reports support_bounds_ok as true without a check: decompose
     asserts k_1 + ... + k_m = (n-1)/2, so any word with a nonzero component in
@@ -254,6 +255,86 @@ def census_bound(q: int, n: int, lam: int, delta: float, k_star: int, hatted: bo
     return hypothesis, exponent, bound
 
 
+@dataclass(frozen=True)
+class _ClassTable:
+    """What a census computes that depends neither on delta nor on any one
+    beta, for one algebra and A_0 choice; every entry is block- or
+    class-sized.  line_of[t] is the line of each unit code 1 .. |K_t| - 1 of
+    block t (_line_ids), k the dimension of every class code, memo the code
+    of each twist class keyed by BetaVector.twist_class, and minima[s] the
+    minimum weight of class s."""
+
+    line_of: list[np.ndarray]
+    k: int
+    memo: dict[tuple[int, ...], LinearCode]
+    minima: np.ndarray
+
+
+def _check_word_budget(q: int, k: int) -> None:
+    if q**k > DEFAULT_WORD_BUDGET:
+        raise BudgetExceeded(f"q^k = {q**k} exceeds the budget {DEFAULT_WORD_BUDGET}")
+
+
+def _line_ids(kts) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each block's class_ids()[1:], read-only, checked to put its units on
+    exactly the |F_t| + 1 lines 0 .. |F_t|, and the first unit code on each
+    line."""
+    line_of, first_unit = [], []
+    for kt in kts:
+        n_lines = kt.comp.ft.order + 1
+        ids = np.asarray(kt.class_ids()[1:], dtype=np.int64)
+        seen, index = np.unique(ids, return_index=True)
+        # C beta = C beta' iff beta' beta^-1 lies in the product of the F_t*:
+        # a class table that merges or splits classes fails here
+        assert np.array_equal(seen, np.arange(n_lines)), (
+            f"K_{kt.comp.index} has {len(seen)} twist classes with ids {seen[0]}..{seen[-1]}, expected 0..{n_lines - 1}"
+        )
+        ids.setflags(write=False)
+        line_of.append(ids)
+        first_unit.append(1 + index)
+    return line_of, first_unit
+
+
+def _class_table(alg: TwistedDihedralAlgebra, kts, parts, a0: Optional[str], line_of, first_unit) -> _ClassTable:
+    """Build the census's class table for A_0's choice a0 from _line_ids's
+    checked lines, and cache it on alg only once every check below has
+    passed.
+
+    Class s takes the twist class of its digits in mixed radix |F_t| + 1
+    (block 1 fastest), and its representative the first unit on its line in
+    every block, the least beta of the class.  The first beta (every code 1)
+    is assembled by assemble_code alone, which raises HypothesisUnmet for a
+    missing C_0, and its q^k is checked against the word budget before any
+    other class is assembled.  Then the representatives are assembled in a
+    stacked pass (codes.assemble_stack), whose generator for the first
+    beta's class must equal the first code's; the prod(|F_t| + 1) codes
+    must be pairwise distinct, and every class's minimum weight comes from
+    one linalg.min_nonzero_weight call on their stacked generators (no
+    class's weight distribution is computed).
+    """
+    lines = [kt.comp.ft.order + 1 for kt in kts]
+    classes = math.prod(lines)
+    first = assemble_code(alg, parts, a0=a0, beta=BetaVector(kts, [1] * len(kts)))
+    _check_word_budget(alg.field.q, first.k_dim)
+    lines_of_class = np.unravel_index(np.arange(classes), lines, order="F")  # each class's twist_class()
+    rep_codes = np.stack([units[c] for units, c in zip(first_unit, lines_of_class)], axis=1)
+    gens = np.empty((classes, first.k_dim, first.n_len), dtype=np.int64)
+    for s, R in codes_mod.assemble_stack(alg, parts, a0, kts, rep_codes):
+        assert R.shape[1] == first.k_dim, f"assembled dim {R.shape[1]}, expected {first.k_dim}"
+        gens[s : s + len(R)] = R
+    gens.setflags(write=False)  # shared by every beta of a class, in every census
+    first_class = np.ravel_multi_index([ids[0] for ids in line_of], lines, order="F")
+    assert np.array_equal(gens[first_class], first.gen), "the stacked RREF of the first twist class differs from rref"
+    assert len({gen.tobytes() for gen in gens}) == classes, "two twist classes gave the same code"
+    keys = zip(*[c.tolist() for c in lines_of_class])
+    memo = {key: LinearCode(alg.field, gen) for key, gen in zip(keys, gens)}
+    minima = linalg.min_nonzero_weight(alg.field, gens)
+    minima.setflags(write=False)
+    table = _ClassTable(line_of, first.k_dim, memo, minima)
+    alg._census_tables[a0] = table
+    return table
+
+
 def census_K_le_delta(
     alg: TwistedDihedralAlgebra,
     delta: float,
@@ -263,31 +344,36 @@ def census_K_le_delta(
     """Exact census of {beta in K* : Delta(C beta) <= delta}.
 
     Every minimum weight is exact: BudgetExceeded is raised when the codes'
-    q^k words exceed DEFAULT_WORD_BUDGET (read at call time); the check
-    follows the first code's assembly, so a missing C_0 raises
-    HypothesisUnmet first, and no other class is assembled.  A
-    k_star_budget below 1 raises DomainError.  Asserts count <= |K*|
-    always, and count <= the volume bound whenever the exponent hypothesis
-    1/4 - h_q(delta) - log_q(n)/lambda(n) > 0 holds.
+    q^k words exceed DEFAULT_WORD_BUDGET (read at call time); on the first
+    census of an A_0 choice the check follows the first code's assembly, so
+    a missing C_0 raises HypothesisUnmet first, and no other class is
+    assembled.  A k_star_budget below 1 raises DomainError, and one below
+    |K*| BudgetExceeded before anything else is looked at.  Asserts count
+    <= |K*| always, and count <= the volume bound whenever the exponent
+    hypothesis 1/4 - h_q(delta) - log_q(n)/lambda(n) > 0 holds.
 
-    The codes of beta index i are its digits in mixed radix |K_t| - 1, plus
-    one (block 1 fastest), computed for all of K* as numpy columns.  C beta
-    depends only on beta modulo the F_t* (BetaVector.twist_class), so the
-    census keeps one class table per block: KtField.class_ids puts each unit
-    of K_t on one of the |F_t| + 1 lines [a : b], and every line must be
-    met.  A beta's class number is its lines read in mixed radix |F_t| + 1;
-    class s has the twist class of its digits, and its representative takes
-    the first unit on its line in every block, the least beta of the class.
-    The first beta is assembled by assemble_code alone; then the
-    representatives are assembled in a stacked pass (codes.assemble_stack), whose
-    generator for the first beta's class must equal the first code's.  The
-    pass gives the class memo, keyed by twist class, so the census's one
-    assemble_code call per beta is a lookup, and a beta whose class the
-    memo lacks raises KeyError there.  The census asserts
-    prod(|F_t| + 1) classes with pairwise distinct codes, takes every
-    class's minimum weight from one call of linalg.min_nonzero_weight on
-    their stacked generators (no class's weight distribution is computed),
-    and reads each beta's weight off its class number.
+    C beta depends only on beta modulo the F_t* (BetaVector.twist_class),
+    so all that depends on neither delta nor a single beta is one class
+    table per algebra and A_0 choice (_class_table): each block's lines,
+    one code and one exact minimum weight per twist class.  The first
+    census of a choice builds it with every check, and the algebra keeps it
+    beside its ideal_rref cache; later censuses, at any delta, read it.
+    Each call still computes the |K*|-long data, which no cache holds: the
+    codes of beta index i are its digits in mixed radix |K_t| - 1, plus one
+    (block 1 fastest), and its class number is their lines in mixed radix
+    |F_t| + 1, both numpy columns; each beta's weight is its class's
+    minimum, and the count and bound follow.  A first census makes the
+    block-sized lines, then the |K*|-long columns, then the rest of the
+    table: the class generators then reuse the memory the digits freed, and
+    a single census peaks no higher than before the table was cached (with
+    the table built first it peaked 6 MB higher at (2, 21)).
+
+    Every beta still costs one assemble_code call, a lookup in the table's
+    memo (a beta whose class the memo lacks raises KeyError there): on the
+    call that builds the table the first beta's call is the real assembly,
+    so every census makes exactly |K*| calls.  The lookups stay, although
+    the weights need none of them, because perfbench pins
+    codes.assemble_calls at |K*| per census.
     """
     q = alg.field.q
     if not 0 < delta <= 1:
@@ -299,42 +385,26 @@ def census_K_le_delta(
     size = codes_mod.k_star_size(kts)
     if size > k_star_budget:
         raise BudgetExceeded(f"|K*| = {size} exceeds the census budget {k_star_budget}")
+    a0 = "C0" if include_C0 else None
+    table = alg._census_tables.get(a0)
+    builds = table is None  # then this call assembles the first beta itself
+    if builds:
+        line_of, first_unit = _line_ids(kts)
+    else:
+        line_of = table.line_of
     lines = [kt.comp.ft.order + 1 for kt in kts]
-    classes = math.prod(lines)
-    line_of, first_unit = [], []
-    for kt, n_lines in zip(kts, lines):
-        ids = np.asarray(kt.class_ids()[1:], dtype=np.int64)
-        seen, index = np.unique(ids, return_index=True)
-        # C beta = C beta' iff beta' beta^-1 lies in the product of the F_t*:
-        # a class table that merges or splits classes fails here
-        assert np.array_equal(seen, np.arange(n_lines)), (
-            f"K_{kt.comp.index} has {len(seen)} twist classes with ids {seen[0]}..{seen[-1]}, expected 0..{n_lines - 1}"
-        )
-        line_of.append(ids)
-        first_unit.append(1 + index)  # the first unit code on each line
     digits = np.unravel_index(np.arange(size), [kt.order - 1 for kt in kts], order="F")
     class_of = np.ravel_multi_index([ids[d] for ids, d in zip(line_of, digits)], lines, order="F")
     beta_tuples = list(zip(*[(1 + d).tolist() for d in digits]))
     del digits  # K*-long arrays; the rows hold the codes from here on
-    lines_of_class = np.unravel_index(np.arange(classes), lines, order="F")  # each class's twist_class()
-    a0 = "C0" if include_C0 else None
-    first = assemble_code(alg, parts, a0=a0, beta=BetaVector(kts, beta_tuples[0]))
-    if q**first.k_dim > DEFAULT_WORD_BUDGET:
-        raise BudgetExceeded(f"q^k = {q**first.k_dim} exceeds the budget {DEFAULT_WORD_BUDGET}")
-    rep_codes = np.stack([units[c] for units, c in zip(first_unit, lines_of_class)], axis=1)
-    gens = np.empty((classes, first.k_dim, first.n_len), dtype=np.int64)
-    for s, R in codes_mod.assemble_stack(alg, parts, a0, kts, rep_codes):
-        assert R.shape[1] == first.k_dim, f"assembled dim {R.shape[1]}, expected {first.k_dim}"
-        gens[s : s + len(R)] = R
-    gens.setflags(write=False)  # shared by every beta of a class
-    assert np.array_equal(gens[class_of[0]], first.gen), "the stacked RREF of the first twist class differs from rref"
-    assert len({gen.tobytes() for gen in gens}) == classes, "two twist classes gave the same code"
-    keys = zip(*[c.tolist() for c in lines_of_class])
-    memo = {key: LinearCode(alg.field, gen) for key, gen in zip(keys, gens)}
-    for codes in itertools.islice(beta_tuples, 1, None):
-        assemble_code(alg, parts, a0=a0, beta=BetaVector(kts, codes), memo=memo)
-    weights = linalg.min_nonzero_weight(alg.field, gens)[class_of]
-    deltas = np.arange(first.n_len + 1) / first.n_len
+    if builds:
+        table = _class_table(alg, kts, parts, a0, line_of, first_unit)
+    _check_word_budget(q, table.k)
+    for codes in itertools.islice(beta_tuples, int(builds), None):
+        assemble_code(alg, parts, a0=a0, beta=BetaVector(kts, codes), memo=table.memo)
+    weights = table.minima[class_of]
+    n_len = 2 * alg.n
+    deltas = np.arange(n_len + 1) / n_len
     count = int(np.count_nonzero(deltas[weights] <= delta + FLOAT_SLACK))
     weights, deltas = weights.tolist(), deltas.tolist()  # one float per weight, shared by its rows
     rows = list(zip(range(size), beta_tuples, weights, map(deltas.__getitem__, weights)))
@@ -358,7 +428,7 @@ def census_K_le_delta(
         exponent=exponent,
         bound=bound,
         rows=rows,
-        distinct_codes=classes,
+        distinct_codes=len(table.minima),
     )
 
 

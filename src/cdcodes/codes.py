@@ -413,11 +413,13 @@ def assemble_code(
     A_0, so the rows span the twisted parts plus A_0's choice.  The sum must
     be direct: the dimension is asserted to be _generators' sum.
 
-    memo (with a beta) is only read: census_K_le_delta's code of each twist
-    class, keyed by BetaVector.twist_class, for the parts and a0 its first
-    call checked.  A call with a memo is that lookup alone: a hit returns the
-    LinearCode itself and builds no origin, unit, product or rref, and a miss
-    raises KeyError.
+    memo (with a beta) is only read: the code of each twist class, keyed by
+    BetaVector.twist_class, from the class table that the algebra caches for
+    census_K_le_delta, for the parts and a0 the table's build checked.  It
+    lives as long as the algebra and serves every later census of that a0,
+    whatever its delta.  A call with a memo is that lookup alone: a hit
+    returns the LinearCode itself and builds no origin, unit, product or
+    rref, and a miss raises KeyError.
     """
     if memo is not None:
         return memo[beta.twist_class()]

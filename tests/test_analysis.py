@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -13,7 +14,7 @@ from conftest import get_algebra
 from oracles import enumerate_beta, first_nonzero_weight, random_elem, span_weights, unit
 
 from cdcodes import analysis, codes, linalg
-from cdcodes.algebra import TRIVIAL_SPLIT
+from cdcodes.algebra import TRIVIAL_SPLIT, TwistedDihedralAlgebra
 from cdcodes.analysis import (
     balanced_check,
     census_K_le_delta,
@@ -489,29 +490,53 @@ def test_census_distinct_codes_are_twist_classes(q, n, include_C0):
     assert next(res.csv_lines()) == "beta_index,beta_codes,min_weight,delta"
 
 
-def _per_beta_census(A, delta, include_C0):
-    """The census without the class memo: every beta's code assembled on its
-    own and weighed exhaustively (once per generator matrix, a weight being a
-    function of it)."""
+def _fresh(q, n, tw=-1):
+    """An algebra of its own, so no census of another test has cached its
+    class tables."""
+    return TwistedDihedralAlgebra(field_from_order(q), n, tw)
+
+
+@functools.cache
+def _per_beta_weights(q, n, tw, include_C0):
+    """Every beta's codes and weight, each beta's code assembled on its own
+    (no class table) and weighed exhaustively once per generator matrix, a
+    weight being a function of it; and the number of distinct matrices.
+    Cached by its arguments: the oracle is deterministic, and several tests
+    compare with it at several deltas."""
+    A = get_algebra(q, n, tw)
     kts = codes.kt_fields(A)
     parts = codes.standard_parts(A)
     weights = {}
     rows = []
-    for idx, beta in enumerate(enumerate_beta(kts)):
+    for beta in enumerate_beta(kts):
         code = codes.assemble_code(A, parts, a0="C0" if include_C0 else None, beta=beta)
         key = code.key()
         if key not in weights:
             rep = min_weight(code)
             assert rep.method == analysis.EXHAUSTIVE
             weights[key] = rep.min_weight
-        rows.append((idx, beta.codes, weights[key], weights[key] / code.n_len))
+        rows.append((beta.codes, weights[key]))
+    return tuple(rows), len(weights)
+
+
+def _per_beta_census(A, delta, include_C0):
+    """A's census without the class table, from _per_beta_weights (the
+    algebra is determined by q, n and v^2)."""
+    weighed, distinct = _per_beta_weights(A.field.q, A.n, A.tw, include_C0)
+    n_len = 2 * A.n
+    rows = [(idx, beta, w, w / n_len) for idx, (beta, w) in enumerate(weighed)]
     count = sum(1 for *_, d in rows if d <= delta + analysis.FLOAT_SLACK)
     hypothesis, exponent, bound = analysis.census_bound(
         A.field.q, A.n, A.lambda_(), delta, len(rows), hatted=include_C0
     )
     return analysis.CensusResult(
-        A.field.q, A.n, delta, include_C0, len(rows), count, hypothesis, exponent, bound, rows, len(weights)
+        A.field.q, A.n, delta, include_C0, len(rows), count, hypothesis, exponent, bound, rows, distinct
     )
+
+
+def _outputs(res):
+    """What a census exports: its CSV lines and its JSON summary."""
+    return list(res.csv_lines()), json.dumps(res.summary_json())
 
 
 # the criterion-8 grid plus (2, 15) and (4, 7), v^2 = -1 and, for odd q, v^2 = 1
@@ -534,6 +559,26 @@ def test_census_matches_per_beta_oracle(q, n, tw):
     assert list(res.csv_lines()) == list(oracle.csv_lines())
     assert json.dumps(res.summary_json()) == json.dumps(oracle.summary_json())
     assert res.distinct_codes == oracle.distinct_codes
+
+
+@pytest.mark.parametrize("q, n, tw", ORACLE_GRID)
+def test_census_on_a_used_algebra_equals_a_fresh_one(q, n, tw):
+    # the class table one census caches serves the next at another delta and
+    # is kept apart per A_0 choice: in either order of the choices, every
+    # census equals a fresh algebra's census and the per-beta oracle
+    choices = [False, True] if _fresh(q, n, tw).decompose()[0].kind == TRIVIAL_SPLIT else [False]
+    deltas = (0.2, 0.4)
+    want = {}
+    for include_C0 in choices:
+        for delta in deltas:
+            res = census_K_le_delta(_fresh(q, n, tw), delta, include_C0=include_C0)
+            want[include_C0, delta] = _outputs(res)
+            assert want[include_C0, delta] == _outputs(_per_beta_census(get_algebra(q, n, tw), delta, include_C0))
+    for order in (choices, choices[::-1]):
+        A = _fresh(q, n, tw)
+        for include_C0 in order:
+            for delta in deltas:
+                assert _outputs(census_K_le_delta(A, delta, include_C0=include_C0)) == want[include_C0, delta]
 
 
 def _class_codes(A, a0):
@@ -576,12 +621,12 @@ def test_root_of_minus_1_maps_the_dihedral_census_onto_the_consta_census(q, n):
 
 @pytest.mark.parametrize("q, n, include_C0", [(3, 7, False), (2, 9, True), (4, 7, False)])
 def test_census_calls_assemble_code_per_beta_rref_once_and_rref_stack_per_chunk(monkeypatch, q, n, include_C0):
-    # the first beta is assembled alone (one rref); the other classes come
-    # from one rref_stack per chunk of SPAN_CHUNK // 2n classes, and every
-    # beta still calls assemble_code once
-    A = get_algebra(q, n)
-    want = census_K_le_delta(A, delta=0.2, include_C0=include_C0)  # caches the untwisted RREFs
-    classes = math.prod(kt.comp.ft.order + 1 for kt in codes.kt_fields(A))
+    # on an algebra with its untwisted RREF cached, the first census
+    # assembles the first beta alone (one rref); the other classes come from
+    # one rref_stack per chunk of SPAN_CHUNK // 2n classes.  A second census
+    # reads the cached class table: no rref and no rref_stack.  Every beta
+    # calls assemble_code once in both
+    want = census_K_le_delta(_fresh(q, n), delta=0.2, include_C0=include_C0)
     calls = Counter()
 
     def counting(name, fn):
@@ -594,23 +639,29 @@ def test_census_calls_assemble_code_per_beta_rref_once_and_rref_stack_per_chunk(
     monkeypatch.setattr(analysis, "assemble_code", counting("assemble", analysis.assemble_code))
     monkeypatch.setattr(linalg, "rref", counting("rref", linalg.rref))
     monkeypatch.setattr(linalg, "rref_stack", counting("rref_stack", linalg.rref_stack))
+    stacks = []
     for chunk in (linalg.SPAN_CHUNK, 64):
         monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
-        calls.clear()
-        res = census_K_le_delta(A, delta=0.2, include_C0=include_C0)
-        assert res.rows == want.rows and res.distinct_codes == classes
-        assert calls["assemble"] == res.k_star_size
-        assert calls["rref"] == 1
-        assert calls["rref_stack"] == -(-classes // (chunk // (2 * n)))
-    assert calls["rref_stack"] > 1
+        A = _fresh(q, n)
+        A.ideal_rref(codes._generators(A, codes.standard_parts(A), "C0" if include_C0 else None)[0])
+        classes = math.prod(kt.comp.ft.order + 1 for kt in codes.kt_fields(A))
+        for hit in (False, True):
+            calls.clear()
+            res = census_K_le_delta(A, delta=0.2, include_C0=include_C0)
+            assert res.rows == want.rows and res.distinct_codes == classes
+            assert calls["assemble"] == res.k_star_size
+            assert calls["rref"] == (0 if hit else 1)
+            assert calls["rref_stack"] == (0 if hit else -(-classes // (chunk // (2 * n))))
+            stacks.append(calls["rref_stack"])
+    assert stacks[2] > 1  # the first census at chunk 64 took several
 
 
 @pytest.mark.parametrize("q, n, include_C0", [(3, 7, False), (2, 9, True)])
 def test_census_builds_a_linear_code_per_class_not_per_beta(monkeypatch, q, n, include_C0):
-    # the first code and one memo entry per class; the per-beta memo hits
-    # return the memo's code itself
-    A = get_algebra(q, n)
-    census_K_le_delta(A, delta=0.2, include_C0=include_C0)  # caches the class tables
+    # the first census builds the first code and one memo entry per class,
+    # and the per-beta memo hits return the memo's code itself; a second
+    # census builds no code at all
+    A = _fresh(q, n)
     classes = math.prod(kt.comp.ft.order + 1 for kt in codes.kt_fields(A))
     built = Counter()
     init = codes.LinearCode.__init__
@@ -623,6 +674,48 @@ def test_census_builds_a_linear_code_per_class_not_per_beta(monkeypatch, q, n, i
     res = census_K_le_delta(A, delta=0.2, include_C0=include_C0)
     assert res.k_star_size > classes + 1
     assert 0 < built["code"] <= classes + 1
+    built.clear()
+    assert census_K_le_delta(A, delta=0.3, include_C0=include_C0).distinct_codes == classes
+    assert built["code"] == 0
+
+
+@pytest.mark.parametrize("q, n, include_C0", TWIST_CLASS_GRID)
+def test_census_calls_assemble_code_once_per_beta_on_a_miss_and_on_a_hit(monkeypatch, q, n, include_C0):
+    # a census that builds its class table assembles the first beta and
+    # looks up the other |K*| - 1; a census that finds it looks up all |K*|
+    real = analysis.assemble_code
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append("lookup" if kwargs.get("memo") is not None else "assembly")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "assemble_code", counting)
+    A = _fresh(q, n)
+    for delta, assembled in ((0.1, 1), (0.3, 0), (0.1, 0)):
+        calls.clear()
+        res = census_K_le_delta(A, delta, include_C0=include_C0)
+        assert Counter(calls) == Counter({"assembly": assembled, "lookup": res.k_star_size - assembled})
+        assert calls[0] == ("assembly" if assembled else "lookup")
+
+
+def test_census_checks_its_budgets_and_c0_on_a_cache_hit(monkeypatch):
+    # (7, 3) on v^2 = -1 has no C_0 and |K*| = 48 codes of q^k = 49 words
+    A = _fresh(7, 3)
+    first = census_K_le_delta(A, delta=0.5)  # caches the class table without C_0
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "DEFAULT_WORD_BUDGET", 10)  # read at call time
+        with pytest.raises(BudgetExceeded, match=r"q\^k = 49 exceeds the budget 10"):
+            census_K_le_delta(A, delta=0.3)
+        with pytest.raises(HypothesisUnmet):
+            census_K_le_delta(A, delta=0.5, include_C0=True)
+        with pytest.raises(BudgetExceeded, match=r"\|K\*\| = 48 exceeds the census budget 47"):
+            census_K_le_delta(A, delta=0.5, include_C0=True, k_star_budget=47)
+    with pytest.raises(HypothesisUnmet):
+        census_K_le_delta(A, delta=0.5, include_C0=True)
+    with pytest.raises(BudgetExceeded, match=r"\|K\*\| = 48 exceeds the census budget 47"):
+        census_K_le_delta(A, delta=0.5, k_star_budget=47)
+    assert _outputs(census_K_le_delta(A, delta=0.5)) == _outputs(first)
 
 
 def test_census_class_pass_memory_is_bounded():
@@ -659,7 +752,7 @@ def test_builders_hull_and_min_weight_build_no_class_table(monkeypatch, rng):
 
     monkeypatch.setattr(codes.KtField, "class_ids", no_table)
     for q, n in ((3, 7), (5, 3), (2, 9), (11, 3)):
-        A = get_algebra(q, n)
+        A = _fresh(q, n)
         beta = codes.BetaVector.random(codes.kt_fields(A), rng)
         built = [build_plain_code(A), build_plain_code(A, beta)]
         if q % 4 == 3:
@@ -670,7 +763,7 @@ def test_builders_hull_and_min_weight_build_no_class_table(monkeypatch, rng):
             assert codes.hull_dimension(code) >= 0
             assert min_weight(code).min_weight >= 1
     with pytest.raises(AssertionError, match="class table built"):
-        census_K_le_delta(get_algebra(5, 3), delta=0.4)
+        census_K_le_delta(_fresh(5, 3), delta=0.4)
 
 
 @pytest.mark.parametrize("fault", ["merge", "split", "shift"])
@@ -690,9 +783,14 @@ def test_census_rejects_a_class_table_that_merges_or_splits(monkeypatch, fault):
         ids[twin] = max(ids) + 1  # one code of code 1's class gets an id of its own
         return ids
 
-    monkeypatch.setattr(codes.KtField, "class_ids", faulty)
-    with pytest.raises(AssertionError, match="twist class"):
-        census_K_le_delta(get_algebra(3, 7), delta=0.2)
+    A = _fresh(3, 7)
+    with monkeypatch.context() as m:
+        m.setattr(codes.KtField, "class_ids", faulty)
+        with pytest.raises(AssertionError, match="twist class"):
+            census_K_le_delta(A, delta=0.2)
+    # the rejected table was not cached: with the real table the same
+    # algebra's census is the per-beta oracle's
+    assert _outputs(census_K_le_delta(A, delta=0.2)) == _outputs(_per_beta_census(A, 0.2, False))
 
 
 # -- good betas ---------------------------------------------------------------------------------
