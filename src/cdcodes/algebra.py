@@ -472,11 +472,14 @@ class TwistedDihedralAlgebra:
         return self._action
 
     def translates(self, words: np.ndarray) -> np.ndarray:
-        """Rows h * g for each row g of the (r, 2n) array words and each h in
-        group_action order: r stacked (2n, 2n) blocks, block i being L(g_i)
-        with word(x * g_i) = word(x) . L(g_i) over the field."""
+        """Rows h * g for each row g of the (r, 2n) int64 array words and each
+        h in group_action order: r stacked (2n, 2n) blocks, block i being
+        L(g_i) with word(x * g_i) = word(x) . L(g_i) over the field.  Each
+        entry is one take from the flat mul table, indexed in place."""
         perm, sign = self.group_action()
-        return self.field.tables().mul[sign[None], words[:, perm]].reshape(-1, 2 * self.n)
+        idx = words[:, perm]
+        idx += sign * self.field.q  # mul[s, w] sits at s q + w of the flat table
+        return self.field.tables().mul.ravel().take(idx, out=idx, mode="clip").reshape(-1, 2 * self.n)
 
     def left_ideal_rows(self, gens: Sequence[AlgElem | np.ndarray]) -> np.ndarray:
         """Spanning rows h * g for each g in gens and h in group_action order.

@@ -1,11 +1,12 @@
 """Exact row reduction and rank computations over a finite field.
 
-Matrices are numpy int64 arrays of element codes.  Row operations scale
-through the field's lookup tables and add through them too, except in
-characteristic 2, where adding codes is XOR (_add); products go through
-`Field.matmul`.  So they work uniformly for prime fields and small
-extensions; canonical output (reduced row echelon form with ascending pivot
-columns) makes row spaces directly comparable.
+Matrices are numpy int64 arrays of element codes.  Row operations read the
+field's lookup tables by takes: a row is scaled by a take from one row of
+mul and its q multiples by a take along mul's columns, and codes are added
+by XOR in characteristic 2 and otherwise by a take from the flat add table
+(_add); products go through `Field.matmul`.  So they work uniformly for
+prime fields and small extensions; canonical output (reduced row echelon
+form with ascending pivot columns) makes row spaces directly comparable.
 
 This is also the one module that weighs codewords.  Every weight is a
 popcount of words packed into uint64 lanes (_pack, _lane_weights), and two
@@ -46,14 +47,20 @@ def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     below the last pivot are all zero ends the loop, as does a pivot in the
     last row.  R and the pivots are those of the full column loop.
 
-    Each pivot step scales the first nonzero row at or below r to 1 and
-    gathers the q multiples of its negation once; every row then adds the
-    multiple its entry in the pivot column picks, by XOR in characteristic 2
-    and through the add table otherwise (_add).  That clears the pivot row
-    itself, so the scaled row goes to slot r and the eliminated old row r to
+    Each pivot step is a few row takes from the field's tables: the first
+    nonzero row at or below r is scaled to 1 by one take from the row of
+    mul at the inverse of its pivot entry (or copied, when that entry is 1
+    already, as it always is for q = 2), the q multiples of its negation by
+    one take along the columns of mul (in characteristic 2, where -x = x,
+    of the row itself), and every row's multiple by one take at its entry in
+    the pivot column.  Every row then adds its multiple: in characteristic 2
+    by XOR in place, as m is rref's own copy, and otherwise through the add
+    table (_add).  That clears the pivot row itself, so the scaled row goes
+    to slot r and, when the pivot was below it, the eliminated old row r to
     the pivot's slot, which is the swap of the textbook loop.
     """
     t = field.tables()
+    char2 = field.p == 2
     add = _add(field)
     m = as_matrix(mat).copy()
     rows = len(m)
@@ -65,10 +72,17 @@ def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
             if not m[r:].any():
                 break
             continue
-        piv = r + nz[0]
-        row = t.mul[t.inv[m[piv, c]], m[piv]]
-        m = add(m, t.mul[:, t.neg[row]].take(m[:, c], axis=0))  # every row i -= m[i, c] * row, in one update
-        m[piv] = m[r]
+        piv = r + int(nz[0])
+        a = m[piv, c]
+        row = m[piv].copy() if a == 1 else t.mul[t.inv[a]].take(m[piv])
+        multiples = t.mul.take(row if char2 else t.neg.take(row), axis=1)  # a * -row at [a]
+        upd = multiples.take(m[:, c], axis=0)  # every row i -= m[i, c] * row, in one update
+        if char2:
+            np.bitwise_xor(m, upd, out=m)
+        else:
+            m = add(m, upd)
+        if piv != r:
+            m[piv] = m[r]
         m[r] = row
         pivots.append(c)
         r += 1
@@ -84,13 +98,16 @@ def rref_stack(field: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     One column loop serves the whole stack.  Each matrix keeps its own next
     row r; in each column every matrix with a nonzero entry at or below its r
     takes the first such row, scaled to 1, and clears the column with its
-    multiples as rref does: by XOR in characteristic 2 and through the add
-    table otherwise.  Unequal ranks raise ValueError.  For a single matrix
-    rref is faster, as the stack's fancy indexing costs more per column: on
-    the 614 matrices that one hull, decompose and census pass reduces, rref
-    took 20 ms and rref_stack of each matrix alone 116 ms.
+    multiples as rref does: one take along mul's columns for all of them,
+    one take of each row's multiple, and XOR in place in characteristic 2
+    (the stack is rref_stack's own copy) or the add table otherwise.
+    Unequal ranks raise ValueError.  For a single matrix rref is faster, as
+    the stack's fancy indexing costs more per column: on the 447 matrices
+    that one hull and decompose pass reduces, rref took 11 ms and rref_stack
+    of each matrix alone 81 ms.
     """
     t = field.tables()
+    char2 = field.p == 2
     add = _add(field)
     m = np.array(stack, dtype=np.int64)
     c, rows, cols = m.shape
@@ -107,10 +124,15 @@ def rref_stack(field: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         rs, piv = r[sel], cand[sel].argmax(axis=1)
         top = m[sel, piv]
         top = t.mul[t.inv[top[:, col]][:, None], top]
-        multiples = t.mul[:, t.neg[top]].transpose(1, 0, 2).reshape(-1, cols)  # matrix j's a * -top_j at j q + a
+        multiples = t.mul.take(top if char2 else t.neg.take(top), axis=1)
+        multiples = multiples.transpose(1, 0, 2).reshape(-1, cols)  # matrix j's a * -top_j at j q + a
         sub = m[sel]
         each = np.arange(sel.size)
-        sub = add(sub, multiples.take(sub[:, :, col] + field.q * each[:, None], axis=0))  # every row i -= m[i, col] * top
+        upd = multiples.take(sub[:, :, col] + field.q * each[:, None], axis=0)  # every row i -= m[i, col] * top
+        if char2:
+            np.bitwise_xor(sub, upd, out=sub)
+        else:
+            sub = add(sub, upd)
         sub[each, piv] = sub[each, rs]
         sub[each, rs] = top
         m[sel] = sub
@@ -123,13 +145,28 @@ def rref_stack(field: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _add(field: Field):
-    """The field's addition of element codes, elementwise with broadcasting:
-    XOR in characteristic 2, where bit i of a code of GF(2^m) is its i-th
-    coordinate over GF(2) (see _walk_rows), and the add table otherwise."""
+    """The field's addition of element codes, elementwise with broadcasting,
+    into a new array: XOR in characteristic 2, where bit i of a code of
+    GF(2^m) is its i-th coordinate over GF(2) (see _walk_rows), and
+    otherwise one take from the flat add table at x q + y.  The index is
+    built in the array the take then writes, in place where x has the
+    result's shape, so the add holds no more result-sized arrays than a 2-D
+    gather from the table would.  Codes must lie in [0, q): the take clips
+    rather than checks."""
     if field.p == 2:
         return np.bitwise_xor
-    t = field.tables()
-    return lambda x, y: t.add[x, y]
+    q = field.q
+    flat = field.tables().add.ravel()
+
+    def add(x, y):
+        idx = np.multiply(x, q, dtype=np.int64)
+        if idx.shape == np.shape(y):
+            idx += y
+        else:
+            idx = idx + y
+        return flat.take(idx, out=idx, mode="clip")
+
+    return add
 
 
 def rank(field: Field, mat: np.ndarray) -> int:

@@ -276,6 +276,23 @@ def test_group_action_matches_multiplication(tw, rng):
             assert A.left_ideal_rows([x, y]).tolist() == stacked
 
 
+@pytest.mark.parametrize("q, n", [(2, 7), (3, 7), (4, 5), (5, 3), (9, 5), (13, 3), (16, 3)])
+def test_translates_is_the_signed_permutation(q, n):
+    # translates reads mul[s, w] at s q + w of the flat table; every entry of
+    # block i must be field.mul(sign[h, j], words[i, perm[h, j]])
+    A = get_algebra(q, n)
+    F = A.field
+    perm, sign = A.group_action()
+    words = np.random.default_rng(q * n).integers(0, q, (3, 2 * n))
+    words[0] = q - 1  # the largest index, (q - 1) q + q - 1, wherever sign[h, j] = q - 1
+    L = A.translates(words)
+    assert L.shape == (3 * 2 * n, 2 * n) and L.dtype == np.int64
+    want = [
+        [F.mul(int(sign[h, j]), int(w[perm[h, j]])) for j in range(2 * n)] for w in words for h in range(2 * n)
+    ]
+    assert L.tolist() == want
+
+
 def test_left_ideal_rows_accepts_words(rng):
     A = get_algebra(5, 7)
     x, y = random_elem(A, rng), random_elem(A, rng)

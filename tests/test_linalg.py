@@ -103,7 +103,7 @@ def reference_rref(field, M):
 
 @st.composite
 def rref_inputs(draw):
-    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9, 13, 16]))
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27]))
     shape = draw(st.sampled_from(["random", "zero", "zero rows", "deficient", "zero columns", "low rank wide"]))
     rows, cols = draw(st.integers(0, 7)), draw(st.integers(1, 14 if shape == "low rank wide" else 7))
     entry = st.integers(0, q - 1)
@@ -218,6 +218,59 @@ def test_rref_stack_edge_shapes_and_unequal_ranks():
         linalg.rref_stack(F, stack)
     R, _ = linalg.rref_stack(F, stack[:2])
     assert R.tolist() == [[[1, 0, 0, 0]], [[1, 0, 0, 0]]]
+
+
+@pytest.mark.parametrize("q, n", [(2, 7), (4, 5), (8, 3), (16, 3), (3, 7), (9, 5), (13, 3)])
+def test_rref_and_rref_stack_leave_their_argument_alone(q, n):
+    # both eliminate in their own copy (by XOR in place in characteristic 2):
+    # a writable argument comes back unchanged, and a read-only one, such as
+    # the cached ideal_rref G or a broadcast stack of it, is reduced as a copy
+    A = get_algebra(q, n)
+    F = A.field
+    G = A.ideal_rref([g for _, g in codes.standard_parts(A)])
+    assert not G.flags.writeable
+    R, piv = linalg.rref(F, G)
+    assert np.array_equal(R, G) and R is not G and R.flags.writeable
+    stack = np.broadcast_to(G, (3, *G.shape))
+    assert not stack.flags.writeable
+    Rs, pivs = linalg.rref_stack(F, stack)
+    assert all(np.array_equal(Ri, G) for Ri in Rs) and all(tuple(p) == piv for p in pivs.tolist())
+    rng = np.random.default_rng(q * n)
+    M = rng.integers(0, q, (len(G) + 2, G.shape[1]))
+    M[-1] = M[0]  # rank-deficient, so rref drops a row
+    before = M.copy()
+    R, piv = linalg.rref(F, M)
+    assert np.array_equal(M, before)
+    assert R.tolist() == reference_rref(F, M)[0]
+    stack = equal_rank_stack(F, rng, 4, 5, 9, 3)
+    before = stack.copy()
+    Rs, pivs = linalg.rref_stack(F, stack)
+    assert np.array_equal(stack, before)
+    for Mi, Ri in zip(stack, Rs):
+        assert np.array_equal(Ri, linalg.rref(F, Mi)[0])
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 13, 25, 27])
+def test_odd_add_is_the_add_table(q):
+    # odd q adds by one take from the flat add table at x q + y, into a new
+    # array: every pair, and the broadcast shapes of the span walk
+    # ((w, 1, N) with (q, N)), residual ((r, N) with (r, N)) and rref_stack
+    # ((s, rows, cols) twice)
+    F = field_from_order(q)
+    t = F.tables()
+    add = linalg._add(F)
+    a = np.arange(q)
+    assert np.array_equal(add(a[:, None], a), t.add)
+    x, y = np.meshgrid(a, a, indexing="ij")
+    assert np.array_equal(add(x, y), t.add)
+    rng = np.random.default_rng(q)
+    for xs, ys in [((6, 1, 11), (q, 11)), ((4, 11), (4, 11)), ((3, 5, 9), (3, 5, 9)), ((11,), (6, 11))]:
+        x, y = rng.integers(0, q, xs), rng.integers(0, q, ys)
+        x_before, y_before = x.copy(), y.copy()
+        s = add(x, y)
+        assert s.shape == np.broadcast_shapes(xs, ys) and s.dtype == np.int64
+        assert np.array_equal(s, t.add[x, y])
+        assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
 
 
 def test_matmul_matches_integer_arithmetic():
