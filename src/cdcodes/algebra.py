@@ -122,6 +122,7 @@ class SubfieldView:
         self.dim = len(R)
         self.order = field.q**self.dim
         self.label = label
+        self._lead = int(np.flatnonzero(identity.coeffs)[0])  # y = c e has c = y[lead] / e[lead]
 
     @property
     def zero(self) -> CyclicElem:
@@ -149,12 +150,18 @@ class SubfieldView:
         digits = [code // q**i % q for i in range(self.dim)]
         return CyclicElem(self.field, linalg.matmul(self.field, digits, self.rows)[0])
 
+    def _scalar(self, y: CyclicElem) -> Optional[int]:
+        """The c in GF(q) with y = c e, e the identity, or None if there is none."""
+        t = self.field.tables()
+        c = t.mul[y.coeffs[self._lead], t.inv[self.identity.coeffs[self._lead]]]
+        return int(c) if np.array_equal(t.mul[c, self.identity.coeffs], y.coeffs) else None
+
     def inv(self, y: CyclicElem) -> CyclicElem:
+        """c^-1 e for a scalar y = c e, else y^(order - 2)."""
         if y.is_zero():
             raise ZeroDivisionError("inverse of 0")
-        if self.order == 2:
-            return self.identity  # the only unit; y^0 would be the algebra's 1
-        return y.pow(self.order - 2)
+        c = self._scalar(y)
+        return y.pow(self.order - 2) if c is None else self.identity.scale(self.field.tables().inv[c])
 
     def __repr__(self):
         return f"SubfieldView({self.label or 'dim %d' % self.dim}, |F|={self.order})"
@@ -163,23 +170,41 @@ class SubfieldView:
 def sqrt_min(ft: SubfieldView, a: CyclicElem) -> Optional[CyclicElem]:
     """Smallest square root of a in the subfield, or None for non-squares.
 
-    Even order: the Frobenius inverse a^(order/2).  Odd order: Euler test,
-    then a^((order+1)/4) when order = 3 mod 4, Tonelli-Shanks otherwise,
-    with the non-residue chosen as the first one in canonical order; of the
-    two roots +-t the one with the smaller code is returned, which equals
-    the first root an ascending scan would find.
+    A scalar a = c e (c in GF(q), e the identity) is answered from the
+    field's tables where it can be: its root is r e when r^2 = c in GF(q),
+    and otherwise, in odd order, a is a square iff the subfield's dimension
+    is even (c^((order - 1)/2) is the Legendre symbol of c to the power 1 +
+    q + ... + q^(dim - 1), whose parity is dim's).  Else: even order takes
+    the Frobenius inverse a^(order/2); order = 3 mod 4 takes t =
+    a^((order+1)/4), a root iff t^2 = a; order = 1 mod 4 takes the Euler
+    test and Tonelli-Shanks, with the non-residue chosen as the first one in
+    canonical order, except that -e (a non-square in GF(q), so q = 3 mod 4)
+    takes t = z^((order-1)/4) for the first z with t^2 = -e.  Of the two
+    roots +-t the one with the smaller code is returned, which equals the
+    first root an ascending scan would find.
     """
     if a.is_zero():
         return ft.zero
     e = ft.identity
     order = ft.order
-    if order % 2 == 0:
+    scalar = ft._scalar(a)
+    base_roots = [] if scalar is None else np.flatnonzero(ft.field.tables().mul.diagonal() == scalar)
+    if len(base_roots):
+        t = e.scale(int(base_roots[0]))
+    elif scalar is not None and ft.dim % 2:
+        return None  # a non-square of GF(q), in odd order (even q has every root)
+    elif order % 2 == 0:
         return a.pow(order // 2)
-    if a.pow((order - 1) // 2) != e:
-        return None
-    if order % 4 == 3:
+    elif order % 4 == 3:
         t = a.pow((order + 1) // 4)
+        if t * t != a:
+            return None
+    elif scalar == ft.field.tables().neg[ft.field.one]:
+        roots_of_minus_one = (ft.element(code).pow((order - 1) // 4) for code in range(1, order))
+        t = next(t for t in roots_of_minus_one if t * t == a)
     else:
+        if scalar is None and a.pow((order - 1) // 2) != e:
+            return None
         Q, S = order - 1, 0
         while Q % 2 == 0:
             Q //= 2
@@ -283,7 +308,9 @@ class Component:
         i = idem_indices[0]
         self.e = idems[i]
         ue = self.e.shift(1)
-        self.fhe = SubfieldView(F, n, self.e, self.e.coeffs[_rot_index(n)], label=f"FHe[{i}]")  # row d is u^d e
+        # FHe = GF(q)[u]/(f) for the factor f of e, so its deg f rows u^d e span it
+        d = np.arange(alg.idempotents().factors[i].degree)[:, None]
+        self.fhe = SubfieldView(F, n, self.e, self.e.coeffs[(np.arange(n) - d) % n], label=f"FHe[{i}]")
         self.ue = ue
         self.uinv_e = self.e.shift(-1)
 

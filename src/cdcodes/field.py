@@ -14,11 +14,12 @@ are added and scaled by table gathers; products of matrices go through
 `Field.matmul`: integers mod p for prime fields, and for GF(p^m) the m x m
 multiplication matrices over GF(p), again one integer product mod p.
 
-x^n - 1 is factored over GF(q) itself, without a splitting field: its
-primitive idempotents are split out of the fixed subalgebra of
-GF(q)[x]/(x^n - 1) with length-n convolutions (Berlekamp's method), and each
-factor is a gcd with x^n - 1.  The idempotents are returned with their
-factors, so nothing downstream rebuilds them.
+x^n - 1 is factored over GF(q) itself, without a splitting field: for each
+divisor d of n, one primitive idempotent of the roots of order d is split
+out of the fixed subalgebra of GF(q)[x]/(x^d - 1) with length-d
+convolutions (Berlekamp's method), the multipliers x -> x^s give the rest
+of its orbit, and each factor is a gcd with x^d - 1.  The idempotents are
+returned with their factors, so nothing downstream rebuilds them.
 
 Polynomials are coefficient tuples in ascending degree with trailing zeros
 trimmed.  The canonical order on monic polynomials of equal degree compares
@@ -562,40 +563,85 @@ def _power(field: Field, a: np.ndarray, e: int) -> np.ndarray:
     return result
 
 
-def _split_by(field: Field, e: np.ndarray, b: np.ndarray, bound: int) -> list[np.ndarray]:
-    """Split the idempotent e by the values of b in the fixed subalgebra B.
+def _mobius(k: int) -> int:
+    primes = prime_factors(k)
+    return 0 if any(k % (p * p) == 0 for p in primes) else (-1) ** len(primes)
 
-    b e lies in eB, a product of copies of GF(q) with identity e, so its
-    minimal polynomial there has distinct roots in GF(q) (at most `bound` of
-    them): the values b takes on the components of e.  The idempotent of the
-    components where b takes the value lam is e - (b e - lam e)^(q-1).
+
+def _order_idempotent(field: Field, d: int) -> np.ndarray:
+    """E_d in GF(q)[x]/(x^d - 1): 1 at the roots of order exactly d, 0 at the
+    others.  For k | d, I_k = k^-1 (1 + x^(d/k) + ... + x^((k-1) d/k)) is 1 at
+    the roots z with z^(d/k) = 1 and 0 at the others (there it sums the k-th
+    roots of unity z^(d/k)), so E_d = sum over k | d of mobius(k) I_k.  Its
+    coefficients lie in GF(p), whose codes are 0..p-1."""
+    p = field.p
+    e = np.zeros(d, dtype=np.int64)
+    for k in range(1, d + 1):
+        mobius = _mobius(k) if d % k == 0 else 0
+        if mobius:
+            e[:: d // k] += mobius * pow(k, -1, p)
+    return e % p
+
+
+def _multiplier_images(e: np.ndarray, units: Sequence[int]) -> np.ndarray:
+    """Row i is e(x^s) mod x^d - 1 (d = len(e)) for the unit s = units[i] mod d.
+    The multiplier a(x) -> a(x^s) moves coefficient j to j s, so row i gathers
+    e at j s^-1 mod d."""
+    d = len(e)
+    inverses = np.array([pow(s, -1, d) for s in units], dtype=np.int64)
+    return e[inverses[:, None] * np.arange(d) % d]
+
+
+def _split_one_branch(field: Field, e: np.ndarray, cosets: list[list[int]], count: int) -> np.ndarray:
+    """A primitive idempotent under the idempotent e, which has at most count
+    components, split out by the sums b of the given cosets.
+
+    eB is a product of copies of GF(q) with identity e, where B is the fixed
+    subalgebra, spanned by the coset sums.  A b with b e = lam e (one
+    convolution) is skipped.  Otherwise the minimal polynomial of b e in eB
+    has distinct roots lam_1, ..., lam_k in GF(q), the values b takes on the
+    components of e, and e becomes the part where b takes lam_1: L(b e) for
+    the Lagrange polynomial L(X) = prod over j > 1 of (X - lam_j) / (lam_1 -
+    lam_j), one row times the powers e, b e, ..., (b e)^(k-1) the minimal
+    polynomial was read from.  That part has at most count - (k - 1)
+    components.  Once the count reaches 1, or every coset sum is a scalar on
+    e, e is primitive.
     """
     from . import linalg  # linalg imports this module
 
     t = field.tables()
-    be = _convolve(field, b, e)
-    powers = [e, be]
-    for _ in range(bound - 1):
-        powers.append(_convolve(field, powers[-1], be))
-    # columns e, be, (be)^2, ...: the first dependent column k gives the
-    # minimal polynomial X^k - sum_i R[i, k] X^i
-    R, piv = linalg.rref(field, np.array(powers).T)
-    k = len(piv)
-    assert k <= bound, "b e has more values than components"
-    mu = np.append(t.neg[R[:, k]], field.one)
-    values = np.zeros(field.q, dtype=np.int64)
     xs = np.arange(field.q)
-    for c in mu[::-1]:
-        values = t.add[t.mul[values, xs], c]
-    roots = np.flatnonzero(values == 0)
-    assert len(roots) == k, "minimal polynomial does not split into distinct roots"
-    if k == 1:
-        return [e]
-    parts = []
-    for lam in roots:
-        shifted = t.add[be, t.mul[t.neg[lam], e]]  # b e - lam e
-        parts.append(t.add[e, t.neg[_power(field, shifted, field.q - 1)]])
-    return parts
+    for coset in cosets:
+        if count == 1:
+            break
+        b = np.zeros(len(e), dtype=np.int64)
+        b[coset] = field.one
+        be = _convolve(field, b, e)
+        lead = np.flatnonzero(e)[0]
+        if np.array_equal(be, t.mul[t.mul[be[lead], t.inv[e[lead]]], e]):
+            continue
+        bound = min(field.q, count)
+        powers = [e, be]
+        for _ in range(bound - 1):
+            powers.append(_convolve(field, powers[-1], be))
+        # columns e, be, (be)^2, ...: the first dependent column k gives the
+        # minimal polynomial X^k - sum_i R[i, k] X^i
+        R, piv = linalg.rref(field, np.array(powers).T)
+        k = len(piv)
+        assert k <= bound, "b e has more values than components"
+        values = np.zeros(field.q, dtype=np.int64)
+        for c in np.append(t.neg[R[:, k]], field.one)[::-1]:
+            values = t.add[t.mul[values, xs], c]
+        lam, *others = np.flatnonzero(values == 0).tolist()
+        assert len(others) == k - 1, "minimal polynomial does not split into distinct roots"
+        lagrange, denom = Poly.one(field), field.one
+        for other in others:
+            lagrange = lagrange * Poly(field, (int(t.neg[other]), field.one))
+            denom = t.mul[denom, t.add[lam, t.neg[other]]]
+        row = lagrange.scale(t.inv[denom]).coeffs
+        e = field.matmul(np.array([row], dtype=np.int64), np.array(powers[:k]))[0]
+        count -= k - 1
+    return e
 
 
 def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, np.ndarray]]:
@@ -605,14 +651,37 @@ def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, np.n
     over, and they are not returned.
 
     The factor x - 1 comes first; the rest follow the canonical polynomial
-    order.  No extension field is built.  The coset sums span the fixed
-    subalgebra B = {a : a(x^q) = a(x)} of FH = GF(q)[x]/(x^n - 1), which is a
-    product of r = #cosets copies of GF(q); refining 1 by the values of each
-    coset sum (Berlekamp 1967) yields the r primitive idempotents e, and each
-    factor is gcd(x^n - 1, e - 1).  r distinct factors whose product is
-    x^n - 1 are irreducible, and that is asserted.  The idempotent of f is
-    the int64 coefficient vector of e, the e with e = 1 mod f and e = 0
-    modulo every other factor.
+    order.  No extension field is built.  The idempotent of f is the int64
+    coefficient vector of the e with e = 1 mod f and e = 0 modulo every
+    other factor.  One primitive idempotent per divisor d of n is split out,
+    and the multipliers give the others:
+
+    * For gcd(s, n) = 1 the multiplier mu_s: a(x) -> a(x^s) is a ring
+      automorphism of FH = GF(q)[x]/(x^n - 1), as a substitution that
+      permutes 1, x, ..., x^(n-1).  So it permutes the primitive
+      idempotents: mu_s(e) is 1 at the roots z with z^s a root of e.  mu_q
+      is the Frobenius a -> a^q, which fixes each of them.
+    * The primitive idempotents are the q-cyclotomic cosets of Z_n: e is 1
+      at the roots w^j, j in its coset, w a primitive n-th root of unity.
+      Those of order exactly d have gcd(j, n) = n/d, and the units s act
+      transitively on them (s j reaches every such j), so the m_d
+      idempotents of order d are the images of any one of them, one per
+      unit coset of Z_d.
+    * With I_d = (n/d)^-1 (1 + x^d + ... + x^(n-d)), the idempotent of the
+      roots of order dividing d, FH I_d is isomorphic to GF(q)[x]/(x^d - 1)
+      by a -> a I_d, which tiles a (of degree below d) n/d times and scales
+      it by (n/d)^-1.  So each order d is handled in GF(q)[x]/(x^d - 1):
+      E_d (`_order_idempotent`) is split along one branch by the coset sums
+      of Z_d (`_split_one_branch`), its orbit is one gather per unit coset
+      (`_multiplier_images`), and the orbit is tiled.
+
+    Each factor is f = gcd(x^d - 1, e - 1) in GF(q)[x]/(x^d - 1), which
+    equals gcd(x^n - 1, e - 1) for the tiled e, for one idempotent of each
+    conjugate pair; its partner bar(e) = mu_-1(e) is 1 at the inverse roots,
+    so its factor is the monic reciprocal of f.  Asserted: every orbit has
+    its m_d distinct images, and the r = #cosets factors are distinct with
+    product x^n - 1, so they are the irreducible factors and the
+    idempotents are primitive.
 
     n > MAX_N raises Overflow.
     """
@@ -623,30 +692,34 @@ def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, np.n
         raise GcdViolation(f"gcd({n}, {q}) != 1")
     if n > MAX_N:
         raise Overflow(f"n = {n} exceeds the supported length {MAX_N}")
-    x_minus_1 = Poly(field, (field.neg(field.one), field.one))
-    if n == 1:
-        return [(x_minus_1, np.array([field.one], dtype=np.int64))]
     t = field.tables()
-    cosets = cyclotomic_cosets(n, q)
-    r = len(cosets)
-    one = np.zeros(n, dtype=np.int64)
-    one[0] = field.one
-    idems = [one]
-    for coset in cosets[1:]:
-        if len(idems) == r:
-            break
-        b = np.zeros(n, dtype=np.int64)
-        b[coset] = field.one
-        bound = min(q, r - len(idems) + 1)
-        idems = [part for e in idems for part in _split_by(field, e, b, bound)]
-    assert len(idems) == r, "coset sums did not split B into r components"
+    pairs = []
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        cosets = cyclotomic_cosets(d, q)
+        units = [c for c in cosets if math.gcd(c[0], d) == 1]
+        e = _split_one_branch(field, _order_idempotent(field, d), cosets[1:], len(units))
+        images = _multiplier_images(e, [c[0] for c in units])
+        assert len({row.tobytes() for row in images}) == len(units), f"order {d}: orbit is not {len(units)} idempotents"
+        coset_of = {j: i for i, c in enumerate(units) for j in c}
+        xd1 = Poly.x_pow_n_minus_1(field, d)
+        factors: list[Optional[Poly]] = [None] * len(units)
+        for i, c in enumerate(units):
+            if factors[i] is None:
+                e_minus_1 = images[i].copy()
+                e_minus_1[0] = t.add[e_minus_1[0], t.neg[field.one]]
+                factors[i] = xd1.gcd(Poly(field, e_minus_1.tolist()))
+                # bar(mu_s(e)) = mu_-s(e), the image on the coset of -s
+                factors[coset_of[-c[0] % d]] = Poly(field, factors[i].coeffs[::-1]).monic()
+        # into FH by a -> a I_d: tiled n/d times and scaled by (n/d)^-1
+        pairs += zip(factors, t.mul[pow(n // d, -1, field.p), np.tile(images, n // d)])
 
     xn1 = Poly.x_pow_n_minus_1(field, n)
-    pairs = [(xn1.gcd(Poly(field, t.add[e, t.neg[one]].tolist())), e) for e in idems]
     prod = Poly.one(field)
     for f, _ in pairs:
         prod = prod * f
+    r = len(cyclotomic_cosets(n, q))
     assert prod == xn1 and len({f for f, _ in pairs}) == r, "factors are not the r irreducible factors"
+    x_minus_1 = Poly(field, (field.neg(field.one), field.one))
     pairs.sort(key=lambda fe: (fe[0] != x_minus_1, _poly_sort_key(fe[0])))
     return pairs
 

@@ -8,9 +8,10 @@ element of a K_t code and the bar map through them, a twist as one unit of
 the algebra (for twisting one product g * beta at a time), the K_t tables
 one element product at a time, the dual code by row-reducing the kernel
 basis, the weight distribution from every word of the span, cyclic
-products by an explicit circulant or one shifted row at a time, and powers
-in FH by plain square-and-multiply.  None of them is on a path the library
-runs.
+products by an explicit circulant or one shifted row at a time, powers
+in FH by plain square-and-multiply, x^n - 1 factored by splitting every
+idempotent by every coset sum, and square roots in a subfield of FH by an
+ascending scan.  None of them is on a path the library runs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from cdcodes.algebra import PAIRED, SELF_CONJ, AlgElem, Component, SubfieldView,
 from cdcodes.codes import BetaVector, KtField, LinearCode, k_star_size, unit_words
 from cdcodes.cyclic import CyclicElem
 from cdcodes.errors import InvalidBeta, NotInComponent, NotPaired
-from cdcodes.field import Field
+from cdcodes.field import Field, Poly, _convolve, _power, cyclotomic_cosets
 
 
 # -- simple left ideals of M_2(GF(q)) --------------------------------------------
@@ -453,3 +454,73 @@ def power_by_squaring(a: CyclicElem, e: int) -> CyclicElem:
         base = _shifted_rows_product(a.field, base, base)
         e >>= 1
     return CyclicElem(a.field, result)
+
+
+# -- x^n - 1 by splitting every idempotent ------------------------------------------
+
+
+def _split_by(field: Field, e: np.ndarray, b: np.ndarray, bound: int) -> list[np.ndarray]:
+    """Split the idempotent e by the values of b in the fixed subalgebra B.
+
+    b e lies in eB, a product of copies of GF(q) with identity e, so its
+    minimal polynomial there has distinct roots in GF(q) (at most `bound` of
+    them): the values b takes on the components of e.  The idempotent of the
+    components where b takes the value lam is e - (b e - lam e)^(q-1).
+    """
+    t = field.tables()
+    be = _convolve(field, b, e)
+    powers = [e, be]
+    for _ in range(bound - 1):
+        powers.append(_convolve(field, powers[-1], be))
+    R, piv = linalg.rref(field, np.array(powers).T)
+    k = len(piv)
+    assert k <= bound, "b e has more values than components"
+    mu = np.append(t.neg[R[:, k]], field.one)
+    values = np.zeros(field.q, dtype=np.int64)
+    xs = np.arange(field.q)
+    for c in mu[::-1]:
+        values = t.add[t.mul[values, xs], c]
+    roots = np.flatnonzero(values == 0)
+    assert len(roots) == k, "minimal polynomial does not split into distinct roots"
+    if k == 1:
+        return [e]
+    parts = []
+    for lam in roots:
+        shifted = t.add[be, t.mul[t.neg[lam], e]]  # b e - lam e
+        parts.append(t.add[e, t.neg[_power(field, shifted, field.q - 1)]])
+    return parts
+
+
+def factor_all_branches(n: int, field: Field) -> list[tuple[Poly, np.ndarray]]:
+    """(factor, idempotent) pairs of x^n - 1 (odd n > 1), sorted as the
+    library sorts them, by refining 1 by the values of every coset sum of
+    Z_n in turn, every current idempotent split again at length n, and each
+    factor gcd(x^n - 1, e - 1)."""
+    t = field.tables()
+    cosets = cyclotomic_cosets(n, field.q)
+    r = len(cosets)
+    one = np.zeros(n, dtype=np.int64)
+    one[0] = field.one
+    idems = [one]
+    for coset in cosets[1:]:
+        if len(idems) == r:
+            break
+        b = np.zeros(n, dtype=np.int64)
+        b[coset] = field.one
+        bound = min(field.q, r - len(idems) + 1)
+        idems = [part for e in idems for part in _split_by(field, e, b, bound)]
+    assert len(idems) == r
+    xn1 = Poly.x_pow_n_minus_1(field, n)
+    pairs = [(xn1.gcd(Poly(field, t.add[e, t.neg[one]].tolist())), e) for e in idems]
+    x_minus_1 = Poly(field, (field.neg(field.one), field.one))
+    return sorted(pairs, key=lambda fe: (fe[0] != x_minus_1, fe[0].degree, fe[0].coeffs[::-1]))
+
+
+def sqrt_by_scan(ft: SubfieldView) -> dict[bytes, int]:
+    """For each square a of the subfield (by its coefficient bytes), the code
+    of the first root of a in ascending code order."""
+    first: dict[bytes, int] = {}
+    for code in range(ft.order):
+        y = ft.element(code)
+        first.setdefault((y * y).coeffs.tobytes(), code)
+    return first

@@ -1,9 +1,22 @@
+import hashlib
+import json
 import math
 
 import pytest
 
-from conftest import get_algebra
-from oracles import Mat2, bar_via_matrix, halves, iso_from_mat2, iso_to_mat2, matrix_basis, random_elem, scaled, v_elem
+from conftest import get_algebra, odd_coprime_grid
+from oracles import (
+    Mat2,
+    bar_via_matrix,
+    halves,
+    iso_from_mat2,
+    iso_to_mat2,
+    matrix_basis,
+    random_elem,
+    scaled,
+    sqrt_by_scan,
+    v_elem,
+)
 
 from cdcodes.algebra import (
     PAIRED,
@@ -13,6 +26,7 @@ from cdcodes.algebra import (
     SubfieldView,
     TwistedDihedralAlgebra,
     solve_norm_equation,
+    sqrt_min,
 )
 from cdcodes.codes import kt_fields
 from cdcodes.cyclic import CyclicElem
@@ -318,7 +332,71 @@ def test_subfield_inverse_stays_in_the_subfield(q):
                     assert inv * y == view.identity, (n, view)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 13])
+def test_fhe_rows_are_the_rref_of_the_full_circulant(q):
+    # FHe is spanned by its deg f rows u^i e; the RREF of all n rows is the same
+    F = field_from_order(q)
+    for n in odd_coprime_grid(q, 35):
+        i = np.arange(n)
+        for comp in get_algebra(q, n).decompose()[1:]:
+            R, _ = linalg.rref(F, comp.e.coeffs[(i - i[:, None]) % n])
+            assert R.shape == comp.fhe.rows.shape and R.tobytes() == comp.fhe.rows.tobytes(), (n, comp)
+
+
+def small_subfields(q):
+    """GF(q) itself and one subfield view of each dimension 2, 3 that the
+    blocks of the algebras with odd n <= 35 offer, F_t or FHe."""
+    views = {1: scalar_view(q)}
+    for n in odd_coprime_grid(q, 35):
+        for comp in get_algebra(q, n).decompose()[1:]:
+            for view in (comp.ft, comp.fhe):
+                if view.dim <= 3:
+                    views.setdefault(view.dim, view)
+    return [views[d] for d in sorted(views)]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_sqrt_min_is_the_first_root_by_scan(q):
+    views = small_subfields(q)
+    assert [v.dim for v in views] == [1, 2, 3]
+    for ft in views:
+        first = sqrt_by_scan(ft)
+        for code in range(ft.order):
+            a = ft.element(code)
+            root = sqrt_min(ft, a)
+            want = first.get(a.coeffs.tobytes())
+            assert (root is None and want is None) or ft.code_of(root) == want, (ft, code)
+
+
 # -- norm equation ----------------------------------------------------------------------------
+
+
+# sha256 prefixes of json [[s, s']] over the self-conjugate blocks of the
+# perfbench decompose grid that have one, by (q, n, v^2)
+NORM_SOLUTIONS = {
+    (2, 29, -1): "d2aa21fa80a83c1d",
+    (3, 19, -1): "e0ffa19240977c10",
+    (3, 31, -1): "fbebf994cc0b50fe",
+    (5, 23, -1): "46e76e3cae08268e",
+    (7, 13, -1): "73ad6168bf235441",
+    (7, 17, -1): "664e5d09d8ec839f",
+    (2, 29, 1): "d2aa21fa80a83c1d",
+    (3, 19, 1): "ca7f06d73c1b942f",
+    (3, 31, 1): "15fb94cd62d7e52f",
+    (5, 23, 1): "1fa4289f465daa37",
+    (7, 13, 1): "cb0575e6cbea2ba6",
+    (7, 17, 1): "b2a513f59f2afd60",
+}
+
+
+@pytest.mark.parametrize("q, n, tw", sorted(NORM_SOLUTIONS))
+def test_norm_solutions_on_the_decompose_grid_are_pinned(q, n, tw):
+    comps = [c for c in get_algebra(q, n, tw).decompose() if c.kind == SELF_CONJ]
+    for c in comps:
+        e = c.ft.identity
+        assert c.s * c.s + c.g * c.s * c.s_prime + c.s_prime * c.s_prime == (e if tw == 1 else -e)
+    sol = [[c.s.coeffs.tolist(), c.s_prime.coeffs.tolist()] for c in comps]
+    assert hashlib.sha256(json.dumps(sol).encode()).hexdigest()[:16] == NORM_SOLUTIONS[q, n, tw]
 
 
 def test_solve_norm_equation_examples():

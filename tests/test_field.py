@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python
-from oracles import circulant_product
+from oracles import circulant_product, factor_all_branches
 
 from cdcodes.algebra import TwistedDihedralAlgebra
 from cdcodes.codes import BetaVector, build_plain_code, hull_dimension, kt_fields
@@ -26,6 +26,8 @@ from cdcodes.field import (
     Poly,
     PrimeField,
     _convolve,
+    _multiplier_images,
+    _order_idempotent,
     cyclotomic_cosets,
     factor_xn_minus_1_with_cosets,
     field_from_order,
@@ -369,6 +371,69 @@ def test_factor_extension_fields_crt(q):
         # the CRT definition: e_i = 1 mod f_i and e_i = 0 mod f_j, j != i
         for i, e in enumerate(s.idems):
             assert [Poly(F, e.coeffs.tolist()) % f for f in s.factors] == [one if j == i else zero for j in range(len(s))]
+
+
+def test_factor_matches_sympy_at_1023():
+    F = field_from_order(2)
+    assert sorted(f.coeffs for f, _ in factor_xn_minus_1_with_cosets(1023, F)) == sympy_factors(2, 1023)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_factoring_matches_the_all_branch_split(q):
+    """One branch per divisor and its multiplier orbit give, byte for byte,
+    the pairs of splitting every idempotent by every coset sum."""
+    F = field_from_order(q)
+    for n in range(9, 64, 2):
+        if is_prime(n) or math.gcd(n, q) != 1:
+            continue
+        got = [(f.coeffs, e.dtype, e.tobytes()) for f, e in factor_xn_minus_1_with_cosets(n, F)]
+        assert got == [(f.coeffs, e.dtype, e.tobytes()) for f, e in factor_all_branches(n, F)], n
+
+
+@pytest.mark.parametrize("q, d", [(2, 21), (3, 35), (4, 45), (9, 7), (13, 15)])
+def test_multiplier_images_are_automorphisms(q, d):
+    """Row i is a(x^s) mod x^d - 1 for s = units[i], and mu_s(ab) = mu_s(a) mu_s(b)."""
+    F = field_from_order(q)
+    rng = np.random.default_rng(q * d)
+    units = [s for s in range(d) if math.gcd(s, d) == 1]
+    a, b = rng.integers(0, q, d), rng.integers(0, q, d)
+    images = _multiplier_images(a, units)
+    images_b = _multiplier_images(b, units)
+    images_ab = _multiplier_images(_convolve(F, a, b), units)
+    xd1 = Poly.x_pow_n_minus_1(F, d)
+    for i, s in enumerate(units):
+        substituted = [0] * (s * (d - 1) + 1)
+        substituted[::s] = a.tolist()  # a_j at x^(j s)
+        reduced = (Poly(F, substituted) % xd1).coeffs
+        assert images[i].tolist() == list(reduced) + [0] * (d - len(reduced)), s
+        assert images_ab[i].tolist() == _convolve(F, images[i], images_b[i]).tolist(), s
+
+
+def _root_order(f, n):
+    """The order of the roots of the irreducible factor f of x^n - 1."""
+    return next(d for d in range(1, n + 1) if n % d == 0 and (Poly.x_pow_n_minus_1(f.field, d) % f).is_zero())
+
+
+@pytest.mark.parametrize("q, n", [(2, 45), (3, 35), (4, 63), (5, 21), (7, 45), (25, 63), (13, 1)])
+def test_order_idempotents_are_orthogonal_and_sum_to_one(q, n):
+    """E_d, tiled n/d times and scaled by (n/d)^-1, over the divisors d of n:
+    orthogonal idempotents summing to 1, each the sum of the primitive
+    idempotents whose roots have order d."""
+    F = field_from_order(q)
+    t = F.tables()
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    lifted = {d: t.mul[pow(n // d, -1, F.p), np.tile(_order_idempotent(F, d), n // d)] for d in divisors}
+    by_order = {d: np.zeros(n, dtype=np.int64) for d in divisors}
+    for f, e in factor_xn_minus_1_with_cosets(n, F):
+        d = _root_order(f, n)
+        by_order[d] = t.add[by_order[d], e]
+    total = np.zeros(n, dtype=np.int64)
+    for d, a in lifted.items():
+        assert a.tolist() == by_order[d].tolist(), d
+        total = t.add[total, a]
+        for d2, b in lifted.items():
+            assert _convolve(F, a, b).tolist() == (a if d2 == d else 0 * a).tolist(), (d, d2)
+    assert total.tolist() == [F.one] + [0] * (n - 1)
 
 
 def test_factor_n101_over_gf3():
