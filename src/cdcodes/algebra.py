@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .cyclic import CyclicElem, IdempotentSet, conj_pairing, lambda_n, primitive_idempotents
-from .errors import DegenerateG, DimensionMismatch, GcdViolation
+from .errors import DegenerateG, DimensionMismatch, DomainError, GcdViolation
 from .field import Field, _rot_index, _unit_index, sqrt_minus_one
 
 TRIVIAL_FIELD = "trivial_field"
@@ -370,7 +370,7 @@ class TwistedDihedralAlgebra:
         if n < 1:
             raise GcdViolation("n must be a positive integer")
         if tw not in (1, -1):
-            raise ValueError("tw must be +1 or -1")
+            raise DomainError("tw must be +1 or -1")
         self.field = field
         self.n = n
         self.tw = tw

@@ -305,12 +305,13 @@ def _class_table(alg: TwistedDihedralAlgebra, kts, parts, a0: Optional[str], lin
     every block, the least beta of the class.  The first beta (every code 1)
     is assembled by assemble_code alone, which raises HypothesisUnmet for a
     missing C_0, and its q^k is checked against the word budget before any
-    other class is assembled.  Then the representatives are assembled in a
-    stacked pass (codes.assemble_stack), whose generator for the first
-    beta's class must equal the first code's; the prod(|F_t| + 1) codes
-    must be pairwise distinct, and every class's minimum weight comes from
-    one linalg.min_nonzero_weight call on their stacked generators (no
-    class's weight distribution is computed).
+    other class is assembled.  Then the representatives are assembled in
+    chunks (codes.assemble_stack: one twist product a chunk, one rref a
+    class), and the generator of the first beta's class must equal the
+    first code's; the prod(|F_t| + 1) codes must be pairwise distinct, and
+    every class's minimum weight comes from one linalg.min_nonzero_weight
+    call on their stacked generators (no class's weight distribution is
+    computed).
     """
     lines = [kt.comp.ft.order + 1 for kt in kts]
     classes = math.prod(lines)
@@ -324,7 +325,7 @@ def _class_table(alg: TwistedDihedralAlgebra, kts, parts, a0: Optional[str], lin
         gens[s : s + len(R)] = R
     gens.setflags(write=False)  # shared by every beta of a class, in every census
     first_class = np.ravel_multi_index([ids[0] for ids in line_of], lines, order="F")
-    assert np.array_equal(gens[first_class], first.gen), "the stacked RREF of the first twist class differs from rref"
+    assert np.array_equal(gens[first_class], first.gen), "the first twist class's RREF differs from the first code's"
     assert len({gen.tobytes() for gen in gens}) == classes, "two twist classes gave the same code"
     keys = zip(*[c.tolist() for c in lines_of_class])
     memo = {key: LinearCode(alg.field, gen) for key, gen in zip(keys, gens)}

@@ -141,6 +141,8 @@ def cmd_construct(ns: argparse.Namespace) -> int:
         if ns.family != "lcd":
             raise DomainError("--include-a0 applies only to --family lcd")
         options["include_a0"] = True
+    if ns.seed is not None and ns.beta != "random":
+        raise DomainError("--seed applies only to --beta random")
     alg = TwistedDihedralAlgebra(field_from_order(ns.q), ns.n, -1)
     beta = _parse_beta(alg, ns.beta, ns.seed)
     code = FAMILIES[ns.family](alg, beta=beta, **options)
@@ -173,6 +175,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     unknown = [c for c in checks if c not in ANALYZE_CHECKS]
     if unknown:
         raise DomainError(f"unknown check(s) {', '.join(unknown)}; valid names: {', '.join(ANALYZE_CHECKS)}")
+    if ns.delta is not None and "balance" not in checks:
+        raise DomainError("--delta applies only to --checks balance")
     try:
         with open(ns.infile) as fh:
             text = fh.read()

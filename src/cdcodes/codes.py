@@ -449,14 +449,19 @@ def assemble_stack(
     beta_codes: np.ndarray,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """assemble_code's generators for every row of beta codes, as (start, R)
-    chunks, R of shape (c, k, 2n): one _twist call and one linalg.rref_stack a
-    chunk.  A chunk holds at most SPAN_CHUNK // 2n betas, so its L stack holds
-    at most SPAN_CHUNK 2n entries whatever the number of rows.
+    chunks, R of shape (c, k, 2n): one _twist call a chunk, and the
+    linalg.rref of each of its c products.  A chunk holds at most
+    SPAN_CHUNK // 2n betas, so its L stack holds at most SPAN_CHUNK 2n
+    entries whatever the number of rows.  A unit twist keeps the rank k of
+    the untwisted RREF G, which is asserted of every product.
     """
     G = alg.ideal_rref(_generators(alg, parts, a0)[0])
     step = max(1, linalg.SPAN_CHUNK // (2 * alg.n))
     for s in range(0, len(beta_codes), step):
-        yield s, linalg.rref_stack(alg.field, _twist(alg, G, kts, beta_codes[s : s + step]))[0]
+        R = [linalg.rref(alg.field, M)[0] for M in _twist(alg, G, kts, beta_codes[s : s + step])]
+        ranks = {len(Ri) for Ri in R}
+        assert ranks == {len(G)}, f"twisted ranks {sorted(ranks)}, expected {len(G)}"
+        yield s, np.stack(R)
 
 
 def hull_dimension(code: LinearCode) -> int:

@@ -91,59 +91,6 @@ def rref(field: Field, mat: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return m[:r], tuple(pivots)
 
 
-def rref_stack(field: Field, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rref of every matrix of a (c, rows, cols) stack whose matrices share one
-    rank k; returns R of shape (c, k, cols) and the (c, k) array of pivots.
-
-    One column loop serves the whole stack.  Each matrix keeps its own next
-    row r; in each column every matrix with a nonzero entry at or below its r
-    takes the first such row, scaled to 1, and clears the column with its
-    multiples as rref does: one take along mul's columns for all of them,
-    one take of each row's multiple, and XOR in place in characteristic 2
-    (the stack is rref_stack's own copy) or the add table otherwise.
-    Unequal ranks raise ValueError.  For a single matrix rref is faster, as
-    the stack's fancy indexing costs more per column: on the 447 matrices
-    that one hull and decompose pass reduces, rref took 11 ms and rref_stack
-    of each matrix alone 81 ms.
-    """
-    t = field.tables()
-    char2 = field.p == 2
-    add = _add(field)
-    m = np.array(stack, dtype=np.int64)
-    c, rows, cols = m.shape
-    r = np.zeros(c, dtype=np.intp)
-    pivots = np.zeros((c, rows), dtype=np.intp)
-    below = np.arange(rows)
-    for col in range(cols):
-        if (r == rows).all():
-            break
-        cand = (m[:, :, col] != 0) & (below >= r[:, None])
-        sel = np.flatnonzero(cand.any(axis=1))
-        if sel.size == 0:
-            continue
-        rs, piv = r[sel], cand[sel].argmax(axis=1)
-        top = m[sel, piv]
-        top = t.mul[t.inv[top[:, col]][:, None], top]
-        multiples = t.mul.take(top if char2 else t.neg.take(top), axis=1)
-        multiples = multiples.transpose(1, 0, 2).reshape(-1, cols)  # matrix j's a * -top_j at j q + a
-        sub = m[sel]
-        each = np.arange(sel.size)
-        upd = multiples.take(sub[:, :, col] + field.q * each[:, None], axis=0)  # every row i -= m[i, col] * top
-        if char2:
-            np.bitwise_xor(sub, upd, out=sub)
-        else:
-            sub = add(sub, upd)
-        sub[each, piv] = sub[each, rs]
-        sub[each, rs] = top
-        m[sel] = sub
-        pivots[sel, rs] = col
-        r[sel] += 1
-    k = int(r[0]) if c else 0
-    if (r != k).any():
-        raise ValueError(f"the stack's matrices have ranks {sorted(set(r.tolist()))}, not one rank")
-    return m[:, :k], pivots[:, :k]
-
-
 def _add(field: Field):
     """The field's addition of element codes, elementwise with broadcasting,
     into a new array: XOR in characteristic 2, where bit i of a code of

@@ -30,7 +30,7 @@ from cdcodes.algebra import (
 )
 from cdcodes.codes import kt_fields
 from cdcodes.cyclic import CyclicElem
-from cdcodes.errors import DegenerateG, GcdViolation, NotInComponent, NotPaired
+from cdcodes.errors import DegenerateG, DomainError, GcdViolation, NotInComponent, NotPaired
 from cdcodes.field import field_from_order
 from cdcodes import linalg
 import numpy as np
@@ -144,6 +144,13 @@ def test_decompose_rejects_degenerate():
         get_algebra(5, 1).decompose()
     with pytest.raises(GcdViolation):
         get_algebra(3, 9).decompose()
+
+
+@pytest.mark.parametrize("tw", [0, 2, -2])
+def test_algebra_rejects_a_twist_other_than_plus_or_minus_one(tw):
+    # a CdcodesError like every library error, not a bare ValueError
+    with pytest.raises(DomainError, match=r"tw must be \+1 or -1"):
+        TwistedDihedralAlgebra(field_from_order(5), 3, tw)
 
 
 def test_trivial_block_kind_follows_sqrt():

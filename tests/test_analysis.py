@@ -620,12 +620,13 @@ def test_root_of_minus_1_maps_the_dihedral_census_onto_the_consta_census(q, n):
 
 
 @pytest.mark.parametrize("q, n, include_C0", [(3, 7, False), (2, 9, True), (4, 7, False)])
-def test_census_calls_assemble_code_per_beta_rref_once_and_rref_stack_per_chunk(monkeypatch, q, n, include_C0):
+def test_census_calls_assemble_code_per_beta_and_rref_per_class(monkeypatch, q, n, include_C0):
     # on an algebra with its untwisted RREF cached, the first census
-    # assembles the first beta alone (one rref); the other classes come from
-    # one rref_stack per chunk of SPAN_CHUNK // 2n classes.  A second census
-    # reads the cached class table: no rref and no rref_stack.  Every beta
-    # calls assemble_code once in both
+    # assembles the first beta alone (one twist product, one rref); the
+    # other classes take one twist product per chunk of SPAN_CHUNK // 2n
+    # classes and one rref each.  A second census reads the cached class
+    # table: no twist product and no rref.  Every beta calls assemble_code
+    # once in both
     want = census_K_le_delta(_fresh(q, n), delta=0.2, include_C0=include_C0)
     calls = Counter()
 
@@ -638,8 +639,8 @@ def test_census_calls_assemble_code_per_beta_rref_once_and_rref_stack_per_chunk(
 
     monkeypatch.setattr(analysis, "assemble_code", counting("assemble", analysis.assemble_code))
     monkeypatch.setattr(linalg, "rref", counting("rref", linalg.rref))
-    monkeypatch.setattr(linalg, "rref_stack", counting("rref_stack", linalg.rref_stack))
-    stacks = []
+    monkeypatch.setattr(codes, "_twist", counting("twist", codes._twist))
+    chunks = []
     for chunk in (linalg.SPAN_CHUNK, 64):
         monkeypatch.setattr(linalg, "SPAN_CHUNK", chunk)
         A = _fresh(q, n)
@@ -650,10 +651,11 @@ def test_census_calls_assemble_code_per_beta_rref_once_and_rref_stack_per_chunk(
             res = census_K_le_delta(A, delta=0.2, include_C0=include_C0)
             assert res.rows == want.rows and res.distinct_codes == classes
             assert calls["assemble"] == res.k_star_size
-            assert calls["rref"] == (0 if hit else 1)
-            assert calls["rref_stack"] == (0 if hit else -(-classes // (chunk // (2 * n))))
-            stacks.append(calls["rref_stack"])
-    assert stacks[2] > 1  # the first census at chunk 64 took several
+            assert calls["rref"] == (0 if hit else 1 + classes)
+            assert calls["twist"] == (0 if hit else 1 + -(-classes // (chunk // (2 * n))))
+            if not hit:
+                chunks.append(calls["twist"] - 1)
+    assert chunks[1] > 1  # the first census at chunk 64 took several
 
 
 @pytest.mark.parametrize("q, n, include_C0", [(3, 7, False), (2, 9, True)])

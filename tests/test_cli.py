@@ -179,6 +179,14 @@ def test_construct_include_a0_only_for_lcd(capsys):
         assert err.startswith("error:") and "--include-a0" in err
 
 
+@pytest.mark.parametrize("beta", [(), ("--beta", "identity"), ("--beta", "1")], ids=["default", "identity", "explicit"])
+def test_construct_seed_without_random_beta_exit2(capsys, beta):
+    # only --beta random reads the seed; an unread one is refused, not stamped
+    rc, out, err = run(capsys, "construct", "--q", "3", "--n", "7", *beta, "--seed", "5")
+    assert (rc, out) == (2, "")
+    assert err == "error: --seed applies only to --beta random\n"
+
+
 def test_removed_options_rejected(capsys):
     assert run(capsys, "decompose", "--q", "5", "--n", "3", "--jobs", "2")[0] == 2
     assert run(capsys, "construct", "--q", "2", "--n", "7", "--family", "self-orthogonal")[0] == 2
@@ -320,6 +328,18 @@ def test_analyze_delta_nan_exit2(capsys, tmp_path):
     rc, out, err = run(capsys, "analyze", str(path), "--delta", "nan")
     assert (rc, out) == (2, "")
     assert err == "error: delta = nan outside [0, 1 - 1/q]\n"
+
+
+@pytest.mark.parametrize("checks", ["min-weight", "hull,min-weight"])
+def test_analyze_delta_without_balance_exit2(capsys, tmp_path, checks):
+    # only the balance check reads --delta, so without it an out-of-range
+    # delta would pass unchecked
+    path = tmp_path / "code.txt"
+    assert run(capsys, "construct", "--q", "3", "--n", "7", "--out", str(path))[0] == 0
+    for delta in ("1.5", "0.2"):
+        rc, out, err = run(capsys, "analyze", str(path), "--checks", checks, "--delta", delta)
+        assert (rc, out) == (2, "")
+        assert err == "error: --delta applies only to --checks balance\n"
 
 
 def test_analyze_balance_odd_length_exit2(capsys, tmp_path):

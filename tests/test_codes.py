@@ -279,6 +279,21 @@ def test_assemble_stack_matches_assemble_code(monkeypatch, q, n, tw, a0):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("q, n", [(5, 3), (2, 7)])
+def test_assemble_stack_raises_on_a_twist_that_drops_the_rank(q, n):
+    # code 0 is no unit: its L(beta) kills that block's part of the ideal,
+    # so the twisted rank falls below k, and the pass raises rather than
+    # yield a smaller code
+    A = get_algebra(q, n)
+    kts = kt_fields(A)
+    parts = codes.standard_parts(A)
+    stack = np.ones((3, len(kts)), dtype=np.int64)
+    assert [R.shape for _, R in codes.assemble_stack(A, parts, None, kts, stack)] == [(3, n - 1, 2 * n)]
+    stack[1, -1] = 0
+    with pytest.raises(AssertionError, match="twisted ranks"):
+        list(codes.assemble_stack(A, parts, None, kts, stack))
+
+
 # -- duals and hulls -----------------------------------------------------------------------------
 
 

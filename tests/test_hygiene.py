@@ -1,9 +1,10 @@
 """Source hygiene: every name a library module, test or script imports is read
 somewhere in it, every module-level private name is read by some module of
-the package, and every public function, class and method of the package has a
-reader outside the tests."""
+the package, every public function, class and method of the package has a
+reader outside the tests, and every `module.name` the README cites exists."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -231,3 +232,27 @@ def test_hygiene_checker_flags_methods_read_only_as_names_or_words():
 def test_public_names_have_readers():
     # a name only the tests read belongs in tests/oracles.py
     assert unread_public_names(PACKAGE, OUTSIDE_READERS) == []
+
+
+def unresolved_module_refs(text: str, modules: set[str]) -> tuple[list[str], list[str]]:
+    """The inline code spans of markdown text (fenced blocks aside) that start
+    with module.name, module one of modules: all of them, and those whose
+    module cdcodes.module has no attribute name."""
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    pairs = sorted({m.groups() for m in map(re.compile(r"(\w+)\.(\w+)").match, spans) if m and m[1] in modules})
+    missing = [(m, name) for m, name in pairs if not hasattr(importlib.import_module(f"cdcodes.{m}"), name)]
+    return [".".join(p) for p in pairs], [".".join(p) for p in missing]
+
+
+def test_doc_drift_checker_flags_missing_names():
+    text = "`linalg.no_such_name` and `codes.unit_words(kts, codes)`, `np.convolve`, `run.py`\n```\n`linalg.gone`\n```\n"
+    assert unresolved_module_refs(text, {"linalg", "codes"}) == (
+        ["codes.unit_words", "linalg.no_such_name"],
+        ["linalg.no_such_name"],
+    )
+
+
+def test_readme_module_references_resolve():
+    # a deleted or renamed function must not stay documented
+    refs, missing = unresolved_module_refs((ROOT / "README.md").read_text(), set(PACKAGE) - {"__init__"})
+    assert refs and missing == []

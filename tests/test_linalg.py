@@ -176,86 +176,32 @@ def test_rref_matches_reference_on_twisted_generators(q, n):
             assert np.array_equal(R, build(A, codes.BetaVector(kts, beta)).gen)
 
 
-def equal_rank_stack(F, rng, c, rows, cols, k):
-    """c random (rows, cols) matrices of rank k: random rank-k products whose
-    first i % (cols - k + 1) columns are zero in matrix i, so when k < cols
-    the first pivot differs between matrices."""
-    stack = np.zeros((c, rows, cols), dtype=np.int64)
-    for i in range(c):
-        while linalg.rank(F, stack[i]) != k:
-            left = rng.integers(0, F.q, (rows, k))
-            right = rng.integers(0, F.q, (k, cols))
-            right[:, : i % (cols - k + 1)] = 0
-            stack[i] = F.matmul(left, right)
-    return stack
-
-
-@pytest.mark.parametrize("q", [2, 7, 4, 9, 8, 16])
-def test_rref_stack_matches_rref(q):
-    # full-rank, rank-deficient (more rows than the rank) and wide stacks;
-    # every matrix must equal its own rref, pivots included
-    F = field_from_order(q)
-    rng = np.random.default_rng(q)
-    for c, rows, cols, k in [(20, 4, 9, 4), (20, 6, 8, 3), (15, 5, 5, 5), (10, 7, 4, 2), (5, 3, 12, 1), (4, 3, 5, 0)]:
-        stack = equal_rank_stack(F, rng, c, rows, cols, k)
-        R, pivots = linalg.rref_stack(F, stack)
-        assert R.shape == (c, k, cols) and pivots.shape == (c, k)
-        for M, Ri, piv in zip(stack, R, pivots):
-            want, want_piv = linalg.rref(F, M)
-            assert np.array_equal(Ri, want) and tuple(piv.tolist()) == want_piv
-        if 0 < k < cols:
-            assert len({tuple(p) for p in pivots.tolist()}) > 1  # the pivot columns differ
-
-
-def test_rref_stack_edge_shapes_and_unequal_ranks():
-    F = field_from_order(3)
-    R, pivots = linalg.rref_stack(F, np.zeros((4, 0, 6), dtype=np.int64))
-    assert R.shape == (4, 0, 6) and pivots.shape == (4, 0)
-    stack = np.zeros((3, 2, 4), dtype=np.int64)
-    stack[:, 0, 0] = 1
-    stack[2, 1, 3] = 2  # rank 2 beside two of rank 1
-    with pytest.raises(ValueError, match="ranks"):
-        linalg.rref_stack(F, stack)
-    R, _ = linalg.rref_stack(F, stack[:2])
-    assert R.tolist() == [[[1, 0, 0, 0]], [[1, 0, 0, 0]]]
-
-
 @pytest.mark.parametrize("q, n", [(2, 7), (4, 5), (8, 3), (16, 3), (3, 7), (9, 5), (13, 3)])
-def test_rref_and_rref_stack_leave_their_argument_alone(q, n):
-    # both eliminate in their own copy (by XOR in place in characteristic 2):
+def test_rref_leaves_its_argument_alone(q, n):
+    # rref eliminates in its own copy (by XOR in place in characteristic 2):
     # a writable argument comes back unchanged, and a read-only one, such as
-    # the cached ideal_rref G or a broadcast stack of it, is reduced as a copy
+    # the cached ideal_rref G, is reduced as a copy
     A = get_algebra(q, n)
     F = A.field
     G = A.ideal_rref([g for _, g in codes.standard_parts(A)])
     assert not G.flags.writeable
-    R, piv = linalg.rref(F, G)
+    R, _ = linalg.rref(F, G)
     assert np.array_equal(R, G) and R is not G and R.flags.writeable
-    stack = np.broadcast_to(G, (3, *G.shape))
-    assert not stack.flags.writeable
-    Rs, pivs = linalg.rref_stack(F, stack)
-    assert all(np.array_equal(Ri, G) for Ri in Rs) and all(tuple(p) == piv for p in pivs.tolist())
     rng = np.random.default_rng(q * n)
     M = rng.integers(0, q, (len(G) + 2, G.shape[1]))
     M[-1] = M[0]  # rank-deficient, so rref drops a row
     before = M.copy()
-    R, piv = linalg.rref(F, M)
+    R, _ = linalg.rref(F, M)
     assert np.array_equal(M, before)
     assert R.tolist() == reference_rref(F, M)[0]
-    stack = equal_rank_stack(F, rng, 4, 5, 9, 3)
-    before = stack.copy()
-    Rs, pivs = linalg.rref_stack(F, stack)
-    assert np.array_equal(stack, before)
-    for Mi, Ri in zip(stack, Rs):
-        assert np.array_equal(Ri, linalg.rref(F, Mi)[0])
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 13, 25, 27])
 def test_odd_add_is_the_add_table(q):
     # odd q adds by one take from the flat add table at x q + y, into a new
     # array: every pair, and the broadcast shapes of the span walk
-    # ((w, 1, N) with (q, N)), residual ((r, N) with (r, N)) and rref_stack
-    # ((s, rows, cols) twice)
+    # ((w, 1, N) with (q, N)), residual and rref ((r, N) with (r, N)) and
+    # stacks ((s, rows, cols) twice)
     F = field_from_order(q)
     t = F.tables()
     add = linalg._add(F)
