@@ -452,30 +452,12 @@ class TwistedDihedralAlgebra:
         assert 2 * ksum == self.n - 1, "k-sum accounting failed"
         lam = self.lambda_()
         assert all(2 * c.k >= lam for c in comps[1:]), "2k_t >= lambda(n) failed"
-        # the block identities sum to 1 and are orthogonal idempotents
-        total = self.zero()
-        for c in comps:
-            total = total + c.identity
-        assert total == self.one()
-        self._check_orthogonal_idempotents(np.array([c.identity.word for c in comps]))
+        # the identities embed sums of the certified primitive idempotents, so
+        # a partition of the indices makes them orthogonal idempotents summing to 1
+        indices = sorted(i for c in comps for i in c.idem_indices)
+        assert indices == list(range(len(idem_set))), "blocks do not partition the idempotents"
         self._components = comps
         return comps
-
-    def _check_orthogonal_idempotents(self, words: np.ndarray):
-        """Assert w_i w_j = w_i if i == j, else 0, for the rows w_i of words.
-
-        The block identities lie in FH: their b-halves are asserted zero, and
-        one product of the a-halves A with their circulants
-        [C(a_0) ... C(a_m)] holds every a_i a_j, in block (i, j).
-        """
-        n = self.n
-        A, B = words[:, :n], words[:, n:]
-        assert not B.any(), "block identities outside FH"
-        r = len(A)
-        C = A[:, _rot_index(n)].transpose(1, 0, 2).reshape(n, r * n)
-        expect = np.zeros((r, r, n), dtype=np.int64)
-        expect[np.arange(r), np.arange(r)] = A
-        assert np.array_equal(self.field.matmul(A, C).reshape(r, r, n), expect), "block identities"
 
     def group_action(self) -> tuple[np.ndarray, np.ndarray]:
         """Signed coordinate permutations (perm, sign) of all 2n group elements.

@@ -2,16 +2,15 @@
 
 Elements are length-n coefficient vectors over GF(q) with multiplication by
 convolution mod x^n - 1; an element holds one read-only int64 vector of
-element codes, which goes straight to the field's lookup tables.  Shift and
-bar are index gathers (`field._rot_index`, `field._unit_index`), and so is
-the Frobenius a -> a^q that `pow` exponentiates by.  When gcd(n, q) = 1 the
-algebra is semisimple.
+element codes, which goes straight to the field's lookup tables.  Shift is
+a rotation of the vector, and bar an index gather (`field._unit_index`), as
+is the Frobenius a -> a^q that `pow` exponentiates by.  When gcd(n, q) = 1
+the algebra is semisimple.
 `field.factor_xn_minus_1_with_cosets` splits the primitive idempotents out
 of the algebra and derives the irreducible factors of x^n - 1 from them;
 this module takes the (factor, idempotent) pairs as they come, in the
-canonical factor order, and asserts that the idempotents sum to 1.  The CRT
-definition (e_i = 1 mod f_i and e_i = 0 mod f_j for j != i) is checked by
-the tests, not rebuilt here.
+canonical factor order, with the CRT definition (e_i = 1 mod f_i and e_i =
+0 mod f_j for j != i) certified there and not checked again here.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .field import (
     Poly,
     _convolve,
     _power,
-    _rot_index,
     _unit_index,
     cyclotomic_cosets,
     factor_xn_minus_1_with_cosets,
@@ -88,8 +86,9 @@ class CyclicElem:
         return CyclicElem(self.field, self.field.tables().mul[c, self.coeffs])
 
     def shift(self, k: int) -> "CyclicElem":
-        """Multiplication by u^k."""
-        return CyclicElem(self.field, self.coeffs[_rot_index(self.n)[k % self.n]])
+        """Multiplication by u^k: coefficient d moves to d + k mod n."""
+        cut = self.n - k % self.n
+        return CyclicElem(self.field, np.concatenate((self.coeffs[cut:], self.coeffs[:cut])))
 
     def bar(self) -> "CyclicElem":
         """The map u^i -> u^(n-i); an involutive algebra automorphism."""
@@ -133,10 +132,6 @@ def primitive_idempotents(n: int, field: Field) -> IdempotentSet:
     factoring splits them out."""
     pairs = factor_xn_minus_1_with_cosets(n, field)
     idems = tuple(CyclicElem(field, e) for _, e in pairs)
-    total = idems[0]
-    for e in idems[1:]:
-        total = total + e
-    assert total == CyclicElem.one(field, n), "idempotents do not sum to 1"
     return IdempotentSet(field=field, n=n, idems=idems, factors=tuple(f for f, _ in pairs))
 
 

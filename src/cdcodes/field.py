@@ -19,7 +19,8 @@ divisor d of n, one primitive idempotent of the roots of order d is split
 out of the fixed subalgebra of GF(q)[x]/(x^d - 1) with length-d
 convolutions (Berlekamp's method), the multipliers x -> x^s give the rest
 of its orbit, and each factor is a gcd with x^d - 1.  The idempotents are
-returned with their factors, so nothing downstream rebuilds them.
+returned with their factors and certified in O(n^2), so nothing downstream
+rebuilds or re-checks them.
 
 Polynomials are coefficient tuples in ascending degree with trailing zeros
 trimmed.  The canonical order on monic polynomials of equal degree compares
@@ -527,14 +528,15 @@ def _convolve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     exact, as n (p - 1)^2 <= MAX_N (MAX_TABLE_SIZE - 1)^2 < 2^63.  GF(p^m),
     where the m x m expansion of `ExtField.matmul` is slower on one row,
     gathers the products from the mul table along the circulant of b and adds
-    the rows pairwise through the add table, about log2(n) lookups."""
-    n = len(a)
+    the rows pairwise through the add table, about log2(n) lookups.  n is
+    len(b); a may be shorter, as if zero-padded, and then costs len(a) n."""
+    n = len(b)
     if field.m == 1:
         c = np.convolve(a, b)
-        c[: n - 1] += c[n:]
+        c[: len(c) - n] += c[n:]
         return c[:n] % field.p
     t = field.tables()
-    rows = t.mul[a[:, None], b[_rot_index(n)]]
+    rows = t.mul[a[:, None], b[_rot_index(n)[: len(a)]]]
     k = len(rows)
     while k > 1:
         h = k // 2
@@ -678,10 +680,8 @@ def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, np.n
     Each factor is f = gcd(x^d - 1, e - 1) in GF(q)[x]/(x^d - 1), which
     equals gcd(x^n - 1, e - 1) for the tiled e, for one idempotent of each
     conjugate pair; its partner bar(e) = mu_-1(e) is 1 at the inverse roots,
-    so its factor is the monic reciprocal of f.  Asserted: every orbit has
-    its m_d distinct images, and the r = #cosets factors are distinct with
-    product x^n - 1, so they are the irreducible factors and the
-    idempotents are primitive.
+    so its factor is the monic reciprocal of f.  `_check_primitive_idempotents`
+    certifies the pairs.
 
     n > MAX_N raises Overflow.
     """
@@ -699,7 +699,6 @@ def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, np.n
         units = [c for c in cosets if math.gcd(c[0], d) == 1]
         e = _split_one_branch(field, _order_idempotent(field, d), cosets[1:], len(units))
         images = _multiplier_images(e, [c[0] for c in units])
-        assert len({row.tobytes() for row in images}) == len(units), f"order {d}: orbit is not {len(units)} idempotents"
         coset_of = {j: i for i, c in enumerate(units) for j in c}
         xd1 = Poly.x_pow_n_minus_1(field, d)
         factors: list[Optional[Poly]] = [None] * len(units)
@@ -713,15 +712,39 @@ def factor_xn_minus_1_with_cosets(n: int, field: Field) -> list[tuple[Poly, np.n
         # into FH by a -> a I_d: tiled n/d times and scaled by (n/d)^-1
         pairs += zip(factors, t.mul[pow(n // d, -1, field.p), np.tile(images, n // d)])
 
-    xn1 = Poly.x_pow_n_minus_1(field, n)
-    prod = Poly.one(field)
-    for f, _ in pairs:
-        prod = prod * f
-    r = len(cyclotomic_cosets(n, q))
-    assert prod == xn1 and len({f for f, _ in pairs}) == r, "factors are not the r irreducible factors"
     x_minus_1 = Poly(field, (field.neg(field.one), field.one))
     pairs.sort(key=lambda fe: (fe[0] != x_minus_1, _poly_sort_key(fe[0])))
+    _check_primitive_idempotents(n, field, pairs)
     return pairs
+
+
+def _check_primitive_idempotents(n: int, field: Field, pairs: Sequence[tuple[Poly, np.ndarray]]):
+    """Certify the (f_j, E_j) pairs as the irreducible factors of x^n - 1 and
+    their primitive idempotents: (1) the f_j are r = #cyclotomic cosets
+    distinct monic polynomials of degree >= 1 with product x^n - 1; (2) the
+    E_j sum to 1; (3) f_j E_j = 0 in FH = GF(q)[x]/(x^n - 1) for every j.
+
+    That is complete.  x^n - 1 is squarefree (gcd(n, q) = 1) with r
+    irreducible factors, and by (1) r non-constant f_j share them out, so
+    each f_j is one of them, each once (a factor 1 with E = 0 would pass the
+    rest).  By (3) each f_i, i != j, divides f_j E_j but not f_j, so it
+    divides E_j, and then (2) gives E_j = 1 mod f_j: by the CRT, E_j is the
+    primitive idempotent of f_j.  Each product in (3) is one `_convolve` of
+    deg f_j + 1 coefficients by n, (n + r) n <= 2 n^2 in all.
+    """
+    t = field.tables()
+    prod = Poly.one(field)
+    for f, _ in pairs:
+        assert f.degree >= 1 and f.coeffs[-1] == field.one, f"{f} is not monic of degree >= 1"
+        prod = prod * f
+    r = len(cyclotomic_cosets(n, field.q))
+    assert prod == Poly.x_pow_n_minus_1(field, n) and len({f for f, _ in pairs}) == r, "not the r factors"
+    total = np.zeros(n, dtype=np.int64)
+    for f, e in pairs:
+        total = t.add[total, e]
+        # a factor of degree n is x^n - 1 itself (n = 1), which is 0 in FH
+        assert f.degree == n or not _convolve(field, np.array(f.coeffs, dtype=np.int64), e).any(), f"{f} E != 0"
+    assert total[0] == field.one and not total[1:].any(), "idempotents do not sum to 1"
 
 
 def sqrt_minus_one(field: Field) -> Optional[int]:

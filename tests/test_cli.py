@@ -104,6 +104,21 @@ def test_decompose_at_table_bound():
     assert proc.stdout.startswith("q=4096 n=3 ")
 
 
+def test_decompose_at_length_2047_in_bounded_memory():
+    # a fresh interpreter, so ru_maxrss (KiB on Linux) is this decompose's own peak
+    code = (
+        "import resource, sys\n"
+        "from cdcodes.cli import main\n"
+        "rc = main(['decompose', '--q', '2', '--n', '2047'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    proc = run_python(code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("q=2 n=2047 ")
+    assert int(proc.stderr) < 300 * 1024
+
+
 # -- construct --------------------------------------------------------------------------
 
 

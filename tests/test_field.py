@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_python
-from oracles import circulant_product, factor_all_branches
+from oracles import _shifted_rows_product, circulant_product, factor_all_branches
 
 from cdcodes.algebra import TwistedDihedralAlgebra
 from cdcodes.codes import BetaVector, build_plain_code, hull_dimension, kt_fields
@@ -25,6 +25,7 @@ from cdcodes.field import (
     ExtField,
     Poly,
     PrimeField,
+    _check_primitive_idempotents,
     _convolve,
     _multiplier_images,
     _order_idempotent,
@@ -434,6 +435,56 @@ def test_order_idempotents_are_orthogonal_and_sum_to_one(q, n):
         for d2, b in lifted.items():
             assert _convolve(F, a, b).tolist() == (a if d2 == d else 0 * a).tolist(), (d, d2)
     assert total.tolist() == [F.one] + [0] * (n - 1)
+
+
+def _certificate_mutants(F, pairs, rng):
+    """Corrupted copies of the (factor, idempotent) pairs at two random
+    indices i != j, each with the message of the assertion that rejects it."""
+    t = F.tables()
+    i, j = rng.sample(range(len(pairs)), 2)
+    (fi, ei), (fj, ej) = pairs[i], pairs[j]
+    k = rng.randrange(len(ei))
+    changed = ei.copy()
+    changed[k] = t.add[changed[k], rng.randrange(1, F.q)]
+    zero = np.zeros_like(ej)
+    edits = [
+        ({i: (fi, changed)}, "E != 0"),  # one coefficient changed
+        ({i: (fi, ej), j: (fj, ei)}, "E != 0"),  # swapped
+        ({i: (fi, t.add[ei, ej]), j: (fj, zero)}, "E != 0"),  # summed into one
+        ({i: (Poly.one(F), ei)}, "degree >= 1"),  # a constant factor
+        # passes all but the degree bound: r distinct monic factors with
+        # product x^n - 1, the E summing to 1, and f E = 0 for every pair
+        ({i: (fi * fj, t.add[ei, ej]), j: (Poly.one(F), zero)}, "degree >= 1"),
+        ({i: (fi, zero)}, "sum to 1"),  # f E = 0 holds for E = 0
+    ]
+    return [([edit.get(m, pair) for m, pair in enumerate(pairs)], match) for edit, match in edits]
+
+
+@pytest.mark.parametrize(
+    "q, n",
+    [(q, n) for q, ns in ((2, (7, 21, 45)), (3, (5, 13, 35)), (4, (7, 15, 45)), (9, (5, 7, 35)), (13, (3, 7, 15))) for n in ns],
+)
+def test_idempotent_certificate_rejects_mutants(q, n, rng):
+    F = field_from_order(q)
+    pairs = factor_xn_minus_1_with_cosets(n, F)
+    _check_primitive_idempotents(n, F, pairs)
+    for _ in range(3):
+        for bad, match in _certificate_mutants(F, pairs, rng):
+            with pytest.raises(AssertionError, match=match):
+                _check_primitive_idempotents(n, F, bad)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25])
+def test_convolve_with_a_short_first_operand(q):
+    """A first operand of k <= n coefficients multiplies as its zero-padding to n."""
+    F = field_from_order(q)
+    rng = np.random.default_rng(q)
+    for n in (1, 7, 23, 45):
+        for k in sorted({k for k in (1, 2, n // 2 + 1, n) if k <= n}):
+            a, b = rng.integers(0, q, k), rng.integers(0, q, n)
+            padded = np.concatenate((a, np.zeros(n - k, dtype=a.dtype)))
+            product = _convolve(F, a, b).tolist()
+            assert product == _convolve(F, padded, b).tolist() == _shifted_rows_product(F, padded, b).tolist(), (n, k)
 
 
 def test_factor_n101_over_gf3():
