@@ -33,7 +33,7 @@ import numpy as np
 from . import linalg
 from .cyclic import CyclicElem, IdempotentSet, conj_pairing, lambda_n, primitive_idempotents
 from .errors import DegenerateG, DimensionMismatch, DomainError, GcdViolation
-from .field import Field, _rot_index, _unit_index, sqrt_minus_one
+from .field import Field, _convolve, _unit_index, sqrt_minus_one
 
 TRIVIAL_FIELD = "trivial_field"
 TRIVIAL_SPLIT = "trivial_split"
@@ -346,17 +346,18 @@ class Component:
         """Write each row y of ys, an element of FHe, as alpha + beta * ue with
         alpha, beta in F_t; returns the rows of alpha and those of beta.
 
-        beta = (y - bar(y)) * _diff_inv and alpha = y - beta * ue, each product
-        one Field.matmul with a circulant (`field._rot_index`) for all rows.
-        _diff_inv = (ue - u^-1 e)^-1 in FHe is computed on the first call.
+        beta = (y - bar(y)) * _diff_inv, one `field._convolve` per row, and
+        alpha = y - beta * ue, where beta * ue = beta * u (beta lies in FHe)
+        is a rotation.  _diff_inv = (ue - u^-1 e)^-1 in FHe is computed on
+        the first call.
         """
         if self._diff_inv is None:
             self._diff_inv = self.fhe.inv(self.ue - self.uinv_e)
         F, n = self.alg.field, self.alg.n
         t = F.tables()
-        rot = _rot_index(n)
-        beta = F.matmul(t.add[ys, t.neg[ys[:, _unit_index(n, -1)]]], self._diff_inv.coeffs[rot])
-        alpha = t.add[ys, t.neg[F.matmul(beta, self.ue.coeffs[rot])]]
+        diffs = t.add[ys, t.neg[ys[:, _unit_index(n, -1)]]]
+        beta = np.array([_convolve(F, d, self._diff_inv.coeffs) for d in diffs])
+        alpha = t.add[ys, t.neg[np.roll(beta, 1, axis=1)]]
         return alpha, beta
 
     def __repr__(self):

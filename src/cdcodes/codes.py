@@ -42,7 +42,7 @@ from .errors import (
     InvalidBeta,
     NotInComponent,
 )
-from .field import Field, _rot_index, _unit_index, field_from_order
+from .field import Field, _convolve, _unit_index, field_from_order
 
 
 @dataclass
@@ -166,8 +166,8 @@ class KtField:
         the matrix isomorphism of the block sends to
         a + bar(a) - bar(b g') + (bar(b) - tw b) v: row i is b_i + bar(b_i) and
         row k_t + i is -bar(b_i g') + (bar(b_i) - tw b_i) v, b_i the RREF basis
-        of F_t and tw the sign of v^2.  The products b_i g' are one matmul of
-        the basis with the circulant of g'."""
+        of F_t and tw the sign of v^2.  The products b_i g' are one
+        `field._convolve` per basis row."""
         if self._basis_words is None:
             comp, F, n = self.comp, self.alg.field, self.alg.n
             t = F.tables()
@@ -177,7 +177,7 @@ class KtField:
             else:
                 B = comp.ft.rows
                 bar = _unit_index(n, -1)
-                Bg = F.matmul(B, self.g_prime.coeffs[_rot_index(n)])  # rows b_i g'
+                Bg = np.array([_convolve(F, b, self.g_prime.coeffs) for b in B])  # rows b_i g'
                 a = np.concatenate([t.add[B, B[:, bar]], t.neg[Bg[:, bar]]])
                 b = np.concatenate([np.zeros_like(B), t.add[B[:, bar], t.neg[t.mul[self.alg.tw_code, B]]]])
                 self._basis_words = np.concatenate([a, b], axis=1)
@@ -226,15 +226,13 @@ def _digits(codes: np.ndarray, q: int, width: int) -> np.ndarray:
 def _mul_table(ft: SubfieldView) -> np.ndarray:
     """(|F_t|, |F_t|) array of the codes of x * y, indexed by the codes of x and y.
 
-    From the coordinates S[i, j] of b_i b_j, b the basis: the basis times
-    the circulant of each row b_i, at the pivot columns only (its
-    coordinates), gives them all in one product.  Row y of M holds the
-    coordinates of every b_i y, and x * y = sum_i x_i (b_i y).
+    From the coordinates S[i, j] of b_i b_j, b the basis, one
+    `field._convolve` per pair.  Row y of M holds the coordinates of every
+    b_i y, and x * y = sum_i x_i (b_i y).
     """
-    F, k, Q, n = ft.field, ft.dim, ft.order, ft.n
+    F, k, Q = ft.field, ft.dim, ft.order
     B = ft.rows
-    circ = B[:, ft.coords(_rot_index(n))]  # (k, n, k): circ[i] the pivot columns of b_i's circulant
-    S = F.matmul(B, circ.transpose(1, 0, 2).reshape(n, k * k)).reshape(k, k, k)  # S[j, i] = coords(b_j b_i)
+    S = np.array([[ft.coords(_convolve(F, bj, bi)) for bi in B] for bj in B])  # S[j, i] = coords(b_j b_i)
     D = _digits(np.arange(Q), F.q, k)
     M = F.matmul(D, S.reshape(k, k * k)).reshape(Q, k, k)
     P = F.matmul(D, M.transpose(1, 0, 2).reshape(k, Q * k)).reshape(Q, Q, k)

@@ -10,9 +10,10 @@ The lookup tables (`Tables`) are the one definition of the arithmetic: they
 are built vectorised, addition from the base-p digits and multiplication,
 inversion and negation from one log/antilog pair, so fields are limited to
 q <= MAX_TABLE_SIZE, which `prime_power` enforces.  Vectors and polynomials
-are added and scaled by table gathers; products of matrices go through
-`Field.matmul`: integers mod p for prime fields, and for GF(p^m) the m x m
-multiplication matrices over GF(p), again one integer product mod p.
+are added and scaled by table gathers, and multiplied by `_convolve` alone;
+products of matrices go through `Field.matmul`: integers mod p for prime
+fields, and for GF(p^m) the m x m multiplication matrices over GF(p), again
+one integer product mod p.
 
 x^n - 1 is factored over GF(q) itself, without a splitting field: for each
 divisor d of n, one primitive idempotent of the roots of order d is split
@@ -48,12 +49,12 @@ from .errors import (
 # Fields are limited to this size: every product reads lookup tables.
 MAX_TABLE_SIZE = 4096
 
-# x^n - 1 is factored for n up to this bound, so that the (n, n) int64 index
-# table of `_rot_index` (and each product table gathered through it) stays
-# within 128 MiB.
+# x^n - 1 is factored for n up to this bound.  It keeps the int64 sums of
+# `_convolve` over GF(p) exact, n (p - 1)^2 < 2^63, and its per-call
+# len(a) x n gather over GF(p^m) within 128 MiB.
 MAX_N = 4096
 
-_rot_cache: dict = {}  # n -> _rot_index(n), (n, s) -> _unit_index(n, s)
+_unit_indices: dict = {}  # (n, s) -> _unit_index(n, s), each of length n
 
 
 def is_prime(p: int) -> bool:
@@ -317,14 +318,11 @@ class Poly:
         F = self.field
         if self.is_zero() or other.is_zero():
             return Poly.zero(F)
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a  # one row per coefficient of the shorter factor
-        # row i holds b shifted by i, so a times these rows is a * b
-        shifted = np.zeros((len(a), len(a) + len(b) - 1), dtype=np.int64)
-        i = np.arange(len(a))[:, None]
-        shifted[i, i + np.arange(len(b))] = b
-        return Poly(F, F.matmul(np.array([a], dtype=np.int64), shifted)[0].tolist())
+        a, b = sorted((self.coeffs, other.coeffs), key=len)
+        # the shorter factor times the longer, zero-padded so that nothing folds
+        padded = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
+        padded[: len(b)] = b
+        return Poly(F, _convolve(F, np.array(a, dtype=np.int64), padded).tolist())
 
     def scale(self, c: int) -> "Poly":
         return Poly(self.field, self.field.tables().mul[c, list(self.coeffs)].tolist())
@@ -507,36 +505,35 @@ def _poly_sort_key(f: Poly):
     return (f.degree, tuple(reversed(f.coeffs)))
 
 
-def _rot_index(n: int) -> np.ndarray:
-    """(n, n) table with row i, column k holding (k - i) mod n."""
-    if n not in _rot_cache:
-        k = np.arange(n)
-        _rot_cache[n] = (k[None, :] - k[:, None]) % n
-    return _rot_cache[n]
-
-
 def _unit_index(n: int, s: int) -> np.ndarray:
     """a[_unit_index(n, s)] is a(x^s) mod x^n - 1 for a unit s: s = -1 is bar, s = q Frobenius."""
-    if (n, s) not in _rot_cache:
-        _rot_cache[n, s] = np.arange(n) * pow(s, -1, n) % n
-    return _rot_cache[n, s]
+    if (n, s) not in _unit_indices:
+        _unit_indices[n, s] = np.arange(n) * pow(s, -1, n) % n
+    return _unit_indices[n, s]
 
 
 def _convolve(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of coefficient vectors a, b in GF(q)[x]/(x^n - 1).  Prime fields
-    fold `np.convolve(a, b)` mod x^n - 1 and reduce mod p; its int64 sums are
-    exact, as n (p - 1)^2 <= MAX_N (MAX_TABLE_SIZE - 1)^2 < 2^63.  GF(p^m),
-    where the m x m expansion of `ExtField.matmul` is slower on one row,
-    gathers the products from the mul table along the circulant of b and adds
-    the rows pairwise through the add table, about log2(n) lookups.  n is
-    len(b); a may be shorter, as if zero-padded, and then costs len(a) n."""
+    """Product of coefficient vectors a, b in GF(q)[x]/(x^n - 1), the one
+    product of polynomials and of FH elements in the package (`Poly.__mul__`
+    zero-pads so that nothing folds).  Prime fields fold `np.convolve(a, b)`
+    mod x^n - 1 and reduce mod p; its int64 sums are exact, as n (p - 1)^2
+    <= MAX_N (MAX_TABLE_SIZE - 1)^2 < 2^63.  GF(p^m), where the m x m
+    expansion of `ExtField.matmul` is slower on one row, gathers the products
+    a_i b[(j - i) mod n] from the mul table, one row per i, and adds the rows
+    pairwise through the add table, about log2(n) lookups.  The rotations of
+    b are a strided view into b concatenated with itself, row r starting at
+    n - len(a) + 1 + r and so holding b rotated by i = len(a) - 1 - r: nothing
+    n x n is indexed, and the len(a) x n products do not outlive the call.
+    n is len(b); a may be shorter, as if zero-padded, and then costs len(a) n."""
     n = len(b)
     if field.m == 1:
         c = np.convolve(a, b)
         c[: len(c) - n] += c[n:]
         return c[:n] % field.p
     t = field.tables()
-    rows = t.mul[a[:, None], b[_rot_index(n)[: len(a)]]]
+    c = np.concatenate((b, b))
+    rotations = np.ndarray((len(a), n), c.dtype, c, (n - len(a) + 1) * c.itemsize, (c.itemsize, c.itemsize))
+    rows = t.mul[a[::-1, None], rotations]
     k = len(rows)
     while k > 1:
         h = k // 2

@@ -429,10 +429,12 @@ def first_nonzero_weight(counts: np.ndarray) -> int:
 
 
 def circulant_product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b in GF(p)[x]/(x^n - 1) as a times the explicit circulant of b, row
-    i holding b shifted by i, in int64 and then mod p (prime fields only)."""
-    i = np.arange(len(a))
-    return np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)[(i - i[:, None]) % len(a)] % field.p
+    """a b in GF(q)[x]/(x^n - 1), n = len(b), as `Field.matmul` of a with the
+    explicit circulant of b, row i holding b shifted by i; a may be shorter,
+    as if zero-padded, and then meets only the first len(a) rows."""
+    n = len(b)
+    circulant = np.asarray(b, dtype=np.int64)[(np.arange(n) - np.arange(len(a))[:, None]) % n]
+    return field.matmul(np.asarray(a, dtype=np.int64)[None, :], circulant)[0]
 
 
 def _shifted_rows_product(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import run_python
 from oracles import _shifted_rows_product, circulant_product, factor_all_branches
 
+from cdcodes import field as field_module
 from cdcodes.algebra import TwistedDihedralAlgebra
 from cdcodes.codes import BetaVector, build_plain_code, hull_dimension, kt_fields
 from cdcodes.cyclic import primitive_idempotents
@@ -508,6 +509,29 @@ def test_prime_convolution_matches_circulant(p, n):
         assert _convolve(F, a, b).tolist() == circulant_product(F, a, b).tolist()
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 27, 64, 4096])
+def test_extension_convolution_matches_circulant(q):
+    F = field_from_order(q)
+    rng = np.random.default_rng(q)
+    for n in (1, 3, 23, 255):
+        for k in sorted({k for k in (1, 2, n // 2 + 1, n) if k <= n}):
+            a, b = rng.integers(0, q, k), rng.integers(0, q, n)
+            assert _convolve(F, a, b).tolist() == circulant_product(F, a, b).tolist(), (n, k)
+
+
+def test_products_leave_no_square_table_cached():
+    # a product may hold a len(a) x n table while it runs, but every array
+    # left in the module's caches afterwards is 1-D (the unit gathers), so
+    # scans over many lengths do not pin n^2 words per length
+    F = field_from_order(4)
+    for n in range(3, 128, 2):
+        TwistedDihedralAlgebra(F, n, -1).decompose()
+    gc.collect()
+    caches = [c for c in vars(field_module).values() if isinstance(c, dict)]
+    cached = [v for c in caches for v in c.values() if isinstance(v, np.ndarray)]
+    assert cached and all(v.ndim == 1 for v in cached), sorted({v.shape for v in cached if v.ndim != 1})
+
+
 def test_prime_convolution_at_its_largest_sums():
     # all n products in each coefficient are (p - 1)^2, near the largest p and n
     p, n = 4093, 4095
@@ -651,13 +675,15 @@ def _loop_divmod(F, a, b):
     return _trim(quo), _trim(rem[:d])
 
 
-@pytest.mark.parametrize("q", [2, 4, 5, 9, 16, 1021])
+@pytest.mark.parametrize("q", [2, 4, 5, 8, 9, 16, 27, 64, 1021, 4096])
 def test_poly_arithmetic_matches_scalar_loops(q):
     F = field_from_order(q)
     rng = random.Random(q)
-    for _ in range(60):
-        a = [rng.randrange(q) for _ in range(rng.randrange(0, 9))]
-        b = [rng.randrange(q) for _ in range(rng.randrange(0, 6))] + [rng.randrange(1, q)]
+    zero = Poly.zero(F)
+    for trial in range(60):
+        long = trial % 3 == 0  # every third pair has operands of up to 40 coefficients
+        a = [rng.randrange(q) for _ in range(rng.randrange(0, 41 if long else 9))]
+        b = [rng.randrange(q) for _ in range(rng.randrange(0, 40 if long else 6))] + [rng.randrange(1, q)]
         c = rng.randrange(q)
         A, B = Poly(F, a), Poly(F, b)
         pad = max(len(a), len(b))
@@ -669,15 +695,17 @@ def test_poly_arithmetic_matches_scalar_loops(q):
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 prod[i + j] = F.add(prod[i + j], F.mul(x, y))
-        assert (A * B).coeffs == _trim(prod)
+        assert (A * B).coeffs == (B * A).coeffs == _trim(prod)
+        assert A * zero == zero * A == B * zero == zero
         quo, rem = A.divmod(B)
         assert (quo.coeffs, rem.coeffs) == _loop_divmod(F, a, b)
 
 
 @pytest.mark.parametrize("q", [2, 9])
 def test_poly_product_of_long_and_short_factors(q):
-    # the product matrix has one row per coefficient of the shorter factor,
-    # whichever side it is on: 12 rows, not 2001 (a 32 MB matrix)
+    # the product gathers one row per coefficient of the shorter factor,
+    # whichever side it is on: 12 rows of the longer one zero-padded to 2012,
+    # not 2001 rows (a 32 MB table)
     F = field_from_order(q)
     rng = random.Random(q)
     long = Poly(F, [rng.randrange(q) for _ in range(2000)] + [1])
