@@ -33,7 +33,7 @@ import numpy as np
 from . import linalg
 from .cyclic import CyclicElem, IdempotentSet, conj_pairing, lambda_n, primitive_idempotents
 from .errors import DegenerateG, DimensionMismatch, DomainError, GcdViolation
-from .field import Field, _convolve, _unit_index, sqrt_minus_one
+from .field import Field, _unit_index, sqrt_minus_one
 
 TRIVIAL_FIELD = "trivial_field"
 TRIVIAL_SPLIT = "trivial_split"
@@ -271,11 +271,9 @@ class Component:
 
     Built eagerly: e, identity, k, dim, and on matrix blocks fhe, ft, ue and
     uinv_e, with ebar on paired blocks and g, s, s_prime on self-conjugate
-    ones.  Built on first use and cached: _diff_inv, the one inverse the F_t
-    split (_split_ft, read by `codes.KtField.class_ids`) needs; the
-    generator of the chosen ideal, C_t (`codes.build_Ct`) or on the trivial
-    block C_0 (`codes.build_C0`), in _ct; and the block's K_t
-    (`codes.kt_fields`, in _kt).
+    ones.  Built on first use and cached: the generator of the chosen ideal,
+    C_t (`codes.build_Ct`) or on the trivial block C_0 (`codes.build_C0`),
+    in _ct; and the block's K_t (`codes.kt_fields`, in _kt).
     """
 
     def __init__(self, alg: "TwistedDihedralAlgebra", index: int, kind: str, idem_indices: tuple[int, ...]):
@@ -290,7 +288,6 @@ class Component:
         self.g = self.s = self.s_prime = None
         self.ft: Optional[SubfieldView] = None
         self.ebar: Optional[CyclicElem] = None
-        self._diff_inv: Optional[CyclicElem] = None  # (ue - u^-1 e)^-1, by _split_ft on first use
         self._ct: Optional[AlgElem] = None  # codes.build_Ct(self) or build_C0(self), on first use
         self._kt = None  # the block's codes.KtField, by codes.kt_fields on first use
 
@@ -341,24 +338,6 @@ class Component:
         self.g = -(ue + self.uinv_e)
         assert ftv.contains(self.g)
         self.s, self.s_prime = solve_norm_equation(ftv, self.g, rhs=self.e.scale(alg.tw_code))
-
-    def _split_ft(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Write each row y of ys, an element of FHe, as alpha + beta * ue with
-        alpha, beta in F_t; returns the rows of alpha and those of beta.
-
-        beta = (y - bar(y)) * _diff_inv, one `field._convolve` per row, and
-        alpha = y - beta * ue, where beta * ue = beta * u (beta lies in FHe)
-        is a rotation.  _diff_inv = (ue - u^-1 e)^-1 in FHe is computed on
-        the first call.
-        """
-        if self._diff_inv is None:
-            self._diff_inv = self.fhe.inv(self.ue - self.uinv_e)
-        F, n = self.alg.field, self.alg.n
-        t = F.tables()
-        diffs = t.add[ys, t.neg[ys[:, _unit_index(n, -1)]]]
-        beta = np.array([_convolve(F, d, self._diff_inv.coeffs) for d in diffs])
-        alpha = t.add[ys, t.neg[np.roll(beta, 1, axis=1)]]
-        return alpha, beta
 
     def __repr__(self):
         return f"Component(t={self.index}, {self.kind}, k={self.k})"

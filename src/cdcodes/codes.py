@@ -188,29 +188,34 @@ class KtField:
         """The twist class of each code: entry c is the id of the orbit
         F_t* . c, one of |F_t| + 1 ids (entry 0, the zero code, is -1).
 
-        K_t = F_t + F_t w, with w the companion matrix (paired; the code is
-        a + b |F_t|) or ue (self-conjugate; the split matrix, rows
-        Component._split_ft of the whole FHe basis at once, takes the digits
-        to a's and b's), and lambda in F_t* scales a and b alike.  So the
-        orbit of a + b w is the F_t-line [a : b]: its id is the code of a / b
-        read off _mul_table, or |F_t| when b = 0.  Built on first use.
+        K_t = F_t + F_t w, with w the companion matrix (paired) or ue
+        (self-conjugate), and lambda in F_t* scales a and b alike.  So the
+        orbit of a + b w is the F_t-line [a : b]: for c = a + b |F_t| its id
+        is the code of a / b read off _mul_table, or |F_t| when b = 0.  On a
+        paired block c is the K_t code itself.  A self-conjugate block numbers
+        a + b ue by its FHe digits, which are the digits of c times [B; B u]
+        (B the F_t basis, and b ue = b u a rotation for b in FHe) read at
+        FHe's pivots, so the ids are scattered to those codes.  Built on
+        first use.
         """
         if self._class_ids is None:
             comp, ft, F = self.comp, self.comp.ft, self.alg.field
-            k, Q = ft.dim, ft.order
+            Q = ft.order
             codes = np.arange(self.order)
-            if comp.kind == SELF_CONJ:
-                alpha, beta = comp._split_ft(comp.fhe.rows)
-                split = np.concatenate([ft.coords(alpha), ft.coords(beta)], axis=1)
-                ab = F.matmul(_digits(codes, F.q, 2 * k), split)
-                a, b = (ab.reshape(-1, 2, k) @ F.q ** np.arange(k)).T
-            else:
-                b, a = np.divmod(codes, Q)
+            b, a = np.divmod(codes, Q)
             mul = _mul_table(ft)
             inv = np.zeros(Q, dtype=np.int64)
             units, inverses = np.nonzero(mul == ft.code_of(ft.identity))
             inv[units] = inverses
             ids = np.where(b == 0, Q, mul[a, inv[b]])
+            if comp.kind == SELF_CONJ:
+                B = ft.rows
+                to_fhe = comp.fhe.coords(np.concatenate([B, np.roll(B, 1, axis=1)]))
+                fhe_codes = F.matmul(_digits(codes, F.q, 2 * ft.dim), to_fhe) @ F.q ** np.arange(2 * ft.dim)
+                relabelled = np.full(self.order, -1)
+                relabelled[fhe_codes] = ids  # |K_t| writes: none missed means none repeated
+                assert (relabelled >= 0).all(), "a + b ue does not number FHe one to one"
+                ids = relabelled
             ids[0] = -1
             self._class_ids = ids.tolist()
         return self._class_ids
@@ -345,13 +350,13 @@ def build_C0(comp: Component) -> Optional[AlgElem]:
 def build_Ct(comp: Component) -> AlgElem:
     """Generator of the chosen simple left ideal C_t of a matrix block, built on
     the first call and cached on the block: one AlgElem, its word read-only."""
+    if comp.kind not in (PAIRED, SELF_CONJ):
+        raise NotInComponent("C_t lives on a matrix block")
     if comp._ct is None:
         if comp.kind == PAIRED:
             comp._ct = comp.alg.embed_fh(comp.e)
-        elif comp.kind == SELF_CONJ:
-            comp._ct = comp.alg.elem(comp.s - comp.s_prime * comp.ue, comp.e)
         else:
-            raise NotInComponent("C_t lives on a matrix block")
+            comp._ct = comp.alg.elem(comp.s - comp.s_prime * comp.ue, comp.e)
     return comp._ct
 
 

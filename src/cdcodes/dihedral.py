@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from . import linalg
 from .algebra import PAIRED, AlgElem, Component, TwistedDihedralAlgebra
 from .codes import assemble_code, hull_dimension
 from .cyclic import CyclicElem
@@ -56,9 +55,7 @@ def counterexample_check() -> CounterexampleReport:
     alg = TwistedDihedralAlgebra(F, 3, 1)
     comp = alg.decompose()[1]
     e, ebar = comp.e, comp.ebar
-    gen = alg.embed_fh(e)
-    rows = alg.left_ideal_rows([gen])
-    C, piv = linalg.rref(F, rows)
+    C = alg.ideal_rref([alg.embed_fh(e)])
     assert C.shape[0] == 2 * comp.k
 
     def elems(R):

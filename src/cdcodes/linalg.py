@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import NoNonzeroWords
+from .errors import DimensionMismatch, NoNonzeroWords
 from .field import Field
 
 SPAN_CHUNK = 4096  # most words (or offsets) a span computation holds at once
@@ -141,7 +141,7 @@ def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
-        raise ValueError("inner dimensions differ")
+        raise DimensionMismatch("inner dimensions differ")
     return field.matmul(a, b)
 
 

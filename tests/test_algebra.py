@@ -23,14 +23,14 @@ from cdcodes.algebra import (
     SELF_CONJ,
     TRIVIAL_FIELD,
     TRIVIAL_SPLIT,
+    AlgElem,
     SubfieldView,
     TwistedDihedralAlgebra,
     solve_norm_equation,
     sqrt_min,
 )
-from cdcodes.codes import kt_fields
 from cdcodes.cyclic import CyclicElem
-from cdcodes.errors import DegenerateG, DomainError, GcdViolation, NotInComponent, NotPaired
+from cdcodes.errors import DegenerateG, DimensionMismatch, DomainError, GcdViolation, NotInComponent, NotPaired
 from cdcodes.field import field_from_order
 from cdcodes import linalg
 import numpy as np
@@ -153,6 +153,23 @@ def test_algebra_rejects_a_twist_other_than_plus_or_minus_one(tw):
         TwistedDihedralAlgebra(field_from_order(5), 3, tw)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_algebra_rejects_n_below_one(n):
+    with pytest.raises(GcdViolation, match="positive integer"):
+        TwistedDihedralAlgebra(field_from_order(5), n, -1)
+
+
+def test_elements_of_different_algebras_do_not_mix():
+    A = get_algebra(5, 3)
+    for B in (get_algebra(5, 3, 1), get_algebra(7, 3)):
+        for op in (AlgElem.__add__, AlgElem.__sub__, AlgElem.__mul__, AlgElem.inner):
+            with pytest.raises(DimensionMismatch, match="different algebras"):
+                op(A.one(), B.one())
+    for length in (3, 7):
+        with pytest.raises(DimensionMismatch, match="word length must be 6"):
+            A.from_word([0] * length)
+
+
 def test_trivial_block_kind_follows_sqrt():
     assert get_algebra(5, 3).decompose()[0].kind == TRIVIAL_SPLIT
     assert get_algebra(5, 3).decompose()[0].r == 2
@@ -207,16 +224,10 @@ def test_block_identities_are_orthogonal_idempotents(q, n, tw):
 
 @pytest.mark.parametrize("tw", [-1, 1])
 @pytest.mark.parametrize("q, n", [(3, 7), (5, 13), (7, 5)])
-def test_decompose_leaves_diff_inv_unset(rng, q, n, tw):
-    # (ue - u^-1 e)^-1 serves only the F_t split of the K_t class tables
+def test_self_conj_iso_to_mat2_is_a_ring_isomorphism(rng, q, n, tw):
     A = TwistedDihedralAlgebra(field_from_order(q), n, tw)
-    A.decompose()
-    A.decomposition_report()
     selfconj = [c for c in A.decompose() if c.kind == SELF_CONJ]
-    assert selfconj and all(c._diff_inv is None for c in selfconj)
-    for kt in kt_fields(A):
-        kt.class_ids()
-    assert all(c._diff_inv is not None for c in selfconj)
+    assert selfconj
     for comp in selfconj:
         assert iso_to_mat2(comp, comp.identity) == Mat2.identity(comp.ft)
         for _ in range(10):
@@ -319,6 +330,8 @@ def test_subfield_inverse_stays_in_the_subfield(q):
                     inv = view.inv(y)
                     assert view.contains(inv), (n, view)
                     assert inv * y == view.identity, (n, view)
+                with pytest.raises(ZeroDivisionError, match="inverse of 0"):
+                    view.inv(view.zero)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 13])
@@ -344,7 +357,7 @@ def small_subfields(q):
     return [views[d] for d in sorted(views)]
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_sqrt_min_is_the_first_root_by_scan(q):
     views = small_subfields(q)
     assert [v.dim for v in views] == [1, 2, 3]

@@ -54,6 +54,9 @@ def test_entropy_domain():
         entropy_q(3, -0.1)
     with pytest.raises(DomainError):
         entropy_q(3, math.nan)  # every comparison with NaN is false
+    for q in (1, 0):
+        with pytest.raises(DomainError, match="q must be at least 2"):
+            entropy_q(q, 0.1)
 
 
 def test_entropy_monotone():
@@ -409,6 +412,12 @@ def test_census_tiny_delta_counts_nothing():
     A = get_algebra(7, 3)
     res = census_K_le_delta(A, delta=0.05)  # below 1/(2n)
     assert res.count == 0
+
+
+@pytest.mark.parametrize("delta", [0, -0.1, 1.5, math.nan])
+def test_census_rejects_delta_outside_zero_one(delta):
+    with pytest.raises(DomainError, match=r"delta must lie in \(0, 1\]"):
+        census_K_le_delta(get_algebra(7, 3), delta)
 
 
 def test_census_rows_and_csv():
@@ -839,6 +848,8 @@ def test_good_n_examples():
     assert f.minus1_in_q and not f.two_exactly_divides_ord
     with pytest.raises(GcdViolation):
         good_n_predicates(3, 9)
+    f = good_n_predicates(2, 1)
+    assert not (f.coprime_odd or f.ord_odd or f.minus1_in_q or f.two_exactly_divides_ord)
 
 
 def test_good_n_sequences():

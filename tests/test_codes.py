@@ -39,7 +39,7 @@ from cdcodes.codes import (
     k_star_size,
     kt_fields,
 )
-from cdcodes.errors import BlockCollision, DimensionMismatch, DomainError, HypothesisUnmet, InvalidBeta
+from cdcodes.errors import BlockCollision, DimensionMismatch, DomainError, HypothesisUnmet, InvalidBeta, NotInComponent
 from cdcodes.field import field_from_order
 
 
@@ -127,6 +127,26 @@ def test_build_C0_gf2():
     comp0 = A.decompose()[0]
     gen = build_C0(comp0)
     assert gen == A.elem(comp0.e, comp0.e)  # r = 1
+
+
+def test_block_constructions_refuse_the_other_kind_of_block():
+    # C_0's generator cached on A_0 must not pass for a C_t
+    A = TwistedDihedralAlgebra(field_from_order(2), 7, -1)
+    comp0, comp1 = A.decompose()[:2]
+    assert build_C0(comp0) is not None
+    with pytest.raises(NotInComponent, match="matrix block"):
+        build_Ct(comp0)
+    with pytest.raises(NotInComponent, match="matrix blocks"):
+        codes.KtField(comp0)
+    with pytest.raises(NotInComponent, match="trivial block"):
+        build_C0(comp1)
+
+
+def test_the_zero_code_needs_a_length():
+    F = field_from_order(3)
+    with pytest.raises(DimensionMismatch, match="explicit length"):
+        LinearCode.from_rows(F, [])
+    assert LinearCode.from_rows(F, [], n_len=4).gen.shape == (0, 4)
 
 
 # -- C_t ---------------------------------------------------------------------------------

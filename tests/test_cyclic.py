@@ -9,7 +9,7 @@ from conftest import run_python
 from oracles import _shifted_rows_product, power_by_squaring
 
 from cdcodes.cyclic import CyclicElem, conj_pairing, lambda_n, primitive_idempotents
-from cdcodes.errors import GcdViolation
+from cdcodes.errors import DimensionMismatch, DomainError, GcdViolation
 from cdcodes.field import Poly, _unit_index, cyclotomic_cosets, field_from_order, mult_order
 
 GRID_QS = (2, 3, 4, 5, 7, 9, 13)
@@ -114,6 +114,16 @@ def test_negative_power_raises():
     proc = run_python(code, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "refused\n"
+    with pytest.raises(DomainError, match="exponent -1 is negative"):
+        CyclicElem.u_power(field_from_order(5), 7, 1).pow(-1)
+
+
+def test_elements_of_different_rings_do_not_mix():
+    x = CyclicElem.u_power(field_from_order(5), 7, 1)
+    for y in (CyclicElem.u_power(field_from_order(5), 9, 1), CyclicElem.u_power(field_from_order(7), 7, 1)):
+        for op in (CyclicElem.__add__, CyclicElem.__sub__, CyclicElem.__mul__):
+            with pytest.raises(DimensionMismatch, match="different algebras"):
+                op(x, y)
 
 
 def test_coeffs_are_a_read_only_copy():

@@ -19,7 +19,7 @@ from cdcodes import field as field_module
 from cdcodes.algebra import TwistedDihedralAlgebra
 from cdcodes.codes import BetaVector, build_plain_code, hull_dimension, kt_fields
 from cdcodes.cyclic import primitive_idempotents
-from cdcodes.errors import GcdViolation, NotPrime, Overflow, ReducibleModulus
+from cdcodes.errors import DimensionMismatch, GcdViolation, NotPrime, Overflow, ReducibleModulus
 from cdcodes.field import (
     MAX_N,
     MAX_TABLE_SIZE,
@@ -114,6 +114,33 @@ def test_reducible_modulus_rejected():
     F2 = PrimeField(2)
     with pytest.raises(ReducibleModulus):
         ExtField(F2, Poly(F2, (1, 0, 1)))  # (X+1)^2
+
+
+def test_modulus_must_be_monic_over_the_prime_base():
+    F3, F9 = field_from_order(3), field_from_order(9)
+    with pytest.raises(DimensionMismatch, match="over a prime field"):
+        ExtField(F9, Poly(F9, (1, 0, 1)))
+    with pytest.raises(DimensionMismatch, match="over a prime field"):
+        ExtField(F3, Poly(field_from_order(5), (2, 0, 1)))
+    for coeffs in ((1, 0, 2), (2,)):  # 2X^2 + 1, and a constant
+        with pytest.raises(ReducibleModulus, match="monic of degree >= 1"):
+            ExtField(F3, Poly(F3, coeffs))
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_zero_is_refused_as_a_divisor(q):
+    F = field_from_order(q)
+    with pytest.raises(ZeroDivisionError, match="inverse of 0"):
+        F.inv(0)
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        Poly(F, (1, 1)).divmod(Poly.zero(F))
+
+
+def test_polynomials_over_different_fields_do_not_mix():
+    a, b = Poly.x(field_from_order(5)), Poly.x(field_from_order(7))
+    for op in (Poly.__add__, Poly.__mul__, Poly.divmod):
+        with pytest.raises(DimensionMismatch, match="different fields"):
+            op(a, b)
 
 
 def test_field_make_overflow():

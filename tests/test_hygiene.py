@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module, test or script imports is read
 somewhere in it, every module-level private name is read by some module of
-the package, every public function, class and method of the package has a
+the package, every private method of a package class is read only in its
+own module, every public function, class and method of the package has a
 reader outside the tests, and every `module.name` the README cites exists."""
 
 import ast
@@ -84,6 +85,43 @@ def test_hygiene_checker_flags_unread_private():
 
 def test_no_unread_private_names():
     assert unread_private_names(PACKAGE) == []
+
+
+def foreign_private_method_reads(sources: dict[str, str]) -> list[str]:
+    """Reads x._m in one module of a `_private` method that a class of
+    another module defines, where no class of the reading module defines a
+    method of that name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    owners: dict[str, dict[str, str]] = {}  # method name -> {module: class}
+    for module, tree in trees.items():
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for name in (d.name for d in cls.body if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))):
+                if name.startswith("_") and not name.startswith("__"):
+                    owners.setdefault(name, {})[module] = cls.name
+    found = []
+    for module, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in owners:
+                if module not in owners[node.attr]:
+                    defs = ", ".join(f"{m}.{c}" for m, c in sorted(owners[node.attr].items()))
+                    found.append(f"{module} (line {node.lineno}) reads {defs}.{node.attr}")
+    return found
+
+
+def test_hygiene_checker_flags_foreign_private_methods():
+    sources = {
+        "a": "class A:\n    def _own(self):\n        return self._own\n    def _shared(self):\n        pass\n",
+        "b": (
+            "class B:\n    def _shared(self):\n        pass\n"
+            "def f(x):\n    x._shared()\n    x._attr\n    return x._own()\n"
+        ),
+    }
+    # _shared has an owner in b, and _attr is no method
+    assert foreign_private_method_reads(sources) == ["b (line 7) reads a.A._own"]
+
+
+def test_private_methods_are_read_only_in_their_module():
+    assert foreign_private_method_reads(PACKAGE) == []
 
 
 def _name_reads(tree: ast.AST) -> Counter:

@@ -12,7 +12,7 @@ from oracles import dual, first_nonzero_weight, span_weights
 
 from cdcodes import codes, linalg
 from cdcodes.codes import LinearCode
-from cdcodes.errors import NoNonzeroWords
+from cdcodes.errors import DimensionMismatch, NoNonzeroWords
 from cdcodes.field import field_from_order
 
 
@@ -225,6 +225,8 @@ def test_matmul_matches_integer_arithmetic():
     A = rng.integers(0, 7, (4, 6))
     B = rng.integers(0, 7, (6, 3))
     assert np.array_equal(linalg.matmul(F, A, B), (A @ B) % 7)
+    with pytest.raises(DimensionMismatch, match="inner dimensions differ"):
+        linalg.matmul(F, A, B.T)
 
 
 @pytest.mark.parametrize("q", [2, 4, 7, 9, 13])
