@@ -33,7 +33,7 @@ import numpy as np
 from . import linalg
 from .cyclic import CyclicElem, IdempotentSet, conj_pairing, lambda_n, primitive_idempotents
 from .errors import DegenerateG, DimensionMismatch, DomainError, GcdViolation
-from .field import Field, _unit_index, sqrt_minus_one
+from .field import Field, _minimal_ideal_rref, _unit_index, sqrt_minus_one
 
 TRIVIAL_FIELD = "trivial_field"
 TRIVIAL_SPLIT = "trivial_split"
@@ -106,20 +106,21 @@ class SubfieldView:
     """A subfield of FH given by an identity idempotent and an RREF basis.
 
     Elements are CyclicElems; the view supplies identity-aware inversion,
-    membership, and the canonical integer encoding of coordinates.  span is
-    a 2-D array of coefficient rows that spans the subfield; rows is its
-    RREF, the basis as one (dim, n) array.
+    membership, and the canonical integer encoding of coordinates.  rows is
+    the basis already reduced, one (dim, n) RREF array, and pivots its pivot
+    columns: `Component` reads FHe's off its factor and reduces F_t's.
     """
 
-    def __init__(self, field: Field, n: int, identity: CyclicElem, span: np.ndarray, label: str = ""):
+    def __init__(
+        self, field: Field, n: int, identity: CyclicElem, rows: np.ndarray, pivots: tuple[int, ...], label: str = ""
+    ):
         self.field = field
         self.n = n
         self.identity = identity
-        R, pivots = linalg.rref(field, span)
-        R.setflags(write=False)
-        self.rows = R
+        rows.setflags(write=False)
+        self.rows = rows
         self._pivots = pivots
-        self.dim = len(R)
+        self.dim = len(rows)
         self.order = field.q**self.dim
         self.label = label
         self._lead = int(np.flatnonzero(identity.coeffs)[0])  # y = c e has c = y[lead] / e[lead]
@@ -274,6 +275,11 @@ class Component:
     ones.  Built on first use and cached: the generator of the chosen ideal,
     C_t (`codes.build_Ct`) or on the trivial block C_0 (`codes.build_C0`),
     in _ct; and the block's K_t (`codes.kt_fields`, in _kt).
+
+    No elimination builds FHe: its RREF basis is read off the certified
+    factor f of e (`field._minimal_ideal_rref`), and one 1 x deg f product
+    checks that e = e[:deg f] . R lies in its span.  F_t on a self-conjugate
+    block is the rref of the traces of that basis.
     """
 
     def __init__(self, alg: "TwistedDihedralAlgebra", index: int, kind: str, idem_indices: tuple[int, ...]):
@@ -305,9 +311,12 @@ class Component:
         i = idem_indices[0]
         self.e = idems[i]
         ue = self.e.shift(1)
-        # FHe = GF(q)[u]/(f) for the factor f of e, so its deg f rows u^d e span it
-        d = np.arange(alg.idempotents().factors[i].degree)[:, None]
-        self.fhe = SubfieldView(F, n, self.e, self.e.coeffs[(np.arange(n) - d) % n], label=f"FHe[{i}]")
+        # FHe is the minimal ideal of the factor f of e, so its RREF, pivots
+        # 0..deg f - 1, is read off f; e must lie in its span
+        f = alg.idempotents().factors[i]
+        R = _minimal_ideal_rref(F, f, n)
+        assert np.array_equal(F.matmul(self.e.coeffs[None, : f.degree], R)[0], self.e.coeffs), "e is not in FHe"
+        self.fhe = SubfieldView(F, n, self.e, R, tuple(range(f.degree)), label=f"FHe[{i}]")
         self.ue = ue
         self.uinv_e = self.e.shift(-1)
 
@@ -326,7 +335,8 @@ class Component:
         assert kind == SELF_CONJ
         assert self.e.bar() == self.e
         Y = self.fhe.rows
-        ftv = SubfieldView(F, n, self.e, F.tables().add[Y, Y[:, _unit_index(n, -1)]], label=f"Fix(FHe[{i}])")
+        traces = F.tables().add[Y, Y[:, _unit_index(n, -1)]]
+        ftv = SubfieldView(F, n, self.e, *linalg.rref(F, traces), label=f"Fix(FHe[{i}])")
         self.ft = ftv
         self.k = ftv.dim
         self.dim = 4 * self.k

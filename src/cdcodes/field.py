@@ -744,6 +744,38 @@ def _check_primitive_idempotents(n: int, field: Field, pairs: Sequence[tuple[Pol
     assert total[0] == field.one and not total[1:].any(), "idempotents do not sum to 1"
 
 
+def _minimal_ideal_rref(field: Field, f: Poly, n: int) -> np.ndarray:
+    """The RREF basis, pivots 0..k-1, of the minimal ideal of FH =
+    GF(q)[x]/(x^n - 1) that belongs to the irreducible factor f of degree k,
+    read off f with no elimination.
+
+    c lies in that ideal iff f c = 0 in FH (x^n - 1 is squarefree), i.e. iff
+    sum_i f_i c_(j-i mod n) = 0 for every j: c obeys, cyclically, the order-k
+    linear recurrence whose characteristic polynomial is f*, the monic
+    reciprocal of f (f(0) != 0).  So c_0, ..., c_(k-1) fix c, and c_s =
+    sum_i c_i [x^i](x^s mod f*).  Row i is the c with c_j = [i = j] for j < k,
+    so column s holds the coefficients of x^s mod f*, and the k x k window at
+    column j is C^j, C the companion matrix of f*.  Once M columns are known,
+    C^(M-k) = R[:, M-k:M] times columns k, ..., M - 1 gives the next M - k,
+    so the columns past k double with each `Field.matmul`: about
+    log2(n - k) of them, and no elimination.
+    """
+    k = f.degree
+    t = field.tables()
+    R = np.zeros((k, n), dtype=np.int64)
+    R[:, :k] = np.eye(k, dtype=np.int64) * field.one
+    if k < n:  # x^k = -(f*_0 + ... + f*_(k-1) x^(k-1)), f*_i = f_(k-i) / f_0
+        R[:, k] = t.mul[t.neg[t.inv[f.coeffs[0]]], list(f.coeffs[:0:-1])]
+    M = k + 1
+    while M < n:
+        w = min(M - k, n - M)
+        # numpy's int64 product is over twice as fast at large k with the
+        # right factor's columns contiguous
+        R[:, M : M + w] = field.matmul(R[:, M - k : M], np.asfortranarray(R[:, k : k + w]))
+        M += w
+    return R
+
+
 def sqrt_minus_one(field: Field) -> Optional[int]:
     """First r (by code) with r^2 = -1, or None when q = 3 mod 4."""
     t = field.tables()

@@ -29,9 +29,10 @@ from cdcodes.algebra import (
     solve_norm_equation,
     sqrt_min,
 )
-from cdcodes.cyclic import CyclicElem
+from cdcodes import algebra
+from cdcodes.cyclic import CyclicElem, conj_pairing
 from cdcodes.errors import DegenerateG, DimensionMismatch, DomainError, GcdViolation, NotInComponent, NotPaired
-from cdcodes.field import field_from_order
+from cdcodes.field import Poly, _minimal_ideal_rref, field_from_order
 from cdcodes import linalg
 import numpy as np
 
@@ -40,7 +41,7 @@ def scalar_view(q):
     """A plain field GF(q) presented as the n = 1 subfield of FH."""
     F = field_from_order(q)
     one = CyclicElem.one(F, 1)
-    return SubfieldView(F, 1, one, one.coeffs[None], label=f"GF({q})")
+    return SubfieldView(F, 1, one, one.coeffs[None], (0,), label=f"GF({q})")
 
 
 # -- defining relations ------------------------------------------------------------
@@ -334,15 +335,62 @@ def test_subfield_inverse_stays_in_the_subfield(q):
                     view.inv(view.zero)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 13])
-def test_fhe_rows_are_the_rref_of_the_full_circulant(q):
-    # FHe is spanned by its deg f rows u^i e; the RREF of all n rows is the same
+@pytest.mark.parametrize(
+    "q, lengths",
+    [pytest.param(q, odd_coprime_grid(q, 35), id=str(q)) for q in (2, 3, 4, 5, 7, 8, 9, 13, 16, 25, 27)]
+    + [pytest.param(2, [263], id="2-263"), pytest.param(3, [257], id="3-257")],
+)
+def test_fhe_rows_are_the_rref_of_the_full_circulant(q, lengths):
+    # FHe's rows are read off its factor; the RREF of all n rotations u^i e is
+    # the same, also at the large k of (2, 263) and (3, 257)
     F = field_from_order(q)
-    for n in odd_coprime_grid(q, 35):
+    for n in lengths:
         i = np.arange(n)
         for comp in get_algebra(q, n).decompose()[1:]:
             R, _ = linalg.rref(F, comp.e.coeffs[(i - i[:, None]) % n])
             assert R.shape == comp.fhe.rows.shape and R.tobytes() == comp.fhe.rows.tobytes(), (n, comp)
+
+
+# the perfbench decompose grid, (q, n)
+DECOMPOSE_GRID = [
+    (2, 23), (2, 29), (3, 19), (3, 23), (3, 31), (4, 11), (4, 23), (5, 19),
+    (5, 23), (7, 13), (7, 17), (7, 29), (9, 7), (9, 11), (13, 23),
+]
+
+
+@pytest.mark.parametrize("q, n", DECOMPOSE_GRID)
+def test_fhe_membership_guard_passes_on_the_decompose_grid(q, n):
+    # a fresh algebra, so that every block is built, and guarded, here
+    for c in TwistedDihedralAlgebra(field_from_order(q), n, -1).decompose()[1:]:
+        assert c.fhe.contains(c.e), (n, c)
+
+
+@pytest.mark.parametrize("q, n", [(2, 23), (3, 23), (4, 11), (9, 7), (7, 29)])
+def test_fhe_membership_guard_fires_on_a_wrong_basis(monkeypatch, q, n):
+    # FHe's rows built from f instead of f* are FHebar's, where e does not lie
+    # (on paired blocks, f != f*); and a basis with one coefficient changed
+    # in a row where e has a nonzero coordinate misses e too
+    F = field_from_order(q)
+    idems = get_algebra(q, n).idempotents()
+    pairing = conj_pairing(idems)
+    assert any(pairing[i] != i for i in range(1, len(pairing))), "no paired block"
+
+    def from_f(field, f, n):
+        return _minimal_ideal_rref(field, Poly(field, f.coeffs[::-1]).monic(), n)
+
+    def one_changed(field, f, n):
+        R = _minimal_ideal_rref(field, f, n)
+        e = next(e for g, e in zip(idems.factors, idems.idems) if g == f)
+        row = int(np.flatnonzero(e.coeffs[: f.degree])[0])
+        R[row, f.degree] = field.tables().add[R[row, f.degree], field.one]
+        return R
+
+    for mutant in (from_f, one_changed):
+        alg = TwistedDihedralAlgebra(F, n, -1)
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "_minimal_ideal_rref", mutant)
+            with pytest.raises(AssertionError, match="e is not in FHe"):
+                alg.decompose()
 
 
 def small_subfields(q):
