@@ -158,7 +158,11 @@ class SubfieldView:
         return int(c) if np.array_equal(t.mul[c, self.identity.coeffs], y.coeffs) else None
 
     def inv(self, y: CyclicElem) -> CyclicElem:
-        """c^-1 e for a scalar y = c e, else y^(order - 2)."""
+        """c^-1 e for a scalar y = c e, else y^(order - 2).
+
+        The scalar branch is needed, not only quick: in a subfield of order 2
+        the one unit is e, and e^(order - 2) = e^0 would be FH's 1, not e.
+        """
         if y.is_zero():
             raise ZeroDivisionError("inverse of 0")
         c = self._scalar(y)
@@ -168,103 +172,43 @@ class SubfieldView:
         return f"SubfieldView({self.label or 'dim %d' % self.dim}, |F|={self.order})"
 
 
-def sqrt_min(ft: SubfieldView, a: CyclicElem) -> Optional[CyclicElem]:
-    """Smallest square root of a in the subfield, or None for non-squares.
+def solve_norm_equation(ft: SubfieldView, g: CyclicElem, tw: int = -1) -> tuple[CyclicElem, CyclicElem]:
+    """First (s, s') in scan order with s^2 + g s s' + s'^2 = tw e in ft.
 
-    A scalar a = c e (c in GF(q), e the identity) is answered from the
-    field's tables where it can be: its root is r e when r^2 = c in GF(q),
-    and otherwise, in odd order, a is a square iff the subfield's dimension
-    is even (c^((order - 1)/2) is the Legendre symbol of c to the power 1 +
-    q + ... + q^(dim - 1), whose parity is dim's).  Else: even order takes
-    the Frobenius inverse a^(order/2); order = 3 mod 4 takes t =
-    a^((order+1)/4), a root iff t^2 = a; order = 1 mod 4 takes the Euler
-    test and Tonelli-Shanks, with the non-residue chosen as the first one in
-    canonical order, except that -e (a non-square in GF(q), so q = 3 mod 4)
-    takes t = z^((order-1)/4) for the first z with t^2 = -e.  Of the two
-    roots +-t the one with the smaller code is returned, which equals the
-    first root an ascending scan would find.
+    s' runs over canonical order from 0, and for each s' the smaller code of
+    the at most two s is taken.  s' = 0 takes s = +-t for a root t of tw e,
+    read off three closed forms: t = r e for the first root r of tw in
+    GF(q) (r = 1 for tw = +1, and for tw = -1 whenever q is even or 1 mod
+    4); else q = 3 mod 4, and in even dimension |F_t| = 1 mod 4, so t =
+    z^((|F_t| - 1)/4) for the first non-square z.  In odd dimension |F_t| =
+    3 mod 4, -e is a non-square and s' != 0: completing the square gives s =
+    -g s'/2 +- t with t^2 = a = -e - (1 - g^2/4) s'^2, and a is a square iff
+    t = a^((|F_t| + 1)/4) has t^2 = a.
     """
-    if a.is_zero():
-        return ft.zero
-    e = ft.identity
-    order = ft.order
-    scalar = ft._scalar(a)
-    base_roots = [] if scalar is None else np.flatnonzero(ft.field.tables().mul.diagonal() == scalar)
-    if len(base_roots):
-        t = e.scale(int(base_roots[0]))
-    elif scalar is not None and ft.dim % 2:
-        return None  # a non-square of GF(q), in odd order (even q has every root)
-    elif order % 2 == 0:
-        return a.pow(order // 2)
-    elif order % 4 == 3:
-        t = a.pow((order + 1) // 4)
-        if t * t != a:
-            return None
-    elif scalar == ft.field.tables().neg[ft.field.one]:
-        roots_of_minus_one = (ft.element(code).pow((order - 1) // 4) for code in range(1, order))
-        t = next(t for t in roots_of_minus_one if t * t == a)
-    else:
-        if scalar is None and a.pow((order - 1) // 2) != e:
-            return None
-        Q, S = order - 1, 0
-        while Q % 2 == 0:
-            Q //= 2
-            S += 1
-        z = None
-        for code in range(1, order):
-            cand = ft.element(code)
-            if cand.pow((order - 1) // 2) == -e:
-                z = cand
-                break
-        assert z is not None
-        M, c, t_val, r = S, z.pow(Q), a.pow(Q), a.pow((Q + 1) // 2)
-        while t_val != e:
-            i, t2 = 0, t_val
-            while t2 != e:
-                t2 = t2 * t2
-                i += 1
-            b = c
-            for _ in range(M - i - 1):
-                b = b * b
-            M, c, t_val, r = i, b * b, t_val * (b * b), r * b
-        t = r
-    mt = -t
-    return t if ft.code_of(t) <= ft.code_of(mt) else mt
-
-
-def solve_norm_equation(
-    ft: SubfieldView, g: CyclicElem, rhs: Optional[CyclicElem] = None
-) -> tuple[CyclicElem, CyclicElem]:
-    """First (s, s') in scan order with s^2 + g s s' + s'^2 = rhs in ft.
-
-    rhs defaults to -1.  Candidates with s' = 0 are preferred; for rhs = -1
-    such a solution exists iff the subfield has even order or order = 1 mod 4.
-    Afterwards s' is scanned in canonical order; completing the square turns
-    each s' into a root extraction, so the returned s is the smaller of the
-    two admissible values, exactly as an ascending scan would produce.
-    """
+    if tw not in (1, -1):
+        raise DomainError("tw must be +1 or -1")
     e = ft.identity
     two = e + e
     if g == two or g == -two:
         raise DegenerateG("g = +-2 makes X^2 + gX + 1 split")
-    if rhs is None:
-        rhs = -e
-    t0 = sqrt_min(ft, rhs)
-    if t0 is not None:
-        return t0, ft.zero
-    # characteristic 2 always admits s' = 0 (squaring is bijective)
-    assert ft.field.p != 2
-    inv2 = ft.inv(two)
-    b = e - g * g * (inv2 * inv2)
-    half_g = g * inv2
-    for code in range(1, ft.order):
-        sp = ft.element(code)
-        t = sqrt_min(ft, rhs - b * (sp * sp))
-        if t is not None:
-            cand = [t - half_g * sp, -t - half_g * sp]
-            cand.sort(key=ft.code_of)
-            return cand[0], sp
-    raise AssertionError("norm equation has no solution (impossible)")
+    order = ft.order
+    r = ft.field.one if tw == 1 else sqrt_minus_one(ft.field)
+    if r is not None:
+        t = e.scale(r)
+    elif ft.dim % 2 == 0:
+        roots = (ft.element(code).pow((order - 1) // 4) for code in range(1, order))
+        t = next(t for t in roots if t * t == -e)
+    else:
+        half_g = g * ft.inv(two)
+        b = e - half_g * half_g
+        for code in range(1, order):
+            sp = ft.element(code)
+            a = -e - b * (sp * sp)
+            t = a.pow((order + 1) // 4)
+            if t * t == a:
+                return min(t - half_g * sp, -t - half_g * sp, key=ft.code_of), sp
+        raise AssertionError("norm equation has no solution (impossible)")
+    return min(t, -t, key=ft.code_of), ft.zero
 
 
 class Component:
@@ -347,7 +291,7 @@ class Component:
         # norm-equation right-hand side to tw (i.e. -1 consta, +1 dihedral).
         self.g = -(ue + self.uinv_e)
         assert ftv.contains(self.g)
-        self.s, self.s_prime = solve_norm_equation(ftv, self.g, rhs=self.e.scale(alg.tw_code))
+        self.s, self.s_prime = solve_norm_equation(ftv, self.g, alg.tw)
 
     def __repr__(self):
         return f"Component(t={self.index}, {self.kind}, k={self.k})"

@@ -173,8 +173,9 @@ def cmd_construct(ns: argparse.Namespace) -> int:
 def cmd_analyze(ns: argparse.Namespace) -> int:
     checks = [c.strip() for c in ns.checks.split(",") if c.strip()]
     unknown = [c for c in checks if c not in ANALYZE_CHECKS]
-    if unknown:
-        raise DomainError(f"unknown check(s) {', '.join(unknown)}; valid names: {', '.join(ANALYZE_CHECKS)}")
+    if unknown or not checks:
+        named = f"unknown check(s) {', '.join(unknown)}" if unknown else "no check named"
+        raise DomainError(f"{named}; valid names: {', '.join(ANALYZE_CHECKS)}")
     if ns.delta is not None and "balance" not in checks:
         raise DomainError("--delta applies only to --checks balance")
     try:

@@ -10,8 +10,9 @@ one element product at a time, the dual code by row-reducing the kernel
 basis, the weight distribution from every word of the span, cyclic
 products by an explicit circulant or one shifted row at a time, powers
 in FH by plain square-and-multiply, x^n - 1 factored by splitting every
-idempotent by every coset sum, and square roots in a subfield of FH by an
-ascending scan.  None of them is on a path the library runs.
+idempotent by every coset sum, and the first solution of the norm equation
+in a subfield of FH by a scan of every s and s'.  None of them is on a path
+the library runs.
 """
 
 from __future__ import annotations
@@ -518,11 +519,33 @@ def factor_all_branches(n: int, field: Field) -> list[tuple[Poly, np.ndarray]]:
     return sorted(pairs, key=lambda fe: (fe[0] != x_minus_1, fe[0].degree, fe[0].coeffs[::-1]))
 
 
-def sqrt_by_scan(ft: SubfieldView) -> dict[bytes, int]:
-    """For each square a of the subfield (by its coefficient bytes), the code
-    of the first root of a in ascending code order."""
-    first: dict[bytes, int] = {}
-    for code in range(ft.order):
-        y = ft.element(code)
-        first.setdefault((y * y).coeffs.tobytes(), code)
-    return first
+def norm_by_scan(ft: SubfieldView, tw: int) -> dict[int, tuple[int, int]]:
+    """For each g of ft but +-2e, by code, the codes of the first (s, s') with
+    s^2 + g s s' + s'^2 = tw e: s' ascending from 0, and s ascending within
+    each s'.  Each value of g s' evaluates the form at every s at once, in
+    coordinates, s (g s') by the dim x dim matrix of multiplication by g s'."""
+    F, Q, k = ft.field, ft.order, ft.dim
+    t = F.tables()
+    basis = subfield_basis(ft)
+    coords = _digit_rows(np.arange(Q), F.q, k)
+    elems = [CyclicElem(F, w) for w in F.matmul(coords, ft.rows)]
+    squares = np.array([ft.coords((y * y).coeffs) for y in elems]).reshape(Q, k)
+    e = ft.identity
+    target = ft.coords((e if tw == 1 else -e).coeffs)
+    todo = [c for c in range(Q) if elems[c] != e + e and elems[c] != -(e + e)]
+    first: dict[int, tuple[int, int]] = {}
+    for sp in range(Q):
+        solutions: dict[bytes, np.ndarray] = {}  # by g s', which is 0 for every g at s' = 0
+        for g in todo:
+            h = elems[g] * elems[sp]
+            if h.coeffs.tobytes() not in solutions:
+                mul_h = np.array([ft.coords((b * h).coeffs) for b in basis]).reshape(k, k)
+                form = t.add[t.add[squares, F.matmul(coords, mul_h)], squares[sp]]
+                solutions[h.coeffs.tobytes()] = np.flatnonzero((form == target).all(axis=1))
+            hits = solutions[h.coeffs.tobytes()]
+            if hits.size:
+                first[g] = (int(hits[0]), sp)
+        todo = [g for g in todo if g not in first]
+        if not todo:
+            return first
+    raise AssertionError("some norm equation has no solution")

@@ -12,9 +12,9 @@ from oracles import (
     iso_from_mat2,
     iso_to_mat2,
     matrix_basis,
+    norm_by_scan,
     random_elem,
     scaled,
-    sqrt_by_scan,
     v_elem,
 )
 
@@ -27,7 +27,6 @@ from cdcodes.algebra import (
     SubfieldView,
     TwistedDihedralAlgebra,
     solve_norm_equation,
-    sqrt_min,
 )
 from cdcodes import algebra
 from cdcodes.cyclic import CyclicElem, conj_pairing
@@ -400,19 +399,6 @@ def small_subfields(q):
     return [views[d] for d in sorted(views)]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
-def test_sqrt_min_is_the_first_root_by_scan(q):
-    views = small_subfields(q)
-    assert [v.dim for v in views] == [1, 2, 3]
-    for ft in views:
-        first = sqrt_by_scan(ft)
-        for code in range(ft.order):
-            a = ft.element(code)
-            root = sqrt_min(ft, a)
-            want = first.get(a.coeffs.tobytes())
-            assert (root is None and want is None) or ft.code_of(root) == want, (ft, code)
-
-
 # -- norm equation ----------------------------------------------------------------------------
 
 
@@ -467,6 +453,29 @@ def test_solve_norm_equation_degenerate():
         solve_norm_equation(ft, two)
     with pytest.raises(DegenerateG):
         solve_norm_equation(ft, -two)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_solve_norm_equation_is_the_first_solution_by_scan(q):
+    # the views cover tw = +1, q even, q = 1 mod 4, and for q = 3 mod 4 both
+    # -e a square (dimension 2) and not (dimensions 1 and 3, where s' != 0)
+    views = small_subfields(q)
+    assert [v.dim for v in views] == [1, 2, 3]
+    for ft in views:
+        for tw in (1, -1):
+            first = norm_by_scan(ft, tw)
+            for g, want in first.items():
+                s, sp = solve_norm_equation(ft, ft.element(g), tw)
+                assert (ft.code_of(s), ft.code_of(sp)) == want, (ft, g, tw)
+            sprime_needed = tw == -1 and q % 4 == 3 and ft.dim % 2 == 1
+            assert {sp != 0 for _, sp in first.values()} == {sprime_needed}, (ft, tw)
+
+
+@pytest.mark.parametrize("tw", [0, 2, -2])
+def test_solve_norm_equation_rejects_a_twist_other_than_plus_or_minus_one(tw):
+    ft = scalar_view(5)
+    with pytest.raises(DomainError):
+        solve_norm_equation(ft, ft.identity, tw)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 13])

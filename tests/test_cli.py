@@ -305,6 +305,16 @@ def test_analyze_unknown_checks_exit2(capsys, tmp_path):
     assert all(name in err for name in ("min-weight", "hull", "balance"))
 
 
+@pytest.mark.parametrize("checks", [",", "", " , "])
+def test_analyze_no_checks_exit2(capsys, tmp_path, checks):
+    # without the guard this printed only q, n_len and k_dim and exited 0
+    path = tmp_path / "code.txt"
+    assert run(capsys, "construct", "--q", "3", "--n", "7", "--out", str(path))[0] == 0
+    rc, out, err = run(capsys, "analyze", str(path), "--checks", checks)
+    assert (rc, out) == (2, "")
+    assert err == "error: no check named; valid names: min-weight, hull, balance\n"
+
+
 def test_analyze_balance_census_over_budget_exit4(capsys, tmp_path):
     # the plain q = 3, n = 7 code has k = 6, so its census needs 3^6 = 729 words
     path = tmp_path / "code.txt"

@@ -2,11 +2,14 @@
 somewhere in it, every module-level private name is read by some module of
 the package, every private method of a package class is read only in its
 own module, every public function, class and method of the package has a
-reader outside the tests, and every `module.name` the README cites exists."""
+reader outside the tests, and every `module.name` that the README or a
+docstring or comment of the package or the scripts cites exists."""
 
 import ast
 import importlib
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -15,7 +18,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cdcodes"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-TESTS_AND_SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+TESTS_AND_SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + SCRIPTS
 PACKAGE = {p.stem: p.read_text() for p in SRC.glob("*.py")}
 OUTSIDE_READERS = [p.read_text() for d in ("scripts", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
 
@@ -293,4 +297,47 @@ def test_doc_drift_checker_flags_missing_names():
 def test_readme_module_references_resolve():
     # a deleted or renamed function must not stay documented
     refs, missing = unresolved_module_refs((ROOT / "README.md").read_text(), set(PACKAGE) - {"__init__"})
+    assert refs and missing == []
+
+
+def doc_texts(source: str) -> list[str]:
+    """The docstrings of Python source, and its comments with each run of
+    comments on consecutive lines joined, one string each."""
+    tree = ast.parse(source)
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    texts = [doc for node in ast.walk(tree) if isinstance(node, scopes) and (doc := ast.get_docstring(node))]
+    last = None
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            line = tok.string.lstrip("#")
+            if last == tok.start[0] - 1:
+                texts[-1] += "\n" + line
+            else:
+                texts.append(line)
+            last = tok.start[0]
+    return texts
+
+
+def test_doc_texts_reads_docstrings_and_comments():
+    source = (
+        '"""Module `a.b`."""\n'
+        "x = '`c.d`'  # see `e.f`\n"
+        "# and `g.\n"
+        "# h`\n"
+        "def f():\n"
+        '    """`i.j`"""\n'
+        "    # `k.l`\n"
+    )
+    assert doc_texts(source) == ["Module `a.b`.", "`i.j`", " see `e.f`\n and `g.\n h`", " `k.l`"]
+
+
+def test_source_module_references_resolve():
+    # a deleted or renamed function must not stay cited in a docstring or comment
+    modules = set(PACKAGE) - {"__init__"}
+    refs, missing = set(), []
+    for path in sorted(SRC.glob("*.py")) + SCRIPTS:
+        for text in doc_texts(path.read_text()):
+            found, unresolved = unresolved_module_refs(text, modules)
+            refs.update(found)
+            missing += [f"{path.name}: {name}" for name in unresolved]
     assert refs and missing == []
