@@ -33,7 +33,7 @@ from .errors import (
     NoNonzeroWords,
     NotLeftIdeal,
 )
-from .field import mult_order, prime_power
+from .field import minus_one_in_powers, mult_order, prime_power
 
 FLOAT_SLACK = 1e-9
 
@@ -456,7 +456,7 @@ def good_n_predicates(q: int, n: int) -> GoodNFlags:
     if coprime_odd:
         ordv = mult_order(q, n)
         ord_odd = ordv % 2 == 1
-        minus1 = any(pow(q, k, n) == n - 1 for k in range(1, ordv + 1))
+        minus1 = minus_one_in_powers(q, n)
         two_exact = ordv % 2 == 0 and ordv % 4 != 0
     else:
         ord_odd = minus1 = two_exact = False

@@ -427,16 +427,17 @@ def assemble_code(
     if memo is not None:
         return memo[beta.twist_class()]
     gens, dim = _generators(alg, parts, a0)
-    origin = dict(origin or {})
-    origin.setdefault("q", alg.field.q)
-    origin.setdefault("n", alg.n)
-    origin.setdefault("v_squared", alg.tw)
-    origin.setdefault("blocks", sorted(comp.index for comp, _ in parts))
-    origin.setdefault("include_C0", a0 == "C0")
-    if beta is not None:
-        origin.setdefault("beta", list(beta.codes))
+    origin = {
+        **(origin or {}),
+        "q": alg.field.q,
+        "n": alg.n,
+        "v_squared": alg.tw,
+        "blocks": sorted(comp.index for comp, _ in parts),
+        "include_C0": a0 == "C0",
+    }
     rows = alg.ideal_rref(gens)
     if beta is not None:
+        origin["beta"] = list(beta.codes)
         rows = _twist(alg, rows, beta.kts, [beta.codes])[0]
     code = LinearCode.from_rows(alg.field, rows, n_len=2 * alg.n, origin=origin)
     if code.k_dim != dim:

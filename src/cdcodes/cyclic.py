@@ -30,6 +30,7 @@ from .field import (
     _unit_index,
     cyclotomic_cosets,
     factor_xn_minus_1_with_cosets,
+    minus_one_in_powers,
     mult_order,
     prime_factors,
 )
@@ -150,9 +151,8 @@ def conj_pairing(idem_set: IdempotentSet) -> tuple[int, ...]:
     assert pairing[0] == 0
     n, q = idem_set.n, idem_set.field.q
     if n > 1:
-        minus_one_in_q = any(pow(q, k, n) == n - 1 for k in range(1, mult_order(q, n) + 1))
         all_selfconj = all(pairing[i] == i for i in range(len(idems)))
-        assert all_selfconj == minus_one_in_q, "Kronecker criterion violated"
+        assert all_selfconj == minus_one_in_powers(q, n), "Kronecker criterion violated"
         none_selfconj = all(pairing[i] != i for i in range(1, len(idems)))
         assert none_selfconj == (mult_order(q, n) % 2 == 1), "odd-order criterion violated"
     return tuple(pairing)

@@ -11,11 +11,12 @@ block: prod(q^k_t + 1) in total, prod(q^k_t - 1) of them LCD.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import PAIRED, AlgElem, Component, TwistedDihedralAlgebra
+from .algebra import PAIRED, AlgElem, Component, SubfieldView, TwistedDihedralAlgebra
 from .codes import assemble_code, hull_dimension
 from .cyclic import CyclicElem
 from .errors import HypothesisUnmet, NotPaired
@@ -110,6 +111,7 @@ class CountReport:
     sampled: int = 0
     sample_agreements: int = 0
     seed: Optional[int] = None
+    agreements: int = 0  # codes built on which LCD <=> every a_t b_t != 0 held
 
     @property
     def verified(self) -> bool:
@@ -117,17 +119,26 @@ class CountReport:
             return (
                 self.total_observed == self.total_formula
                 and self.lcd_observed == self.lcd_formula
+                and self.agreements == self.total_formula
             )
         return self.sampled > 0 and self.sample_agreements == self.sampled
 
 
-def _block_generators(comp: Component) -> list[AlgElem]:
-    """One generator per simple left ideal of the block, Eq.-(48)-style."""
+def _block_choices(comp: Component) -> list[tuple[CyclicElem, CyclicElem]]:
+    """The (a, b) of one f_ab per simple left ideal of the block, Eq.-(48)-style:
+    (x, e) for each x in F_t in canonical order, then (e, 0)."""
     ft = comp.ft
     e = ft.identity
-    gens = [f_ab(comp, ft.element(code), e) for code in range(ft.order)]
-    gens.append(f_ab(comp, e, ft.zero))
-    return gens
+    return [(ft.element(code), e) for code in range(ft.order)] + [(e, ft.zero)]
+
+
+def _drawn_choice(ft: SubfieldView, rng: random.Random) -> tuple[CyclicElem, CyclicElem]:
+    """A seeded (a, b) != (0, 0) in F_t: a, then b, redrawn while both are 0."""
+    while True:
+        a = ft.element(rng.randrange(ft.order))
+        b = ft.element(rng.randrange(ft.order))
+        if not (a.is_zero() and b.is_zero()):
+            return a, b
 
 
 def count_Cab_codes(
@@ -141,9 +152,11 @@ def count_Cab_codes(
     ehat_0 = e_0 + e_0 v is the C_0 generator r e_0 + e_0 v at r = 1, which
     v^2 = +1 always admits, so the codes are assembled with A_0's choice C_0.
     Requires odd q and odd ord_n(q) (all nontrivial idempotents paired).
-    When the formula total does not exceed exhaust_limit, every code is built
-    and classified by hull; otherwise `samples` seeded random (a, b) choices
-    are classified and checked against the ab = 0 rule.
+    Each choice of (a_t, b_t) per block gives one code, classified by hull and
+    held to the rule "LCD iff every a_t b_t != 0".  The choices are every line
+    of every block (`_block_choices`) when the formula total is at most
+    exhaust_limit, else `samples` seeded draws; an exhaustive report is
+    verified only if both totals match and every code obeys the rule.
     """
     if alg.tw != 1:
         raise HypothesisUnmet("C_ab counting is defined on the dihedral algebra")
@@ -155,62 +168,29 @@ def count_Cab_codes(
     comps = alg.decompose()[1:]
     assert all(c.kind == PAIRED for c in comps)
     k_list = [c.k for c in comps]
-    total_formula = 1
-    lcd_formula = 1
-    for k in k_list:
-        total_formula *= q**k + 1
-        lcd_formula *= q**k - 1
-
-    if total_formula <= exhaust_limit:
-        keys = set()
-        lcd_count = 0
-        for gens in itertools.product(*(_block_generators(c) for c in comps)):
-            parts = list(zip(comps, gens))
-            code = assemble_code(alg, parts, a0="C0", origin={"family": "C_ab"})
-            assert code.k_dim == alg.n
-            keys.add(code.key())
-            if hull_dimension(code) == 0:
-                lcd_count += 1
-        assert len(keys) == total_formula, "distinct (a,b) choices collided"
-        return CountReport(
-            q=q,
-            n=alg.n,
-            k_list=k_list,
-            total_formula=total_formula,
-            lcd_formula=lcd_formula,
-            exhaustive=True,
-            total_observed=len(keys),
-            lcd_observed=lcd_count,
-        )
-
-    rng = random.Random(seed)
-    agreements = 0
-    for _ in range(samples):
-        parts = []
-        expect_lcd = True
-        for c in comps:
-            ft = c.ft
-            while True:
-                a = ft.element(rng.randrange(ft.order))
-                b = ft.element(rng.randrange(ft.order))
-                if not (a.is_zero() and b.is_zero()):
-                    break
-            if (a * b).is_zero():
-                expect_lcd = False
-            parts.append((c, f_ab(c, a, b)))
+    total_formula = math.prod(q**k + 1 for k in k_list)
+    exhaustive = total_formula <= exhaust_limit
+    if exhaustive:
+        choices = itertools.product(*(_block_choices(c) for c in comps))
+    else:
+        rng = random.Random(seed)
+        choices = (tuple(_drawn_choice(c.ft, rng) for c in comps) for _ in range(samples))
+    keys = set()
+    lcd_count = agreements = 0
+    for choice in choices:
+        parts = [(c, f_ab(c, a, b)) for c, (a, b) in zip(comps, choice)]
         # any (a, b) != 0 has matrix rank 1, so each block contributes 2k_t
         code = assemble_code(alg, parts, a0="C0", origin={"family": "C_ab"})
-        actual_lcd = hull_dimension(code) == 0
-        if actual_lcd == expect_lcd:
-            agreements += 1
-    return CountReport(
-        q=q,
-        n=alg.n,
-        k_list=k_list,
-        total_formula=total_formula,
-        lcd_formula=lcd_formula,
-        exhaustive=False,
-        sampled=samples,
-        sample_agreements=agreements,
-        seed=seed,
+        assert code.k_dim == alg.n
+        keys.add(code.key())
+        lcd = hull_dimension(code) == 0
+        lcd_count += lcd
+        agreements += lcd == all(not (a * b).is_zero() for a, b in choice)
+    report = CountReport(
+        q, alg.n, k_list, total_formula, math.prod(q**k - 1 for k in k_list), exhaustive, agreements=agreements
     )
+    if exhaustive:
+        report.total_observed, report.lcd_observed = len(keys), lcd_count
+    else:
+        report.sampled, report.sample_agreements, report.seed = samples, agreements, seed
+    return report

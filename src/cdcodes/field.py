@@ -490,6 +490,13 @@ def mult_order(q: int, n: int) -> int:
     return t
 
 
+def minus_one_in_powers(q: int, n: int) -> bool:
+    """Whether -1 lies in <q> mod odd n > 1: ord_n(q) = o is even and
+    q^(o/2) = -1, q^(o/2) being the only element of order 2 in <q>."""
+    o = mult_order(q, n)
+    return o % 2 == 0 and pow(q, o // 2, n) == n - 1
+
+
 def cyclotomic_cosets(n: int, q: int) -> list[list[int]]:
     """q-cyclotomic cosets of Z_n, each in orbit order starting at its minimum."""
     if math.gcd(n, q) != 1:

@@ -114,7 +114,7 @@ def test_enumerate_simple_left_ideals_block():
     # the q + 1 generators of a paired block give q + 1 distinct simple left ideals
     D = get_algebra(7, 3, 1)
     comp = D.decompose()[1]
-    ideals = [block_ideal(comp, g) for g in dih._block_generators(comp)]
+    ideals = [block_ideal(comp, dih.f_ab(comp, a, b)) for a, b in dih._block_choices(comp)]
     assert len(ideals) == 8
     assert all(c.k_dim == 2 * comp.k for c in ideals)
     assert len({c.key() for c in ideals}) == 8
@@ -124,7 +124,7 @@ def test_enumerate_requires_paired():
     D = get_algebra(3, 5, 1)
     comp = D.decompose()[1]
     with pytest.raises(NotPaired):
-        dih._block_generators(comp)
+        [dih.f_ab(comp, a, b) for a, b in dih._block_choices(comp)]
 
 
 @pytest.mark.parametrize("tw", [-1, 1])
@@ -203,6 +203,25 @@ def test_count_3_gf7_exhaustive():
     assert (r.total_formula, r.lcd_formula) == (8, 6)
     assert (r.total_observed, r.lcd_observed) == (8, 6)
     assert r.verified
+
+
+def test_exhaustive_count_holds_every_code_to_the_ab_rule(monkeypatch):
+    # swapping the verdicts of one LCD and one non-LCD code keeps the totals at
+    # 8/6, so only the per-code rule "LCD iff every a_t b_t != 0" catches it
+    swapped = set()
+
+    def swapping_hull(code):
+        hull = hull_dimension(code)
+        if (hull == 0) in swapped:
+            return hull
+        swapped.add(hull == 0)
+        return code.k_dim if hull == 0 else 0
+
+    monkeypatch.setattr(dih, "hull_dimension", swapping_hull)
+    r = dih.count_Cab_codes(get_algebra(7, 3, 1))
+    assert r.exhaustive and swapped == {True, False}
+    assert (r.total_observed, r.lcd_observed) == (8, 6)
+    assert not r.verified
 
 
 def test_count_hypotheses():

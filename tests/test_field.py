@@ -34,6 +34,7 @@ from cdcodes.field import (
     factor_xn_minus_1_with_cosets,
     field_from_order,
     is_prime,
+    minus_one_in_powers,
     mult_order,
     smallest_irreducible,
     sqrt_minus_one,
@@ -645,6 +646,20 @@ def test_mult_order_divides_phi(q):
         if math.gcd(n, q) != 1:
             continue
         assert oracle_phi(n) % mult_order(q, n) == 0
+
+
+def test_minus_one_in_powers_matches_the_scan():
+    # read off q^(ord/2), against a scan of q^1 .. q^ord for -1, on every prime
+    # power q <= 128 and odd n < 600 coprime to it
+    for q, _ in oracle_prime_powers(128):
+        for n in range(3, 600, 2):
+            if math.gcd(n, q) != 1:
+                continue
+            x, scan = q % n, False
+            while not scan and x != 1:
+                scan = x == n - 1
+                x = x * q % n
+            assert minus_one_in_powers(q, n) == scan, (q, n)
 
 
 # -- square roots of -1 -----------------------------------------------------------------
